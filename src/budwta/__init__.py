@@ -50,19 +50,13 @@ from .automaton import (
     is_total,
     parse_wta,
     reachable_states,
-    remove_state,
     representative_trees,
     slim,
     state_of,
 )
 from .scalar import (
-    DecompositionError,
-    Dependent,
     Monomial,
-    decompose,
-    degree,
     format_monomial,
-    pair_independent_subset,
     parse_monomial,
 )
 from .congruence import (
@@ -73,7 +67,6 @@ from .congruence import (
     build_syntactic_quotient,
     class_of,
     congruent,
-    dependency_oracle,
 )
 from .minimize import (
     build_wta_from_basis,

@@ -1,7 +1,8 @@
 """Weighted tree automata over a commutative semifield.
 
 An automaton stores a sparse transition map (zero-weight entries are never
-kept) and a sparse final weight map.  Bottom-up determinism means every
+kept) and a sparse final weight map, both read-only.  Bottom-up
+determinism, checked once when the automaton is built, means every
 (state tuple, symbol) pair has at most one nonzero target; for such
 automata each tree reaches at most one state with a single product weight,
 which is what all the minimization machinery relies on.  The general
@@ -13,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from . import semifield, terms
 from .semifield import Weight
@@ -39,10 +41,13 @@ class Wta:
     alphabet: RankedAlphabet
     states: Tuple[str, ...]
     kind: str
-    delta: Dict[TransKey, Weight]
-    final: Dict[str, Weight]
+    delta: Mapping[TransKey, Weight]
+    final: Mapping[str, Weight]
 
     def __post_init__(self) -> None:
+        # read-only copies, so that _succ and budet cannot go stale
+        self.delta = MappingProxyType(dict(self.delta))
+        self.final = MappingProxyType(dict(self.final))
         if self.kind not in semifield.KINDS:
             raise WtaError(f"unknown semifield kind: {self.kind!r}")
         if not self.states:
@@ -68,6 +73,7 @@ class Wta:
         self._succ: Dict[Tuple[Tuple[str, ...], str], List[Tuple[str, Weight]]] = {}
         for (ws, sym, q), w in self.delta.items():
             self._succ.setdefault((ws, sym), []).append((q, w))
+        self.budet = all(len(v) <= 1 for v in self._succ.values())
 
     def _check_weight(self, w: Weight) -> None:
         if w.kind != self.kind:
@@ -89,7 +95,7 @@ class Wta:
 
 
 def is_bu_deterministic(a: Wta) -> bool:
-    return all(len(v) <= 1 for v in a._succ.values())
+    return a.budet
 
 
 def is_total(a: Wta) -> bool:
@@ -237,22 +243,6 @@ def reachable_states(a: Wta) -> FrozenSet[str]:
 
 def is_slim(a: Wta) -> bool:
     return reachable_states(a) == set(a.states)
-
-
-def remove_state(a: Wta, q: str) -> Wta:
-    """Drop a state together with every transition and final entry using it."""
-    if q not in a.states:
-        raise PreconditionError(f"no such state: {q}")
-    if len(a.states) == 1:
-        raise PreconditionError("cannot remove the last state")
-    keep = tuple(p for p in a.states if p != q)
-    delta = {
-        key: w
-        for key, w in a.delta.items()
-        if q not in key[0] and key[2] != q
-    }
-    final = {p: w for p, w in a.final.items() if p != q}
-    return Wta(a.alphabet, keep, a.kind, delta, final)
 
 
 def slim(a: Wta) -> Wta:

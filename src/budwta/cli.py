@@ -219,9 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except scalar.DecompositionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import automaton, semifield, terms
 from .automaton import PreconditionError, Wta
-from .scalar import Dependent, Monomial
+from .scalar import Monomial
 from .semifield import Weight
 from .terms import Tree
 
@@ -47,9 +46,6 @@ class SyntacticQuotient:
     lam: Dict[str, Weight]  # scaling witness relative to the block rep
     rep_tree: Dict[str, Tree]  # one witness tree per state
     block_of: Dict[str, int]
-
-    def rep(self, block: int) -> str:
-        return self.blocks[block][0]
 
 
 # --- observation helpers --------------------------------------------------
@@ -252,28 +248,6 @@ def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
     return class_of(qt, m1) == class_of(qt, m2)
 
 
-def dependency_oracle(qt: SyntacticQuotient):
-    """Scalar dependency on congruence classes.
-
-    Two nonzero classes are dependent iff they share a block; the zero
-    class depends on everything with witness factor zero.
-    """
-    kind = qt.wta.kind
-
-    def dep(u: ClassRep, v: ClassRep) -> Optional[Dependent]:
-        if u is None:
-            return Dependent(semifield.zero(kind))
-        if v is None:
-            return Dependent(semifield.zero(kind), flipped=True)
-        bu, su = u
-        bv, sv = v
-        if bu != bv:
-            return None
-        return Dependent(su.times(sv.reciprocal()))
-
-    return dep
-
-
 # --- brute-force oracle over literally enumerated contexts ----------------
 
 
@@ -328,11 +302,6 @@ class BoundedContextOracle:
         return True
 
 
-@lru_cache(maxsize=None)
-def _bounded_oracle(a: Wta, ctx_height: int) -> BoundedContextOracle:
-    return BoundedContextOracle(a, ctx_height)
-
-
 def brute_force_congruent(
     a: Wta, m1: Monomial, m2: Monomial, ctx_height: int
 ) -> bool:
@@ -341,4 +310,4 @@ def brute_force_congruent(
     Exhaustive over the literal context enumeration; used as an oracle
     against the refinement-based decision procedure.
     """
-    return _bounded_oracle(a, ctx_height).congruent(m1, m2)
+    return BoundedContextOracle(a, ctx_height).congruent(m1, m2)

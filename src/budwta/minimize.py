@@ -1,8 +1,8 @@
 """Minimal bu-det automaton construction and exact equivalence.
 
-The pipeline: slim the automaton, build its syntactic quotient, pick a
-scalar basis among the congruence classes of one representative monomial
-per state, and read the minimal automaton off the basis.  A slim bu-det
+The pipeline: slim the automaton, build its syntactic quotient, take as
+scalar basis the class of the first representative tree in each live
+block, and read the minimal automaton off the basis.  A slim bu-det
 automaton is minimal iff its state count equals the size of that basis.
 
 Equivalence of two bu-det automata is decided exactly by a product
@@ -14,9 +14,9 @@ observations matter disproves equivalence.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from . import automaton, congruence, scalar, semifield, terms
+from . import automaton, congruence, terms
 from .automaton import PreconditionError, TransKey, Wta, representative_trees
 from .congruence import ClassRep, SyntacticQuotient
 from .scalar import Monomial
@@ -58,12 +58,19 @@ def candidate_set(
 def scalar_basis(
     a: Wta, qt: SyntacticQuotient
 ) -> List[Tuple[Tree, ClassRep]]:
-    """Pair-independent subset of the candidate set (keep-first order)."""
-    dep = congruence.dependency_oracle(qt)
-    cands = candidate_set(a, qt)
-    return scalar.pair_independent_subset(
-        cands, lambda u, v: dep(u[1], v[1])
-    )
+    """The first candidate of each live block, in candidate order.
+
+    Two nonzero classes are scalar multiples of one another exactly when
+    they share a block, so this is a pair-independent generating set: a
+    basis, whose size is the number of live blocks.
+    """
+    seen: Set[int] = set()
+    basis: List[Tuple[Tree, ClassRep]] = []
+    for t, cls in candidate_set(a, qt):
+        if cls[0] not in seen:
+            seen.add(cls[0])
+            basis.append((t, cls))
+    return basis
 
 
 def _basis_state_name(index: int, t: Tree) -> str:

@@ -1,46 +1,14 @@
-"""Monomials and scalar dependency.
+"""Monomials.
 
 A monomial ``b.xi`` is a tree scaled by a weight.  All monomials with zero
 weight denote the same zero element, so equality and hashing identify them.
-
-Scalar dependency between elements of an algebra is decided by a caller
-supplied oracle; on top of the oracle this module provides keep-first
-extraction of pair-independent subsets and unique decomposition over such
-a subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
-
 from . import semifield, terms
 from .semifield import Weight
 from .terms import RankedAlphabet, Tree
-
-
-class DecompositionError(RuntimeError):
-    """The given set does not generate the element; internal inconsistency."""
-
-
-@dataclass(frozen=True)
-class Dependent:
-    """Witness of scalar dependency.
-
-    ``u = factor * v`` by default; with ``flipped`` set it reads
-    ``v = factor * u`` (needed when u is the zero element, whose witness
-    factor is zero and cannot be inverted).
-    """
-
-    factor: Weight
-    flipped: bool = False
-
-
-T = TypeVar("T")
-
-# Oracle contract: dep(u, v) returns a witness iff u and v are scalar
-# multiples of one another, and None otherwise.  dep(v, v) = Dependent(one).
-DependencyOracle = Callable[[T, T], Optional[Dependent]]
 
 
 class Monomial:
@@ -88,56 +56,3 @@ def parse_monomial(text: str, alphabet: RankedAlphabet, kind: str) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     return f"{semifield.format_weight(m.weight)}.{terms.format_tree(m.tree)}"
-
-
-def pair_independent_subset(
-    items: Sequence[T], dep: DependencyOracle
-) -> List[T]:
-    """Keep-first filtering: drop an element iff it depends on a kept one.
-
-    Deterministic: elements are scanned in input order and a dependency
-    always removes the later element.
-    """
-    kept: List[T] = []
-    for u in items:
-        if not any(dep(v, u) is not None for v in kept):
-            kept.append(u)
-    return kept
-
-
-def is_pair_independent(items: Sequence[T], dep: DependencyOracle) -> bool:
-    return all(
-        dep(items[i], items[j]) is None
-        for i in range(len(items))
-        for j in range(len(items))
-        if i != j
-    )
-
-
-def decompose(
-    v: T,
-    basis: Sequence[T],
-    dep: DependencyOracle,
-    is_zero: Callable[[T], bool],
-) -> Optional[Tuple[Weight, T]]:
-    """Write ``v`` as ``scal * gen`` over a pair-independent basis.
-
-    Returns None for the zero element.  The basis element is unique because
-    two generators for the same ``v`` would depend on each other.
-    """
-    if is_zero(v):
-        return None
-    for gen in basis:
-        witness = dep(v, gen)
-        if witness is None:
-            continue
-        if witness.flipped:
-            factor = witness.factor.reciprocal()
-        else:
-            factor = witness.factor
-        return (factor, gen)
-    raise DecompositionError("element is not generated by the basis")
-
-
-def degree(basis: Sequence[T]) -> int:
-    return len(basis)

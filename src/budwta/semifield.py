@@ -14,6 +14,7 @@ No floats appear anywhere in this package.
 
 from __future__ import annotations
 
+import decimal
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,9 +136,13 @@ def from_fraction(kind: str, x: Union[int, Fraction]) -> Weight:
             return Weight(kind, False)
         if x == 1:
             return Weight(kind, True)
-        raise WeightSyntaxError(f"boolean weight must be 0 or 1, got {x}")
+        raise WeightSyntaxError(
+            f"boolean weight must be 0 or 1, got {_number_text(x)}"
+        )
     if kind == MAXTIMES and x < 0:
-        raise WeightSyntaxError(f"maxtimes weight must be non-negative, got {x}")
+        raise WeightSyntaxError(
+            f"maxtimes weight must be non-negative, got {_number_text(x)}"
+        )
     return Weight(kind, x)
 
 
@@ -150,19 +155,15 @@ def _check_kind(kind: str) -> None:
 # "0"/"1" for booleans.  Used verbatim by the .wta format and the CLI.
 _NUM_RE = re.compile(r"^-?\d+(/\d+)?$")
 
-# spec ops are also available as module-level functions
+# int <-> str conversions refuse more than 4300 digits (sys.int_info);
+# Decimal converts exactly at any length, so weight text goes through it.
 
 
-def plus(a: Weight, b: Weight) -> Weight:
-    return a.plus(b)
-
-
-def times(a: Weight, b: Weight) -> Weight:
-    return a.times(b)
-
-
-def reciprocal(a: Weight) -> Weight:
-    return a.reciprocal()
+def _number_text(x: Fraction) -> str:
+    num = str(decimal.Decimal(x.numerator))
+    if x.denominator == 1:
+        return num
+    return f"{num}/{decimal.Decimal(x.denominator)}"
 
 
 def parse_weight(text: str, kind: str) -> Weight:
@@ -174,8 +175,9 @@ def parse_weight(text: str, kind: str) -> Weight:
         return zero(TROPICAL)
     if not _NUM_RE.match(text):
         raise WeightSyntaxError(f"malformed weight: {text!r}")
+    num, _, den = text.partition("/")
     try:
-        x = Fraction(text)
+        x = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
     except ZeroDivisionError:
         raise WeightSyntaxError(f"zero denominator in weight: {text!r}") from None
     return from_fraction(kind, x)
@@ -186,4 +188,4 @@ def format_weight(w: Weight) -> str:
         return "1" if w.value else "0"
     if w.kind == TROPICAL and w.value is None:
         return "inf"
-    return str(w.value)
+    return _number_text(w.value)

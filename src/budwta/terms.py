@@ -217,14 +217,6 @@ def decompose_elementary(c: Tree) -> List[Tree]:
     return factors
 
 
-def compose_all(factors: Iterable[Tree]) -> Tree:
-    """Inverse of decompose_elementary."""
-    cur = Z
-    for e in reversed(list(factors)):
-        cur = substitute(e, cur)
-    return cur
-
-
 # --- deterministic enumeration -------------------------------------------
 
 

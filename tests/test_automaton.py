@@ -19,7 +19,6 @@ from budwta.automaton import (
     is_total,
     parse_wta,
     reachable_states,
-    remove_state,
     representative_trees,
     slim,
     state_of,
@@ -61,6 +60,17 @@ def test_nondeterministic_flag():
 
 def test_non_total_flag(non_slim):
     assert not is_total(non_slim)  # beta has no nonzero target
+
+
+def test_maps_are_read_only(even_odd):
+    with pytest.raises(TypeError):
+        even_odd.delta[((), "alpha", "e")] = sf.one("rational")
+    with pytest.raises(TypeError):
+        even_odd.final["o"] = sf.one("rational")
+    delta = {((), "alpha", "p"): sf.one("rational")}
+    a = Wta(even_odd.alphabet, ("p", "q"), "rational", delta, {})
+    delta[((), "alpha", "q")] = sf.one("rational")
+    assert is_bu_deterministic(a) and len(a.delta) == 1
 
 
 # --- semantics -----------------------------------------------------------
@@ -179,22 +189,6 @@ def test_context_transform_scalar_compatibility(even_odd):
 
 
 # --- slimming -------------------------------------------------------------
-
-
-def test_remove_state_example(non_slim):
-    small = remove_state(non_slim, "p2")
-    assert small.states == ("p1",)
-    assert small.delta == {((), "alpha", "p1"): rat(1)}
-    for tree in terms.enumerate_trees(non_slim.alphabet, 2):
-        assert evaluate(small, tree) == evaluate(non_slim, tree)
-
-
-def test_remove_last_state_errors(non_slim):
-    small = remove_state(non_slim, "p2")
-    with pytest.raises(PreconditionError):
-        remove_state(small, "p1")
-    with pytest.raises(PreconditionError):
-        remove_state(non_slim, "nope")
 
 
 def test_slim_examples(even_odd, non_slim):

@@ -1,5 +1,8 @@
+from decimal import Decimal, localcontext
+
 import pytest
 
+from budwta.automaton import format_wta, parse_wta
 from budwta.cli import main
 
 from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF
@@ -51,6 +54,40 @@ def test_eval(wta_file, capsys):
 def test_eval_sink_is_zero(wta_file, capsys):
     assert main(["eval", wta_file(NON_SLIM), "--tree", "beta"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_eval_prints_answer_over_4300_digits(wta_file, capsys):
+    # every weight 2: a balanced tree of height 14 has 32767 nodes
+    doubling = (
+        "semifield rational\nrank alpha 0\nrank sigma 2\n"
+        "trans alpha() -> q @ 2\ntrans sigma(q,q) -> q @ 2\nfinal q @ 2\n"
+    )
+    tree = "alpha"
+    for _ in range(14):
+        tree = f"sigma({tree},{tree})"
+    assert main(["eval", wta_file(doubling), "--tree", tree]) == 0
+    with localcontext() as ctx:
+        ctx.prec = 10000
+        expected = str(Decimal(2) ** 32768)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_weights_over_4300_digits_parse(wta_file, capsys):
+    nines = "9" * 5000
+    text = (
+        "semifield rational\nrank alpha 0\nrank beta 0\n"
+        f"trans alpha() -> q @ {nines}\ntrans beta() -> q @ 1/{nines}\n"
+        "final q @ 1/3\n"
+    )
+    assert format_wta(parse_wta(text)) == text
+    path = wta_file(text)
+    assert main(["eval", path, "--tree", "alpha"]) == 0
+    assert capsys.readouterr().out == "3" * 5000 + "\n"
+    assert main(["eval", path, "--tree", "beta"]) == 0
+    assert capsys.readouterr().out == "1/2" + "9" * 4999 + "7\n"
+    boolean = f"semifield boolean\nrank alpha 0\nfinal q @ {nines}\n"
+    assert main(["validate", wta_file(boolean, "b.wta")]) == 2
+    assert "must be 0 or 1" in capsys.readouterr().err
 
 
 def test_state(wta_file, capsys):

@@ -11,9 +11,8 @@ from budwta.congruence import (
     build_syntactic_quotient,
     class_of,
     congruent,
-    dependency_oracle,
 )
-from budwta.scalar import Dependent, Monomial
+from budwta.scalar import Monomial
 from budwta.terms import Tree
 
 from corpus import random_monomial, random_slim_budet
@@ -153,25 +152,6 @@ def test_brute_force_zero_sides(two_leaf):
     assert not brute_force_congruent(two_leaf, z1, mono(1, "beta", two_leaf), 2)
 
 
-# --- dependency oracle ----------------------------------------------------
-
-
-def test_dependency_oracle_examples(two_leaf, gamma3):
-    qt = build_syntactic_quotient(two_leaf)
-    dep = dependency_oracle(qt)
-    c_alpha = class_of(qt, mono(1, "alpha", two_leaf))
-    c_beta = class_of(qt, mono(1, "beta", two_leaf))
-    assert dep(c_alpha, c_alpha) == Dependent(sf.one("rational"))
-    assert dep(c_alpha, c_beta) == Dependent(rat(2))
-
-    qt2 = build_syntactic_quotient(gamma3)
-    dep2 = dependency_oracle(qt2)
-    a = class_of(qt2, mono(1, "alpha", gamma3))
-    g = class_of(qt2, mono(1, "gamma(alpha)", gamma3))
-    assert dep2(a, g) is None
-    assert dep2(None, a) == Dependent(sf.zero("rational"))
-
-
 # --- congruence laws ------------------------------------------------------
 
 
@@ -198,6 +178,7 @@ def test_congruence_respects_top_concatenation(even_odd):
         for c in terms.enumerate_contexts(even_odd.alphabet, 2)
         if c != terms.Z and not terms.decompose_elementary(c)[1:]
     ]
+    oracle = BoundedContextOracle(even_odd, 3)
     checked = 0
     for _ in range(400):
         m1 = random_monomial(rng, "rational", trees)
@@ -208,7 +189,7 @@ def test_congruence_respects_top_concatenation(even_odd):
         p1 = Monomial(m1.weight, terms.substitute(e, m1.tree))
         p2 = Monomial(m2.weight, terms.substitute(e, m2.tree))
         assert congruent(qt, p1, p2)
-        assert brute_force_congruent(even_odd, p1, p2, 3)
+        assert oracle.congruent(p1, p2)
         checked += 1
     assert checked > 20
 

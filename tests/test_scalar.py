@@ -4,18 +4,13 @@ from fractions import Fraction
 import pytest
 
 from budwta import semifield as sf, terms
-from budwta.scalar import (
-    DecompositionError,
-    Dependent,
-    Monomial,
-    decompose,
-    degree,
-    format_monomial,
-    is_pair_independent,
-    pair_independent_subset,
-    parse_monomial,
-)
+from budwta.automaton import Wta
+from budwta.congruence import build_syntactic_quotient
+from budwta.minimize import candidate_set, scalar_basis
+from budwta.scalar import Monomial, format_monomial, parse_monomial
 from budwta.terms import RankedAlphabet, Tree
+
+from corpus import random_slim_budet
 
 SIG = RankedAlphabet([("alpha", 0), ("sigma", 2)])
 
@@ -56,62 +51,19 @@ def test_parse_format_monomial():
         parse_monomial("sigma(alpha,alpha)", SIG, "rational")
 
 
-# a toy dependency oracle over rational weights: u, v dependent iff both
-# nonzero (u = (u/v) * v) or u is zero
-def _toy_dep(u, v):
-    if u == 0:
-        return Dependent(rat(0))
-    if v == 0:
-        return Dependent(rat(0), flipped=True)
-    if u * v != 0:
-        return Dependent(rat(Fraction(u, v)))
-    return None
-
-
-def _disjoint_dep(u, v):
-    # dependent iff same sign class; witness ratio
-    if u == 0 or v == 0:
-        return _toy_dep(u, v)
-    if (u > 0) == (v > 0):
-        return Dependent(rat(Fraction(u, v)))
-    return None
-
-
-def test_pair_independent_subset_keep_first():
-    assert pair_independent_subset([3, 5, -2, 7, -4], _disjoint_dep) == [3, -2]
-    assert pair_independent_subset([3, -2], _disjoint_dep) == [3, -2]
-    assert is_pair_independent(
-        pair_independent_subset([1, 2, 3, -1, -5], _disjoint_dep), _disjoint_dep
-    )
-
-
-def test_decompose_unique_and_zero():
-    basis = pair_independent_subset([3, -2], _disjoint_dep)
-    assert decompose(0, basis, _disjoint_dep, is_zero=lambda v: v == 0) is None
-    scal, gen = decompose(6, basis, _disjoint_dep, is_zero=lambda v: v == 0)
-    assert gen == 3 and scal == rat(2)
-    scal, gen = decompose(-8, basis, _disjoint_dep, is_zero=lambda v: v == 0)
-    assert gen == -2 and scal == rat(4)
-    # no second decomposition: the other generator is independent of v
-    assert _disjoint_dep(6, -2) is None
-
-
-def test_decompose_not_generating_errors():
-    def never(u, v):
-        return None
-
-    with pytest.raises(DecompositionError):
-        decompose(6, [3], never, is_zero=lambda v: v == 0)
-
-
-def test_degree_is_cardinality():
-    assert degree([1]) == 1
-    assert degree([3, -2]) == 2
-
-
 def test_equal_cardinality_of_reduced_generating_sets():
-    # two different generating supersets of the same algebra reduce to the
-    # same number of generators
-    h1 = pair_independent_subset([1, 2, -3, 4, -5], _disjoint_dep)
-    h2 = pair_independent_subset([-7, 9, 8, -2], _disjoint_dep)
-    assert len(h1) == len(h2) == 2
+    # the basis has one element per live block, whichever generating set
+    # it is read from: reversing the state order reverses the candidates
+    rng = random.Random(41)
+    for i in range(48):
+        kind = sf.KINDS[i % 4]
+        binary = i % 6 == 0
+        n = rng.randint(1, 2) if binary else rng.randint(1, 4)
+        a = random_slim_budet(rng, kind, n, binary=binary)
+        qt = build_syntactic_quotient(a)
+        basis = scalar_basis(a, qt)
+        assert len(basis) == len(qt.blocks)
+        for _, cls in candidate_set(a, qt):
+            assert sum(b[0] == cls[0] for _, b in basis) == 1
+        rev = Wta(a.alphabet, a.states[::-1], a.kind, a.delta, a.final)
+        assert len(scalar_basis(rev, build_syntactic_quotient(rev))) == len(basis)

@@ -12,8 +12,8 @@ sum-product semantics is kept alongside as a slow reference oracle.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
@@ -36,8 +36,19 @@ class PreconditionError(RuntimeError):
     """An operation was called on an automaton outside its domain."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Wta:
+    """An immutable automaton.
+
+    The derived fields are computed once, here: ``_succ`` indexes delta by
+    (state tuple, symbol) and ``budet`` records bottom-up determinism.
+    Two memos fill as the automaton is used: ``_runs`` maps each tree run
+    so far to its deterministic value, and ``_factors`` maps the context
+    run last to its elementary factors, innermost first.  Only validated
+    input goes in, and the memos belong to the automaton, so they can never
+    go stale and die with it.
+    """
+
     alphabet: RankedAlphabet
     states: Tuple[str, ...]
     kind: str
@@ -45,9 +56,10 @@ class Wta:
     final: Mapping[str, Weight]
 
     def __post_init__(self) -> None:
-        # read-only copies, so that _succ and budet cannot go stale
-        self.delta = MappingProxyType(dict(self.delta))
-        self.final = MappingProxyType(dict(self.final))
+        # read-only copies of the caller's maps
+        _init = object.__setattr__
+        _init(self, "delta", MappingProxyType(dict(self.delta)))
+        _init(self, "final", MappingProxyType(dict(self.final)))
         if self.kind not in semifield.KINDS:
             raise WtaError(f"unknown semifield kind: {self.kind!r}")
         if not self.states:
@@ -58,22 +70,27 @@ class Wta:
             if q in self.alphabet:
                 raise WtaError(f"state name collides with a symbol: {q}")
         stateset = set(self.states)
+        arity = self.alphabet.arity
+        succ: Dict[Tuple[Tuple[str, ...], str], List[Tuple[str, Weight]]] = {}
         for (ws, sym, q), w in self.delta.items():
-            k = self.alphabet.arity(sym)
-            if len(ws) != k:
+            if len(ws) != arity(sym):
                 raise WtaError(f"transition arity mismatch for {sym}")
-            for p in ws + (q,):
-                if p not in stateset:
-                    raise WtaError(f"unknown state in transition: {p}")
-            self._check_weight(w)
-        for q, w in self.final.items():
+            if q not in stateset or not stateset.issuperset(ws):
+                bad = next(p for p in ws + (q,) if p not in stateset)
+                raise WtaError(f"unknown state in transition: {bad}")
+            succ.setdefault((ws, sym), []).append((q, w))
+        for q in self.final:
             if q not in stateset:
                 raise WtaError(f"unknown state in final map: {q}")
+        # weights are usually a few shared objects: check each one once
+        weights = {id(w): w for w in self.delta.values()}
+        weights.update((id(w), w) for w in self.final.values())
+        for w in weights.values():
             self._check_weight(w)
-        self._succ: Dict[Tuple[Tuple[str, ...], str], List[Tuple[str, Weight]]] = {}
-        for (ws, sym, q), w in self.delta.items():
-            self._succ.setdefault((ws, sym), []).append((q, w))
-        self.budet = all(len(v) <= 1 for v in self._succ.values())
+        _init(self, "_succ", succ)
+        _init(self, "budet", all(len(v) <= 1 for v in succ.values()))
+        _init(self, "_runs", {})
+        _init(self, "_factors", {})
 
     def _check_weight(self, w: Weight) -> None:
         if w.kind != self.kind:
@@ -119,53 +136,81 @@ def _require_budet(a: Wta) -> None:
 def h_general(a: Wta, t: Tree) -> Dict[str, Weight]:
     """Sum-product vector semantics; works for any automaton."""
     terms.validate_tree(t, a.alphabet)
-    return dict(zip(a.states, _h_general_vec(a, t)))
-
-
-def _h_general_vec(a: Wta, t: Tree) -> Tuple[Weight, ...]:
-    kid_vecs = [_h_general_vec(a, c) for c in t.children]
-    out = [a.zero() for _ in a.states]
     index = {q: i for i, q in enumerate(a.states)}
-    for ws in itertools.product(a.states, repeat=len(t.children)):
-        factor = a.one()
-        dead = False
-        for p, vec in zip(ws, kid_vecs):
-            w = vec[index[p]]
-            if w.is_zero():
-                dead = True
-                break
-            factor = factor.times(w)
-        if dead:
-            continue
-        for q, w in a.targets(ws, t.symbol):
-            i = index[q]
-            out[i] = out[i].plus(factor.times(w))
-    return tuple(out)
+    vecs: Dict[int, Tuple[Weight, ...]] = {}
+    for node in terms.postorder(t):
+        kid_vecs = [vecs[id(c)] for c in node.children]
+        out = [a.zero() for _ in a.states]
+        for ws in itertools.product(a.states, repeat=len(kid_vecs)):
+            factor = a.one()
+            dead = False
+            for p, vec in zip(ws, kid_vecs):
+                w = vec[index[p]]
+                if w.is_zero():
+                    dead = True
+                    break
+                factor = factor.times(w)
+            if dead:
+                continue
+            for q, w in a.targets(ws, node.symbol):
+                i = index[q]
+                out[i] = out[i].plus(factor.times(w))
+        vecs[id(node)] = tuple(out)
+    return dict(zip(a.states, vecs[id(t)]))
 
 
-@lru_cache(maxsize=None)
-def _h_det_cached(a: Wta, t: Tree) -> DetValue:
-    kids: List[Tuple[str, Weight]] = []
-    for c in t.children:
-        v = _h_det_cached(a, c)
-        if v is None:
-            return None
-        kids.append(v)
-    ws = tuple(q for q, _ in kids)
-    hits = a.targets(ws, t.symbol)
-    if not hits:
-        return None
-    q, w = hits[0]
-    for _, kw in kids:
-        w = w.times(kw)
-    return (q, w)
+_MISS = object()
+_state = operator.itemgetter(0)
+
+
+def _run(a: Wta, t: Tree) -> DetValue:
+    """Deterministic run of a valid tree, memoised in ``a._runs``.
+
+    An explicit-stack post-order walk that stops at every subtree the memo
+    already holds; a shared subtree is run once.
+    """
+    runs = a._runs
+    v = runs.get(t, _MISS)
+    if v is not _MISS:
+        return v  # type: ignore[return-value]
+    succ = a._succ
+    vals: Dict[int, object] = {}  # id(node) -> its value in this walk
+    stack: List[object] = [t]  # a tree to visit, or (tree,) once its children are done
+    while stack:
+        item = stack.pop()
+        if item.__class__ is tuple:
+            node = item[0]  # type: ignore[index]
+            kids = [vals[id(c)] for c in node.children]
+            v = None
+            if None not in kids:
+                hits = succ.get((tuple(map(_state, kids)), node.symbol))
+                if hits:
+                    q, w = hits[0]
+                    for kv in kids:
+                        w = w.times(kv[1])
+                    v = (q, w)
+            runs[node] = vals[id(node)] = v
+        elif id(item) not in vals:
+            v = vals[id(item)] = runs.get(item, _MISS)
+            if v is _MISS:
+                stack.append((item,))
+                stack.extend(item.children)  # type: ignore[attr-defined]
+    return vals[id(t)]  # type: ignore[return-value]
+
+
+def _det(a: Wta, t: Tree) -> DetValue:
+    """The run of ``t``; the tree is validated only when the memo misses."""
+    v = a._runs.get(t, _MISS)
+    if v is _MISS:
+        terms.validate_tree(t, a.alphabet)
+        v = _run(a, t)
+    return v  # type: ignore[return-value]
 
 
 def h_det(a: Wta, t: Tree) -> DetValue:
     """Product-only run of a bottom-up deterministic automaton."""
     _require_budet(a)
-    terms.validate_tree(t, a.alphabet)
-    return _h_det_cached(a, t)
+    return _det(a, t)
 
 
 def state_of(a: Wta, t: Tree) -> Optional[str]:
@@ -175,9 +220,8 @@ def state_of(a: Wta, t: Tree) -> Optional[str]:
 
 def evaluate(a: Wta, t: Tree) -> Weight:
     """The weight the automaton assigns to a tree."""
-    terms.validate_tree(t, a.alphabet)
     if is_bu_deterministic(a):
-        v = _h_det_cached(a, t)
+        v = _det(a, t)
         if v is None:
             return a.zero()
         q, w = v
@@ -200,7 +244,7 @@ def elementary_step(a: Wta, e: Tree, v: DetValue) -> DetValue:
         if child.symbol == terms.Z_NAME:
             ws.append(v[0])
         else:
-            hv = _h_det_cached(a, child)
+            hv = _run(a, child)
             if hv is None:
                 return None
             ws.append(hv[0])
@@ -215,8 +259,16 @@ def elementary_step(a: Wta, e: Tree, v: DetValue) -> DetValue:
 def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
     """Run a context on top of a deterministic value, innermost-first."""
     _require_budet(a)
-    terms.validate_tree(c, a.alphabet, allow_z=True)
-    for e in reversed(terms.decompose_elementary(c)):
+    last = a._factors
+    factors = last.get(c)
+    if factors is None:
+        terms.validate_tree(c, a.alphabet, allow_z=True)
+        factors = terms.decompose_elementary(c)[::-1]
+        # observing states runs one context on each of them in turn: keep
+        # the latest context's factors, and only those
+        last.clear()
+        last[c] = factors
+    for e in factors:
         v = elementary_step(a, e, v)
         if v is None:
             return None
@@ -340,7 +392,7 @@ def parse_wta(text: str) -> Wta:
             if len(fields) != 2:
                 raise WtaError(f"line {lineno}: expected 'rank SYM ARITY'")
             name, arity_text = fields
-            if not arity_text.isdigit():
+            if not arity_text.isdecimal():
                 raise WtaError(f"line {lineno}: bad arity {arity_text!r}")
             if name in rank_names:
                 raise WtaError(f"line {lineno}: duplicate rank line for {name}")
@@ -365,52 +417,60 @@ def parse_wta(text: str) -> Wta:
         raise WtaError(str(exc)) from None
 
     # states in order of first appearance
-    states: List[str] = []
+    states: Dict[str, None] = {}
 
-    def intern(q: str, lineno: int) -> str:
+    def add_state(q: str, lineno: int) -> None:
         if not terms._IDENT_RE.match(q) or q == terms.Z_NAME:
             raise WtaError(f"line {lineno}: bad state name {q!r}")
         if q in alphabet:
             raise WtaError(f"line {lineno}: state name collides with symbol {q!r}")
-        if q not in states:
-            states.append(q)
-        return q
+        states[q] = None
 
+    # an automaton uses few distinct weight texts: parse each once; a zero
+    # weight is kept as None
+    weights: Dict[str, Optional[Weight]] = {}
+
+    def weight(wtext: str, lineno: int) -> Optional[Weight]:
+        if wtext not in weights:
+            try:
+                w = semifield.parse_weight(wtext, kind)
+            except semifield.WeightSyntaxError as exc:
+                raise WtaError(f"line {lineno}: {exc}") from None
+            weights[wtext] = None if w.is_zero() else w
+        return weights[wtext]
+
+    arities = {s: alphabet.arity(s) for s in alphabet.symbols()}
     delta: Dict[TransKey, Weight] = {}
     seen_keys: Set[TransKey] = set()
     for lineno, sym, args, target, wtext in raw_trans:
-        if sym not in alphabet:
+        k = arities.get(sym)
+        if k is None:
             raise WtaError(f"line {lineno}: undeclared symbol {sym!r}")
-        if len(args) != alphabet.arity(sym):
+        if len(args) != k:
             raise WtaError(
-                f"line {lineno}: {sym} has arity {alphabet.arity(sym)}, "
-                f"got {len(args)} arguments"
+                f"line {lineno}: {sym} has arity {k}, got {len(args)} arguments"
             )
-        ws = tuple(intern(q, lineno) for q in args)
-        q = intern(target, lineno)
-        key = (ws, sym, q)
+        for q in args + (target,):
+            if q not in states:
+                add_state(q, lineno)
+        key = (args, sym, target)
         if key in seen_keys:
-            raise WtaError(f"line {lineno}: duplicate transition for {sym}{ws}")
+            raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
         seen_keys.add(key)
-        try:
-            w = semifield.parse_weight(wtext, kind)
-        except semifield.WeightSyntaxError as exc:
-            raise WtaError(f"line {lineno}: {exc}") from None
-        if not w.is_zero():
-            delta[(ws, sym, q)] = w
+        w = weight(wtext, lineno)
+        if w is not None:
+            delta[key] = w
 
     final: Dict[str, Weight] = {}
     seen_final: Set[str] = set()
     for lineno, q, wtext in raw_final:
-        q = intern(q, lineno)
+        if q not in states:
+            add_state(q, lineno)
         if q in seen_final:
             raise WtaError(f"line {lineno}: duplicate final line for {q}")
         seen_final.add(q)
-        try:
-            w = semifield.parse_weight(wtext, kind)
-        except semifield.WeightSyntaxError as exc:
-            raise WtaError(f"line {lineno}: {exc}") from None
-        if not w.is_zero():
+        w = weight(wtext, lineno)
+        if w is not None:
             final[q] = w
 
     if not states:
@@ -434,7 +494,7 @@ def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str
             raise WtaError(f"line {lineno}: malformed transition source {src!r}")
         sym, inner = src[:-1].split("(", 1)
         sym = sym.strip()
-        args = tuple(s.strip() for s in inner.split(",")) if inner.strip() else ()
+        args = tuple(map(str.strip, inner.split(","))) if inner.strip() else ()
     else:
         sym, args = src, ()
     if not sym:

@@ -98,9 +98,10 @@ def _cmd_check(args) -> int:
         )
         return EXIT_PRECONDITION
     print(f"slim: {'yes' if automaton.is_slim(a) else 'no'}")
-    print(f"minimal: {'yes' if minimize.is_minimal(a) else 'no'}")
+    minimal, degree = minimize.minimality(a)
+    print(f"minimal: {'yes' if minimal else 'no'}")
     print(f"states: {len(a.states)}")
-    print(f"degree: {minimize.degree(a)}")
+    print(f"degree: {degree}")
     return EXIT_OK
 
 
@@ -120,6 +121,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_congruent(args) -> int:
+    if args.oracle_depth is not None and args.oracle_depth < 0:
+        raise _CliInputError(f"--oracle-depth must be >= 0, got {args.oracle_depth}")
     a = _load(args.file)
     automaton._require_budet(a)
     m1 = _parse_mono_arg(args.monomials[0], a)

@@ -30,6 +30,7 @@ __all__ = [
     "build_wta_from_basis",
     "minimize",
     "is_minimal",
+    "minimality",
     "equivalent",
 ]
 
@@ -138,24 +139,28 @@ def minimize(a: Wta) -> Wta:
 
 
 def is_minimal(a: Wta) -> bool:
-    """True iff the automaton is slim and as small as the scalar basis allows.
-
-    The zero language needs one (dead) state, hence the max with 1.
-    """
-    automaton._require_budet(a)
-    if not automaton.is_slim(a):
-        return False
-    qt = congruence.build_syntactic_quotient(a)
-    basis = scalar_basis(a, qt)
-    return len(a.states) == max(1, len(basis))
+    """True iff the automaton is slim and as small as the scalar basis allows."""
+    return minimality(a)[0]
 
 
 def degree(a: Wta) -> int:
     """Size of the scalar basis of the syntactic algebra of the language."""
+    return minimality(a)[1]
+
+
+def minimality(a: Wta) -> Tuple[bool, int]:
+    """``(is_minimal(a), degree(a))`` from one syntactic quotient.
+
+    The degree is read off the slimmed automaton.  A slim automaton is
+    minimal when it has as many states as the scalar basis has elements;
+    the zero language needs one (dead) state, hence the max with 1.
+    """
     automaton._require_budet(a)
-    s = automaton.slim(a)
+    slim = automaton.is_slim(a)
+    s = a if slim else automaton.slim(a)
     qt = congruence.build_syntactic_quotient(s)
-    return len(scalar_basis(s, qt))
+    deg = len(scalar_basis(s, qt))
+    return slim and len(a.states) == max(1, deg), deg
 
 
 # --- exact equivalence ----------------------------------------------------

@@ -13,9 +13,9 @@ lexicographically following the declaration order of the alphabet.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Z_NAME = "z"
 
@@ -26,10 +26,60 @@ class TermError(ValueError):
     """Malformed alphabet, tree or context."""
 
 
-@dataclass(frozen=True)
+_init = object.__setattr__
+
+
 class Tree:
-    symbol: str
-    children: Tuple["Tree", ...] = ()
+    """An immutable term.
+
+    The hash and the height are computed once, at construction, from the
+    children's.  Equality compares hashes first and then walks both trees
+    with an explicit stack, so neither hashing nor comparing recurses, and
+    depth is bounded by memory rather than by the recursion limit.  Equal
+    subtrees may be one shared object (a parsed tree is a DAG).
+    """
+
+    __slots__ = ("symbol", "children", "_hash", "_height")
+
+    def __init__(self, symbol: str, children: Tuple["Tree", ...] = ()):
+        _init(self, "symbol", symbol)
+        _init(self, "children", children)
+        _init(self, "_hash", hash((symbol, children)))
+        _init(self, "_height", 1 + max([c._height for c in children]) if children else 0)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Tree is immutable: cannot set {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, Tuple["Tree", ...]]]:
+        return (Tree, (self.symbol, self.children))  # copy and pickle rebuild
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Tree):
+            return NotImplemented
+        stack = [(self, other)]
+        matched: Dict[int, Tree] = {}  # id(x) -> y found equal or pending (shared subtrees)
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if (
+                x._hash != y._hash
+                or x.symbol != y.symbol
+                or len(x.children) != len(y.children)
+            ):
+                return False
+            if x.children and matched.get(id(x)) is not y:
+                matched[id(x)] = y
+                stack.extend(zip(x.children, y.children))
+        return True
+
+    def __repr__(self) -> str:
+        return f"Tree({format_tree(self)!r})"
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -87,14 +137,31 @@ class RankedAlphabet:
 
 
 def height(t: Tree) -> int:
-    if not t.children:
-        return 0
-    return 1 + max(height(c) for c in t.children)
+    return t._height
+
+
+def postorder(t: Tree) -> Iterator[Tree]:
+    """Each distinct node object of ``t`` once, children before parents."""
+    seen: Set[int] = set()
+    stack = [(t, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            yield node
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend([(c, False) for c in reversed(node.children)])
 
 
 def count_symbol(t: Tree, name: str) -> int:
-    n = 1 if t.symbol == name else 0
-    return n + sum(count_symbol(c, name) for c in t.children)
+    counts: Dict[int, int] = {}  # id(node) -> occurrences below it
+    for node in postorder(t):
+        n = node.symbol == name
+        for c in node.children:
+            n += counts[id(c)]
+        counts[id(node)] = n
+    return counts[id(t)]
 
 
 def is_context(t: Tree) -> bool:
@@ -102,19 +169,25 @@ def is_context(t: Tree) -> bool:
 
 
 def validate_tree(t: Tree, alphabet: RankedAlphabet, allow_z: bool = False) -> None:
-    if t.symbol == Z_NAME:
+    arities = alphabet._arity
+    seen: Set[int] = set()  # inner nodes already checked (shared subtrees)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        if kids:
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(kids)
+        if arities.get(node.symbol) == len(kids):
+            continue
+        if node.symbol != Z_NAME:
+            raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(kids))
         if not allow_z:
             raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
-        if t.children:
+        if kids:
             raise TermError(f"{Z_NAME!r} is nullary")
-        return
-    k = alphabet.arity(t.symbol)
-    if len(t.children) != k:
-        raise TermError(
-            f"symbol {t.symbol} has arity {k}, got {len(t.children)} children"
-        )
-    for c in t.children:
-        validate_tree(c, alphabet, allow_z)
 
 
 # --- concrete syntax ------------------------------------------------------
@@ -122,47 +195,81 @@ def validate_tree(t: Tree, alphabet: RankedAlphabet, allow_z: bool = False) -> N
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]|\S")
 
 
-def _tokenize(text: str) -> List[str]:
-    return _TOKEN_RE.findall(text)
-
-
 def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tree:
-    """Parse ``sigma(t1,...,tk)``; nullary symbols may omit the parentheses."""
-    tokens = _tokenize(text)
+    """Parse ``sigma(t1,...,tk)``; nullary symbols may omit the parentheses.
+
+    The parser keeps its own stack of open nodes, so nesting depth is
+    bounded by memory, and checks each node's arity as it closes.  Equal
+    subtrees become one shared object: a balanced tree comes back as a DAG
+    with one node per distinct subtree.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
+    arities = alphabet._arity
+    # node by symbol (leaves) or by (symbol, children); the children are
+    # shared already, so comparing keys compares them by identity
+    shared: Dict[object, Tree] = {}
+    open_nodes: List[Tuple[str, int, List[Tree]]] = []  # symbol, arity, children
     pos = 0
-
-    def parse_node() -> Tree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermError(f"unexpected end of term in {text!r}")
+    while True:
         name = tokens[pos]
-        if not _IDENT_RE.match(name):
-            raise TermError(f"expected a symbol, got {name!r} in {text!r}")
+        k = arities.get(name)
+        if k is None:
+            k = _unlisted_symbol(name, allow_z, text)
         pos += 1
-        children: List[Tree] = []
-        if pos < len(tokens) and tokens[pos] == "(":
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == ")":
+        if tokens[pos] == "(":
+            if tokens[pos + 1] != ")":
                 pos += 1
-            else:
-                while True:
-                    children.append(parse_node())
-                    if pos >= len(tokens):
-                        raise TermError(f"missing ')' in {text!r}")
-                    if tokens[pos] == ",":
-                        pos += 1
-                        continue
-                    if tokens[pos] == ")":
-                        pos += 1
-                        break
-                    raise TermError(f"expected ',' or ')' at {tokens[pos]!r} in {text!r}")
-        return Tree(name, tuple(children))
+                open_nodes.append((name, k, []))
+                continue
+            pos += 2
+        if k:
+            raise _arity_error(name, k, 0)
+        node = shared.get(name)
+        if node is None:
+            node = shared[name] = Tree(name)
+        while open_nodes:
+            name, k, kids = open_nodes[-1]
+            kids.append(node)
+            tok = tokens[pos]
+            pos += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                if not tok:
+                    raise TermError(f"missing ')' in {text!r}")
+                raise TermError(f"expected ',' or ')' at {tok!r} in {text!r}")
+            open_nodes.pop()
+            if len(kids) != k:
+                raise _arity_error(name, k, len(kids))
+            key = (name, tuple(kids))
+            node = shared.get(key)
+            if node is None:
+                node = shared[key] = Tree(*key)
+        else:
+            if tokens[pos]:
+                raise TermError(f"trailing input {tokens[pos]!r} in {text!r}")
+            return node
 
-    t = parse_node()
-    if pos != len(tokens):
-        raise TermError(f"trailing input {tokens[pos]!r} in {text!r}")
-    validate_tree(t, alphabet, allow_z)
-    return t
+
+def _unlisted_symbol(name: str, allow_z: bool, text: str) -> int:
+    """The arity of a token that is not in the alphabet: 0 for an allowed
+    ``z``; anything else is an error."""
+    if not name:
+        raise TermError(f"unexpected end of term in {text!r}")
+    if not _IDENT_RE.match(name):
+        raise TermError(f"expected a symbol, got {name!r} in {text!r}")
+    if name != Z_NAME:
+        raise TermError(f"unknown symbol: {name}")
+    if not allow_z:
+        raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
+    return 0
+
+
+def _arity_error(name: str, k: int, got: int) -> TermError:
+    if name == Z_NAME:
+        return TermError(f"{Z_NAME!r} is nullary")
+    return TermError(f"symbol {name} has arity {k}, got {got} children")
 
 
 def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:
@@ -174,19 +281,42 @@ def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:
 
 
 def format_tree(t: Tree) -> str:
-    if not t.children:
-        return t.symbol
-    return t.symbol + "(" + ",".join(format_tree(c) for c in t.children) + ")"
+    out: List[str] = []
+    stack: List[object] = [t]  # trees still to write, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(item.symbol)
+        kids = item.children
+        if kids:
+            out.append("(")
+            stack.append(")")
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(",")
+            stack.append(kids[0])
+    return "".join(out)
 
 
 # --- context algebra ------------------------------------------------------
 
 
 def substitute(c: Tree, t: Tree) -> Tree:
-    """Plug ``t`` into the ``z`` leaf of context ``c``."""
-    if c.symbol == Z_NAME:
-        return t
-    return Tree(c.symbol, tuple(substitute(child, t) for child in c.children))
+    """Plug ``t`` into the ``z`` leaf of context ``c``.
+
+    Subtrees of ``c`` without ``z`` are shared with the result.
+    """
+    new: Dict[int, Tree] = {}
+    for node in postorder(c):
+        if node.symbol == Z_NAME:
+            new[id(node)] = t
+            continue
+        kids = tuple(new[id(k)] for k in node.children)
+        same = all(map(operator.is_, kids, node.children))
+        new[id(node)] = node if same else Tree(node.symbol, kids)
+    return new[id(c)]
 
 
 def compose(c1: Tree, c2: Tree) -> Tree:
@@ -201,19 +331,27 @@ def decompose_elementary(c: Tree) -> List[Tree]:
     returned list e1..en satisfies c = e1[e2[...en[z]...]]; it is empty
     exactly when c = z.
     """
-    if not is_context(c):
+    if count_symbol(c, Z_NAME) != 1:
         raise TermError("not a context")
+    # one depth-first walk to the hole, noting where each node hangs; the
+    # nodes on the hole's path occur once in c, so their entry is exact
+    parent: Dict[int, Tuple[Tree, int]] = {}
+    stack = [c]
+    while True:
+        node = stack.pop()
+        if node.symbol == Z_NAME:
+            break
+        for i, child in enumerate(node.children):
+            if id(child) not in parent:
+                parent[id(child)] = (node, i)
+                stack.append(child)
     factors: List[Tree] = []
-    cur = c
-    while cur.symbol != Z_NAME:
-        hole = next(
-            i for i, child in enumerate(cur.children) if is_context(child)
-        )
-        shallow = tuple(
-            Z if i == hole else child for i, child in enumerate(cur.children)
-        )
-        factors.append(Tree(cur.symbol, shallow))
-        cur = cur.children[hole]
+    while node is not c:
+        up, hole = parent[id(node)]
+        kids = up.children
+        factors.append(Tree(up.symbol, kids[:hole] + (Z,) + kids[hole + 1 :]))
+        node = up
+    factors.reverse()
     return factors
 
 

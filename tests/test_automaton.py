@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -295,6 +298,9 @@ def test_parse_errors():
     with pytest.raises(WtaError):
         parse_wta("rank alpha 0\ntrans alpha() -> p @ 1\n")  # no semifield
     with pytest.raises(WtaError):
+        # a digit that is not a decimal digit
+        parse_wta("semifield rational\nrank alpha \u00b2\ntrans alpha() -> p @ 1\n")
+    with pytest.raises(WtaError):
         parse_wta(
             "semifield rational\nrank alpha 0\n"
             "trans alpha() -> p @ 1\ntrans alpha() -> p @ 2\n"  # duplicate key
@@ -334,3 +340,45 @@ def test_comments_and_blank_lines():
         "trans alpha() -> p @ 2\nfinal p @ 1 # done\n"
     )
     assert evaluate(a, Tree("alpha")) == rat(2)
+
+
+def spine(a, depth, leaf="alpha"):
+    return t("gamma(" * depth + leaf + ")" * depth, a)
+
+
+def test_wta_is_frozen(even_odd):
+    for name in ("alphabet", "states", "kind", "delta", "final", "budet", "_succ", "_runs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(even_odd, name, getattr(even_odd, name))
+
+
+def test_deep_spine_eval_and_state(gamma3):
+    # gamma^n(alpha) reaches q2 for odd n and q3 for even n >= 2
+    depth = 10**5
+    first, second = spine(gamma3, depth), spine(gamma3, depth)
+    assert first is not second
+    assert state_of(gamma3, first) == "q3"
+    assert evaluate(gamma3, first) == rat(2)
+    runs = len(gamma3._runs)
+    assert evaluate(gamma3, second) == rat(2)  # a hit on the first copy's run
+    assert state_of(gamma3, second) == "q3"
+    assert len(gamma3._runs) == runs
+    assert state_of(gamma3, spine(gamma3, 1001)) == "q2"
+
+
+def test_h_general_matches_h_det_on_deep_spine(gamma3):
+    tree = spine(gamma3, 10**4)
+    q, w = h_det(gamma3, tree)
+    vec = h_general(gamma3, tree)
+    assert vec[q] == w
+    assert all(v.is_zero() for p, v in vec.items() if p != q)
+
+
+def test_run_cache_dies_with_the_automaton():
+    a = parse_wta(GAMMA3)
+    evaluate(a, spine(a, 100))
+    h_det(a, spine(a, 3))
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None

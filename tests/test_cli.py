@@ -1,7 +1,11 @@
+import contextlib
+import io
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from budwta import congruence
 from budwta.automaton import format_wta, parse_wta
 from budwta.cli import main
 
@@ -223,3 +227,90 @@ def test_bad_monomial_exits_2(wta_file, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_and_state_on_deep_spine(wta_file, capsys):
+    # gamma^n(alpha) reaches q3, with final weight 2, for even n >= 2
+    tree = "gamma(" * 10**5 + "alpha" + ")" * 10**5
+    path = wta_file(GAMMA3)
+    assert main(["eval", path, "--tree", tree]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert main(["state", path, "--tree", tree]) == 0
+    assert capsys.readouterr().out == "q3\n"
+
+
+def test_check_builds_the_quotient_once(wta_file, capsys, monkeypatch):
+    calls = []
+    build = congruence.build_syntactic_quotient
+
+    def counting(a):
+        calls.append(a)
+        return build(a)
+
+    monkeypatch.setattr(congruence, "build_syntactic_quotient", counting)
+    for text in (GAMMA3, NON_SLIM):
+        calls.clear()
+        assert main(["check", wta_file(text)]) == 0
+        assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "slim: no\nminimal: no\nstates: 2\ndegree: 1\n" in out
+
+
+def test_congruent_negative_oracle_depth_exits_2(wta_file, capsys):
+    argv = ["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha", "--mono", "2.alpha"]
+    assert main(argv + ["--oracle-depth", "-3"]) == 2
+    assert "--oracle-depth" in capsys.readouterr().err
+
+
+# --- exit codes on arbitrary input -------------------------------------------
+
+_PIECES = st.sampled_from(
+    ["alpha", "sigma", "gamma", "beta", "z", "(", ")", ",", ".", " ", "0", "1",
+     "2", "-", "/", "inf", "é", "²", "٣", "\n", "\t", "@"]
+)
+_FRAGMENT = st.lists(_PIECES, max_size=25).map("".join)
+_TEXT = st.one_of(
+    _FRAGMENT,
+    st.text(max_size=25),
+    # deep nesting, closed or not
+    st.builds(
+        lambda head, n, mid, closed: head * n + mid + ")" * (n if closed else n // 2),
+        st.sampled_from(["gamma(", "sigma(alpha,", "sigma(", "(", "z("]),
+        st.one_of(st.sampled_from([1000, 5000]), st.integers(0, 5000)),
+        _FRAGMENT,
+        st.booleans(),
+    ),
+)
+_WEIGHT = st.one_of(st.sampled_from(["1", "2", "1/2", "0", "inf"]), _FRAGMENT)
+_MONOMIAL = st.one_of(_TEXT, st.builds("{}.{}".format, _WEIGHT, _TEXT))
+
+
+@pytest.fixture(scope="module")
+def wta_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, text in enumerate((EVEN_ODD, GAMMA3, NONDET)):
+        paths.append(root / f"{i}.wta")
+        paths[-1].write_text(text)
+    return [str(p) for p in paths]
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["eval", "state"]), which=st.integers(0, 2), tree=_TEXT)
+def test_tree_text_exits_with_a_contract_code(wta_paths, command, which, tree):
+    assert _exit_code([command, wta_paths[which], f"--tree={tree}"]) in (0, 1, 2, 3, 4)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(which=st.integers(0, 2), m1=_MONOMIAL, m2=_MONOMIAL,
+       depth=st.one_of(st.none(), st.integers(-2, 2)))
+def test_monomial_text_exits_with_a_contract_code(wta_paths, which, m1, m2, depth):
+    argv = ["congruent", wta_paths[which], f"--mono={m1}", f"--mono={m2}"]
+    if depth is not None:
+        argv.append(f"--oracle-depth={depth}")
+    assert _exit_code(argv) in (0, 1, 2, 3, 4)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import reduce
 
@@ -136,3 +138,65 @@ def test_enumeration_is_height_then_declaration_order():
     assert heights == sorted(heights)
     assert trees[0] == Tree("alpha")
     assert trees[1] == parse_tree("sigma(alpha,alpha)", SIG)
+
+
+def spine_text(depth, leaf="alpha"):
+    return "gamma(" * depth + leaf + ")" * depth
+
+
+def test_deep_spine_parse_format_compare():
+    depth = 10**5
+    text = spine_text(depth)
+    t1, t2 = parse_tree(text, UNARY), parse_tree(text, UNARY)
+    assert t1 is not t2
+    assert t1 == t2 and hash(t1) == hash(t2)
+    assert height(t1) == depth
+    assert format_tree(t1) == text
+    assert terms.count_symbol(t1, "gamma") == depth
+    terms.validate_tree(t1, UNARY)
+    shorter = parse_tree(spine_text(depth - 1), UNARY)
+    assert t1 != shorter and shorter != t1
+
+
+def test_deep_context_decompose_substitute():
+    depth = 10**4
+    c = parse_context(spine_text(depth, "z"), UNARY)
+    factors = decompose_elementary(c)
+    assert len(factors) == depth
+    assert set(factors) == {parse_context("gamma(z)", UNARY)}
+    alpha = parse_tree("alpha", UNARY)
+    assert substitute(c, alpha) == parse_tree(spine_text(depth), UNARY)
+    assert compose(c, c) == parse_context(spine_text(2 * depth, "z"), UNARY)
+
+
+def test_parse_shares_equal_subtrees():
+    t = parse_tree("sigma(sigma(alpha,alpha),sigma(alpha,alpha))", SIG)
+    assert t.children[0] is t.children[1]
+    assert t.children[0].children[0] is t.children[0].children[1]
+    # a balanced tree of height 12 is a DAG of 13 nodes
+    text = "alpha"
+    for _ in range(12):
+        text = f"sigma({text},{text})"
+    big = parse_tree(text, SIG)
+    assert height(big) == 12
+    assert len(list(terms.postorder(big))) == 13
+    assert terms.count_symbol(big, "alpha") == 2**12
+    assert big == parse_tree(text, SIG)
+
+
+def test_trees_are_immutable():
+    t = parse_tree("sigma(alpha,alpha)", SIG)
+    for name in ("symbol", "children"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, getattr(t, name))
+    assert copy.deepcopy(t) == t
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_parse_error_kinds():
+    for text in ("", "(", "sigma(alpha,", "sigma(alpha alpha)", "sigma()",
+                 "alpha(alpha)", "alpha)", "1", "sigma(alpha,alpha))"):
+        with pytest.raises(TermError):
+            parse_tree(text, SIG)
+    with pytest.raises(TermError, match="nullary"):
+        parse_context("sigma(z(alpha),alpha)", SIG)

@@ -11,13 +11,10 @@ from .semifield import (
     MAXTIMES,
     RATIONAL,
     TROPICAL,
+    Semifield,
     SemifieldError,
-    Weight,
     WeightSyntaxError,
     format_weight,
-    one,
-    parse_weight,
-    zero,
 )
 from .terms import (
     RankedAlphabet,

@@ -18,12 +18,12 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from . import semifield, terms
-from .semifield import Weight
+from .semifield import Semifield, Value
 from .terms import RankedAlphabet, Tree
 
 # A bottom-up deterministic run result: None stands for the sink (no run),
 # otherwise the reached state together with the accumulated nonzero weight.
-DetValue = Optional[Tuple[str, Weight]]
+DetValue = Optional[Tuple[str, Value]]
 
 TransKey = Tuple[Tuple[str, ...], str, str]  # (state tuple, symbol, target)
 
@@ -40,6 +40,8 @@ class PreconditionError(RuntimeError):
 class Wta:
     """An immutable automaton.
 
+    ``kind`` is a `semifield.Semifield`; every weight in ``delta`` and
+    ``final`` is a nonzero raw value of it, checked once, here.
     The derived fields are computed once, here: ``_succ`` indexes delta by
     (state tuple, symbol) and ``budet`` records bottom-up determinism.
     Two memos fill as the automaton is used: ``_runs`` maps each tree run
@@ -51,17 +53,18 @@ class Wta:
 
     alphabet: RankedAlphabet
     states: Tuple[str, ...]
-    kind: str
-    delta: Mapping[TransKey, Weight]
-    final: Mapping[str, Weight]
+    kind: Semifield
+    delta: Mapping[TransKey, Value]
+    final: Mapping[str, Value]
 
     def __post_init__(self) -> None:
         # read-only copies of the caller's maps
         _init = object.__setattr__
         _init(self, "delta", MappingProxyType(dict(self.delta)))
         _init(self, "final", MappingProxyType(dict(self.final)))
-        if self.kind not in semifield.KINDS:
-            raise WtaError(f"unknown semifield kind: {self.kind!r}")
+        k = self.kind
+        if not isinstance(k, Semifield):
+            raise WtaError(f"kind must be a semifield object, got {k!r}")
         if not self.states:
             raise WtaError("automaton needs at least one state")
         if len(set(self.states)) != len(self.states):
@@ -71,7 +74,7 @@ class Wta:
                 raise WtaError(f"state name collides with a symbol: {q}")
         stateset = set(self.states)
         arity = self.alphabet.arity
-        succ: Dict[Tuple[Tuple[str, ...], str], List[Tuple[str, Weight]]] = {}
+        succ: Dict[Tuple[Tuple[str, ...], str], List[Tuple[str, Value]]] = {}
         for (ws, sym, q), w in self.delta.items():
             if len(ws) != arity(sym):
                 raise WtaError(f"transition arity mismatch for {sym}")
@@ -86,28 +89,16 @@ class Wta:
         weights = {id(w): w for w in self.delta.values()}
         weights.update((id(w), w) for w in self.final.values())
         for w in weights.values():
-            self._check_weight(w)
+            if not k.contains(w):
+                raise WtaError(f"weight {w!r} is not in the {k} semifield")
+            if w == k.zero:
+                raise WtaError("zero weights must not be stored")
         _init(self, "_succ", succ)
         _init(self, "budet", all(len(v) <= 1 for v in succ.values()))
         _init(self, "_runs", {})
         _init(self, "_factors", {})
 
-    def _check_weight(self, w: Weight) -> None:
-        if w.kind != self.kind:
-            raise WtaError(f"weight of kind {w.kind} in a {self.kind} automaton")
-        if w.is_zero():
-            raise WtaError("zero weights must not be stored")
-
-    def zero(self) -> Weight:
-        return semifield.zero(self.kind)
-
-    def one(self) -> Weight:
-        return semifield.one(self.kind)
-
-    def final_weight(self, q: str) -> Weight:
-        return self.final.get(q, self.zero())
-
-    def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Weight]]:
+    def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
         return self._succ.get((ws, sym), [])
 
 
@@ -133,28 +124,24 @@ def _require_budet(a: Wta) -> None:
 # --- semantics ------------------------------------------------------------
 
 
-def h_general(a: Wta, t: Tree) -> Dict[str, Weight]:
+def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
     """Sum-product vector semantics; works for any automaton."""
     terms.validate_tree(t, a.alphabet)
+    k = a.kind
     index = {q: i for i, q in enumerate(a.states)}
-    vecs: Dict[int, Tuple[Weight, ...]] = {}
+    vecs: Dict[int, Tuple[Value, ...]] = {}
     for node in terms.postorder(t):
         kid_vecs = [vecs[id(c)] for c in node.children]
-        out = [a.zero() for _ in a.states]
+        out = [k.zero for _ in a.states]
         for ws in itertools.product(a.states, repeat=len(kid_vecs)):
-            factor = a.one()
-            dead = False
+            factor = k.one
             for p, vec in zip(ws, kid_vecs):
-                w = vec[index[p]]
-                if w.is_zero():
-                    dead = True
-                    break
-                factor = factor.times(w)
-            if dead:
+                factor = k.times(factor, vec[index[p]])
+            if factor == k.zero:  # a zero child: semifields have no zero divisors
                 continue
             for q, w in a.targets(ws, node.symbol):
                 i = index[q]
-                out[i] = out[i].plus(factor.times(w))
+                out[i] = k.plus(out[i], k.times(factor, w))
         vecs[id(node)] = tuple(out)
     return dict(zip(a.states, vecs[id(t)]))
 
@@ -174,6 +161,7 @@ def _run(a: Wta, t: Tree) -> DetValue:
     if v is not _MISS:
         return v  # type: ignore[return-value]
     succ = a._succ
+    times = a.kind.times
     vals: Dict[int, object] = {}  # id(node) -> its value in this walk
     stack: List[object] = [t]  # a tree to visit, or (tree,) once its children are done
     while stack:
@@ -187,7 +175,7 @@ def _run(a: Wta, t: Tree) -> DetValue:
                 if hits:
                     q, w = hits[0]
                     for kv in kids:
-                        w = w.times(kv[1])
+                        w = times(w, kv[1])
                     v = (q, w)
             runs[node] = vals[id(node)] = v
         elif id(item) not in vals:
@@ -218,18 +206,18 @@ def state_of(a: Wta, t: Tree) -> Optional[str]:
     return None if v is None else v[0]
 
 
-def evaluate(a: Wta, t: Tree) -> Weight:
+def evaluate(a: Wta, t: Tree) -> Value:
     """The weight the automaton assigns to a tree."""
+    k = a.kind
     if is_bu_deterministic(a):
         v = _det(a, t)
         if v is None:
-            return a.zero()
+            return k.zero
         q, w = v
-        return w.times(a.final_weight(q))
-    vec = h_general(a, t)
-    out = a.zero()
-    for q, w in vec.items():
-        out = out.plus(w.times(a.final_weight(q)))
+        return k.times(w, a.final.get(q, k.zero))
+    out = k.zero
+    for q, w in h_general(a, t).items():
+        out = k.plus(out, k.times(w, a.final.get(q, k.zero)))
     return out
 
 
@@ -238,6 +226,7 @@ def elementary_step(a: Wta, e: Tree, v: DetValue) -> DetValue:
     _require_budet(a)
     if v is None:
         return None
+    times = a.kind.times
     ws: List[str] = []
     factor = v[1]
     for child in e.children:
@@ -248,12 +237,12 @@ def elementary_step(a: Wta, e: Tree, v: DetValue) -> DetValue:
             if hv is None:
                 return None
             ws.append(hv[0])
-            factor = factor.times(hv[1])
+            factor = times(factor, hv[1])
     hits = a.targets(tuple(ws), e.symbol)
     if not hits:
         return None
     q, w = hits[0]
-    return (q, factor.times(w))
+    return (q, times(factor, w))
 
 
 def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
@@ -307,10 +296,10 @@ def slim(a: Wta) -> Wta:
     reached = reachable_states(a)
     if not reached:
         p = a.states[0]
-        delta: Dict[TransKey, Weight] = {}
+        delta: Dict[TransKey, Value] = {}
         for sym in a.alphabet.symbols():
             k = a.alphabet.arity(sym)
-            delta[((p,) * k, sym, p)] = a.one()
+            delta[((p,) * k, sym, p)] = a.kind.one
         return Wta(a.alphabet, (p,), a.kind, delta, {})
     keep = tuple(q for q in a.states if q in reached)
     delta = {
@@ -329,7 +318,7 @@ def dead_states(a: Wta) -> FrozenSet[str]:
     realized by a tree.
     """
     _require_budet(a)
-    observable: Set[str] = {q for q, w in a.final.items() if not w.is_zero()}
+    observable: Set[str] = set(a.final)
     grew = True
     while grew:
         grew = False
@@ -369,7 +358,7 @@ def parse_wta(text: str) -> Wta:
     keys, duplicate final states and duplicate rank lines are errors.
     Zero weights are accepted and normalized away.
     """
-    kind: Optional[str] = None
+    kind: Optional[Semifield] = None
     ranks: List[Tuple[str, int]] = []
     rank_names: Set[str] = set()
     raw_trans: List[Tuple[int, str, Tuple[str, ...], str, str]] = []
@@ -384,9 +373,10 @@ def parse_wta(text: str) -> Wta:
         if head == "semifield":
             if kind is not None:
                 raise WtaError(f"line {lineno}: duplicate semifield line")
-            kind = rest.strip()
-            if kind not in semifield.KINDS:
-                raise WtaError(f"line {lineno}: unknown semifield kind {kind!r}")
+            try:
+                kind = semifield.get(rest.strip())
+            except semifield.WeightSyntaxError as exc:
+                raise WtaError(f"line {lineno}: {exc}") from None
         elif head == "rank":
             fields = rest.split()
             if len(fields) != 2:
@@ -427,20 +417,20 @@ def parse_wta(text: str) -> Wta:
         states[q] = None
 
     # an automaton uses few distinct weight texts: parse each once; a zero
-    # weight is kept as None
-    weights: Dict[str, Optional[Weight]] = {}
+    # weight is kept as _MISS
+    weights: Dict[str, object] = {}
 
-    def weight(wtext: str, lineno: int) -> Optional[Weight]:
+    def weight(wtext: str, lineno: int) -> object:
         if wtext not in weights:
             try:
-                w = semifield.parse_weight(wtext, kind)
+                w = kind.parse(wtext)
             except semifield.WeightSyntaxError as exc:
                 raise WtaError(f"line {lineno}: {exc}") from None
-            weights[wtext] = None if w.is_zero() else w
+            weights[wtext] = _MISS if w == kind.zero else w
         return weights[wtext]
 
     arities = {s: alphabet.arity(s) for s in alphabet.symbols()}
-    delta: Dict[TransKey, Weight] = {}
+    delta: Dict[TransKey, Value] = {}
     seen_keys: Set[TransKey] = set()
     for lineno, sym, args, target, wtext in raw_trans:
         k = arities.get(sym)
@@ -458,10 +448,10 @@ def parse_wta(text: str) -> Wta:
             raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
         seen_keys.add(key)
         w = weight(wtext, lineno)
-        if w is not None:
+        if w is not _MISS:
             delta[key] = w
 
-    final: Dict[str, Weight] = {}
+    final: Dict[str, Value] = {}
     seen_final: Set[str] = set()
     for lineno, q, wtext in raw_final:
         if q not in states:
@@ -470,7 +460,7 @@ def parse_wta(text: str) -> Wta:
             raise WtaError(f"line {lineno}: duplicate final line for {q}")
         seen_final.add(q)
         w = weight(wtext, lineno)
-        if w is not None:
+        if w is not _MISS:
             final[q] = w
 
     if not states:
@@ -512,7 +502,7 @@ def format_wta(a: Wta) -> str:
     lines = [f"semifield {a.kind}"]
     for s in a.alphabet.symbols():
         lines.append(f"rank {s} {a.alphabet.arity(s)}")
-    def trans_key(item: Tuple[TransKey, Weight]):
+    def trans_key(item: Tuple[TransKey, Value]):
         (ws, sym, q), _ = item
         return (sym_index[sym], tuple(state_index[p] for p in ws), state_index[q])
     for (ws, sym, q), w in sorted(a.delta.items(), key=trans_key):

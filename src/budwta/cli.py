@@ -35,26 +35,12 @@ def _load(path: str) -> Wta:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliInputError(f"cannot read {path}: {exc}") from None
     try:
         return automaton.parse_wta(text)
     except WtaError as exc:
         raise _CliInputError(f"{path}: {exc}") from None
-
-
-def _parse_tree_arg(text: str, a: Wta) -> terms.Tree:
-    try:
-        return terms.parse_tree(text, a.alphabet)
-    except terms.TermError as exc:
-        raise _CliInputError(str(exc)) from None
-
-
-def _parse_mono_arg(text: str, a: Wta) -> scalar.Monomial:
-    try:
-        return scalar.parse_monomial(text, a.alphabet, a.kind)
-    except (terms.TermError, semifield.WeightSyntaxError) as exc:
-        raise _CliInputError(str(exc)) from None
 
 
 def _cmd_validate(args) -> int:
@@ -72,14 +58,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eval(args) -> int:
     a = _load(args.file)
-    t = _parse_tree_arg(args.tree, a)
+    t = terms.parse_tree(args.tree, a.alphabet)
     print(semifield.format_weight(automaton.evaluate(a, t)))
     return EXIT_OK
 
 
 def _cmd_state(args) -> int:
     a = _load(args.file)
-    t = _parse_tree_arg(args.tree, a)
+    t = terms.parse_tree(args.tree, a.alphabet)
     q = automaton.state_of(a, t)
     print(q if q is not None else "⊥")
     return EXIT_OK
@@ -111,8 +97,11 @@ def _cmd_minimize(args) -> int:
     text = automaton.format_wta(m)
     counts = f"states: {len(a.states)} -> {len(m.states)}"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliInputError(f"cannot write {args.output}: {exc}") from None
         print(counts)
     else:
         sys.stdout.write(text)
@@ -125,8 +114,8 @@ def _cmd_congruent(args) -> int:
         raise _CliInputError(f"--oracle-depth must be >= 0, got {args.oracle_depth}")
     a = _load(args.file)
     automaton._require_budet(a)
-    m1 = _parse_mono_arg(args.monomials[0], a)
-    m2 = _parse_mono_arg(args.monomials[1], a)
+    m1 = scalar.parse_monomial(args.monomials[0], a.alphabet, a.kind)
+    m2 = scalar.parse_monomial(args.monomials[1], a.alphabet, a.kind)
     s = automaton.slim(a)
     qt = congruence.build_syntactic_quotient(s)
     answer = congruence.congruent(qt, m1, m2)
@@ -210,13 +199,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "command", None) == "congruent" and len(args.monomials) != 2:
         print("error: congruent needs exactly two --mono arguments", file=sys.stderr)
         return EXIT_INPUT
+    # argparse before Python 3.12 reads the option value in --tree=-- as []
+    if [] in (getattr(args, "tree", None), *getattr(args, "monomials", ())):
+        print("error: '--' is neither a tree nor a monomial", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (WtaError, terms.TermError, semifield.WeightSyntaxError,
-            semifield.SemifieldError) as exc:
+    except (_CliInputError, WtaError, terms.TermError,
+            semifield.WeightSyntaxError, semifield.SemifieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:

@@ -25,15 +25,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from . import automaton, semifield, terms
+from . import automaton, terms
 from .automaton import PreconditionError, Wta
 from .scalar import Monomial
-from .semifield import Weight
+from .semifield import Semifield, SemifieldError, Value
 from .terms import Tree
 
 # A congruence class of a nonzero monomial: live block index plus nonzero
 # scaling factor.  None stands for the class of the zero language.
-ClassRep = Optional[Tuple[int, Weight]]
+ClassRep = Optional[Tuple[int, Value]]
 
 
 @dataclass
@@ -43,7 +43,7 @@ class SyntacticQuotient:
     wta: Wta
     blocks: Tuple[Tuple[str, ...], ...]  # live states, grouped, declaration order
     dead: FrozenSet[str]
-    lam: Dict[str, Weight]  # scaling witness relative to the block rep
+    lam: Dict[str, Value]  # scaling witness relative to the block rep
     rep_tree: Dict[str, Tree]  # one witness tree per state
     block_of: Dict[str, int]
 
@@ -51,13 +51,14 @@ class SyntacticQuotient:
 # --- observation helpers --------------------------------------------------
 
 
-def _observe(a: Wta, q: str, c: Tree) -> Weight:
+def _observe(a: Wta, q: str, c: Tree) -> Value:
     """Weight of plugging a unit run at state q into context c, then F."""
-    v = automaton.context_transform(a, c, (q, a.one()))
+    k = a.kind
+    v = automaton.context_transform(a, c, (q, k.one))
     if v is None:
-        return a.zero()
+        return k.zero
     p, w = v
-    return w.times(a.final_weight(p))
+    return k.times(w, a.final.get(p, k.zero))
 
 
 def _observation_steps(
@@ -70,14 +71,13 @@ def _observation_steps(
     the successor state on a shortest observation path.
     """
     steps: Dict[str, Optional[Tuple[Tuple[str, int, Tuple[str, ...]], str]]] = {}
-    frontier = [q for q, w in a.final.items() if not w.is_zero()]
+    frontier = list(a.final)
     for q in frontier:
         steps[q] = None
+    delta = sorted(a.delta, key=lambda key: (key[1], key[0], key[2]))
     while frontier:
         new_frontier: List[str] = []
-        for (ws, sym, q), _w in sorted(
-            a.delta.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])
-        ):
+        for ws, sym, q in delta:
             if q not in steps:
                 continue
             for i, p in enumerate(ws):
@@ -150,8 +150,9 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     pool: List[str] = list(live) + ([dead_rep] if dead_rep is not None else [])
     elementaries = _abstract_elementaries(a, pool)
 
+    k = a.kind
     blocks: List[List[str]] = [list(live)] if live else []
-    lam: Dict[str, Weight] = {}
+    lam: Dict[str, Value] = {}
 
     # Each round either splits a block or reaches the fixpoint; at most
     # |live| + 1 rounds are needed.
@@ -164,15 +165,13 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
         for block in blocks:
             rep = block[0]
             c = witness[rep]
-            base = _observe(a, rep, c)
-            assert not base.is_zero()
-            base_inv = base.reciprocal()
+            base_inv = k.inv(_observe(a, rep, c))
             for q in block:
                 o = _observe(a, q, c)
-                if o.is_zero():
+                if o == k.zero:
                     mismatch[q] = True
                 else:
-                    lam[q] = o.times(base_inv)
+                    lam[q] = k.times(o, base_inv)
         if mismatch:
             blocks = _split(blocks, lambda q: ("mismatch",) if q in mismatch else ("ok",))
             continue
@@ -180,8 +179,8 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
         block_of = {q: i for i, block in enumerate(blocks) for q in block}
 
         def signature(q: str) -> tuple:
-            entries: List[object] = [lam[q].reciprocal().times(a.final_weight(q))]
-            lam_q_inv = lam[q].reciprocal()
+            lam_q_inv = k.inv(lam[q])
+            entries: List[object] = [k.times(lam_q_inv, a.final.get(q, k.zero))]
             for (sym, i, sides) in elementaries:
                 ws = sides[:i] + (q,) + sides[i:]
                 hits = a.targets(ws, sym)
@@ -192,7 +191,8 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
                 if nxt in dead:
                     entries.append(None)
                     continue
-                entries.append((block_of[nxt], lam_q_inv.times(f).times(lam[nxt])))
+                scal = k.times(k.times(lam_q_inv, f), lam[nxt])
+                entries.append((block_of[nxt], scal))
             return tuple(entries)
 
         new_blocks = _split(blocks, signature)
@@ -229,11 +229,9 @@ def _split(blocks: List[List[str]], key) -> List[List[str]]:
 def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
     """Congruence class of a monomial; None is the class of the zero language."""
     a = qt.wta
-    if m.weight.kind != a.kind:
-        raise semifield.SemifieldError(
-            f"monomial of kind {m.weight.kind} against a {a.kind} automaton"
-        )
-    if m.is_zero():
+    k = a.kind
+    _require_weight(k, m.weight)
+    if m.weight == k.zero:
         return None
     v = automaton.h_det(a, m.tree)
     if v is None:
@@ -241,7 +239,12 @@ def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
     q, w = v
     if q in qt.dead:
         return None
-    return (qt.block_of[q], m.weight.times(w).times(qt.lam[q]))
+    return (qt.block_of[q], k.times(k.times(m.weight, w), qt.lam[q]))
+
+
+def _require_weight(k: Semifield, w: object) -> None:
+    if not k.contains(w):
+        raise SemifieldError(f"monomial weight {w!r} is not in the {k} semifield")
 
 
 def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
@@ -264,28 +267,30 @@ class BoundedContextOracle:
         self.wta = a
         self.ctx_height = ctx_height
         contexts = list(terms.enumerate_contexts(a.alphabet, ctx_height))
-        obs_rows: List[Dict[str, Weight]] = []
+        obs_rows: List[Dict[str, Value]] = []
         for c in contexts:
             obs_rows.append({q: _observe(a, q, c) for q in a.states})
         self.col_nonzero: Dict[str, bool] = {
-            q: any(not row[q].is_zero() for row in obs_rows) for q in a.states
+            q: any(row[q] != a.kind.zero for row in obs_rows) for q in a.states
         }
-        self.pair_obs: Dict[Tuple[str, str], Tuple[Tuple[Weight, Weight], ...]] = {}
+        self.pair_obs: Dict[Tuple[str, str], Tuple[Tuple[Value, Value], ...]] = {}
         for q1 in a.states:
             for q2 in a.states:
-                seen: Set[Tuple[Weight, Weight]] = set()
+                seen: Set[Tuple[Value, Value]] = set()
                 for row in obs_rows:
                     seen.add((row[q1], row[q2]))
                 self.pair_obs[(q1, q2)] = tuple(seen)
 
-    def _coefficient(self, m: Monomial) -> Tuple[Optional[str], Optional[Weight]]:
-        if m.is_zero():
+    def _coefficient(self, m: Monomial) -> Tuple[Optional[str], Value]:
+        k = self.wta.kind
+        _require_weight(k, m.weight)
+        if m.weight == k.zero:
             return (None, None)
         v = automaton.h_det(self.wta, m.tree)
         if v is None:
             return (None, None)
         q, w = v
-        return (q, m.weight.times(w))
+        return (q, k.times(m.weight, w))
 
     def congruent(self, m1: Monomial, m2: Monomial) -> bool:
         q1, c1 = self._coefficient(m1)
@@ -296,8 +301,9 @@ class BoundedContextOracle:
             return not self.col_nonzero[q2]
         if q2 is None:
             return not self.col_nonzero[q1]
+        times = self.wta.kind.times
         for o1, o2 in self.pair_obs[(q1, q2)]:
-            if c1.times(o1) != c2.times(o2):
+            if times(c1, o1) != times(c2, o2):
                 return False
         return True
 

@@ -20,7 +20,7 @@ from . import automaton, congruence, terms
 from .automaton import PreconditionError, TransKey, Wta, representative_trees
 from .congruence import ClassRep, SyntacticQuotient
 from .scalar import Monomial
-from .semifield import Weight
+from .semifield import Value
 from .terms import Tree
 
 __all__ = [
@@ -48,7 +48,7 @@ def candidate_set(
     seen: List[ClassRep] = []
     for q in a.states:
         t = reps[q]
-        cls = congruence.class_of(qt, Monomial(a.one(), t))
+        cls = congruence.class_of(qt, Monomial(a.kind.one, t))
         if cls is None or cls in seen:
             continue
         seen.append(cls)
@@ -96,37 +96,37 @@ def build_wta_from_basis(
     final weights.
     """
     alphabet = a.alphabet
+    k = a.kind
     if not basis:
         t0 = next(terms.enumerate_trees(alphabet, 0))
         p = _basis_state_name(0, t0)
-        delta: Dict[TransKey, Weight] = {}
+        delta: Dict[TransKey, Value] = {}
         for sym in alphabet.symbols():
-            k = alphabet.arity(sym)
-            delta[((p,) * k, sym, p)] = a.one()
-        return Wta(alphabet, (p,), a.kind, delta, {})
+            delta[((p,) * alphabet.arity(sym), sym, p)] = k.one
+        return Wta(alphabet, (p,), k, delta, {})
 
     names = [_basis_state_name(i, t) for i, (t, _) in enumerate(basis)]
     block_to_index = {cls[0]: i for i, (_, cls) in enumerate(basis)}
     delta = {}
     for sym in alphabet.symbols():
-        k = alphabet.arity(sym)
-        for combo in itertools.product(range(len(basis)), repeat=k):
+        arity = alphabet.arity(sym)
+        for combo in itertools.product(range(len(basis)), repeat=arity):
             t = Tree(sym, tuple(basis[i][0] for i in combo))
-            cls = congruence.class_of(qt, Monomial(a.one(), t))
+            cls = congruence.class_of(qt, Monomial(k.one, t))
             if cls is None:
                 continue
             block, scal = cls
             j = block_to_index[block]
             _, (_, base_scal) = basis[j]
-            w = scal.times(base_scal.reciprocal())
+            w = k.times(scal, k.inv(base_scal))
             key = (tuple(names[i] for i in combo), sym, names[j])
             delta[key] = w
-    final: Dict[str, Weight] = {}
+    final: Dict[str, Value] = {}
     for i, (t, _) in enumerate(basis):
         w = automaton.evaluate(a, t)
-        if not w.is_zero():
+        if w != k.zero:
             final[names[i]] = w
-    return Wta(alphabet, tuple(names), a.kind, delta, final)
+    return Wta(alphabet, tuple(names), k, delta, final)
 
 
 def minimize(a: Wta) -> Wta:
@@ -181,17 +181,12 @@ def equivalent(a: Wta, b: Wta) -> bool:
     automaton._require_budet(b)
     a = automaton.slim(a)
     b = automaton.slim(b)
-    dead_a = automaton.dead_states(a)
-    dead_b = automaton.dead_states(b)
-
-    def observable_a(p: Optional[str]) -> bool:
-        return p is not None and p not in dead_a
-
-    def observable_b(q: Optional[str]) -> bool:
-        return q is not None and q not in dead_b
-
+    # the sink (None) is never observed either
+    dead_a = automaton.dead_states(a) | {None}
+    dead_b = automaton.dead_states(b) | {None}
+    k = a.kind
     Pair = Tuple[Optional[str], Optional[str]]
-    ratio: Dict[Pair, Optional[Weight]] = {}
+    ratio: Dict[Pair, Value] = {}
 
     def succ(m: Wta, ws: Tuple[Optional[str], ...], sym: str):
         if any(p is None for p in ws):
@@ -199,10 +194,10 @@ def equivalent(a: Wta, b: Wta) -> bool:
         hits = m.targets(tuple(ws), sym)  # type: ignore[arg-type]
         return hits[0] if hits else None
 
-    def admit(pair: Pair, rho: Optional[Weight]) -> bool:
+    def admit(pair: Pair, rho: Value) -> bool:
         """Record a discovered pair; False means the languages differ."""
         p, q = pair
-        oa, ob = observable_a(p), observable_b(q)
+        oa, ob = p not in dead_a, q not in dead_b
         if oa != ob:
             return False
         if not oa:
@@ -211,10 +206,10 @@ def equivalent(a: Wta, b: Wta) -> bool:
                 ratio[pair] = None
             return True
         assert rho is not None
-        fa, fb = a.final_weight(p), b.final_weight(q)
-        if fa.is_zero() != fb.is_zero():
+        # final maps hold no zero weights
+        if (p in a.final) != (q in b.final):
             return False
-        if not fa.is_zero() and rho != fb.times(fa.reciprocal()):
+        if p in a.final and rho != k.times(b.final[q], k.inv(a.final[p])):
             return False
         if pair in ratio:
             return ratio[pair] == rho
@@ -229,7 +224,7 @@ def equivalent(a: Wta, b: Wta) -> bool:
             continue
         rho = None
         if ha is not None and hb is not None:
-            rho = ha[1].times(hb[1].reciprocal())
+            rho = k.times(ha[1], k.inv(hb[1]))
         if not admit(pair, rho):
             return False
 
@@ -237,25 +232,25 @@ def equivalent(a: Wta, b: Wta) -> bool:
         frontier = list(ratio.items())
         grew = False
         for sym in a.alphabet.symbols():
-            k = a.alphabet.arity(sym)
-            if k == 0:
+            arity = a.alphabet.arity(sym)
+            if arity == 0:
                 continue
-            for combo in itertools.product(frontier, repeat=k):
+            for combo in itertools.product(frontier, repeat=arity):
                 pairs = [pr for pr, _ in combo]
                 ha = succ(a, tuple(p for p, _ in pairs), sym)
                 hb = succ(b, tuple(q for _, q in pairs), sym)
                 pair = (ha[0] if ha else None, hb[0] if hb else None)
                 if pair == (None, None):
                     continue
-                rho: Optional[Weight] = None
+                rho: Value = None
                 if (
                     ha is not None
                     and hb is not None
                     and all(r is not None for _, r in combo)
                 ):
-                    rho = ha[1].times(hb[1].reciprocal())
+                    rho = k.times(ha[1], k.inv(hb[1]))
                     for _, r in combo:
-                        rho = rho.times(r)
+                        rho = k.times(rho, r)
                 known = pair in ratio
                 if not admit(pair, rho):
                     return False

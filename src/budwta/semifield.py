@@ -1,154 +1,136 @@
 """Exact arithmetic over the supported commutative semifields.
 
-Four weight structures are available, selected by a runtime tag:
+Four weight structures are available, one `Semifield` object each:
 
-* ``rational``  -- (Q, +, *, 0, 1), actually a field
-* ``boolean``   -- ({0,1}, or, and, 0, 1)
-* ``maxtimes``  -- (Q>=0, max, *, 0, 1)
-* ``tropical``  -- (Q + {inf}, min, +, inf, 0)
+* ``RATIONAL``  -- (Q, +, *, 0, 1), actually a field
+* ``BOOLEAN``   -- ({0,1}, or, and, 0, 1)
+* ``MAXTIMES``  -- (Q>=0, max, *, 0, 1)
+* ``TROPICAL``  -- (Q + {inf}, min, +, inf, 0)
 
-All values are exact: rationals are `fractions.Fraction`, the tropical
-infinity is a distinguished value, and equality is decidable everywhere.
-No floats appear anywhere in this package.
+Weights are raw values: rationals are `fractions.Fraction`, booleans are
+`bool`, and the tropical infinity is `None`.  A value does not know its
+semifield; the object that operates on it does, and membership is checked
+where weights enter an automaton.  Equality is decidable everywhere and no
+floats appear anywhere in this package.
 """
 
 from __future__ import annotations
 
 import decimal
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Union
 
-RATIONAL = "rational"
-BOOLEAN = "boolean"
-MAXTIMES = "maxtimes"
-TROPICAL = "tropical"
-
-KINDS = (RATIONAL, BOOLEAN, MAXTIMES, TROPICAL)
+Value = Union[Fraction, bool, None]
 
 
 class SemifieldError(ValueError):
-    """Misuse of semifield arithmetic: mixed kinds or inverse of zero."""
+    """Misuse of semifield arithmetic: a foreign weight or inverse of zero."""
 
 
 class WeightSyntaxError(ValueError):
     """The given text does not denote a weight of the requested semifield."""
 
 
-# Internal value domains per kind:
-#   rational  Fraction
-#   boolean   bool
-#   maxtimes  Fraction >= 0
-#   tropical  Fraction, or None standing for +infinity (the semifield zero)
-_Value = Union[Fraction, bool, None]
+@dataclass(frozen=True, eq=False)
+class Semifield:
+    """A commutative semifield over raw values; ``str()`` is its name."""
 
+    name: str
+    zero: Value
+    one: Value
+    plus: Callable[[Value, Value], Value]
+    times: Callable[[Value, Value], Value]
+    _inverse: Callable[[Value], Value]
+    contains: Callable[[object], bool]  # is the value a weight of this semifield
+    from_fraction: Callable[[Union[int, Fraction]], Value]
 
-@dataclass(frozen=True)
-class Weight:
-    kind: str
-    value: _Value
-
-    def is_zero(self) -> bool:
-        if self.kind == BOOLEAN:
-            return self.value is False
-        if self.kind == TROPICAL:
-            return self.value is None
-        return self.value == 0
-
-    def is_one(self) -> bool:
-        if self.kind == BOOLEAN:
-            return self.value is True
-        if self.kind == TROPICAL:
-            return self.value == 0
-        return self.value == 1
-
-    def plus(self, other: "Weight") -> "Weight":
-        _same_kind(self, other)
-        k = self.kind
-        if k == RATIONAL:
-            return Weight(k, self.value + other.value)
-        if k == BOOLEAN:
-            return Weight(k, self.value or other.value)
-        if k == MAXTIMES:
-            return Weight(k, max(self.value, other.value))
-        # tropical: min, with None = +inf as the neutral element
-        if self.value is None:
-            return other
-        if other.value is None:
-            return self
-        return Weight(k, min(self.value, other.value))
-
-    def times(self, other: "Weight") -> "Weight":
-        _same_kind(self, other)
-        k = self.kind
-        if k == BOOLEAN:
-            return Weight(k, self.value and other.value)
-        if k == TROPICAL:
-            if self.value is None or other.value is None:
-                return Weight(k, None)
-            return Weight(k, self.value + other.value)
-        return Weight(k, self.value * other.value)
-
-    def reciprocal(self) -> "Weight":
-        if self.is_zero():
+    def inv(self, x: Value) -> Value:
+        if x == self.zero:
             raise SemifieldError("zero has no multiplicative inverse")
-        k = self.kind
-        if k == BOOLEAN:
-            return self
-        if k == TROPICAL:
-            return Weight(k, -self.value)
-        return Weight(k, 1 / Fraction(self.value))
+        return self._inverse(x)
+
+    def parse(self, text: str) -> Value:
+        """Weight text: an integer, ``p/q`` with q > 0, or ``inf`` (tropical)."""
+        text = text.strip()
+        if text == "inf":
+            if not self.contains(None):
+                raise WeightSyntaxError('"inf" is only a tropical weight')
+            return None
+        if not _NUM_RE.match(text):
+            raise WeightSyntaxError(f"malformed weight: {text[:60]!r}")
+        num, _, den = text.partition("/")
+        try:
+            x = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+        except ZeroDivisionError:
+            msg = f"zero denominator in weight: {text[:60]!r}"
+            raise WeightSyntaxError(msg) from None
+        return self.from_fraction(x)
 
     def __str__(self) -> str:
-        return format_weight(self)
+        return self.name
 
 
-def _same_kind(a: Weight, b: Weight) -> None:
-    if a.kind != b.kind:
-        raise SemifieldError(f"mixed semifield kinds: {a.kind} vs {b.kind}")
+def _zero_or_one(x: Union[int, Fraction]) -> bool:
+    if x == 0 or x == 1:
+        return x == 1
+    raise WeightSyntaxError(
+        f"boolean weight must be 0 or 1, got {_number_text(Fraction(x))}"
+    )
 
 
-def zero(kind: str) -> Weight:
-    _check_kind(kind)
-    if kind == BOOLEAN:
-        return Weight(kind, False)
-    if kind == TROPICAL:
-        return Weight(kind, None)
-    return Weight(kind, Fraction(0))
-
-
-def one(kind: str) -> Weight:
-    _check_kind(kind)
-    if kind == BOOLEAN:
-        return Weight(kind, True)
-    if kind == TROPICAL:
-        return Weight(kind, Fraction(0))
-    return Weight(kind, Fraction(1))
-
-
-def from_fraction(kind: str, x: Union[int, Fraction]) -> Weight:
-    """Build a weight from an exact number (boolean takes 0/1)."""
-    _check_kind(kind)
+def _non_negative(x: Union[int, Fraction]) -> Fraction:
     x = Fraction(x)
-    if kind == BOOLEAN:
-        if x == 0:
-            return Weight(kind, False)
-        if x == 1:
-            return Weight(kind, True)
-        raise WeightSyntaxError(
-            f"boolean weight must be 0 or 1, got {_number_text(x)}"
-        )
-    if kind == MAXTIMES and x < 0:
+    if x < 0:
         raise WeightSyntaxError(
             f"maxtimes weight must be non-negative, got {_number_text(x)}"
         )
-    return Weight(kind, x)
+    return x
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise WeightSyntaxError(f"unknown semifield kind: {kind!r}")
+def _min_plus(x: Value, y: Value) -> Value:  # None is +inf, the neutral element
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return min(x, y)
+
+
+def _add_finite(x: Value, y: Value) -> Value:  # inf absorbs
+    if x is None or y is None:
+        return None
+    return x + y
+
+
+RATIONAL = Semifield(
+    "rational", Fraction(0), Fraction(1), operator.add, operator.mul,
+    lambda x: 1 / x, lambda x: x.__class__ is Fraction, Fraction,
+)
+BOOLEAN = Semifield(
+    "boolean", False, True, operator.or_, operator.and_,
+    lambda x: x, lambda x: x.__class__ is bool, _zero_or_one,
+)
+MAXTIMES = Semifield(
+    "maxtimes", Fraction(0), Fraction(1), max, operator.mul,
+    lambda x: 1 / x, lambda x: x.__class__ is Fraction and x >= 0, _non_negative,
+)
+TROPICAL = Semifield(
+    "tropical", None, Fraction(0), _min_plus, _add_finite,
+    operator.neg, lambda x: x is None or x.__class__ is Fraction, Fraction,
+)
+
+KINDS = (RATIONAL, BOOLEAN, MAXTIMES, TROPICAL)
+_BY_NAME = {k.name: k for k in KINDS}
+
+
+def get(name: str) -> Semifield:
+    """The semifield called ``name`` in weight text and ``.wta`` files."""
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise WeightSyntaxError(f"unknown semifield kind: {name!r}") from None
 
 
 # Weight text grammar: integers, "p/q" with q > 0, "inf" (tropical only),
@@ -166,26 +148,9 @@ def _number_text(x: Fraction) -> str:
     return f"{num}/{decimal.Decimal(x.denominator)}"
 
 
-def parse_weight(text: str, kind: str) -> Weight:
-    _check_kind(kind)
-    text = text.strip()
-    if text == "inf":
-        if kind != TROPICAL:
-            raise WeightSyntaxError('"inf" is only a tropical weight')
-        return zero(TROPICAL)
-    if not _NUM_RE.match(text):
-        raise WeightSyntaxError(f"malformed weight: {text!r}")
-    num, _, den = text.partition("/")
-    try:
-        x = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
-    except ZeroDivisionError:
-        raise WeightSyntaxError(f"zero denominator in weight: {text!r}") from None
-    return from_fraction(kind, x)
-
-
-def format_weight(w: Weight) -> str:
-    if w.kind == BOOLEAN:
-        return "1" if w.value else "0"
-    if w.kind == TROPICAL and w.value is None:
+def format_weight(w: Value) -> str:
+    if w is None:
         return "inf"
-    return _number_text(w.value)
+    if w.__class__ is bool:
+        return "1" if w else "0"
+    return _number_text(w)

@@ -215,7 +215,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
         name = tokens[pos]
         k = arities.get(name)
         if k is None:
-            k = _unlisted_symbol(name, allow_z, text)
+            k = _unlisted_symbol(name, allow_z, text, pos)
         pos += 1
         if tokens[pos] == "(":
             if tokens[pos + 1] != ")":
@@ -237,8 +237,8 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
                 break
             if tok != ")":
                 if not tok:
-                    raise TermError(f"missing ')' in {text!r}")
-                raise TermError(f"expected ',' or ')' at {tok!r} in {text!r}")
+                    raise TermError(f"missing ')' {_at(text, pos - 1)}")
+                raise TermError(f"expected ',' or ')', got {_at(text, pos - 1)}")
             open_nodes.pop()
             if len(kids) != k:
                 raise _arity_error(name, k, len(kids))
@@ -248,22 +248,31 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
                 node = shared[key] = Tree(*key)
         else:
             if tokens[pos]:
-                raise TermError(f"trailing input {tokens[pos]!r} in {text!r}")
+                raise TermError(f"trailing input {_at(text, pos)}")
             return node
 
 
-def _unlisted_symbol(name: str, allow_z: bool, text: str) -> int:
-    """The arity of a token that is not in the alphabet: 0 for an allowed
-    ``z``; anything else is an error."""
+def _unlisted_symbol(name: str, allow_z: bool, text: str, pos: int) -> int:
+    """The arity of token ``pos``, a name that is not in the alphabet: 0 for
+    an allowed ``z``; anything else is an error."""
     if not name:
-        raise TermError(f"unexpected end of term in {text!r}")
+        raise TermError(f"unexpected end of term {_at(text, pos)}")
     if not _IDENT_RE.match(name):
-        raise TermError(f"expected a symbol, got {name!r} in {text!r}")
+        raise TermError(f"expected a symbol, got {_at(text, pos)}")
     if name != Z_NAME:
-        raise TermError(f"unknown symbol: {name}")
+        raise TermError(f"unknown symbol {_at(text, pos)}")
     if not allow_z:
         raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
     return 0
+
+
+def _at(text: str, pos: int) -> str:
+    """Token number ``pos`` of ``text``, its offset and up to 60 characters
+    around it: a message stays short however long the text is."""
+    tok = next(itertools.islice(_TOKEN_RE.finditer(text), pos, None), None)
+    i = len(text) if tok is None else tok.start()
+    where = f"at offset {i}, near {text[max(0, i - 30):i + 30]!r}"
+    return where if tok is None else f"{tok.group()[:30]!r} {where}"
 
 
 def _arity_error(name: str, k: int, got: int) -> TermError:

@@ -17,23 +17,23 @@ from typing import Dict, List, Optional, Tuple
 from budwta import semifield as sf
 from budwta.automaton import TransKey, Wta
 from budwta.scalar import Monomial
-from budwta.semifield import Weight
+from budwta.semifield import Semifield, Value
 from budwta.terms import RankedAlphabet, Tree
 
 RAT_POOL = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
 TROP_POOL = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]
 
 
-def random_weight(rng: random.Random, kind: str) -> Weight:
-    if kind == sf.BOOLEAN:
-        return sf.one(kind)
-    if kind == sf.TROPICAL:
-        return sf.from_fraction(kind, rng.choice(TROP_POOL))
-    return sf.from_fraction(kind, rng.choice(RAT_POOL))
+def random_weight(rng: random.Random, kind: Semifield) -> Value:
+    if kind is sf.BOOLEAN:
+        return kind.one
+    if kind is sf.TROPICAL:
+        return kind.from_fraction(rng.choice(TROP_POOL))
+    return kind.from_fraction(rng.choice(RAT_POOL))
 
 
 def random_slim_budet(
-    rng: random.Random, kind: str, n_states: int, binary: bool = False
+    rng: random.Random, kind: Semifield, n_states: int, binary: bool = False
 ) -> Wta:
     if binary and n_states > 2:
         raise ValueError("binary corpus automata are capped at 2 states")
@@ -50,7 +50,7 @@ def random_slim_budet(
             symbols.append(("g2", 1))
     alphabet = RankedAlphabet(symbols)
 
-    delta: Dict[TransKey, Weight] = {}
+    delta: Dict[TransKey, Value] = {}
     used: set = set()
 
     def add(ws: Tuple[str, ...], sym: str, q: str) -> None:
@@ -80,7 +80,7 @@ def random_slim_budet(
             if rng.random() < 0.6:
                 add(ws, sym, rng.choice(states))
 
-    final: Dict[str, Weight] = {}
+    final: Dict[str, Value] = {}
     for q in states:
         if rng.random() < 0.6:
             final[q] = random_weight(rng, kind)
@@ -89,9 +89,9 @@ def random_slim_budet(
 
 
 def random_monomial(
-    rng: random.Random, kind: str, trees: List[Tree], zero_prob: float = 0.1
+    rng: random.Random, kind: Semifield, trees: List[Tree], zero_prob: float = 0.1
 ) -> Monomial:
     t = rng.choice(trees)
     if rng.random() < zero_prob:
-        return Monomial(sf.zero(kind), t)
+        return Monomial(kind.zero, t)
     return Monomial(random_weight(rng, kind), t)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from budwta import congruence
-from budwta.automaton import format_wta, parse_wta
+from budwta.automaton import WtaError, format_wta, parse_wta
 from budwta.cli import main
 
 from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF
@@ -229,6 +229,36 @@ def test_bad_monomial_exits_2(wta_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_minimize_to_unwritable_path_exits_2(wta_file, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.wta"
+    assert main(["minimize", wta_file(GAMMA3), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.wta"
+    path.write_bytes(EVEN_ODD.replace("# counts", "# z\xe4hlt").encode("latin-1"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_double_dash_option_value_exits_2(wta_file, capsys):
+    path = wta_file(EVEN_ODD)
+    assert main(["eval", path, "--tree=--"]) == 2
+    assert main(["congruent", path, "--mono=--", "--mono=1.alpha"]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_tree_error_text_is_bounded(wta_file, capsys):
+    path = wta_file(EVEN_ODD)
+    for tree in ("sigma(" * 10**5, "alpha " + "b" * 10**5, "x" * 10**5 + "("):
+        assert main(["eval", path, "--tree", tree]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200
+
+
 def test_eval_and_state_on_deep_spine(wta_file, capsys):
     # gamma^n(alpha) reaches q3, with final weight 2, for even n >= 2
     tree = "gamma(" * 10**5 + "alpha" + ")" * 10**5
@@ -314,3 +344,50 @@ def test_monomial_text_exits_with_a_contract_code(wta_paths, which, m1, m2, dept
     if depth is not None:
         argv.append(f"--oracle-depth={depth}")
     assert _exit_code(argv) in (0, 1, 2, 3, 4)
+
+
+# .wta text: a valid automaton with up to three lines changed: a new weight,
+# or a generated directive line with a mutated weight, arity, state or symbol
+_NAME = st.sampled_from(["alpha", "sigma", "gamma", "p", "q1", "z", "1q", "", "a b"])
+_ARITY = st.sampled_from(["0", "1", "2", "-1", "x", "\u00b2", "", "0 0"])
+_WTA_WEIGHT = st.one_of(
+    st.sampled_from(["1", "0", "2", "1/2", "-3", "inf", "1/0", "1.5", "", "4" * 5000]),
+    st.text(max_size=8),
+)
+_LINE = st.one_of(
+    st.builds("semifield {}".format, st.sampled_from(
+        ["rational", "boolean", "maxtimes", "tropical", "real", ""])),
+    st.builds("rank {} {}".format, _NAME, _ARITY),
+    st.builds(
+        "trans {}({}) -> {} @ {}".format,
+        _NAME, st.lists(_NAME, max_size=3).map(",".join), _NAME, _WTA_WEIGHT,
+    ),
+    st.builds("final {} @ {}".format, _NAME, _WTA_WEIGHT),
+    st.sampled_from(["", "# note", "trans", "final q1", "trans alpha -> o @ 1", "@"]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _wta_text(draw):
+    lines = draw(st.sampled_from([EVEN_ODD, GAMMA3, TWO_LEAF])).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        head, at, _ = lines[i].rpartition("@")
+        if at and draw(st.booleans()):  # a new weight on a weighted line
+            lines[i] = f"{head}@ {draw(_WTA_WEIGHT)}"
+        else:  # a generated line in place of this one, or before it
+            lines[i : i + draw(st.integers(0, 1))] = [draw(_LINE)]
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_wta_text())
+def test_wta_text_raises_only_wta_error(tmp_path_factory, text):
+    try:
+        parse_wta(text)
+    except WtaError:
+        pass
+    path = tmp_path_factory.mktemp("wta") / "f.wta"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    assert _exit_code(["validate", str(path)]) in (0, 1, 2, 3, 4)

@@ -5,7 +5,7 @@ import pytest
 
 from budwta import semifield as sf, terms
 from budwta.automaton import Wta
-from budwta.congruence import build_syntactic_quotient
+from budwta.congruence import build_syntactic_quotient, class_of, congruent
 from budwta.minimize import candidate_set, scalar_basis
 from budwta.scalar import Monomial, format_monomial, parse_monomial
 from budwta.terms import RankedAlphabet, Tree
@@ -16,39 +16,29 @@ SIG = RankedAlphabet([("alpha", 0), ("sigma", 2)])
 
 
 def rat(x):
-    return sf.from_fraction("rational", Fraction(x))
+    return sf.RATIONAL.from_fraction(Fraction(x))
 
 
-def test_zero_monomials_are_equal():
-    a = Monomial(sf.zero("rational"), Tree("alpha"))
-    b = Monomial(sf.zero("rational"), terms.parse_tree("sigma(alpha,alpha)", SIG))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != Monomial(sf.zero("boolean"), Tree("alpha"))
-    assert a != Monomial(rat(1), Tree("alpha"))
-
-
-def test_monomial_scale_axioms():
-    rng = random.Random(13)
-    trees = list(terms.enumerate_trees(SIG, 2))
-    for _ in range(300):
-        b1 = rat(Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
-        b2 = rat(Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
-        m = Monomial(rat(rng.randint(-4, 4)), rng.choice(trees))
-        assert m.scale(b1.times(b2)) == m.scale(b2).scale(b1)
-        assert m.scale(sf.one("rational")) == m
-        assert m.scale(sf.zero("rational")).is_zero()
-        zero = Monomial(sf.zero("rational"), rng.choice(trees))
-        assert zero.scale(b1) == zero
+def test_zero_monomials_are_equal(even_odd):
+    # all zero monomials denote the zero element: the class of the zero
+    # language, whatever the tree
+    qt = build_syntactic_quotient(even_odd)
+    a = Monomial(sf.RATIONAL.zero, Tree("alpha"))
+    b = Monomial(sf.RATIONAL.zero, terms.parse_tree("sigma(alpha,alpha)", SIG))
+    assert class_of(qt, a) is None and class_of(qt, b) is None
+    assert congruent(qt, a, b)
+    with pytest.raises(sf.SemifieldError):
+        class_of(qt, Monomial(sf.BOOLEAN.zero, Tree("alpha")))
+    assert not congruent(qt, a, Monomial(rat(1), Tree("alpha")))
 
 
 def test_parse_format_monomial():
-    m = parse_monomial("1/2.sigma(alpha,alpha)", SIG, "rational")
+    m = parse_monomial("1/2.sigma(alpha,alpha)", SIG, sf.RATIONAL)
     assert m.weight == rat(Fraction(1, 2))
     assert m.tree == terms.parse_tree("sigma(alpha,alpha)", SIG)
     assert format_monomial(m) == "1/2.sigma(alpha,alpha)"
     with pytest.raises(terms.TermError):
-        parse_monomial("sigma(alpha,alpha)", SIG, "rational")
+        parse_monomial("sigma(alpha,alpha)", SIG, sf.RATIONAL)
 
 
 def test_equal_cardinality_of_reduced_generating_sets():

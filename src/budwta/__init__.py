@@ -24,7 +24,6 @@ from .terms import (
     compose,
     decompose_elementary,
     enumerate_contexts,
-    enumerate_trees,
     format_tree,
     height,
     parse_context,

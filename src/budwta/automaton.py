@@ -26,6 +26,7 @@ from .terms import RankedAlphabet, Tree
 DetValue = Optional[Tuple[str, Value]]
 
 TransKey = Tuple[Tuple[str, ...], str, str]  # (state tuple, symbol, target)
+SuccKey = Tuple[Tuple[str, ...], str]  # (state tuple, symbol)
 
 
 class WtaError(ValueError):
@@ -74,7 +75,7 @@ class Wta:
                 raise WtaError(f"state name collides with a symbol: {q}")
         stateset = set(self.states)
         arity = self.alphabet.arity
-        succ: Dict[Tuple[Tuple[str, ...], str], List[Tuple[str, Value]]] = {}
+        succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
         for (ws, sym, q), w in self.delta.items():
             if len(ws) != arity(sym):
                 raise WtaError(f"transition arity mismatch for {sym}")
@@ -267,18 +268,39 @@ def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
 # --- reachability, slimming, observability --------------------------------
 
 
+def _waiting(a: Wta) -> Tuple[Dict[str, List[SuccKey]], Dict[SuccKey, int], List[SuccKey]]:
+    """The counters of a derivation over delta, after Dowling & Gallier (1984).
+
+    Per (state tuple, symbol) key, the number of its distinct child states
+    not found yet; per state, the keys that wait for it; and the keys that
+    wait for nothing (the nullary ones).  Finding a state decrements each
+    of its keys once, so a whole derivation costs O(|delta| * k).
+    """
+    waiting_on: Dict[str, List[SuccKey]] = {}
+    missing: Dict[SuccKey, int] = {}
+    ready: List[SuccKey] = []
+    for key in a._succ:
+        kids = set(key[0])
+        missing[key] = len(kids)
+        for p in kids:
+            waiting_on.setdefault(p, []).append(key)
+        if not kids:
+            ready.append(key)
+    return waiting_on, missing, ready
+
+
 def reachable_states(a: Wta) -> FrozenSet[str]:
     """States realized by some tree (the image of the run map, minus sink)."""
+    waiting_on, missing, ready = _waiting(a)
     reached: Set[str] = set()
-    grew = True
-    while grew:
-        grew = False
-        for (ws, _sym), hits in a._succ.items():
-            if all(p in reached for p in ws):
-                for q, _ in hits:
-                    if q not in reached:
-                        reached.add(q)
-                        grew = True
+    while ready:
+        for q, _ in a._succ[ready.pop()]:
+            if q not in reached:
+                reached.add(q)
+                for key in waiting_on.get(q, ()):
+                    missing[key] -= 1
+                    if not missing[key]:
+                        ready.append(key)
     return frozenset(reached)
 
 
@@ -318,31 +340,67 @@ def dead_states(a: Wta) -> FrozenSet[str]:
     realized by a tree.
     """
     _require_budet(a)
+    into: Dict[str, List[Tuple[str, ...]]] = {}  # target -> child tuples of its transitions
+    for ws, _sym, q in a.delta:
+        into.setdefault(q, []).append(ws)
     observable: Set[str] = set(a.final)
-    grew = True
-    while grew:
-        grew = False
-        for (ws, _sym, q) in a.delta:
-            if q in observable:
-                for p in ws:
-                    if p not in observable:
-                        observable.add(p)
-                        grew = True
+    todo = list(observable)
+    while todo:
+        for ws in into.get(todo.pop(), ()):
+            for p in ws:
+                if p not in observable:
+                    observable.add(p)
+                    todo.append(p)
     return frozenset(set(a.states) - observable)
 
 
 def representative_trees(a: Wta) -> Dict[str, Tree]:
-    """First tree (in enumeration order) reaching each state of a slim wta."""
+    """The first tree reaching each state of a slim bu-det automaton, in the
+    order of height, then symbol declaration, then the lexicographic order
+    of the children's places in this same order.
+
+    No tree is enumerated.  The first tree reaching q is
+    sym(rep(p1), ..., rep(pk)) for a transition sym(p1, ..., pk) -> q whose
+    child representatives come earlier: replacing a child by its state's
+    representative never makes a tree higher or later.  So the
+    representatives are derived over delta, height by height, after Knuth's
+    generalization of Dijkstra's algorithm (1977).  A transition joins the
+    bucket of height 1 + max(child heights) when its last child state gets
+    its representative; within a height each state takes its least
+    (symbol index, child ranks) transition, and the states found are ranked
+    in that order.  Children are the representatives themselves, so the
+    trees share their subtrees: the tree of a state at height n may have
+    2^(n+1) - 1 nodes, but no more distinct subtrees than there are states.  Each
+    tree is run through `state_of` as the derivation's own check.
+    """
     _require_budet(a)
-    if not is_slim(a):
-        raise PreconditionError("representative trees need a slim automaton")
+    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
+    waiting_on, missing, bucket = _waiting(a)
     reps: Dict[str, Tree] = {}
-    for t in terms.enumerate_trees(a.alphabet):
-        q = state_of(a, t)
-        if q is not None and q not in reps:
-            reps[q] = t
-            if len(reps) == len(a.states):
-                break
+    rank: Dict[str, int] = {}
+    while bucket:
+        least: Dict[str, tuple] = {}  # state -> (order, ws, sym) of its least transition
+        for ws, sym in bucket:
+            q = a._succ[(ws, sym)][0][0]
+            if q in reps:
+                continue
+            order = (sym_index[sym], tuple(rank[p] for p in ws))
+            if q not in least or order < least[q][0]:
+                least[q] = (order, ws, sym)
+        bucket = []
+        for q, (_, ws, sym) in sorted(least.items(), key=lambda item: item[1][0]):
+            rank[q] = len(rank)
+            reps[q] = Tree(sym, tuple(reps[p] for p in ws))
+            for key in waiting_on.get(q, ()):
+                missing[key] -= 1
+                if not missing[key]:
+                    bucket.append(key)
+    if len(reps) < len(a.states):
+        raise PreconditionError("representative trees need a slim automaton")
+    for q, t in reps.items():
+        got = state_of(a, t)
+        if got != q:
+            raise RuntimeError(f"the derived tree for state {q} reaches {got}")
     return reps
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or query answered yes), 1 query answered no,
 2 input or parse error, 3 precondition violated, 4 internal consistency
-failure (oracle disagreement).
+failure (oracle disagreement, or any other exception, reported on one
+``internal error: ...`` line).
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:  # a fault of the program: exit 1 means "no"
+        print(f"internal error: {exc!r}"[:300], file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

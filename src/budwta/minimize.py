@@ -74,14 +74,30 @@ def scalar_basis(
     return basis
 
 
+NAME_TEXT_CAP = 64  # characters of tree text that a basis-state name keeps
+
+
 def _basis_state_name(index: int, t: Tree) -> str:
-    flat = terms.format_tree(t)
-    for ch in "(),":
-        flat = flat.replace(ch, "_")
-    flat = flat.strip("_")
-    while "__" in flat:
-        flat = flat.replace("__", "_")
-    return f"c{index}__{flat}"
+    """``c{index}__`` and the tree's text with each run of ``(``, ``)``,
+    ``,`` and ``_`` written as one ``_``, none at either end, cut after
+    NAME_TEXT_CAP characters.
+
+    The text is read piece by piece and no further than the cap: a shared
+    tree of height n can have 2^(n+1) - 1 nodes.
+    """
+    out: List[str] = []
+    gap = False
+    for ch in itertools.chain.from_iterable(terms.tree_text(t)):
+        if ch in "(),_":
+            gap = bool(out)
+            continue
+        if gap:
+            out.append("_")
+            gap = False
+        out.append(ch)
+        if len(out) > NAME_TEXT_CAP:
+            break
+    return f"c{index}__" + "".join(out[:NAME_TEXT_CAP])
 
 
 def build_wta_from_basis(
@@ -98,8 +114,7 @@ def build_wta_from_basis(
     alphabet = a.alphabet
     k = a.kind
     if not basis:
-        t0 = next(terms.enumerate_trees(alphabet, 0))
-        p = _basis_state_name(0, t0)
+        p = _basis_state_name(0, Tree(alphabet.nullary_symbols()[0]))
         delta: Dict[TransKey, Value] = {}
         for sym in alphabet.symbols():
             delta[((p,) * alphabet.arity(sym), sym, p)] = k.one

@@ -77,7 +77,7 @@ def _zero_or_one(x: Union[int, Fraction]) -> bool:
     if x == 0 or x == 1:
         return x == 1
     raise WeightSyntaxError(
-        f"boolean weight must be 0 or 1, got {_number_text(Fraction(x))}"
+        f"boolean weight must be 0 or 1, got {_number_text(Fraction(x))[:60]}"
     )
 
 
@@ -85,7 +85,7 @@ def _non_negative(x: Union[int, Fraction]) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise WeightSyntaxError(
-            f"maxtimes weight must be non-negative, got {_number_text(x)}"
+            f"maxtimes weight must be non-negative, got {_number_text(x)[:60]}"
         )
     return x
 
@@ -130,7 +130,7 @@ def get(name: str) -> Semifield:
     try:
         return _BY_NAME[name]
     except KeyError:
-        raise WeightSyntaxError(f"unknown semifield kind: {name!r}") from None
+        raise WeightSyntaxError(f"unknown semifield kind: {name[:60]!r}") from None
 
 
 # Weight text grammar: integers, "p/q" with q > 0, "inf" (tropical only),

@@ -6,8 +6,9 @@ exactly one occurrence of ``z``.  Contexts compose by substitution at the
 ``z`` leaf and decompose uniquely into elementary contexts (depth one,
 ``z`` as a direct child of the root).
 
-Enumeration of trees and contexts is deterministic: by height first, then
-lexicographically following the declaration order of the alphabet.
+Enumeration of contexts is deterministic: by height first, then
+lexicographically following the declaration order of the alphabet, with
+the side trees of each height enumerated in the same order.
 """
 
 from __future__ import annotations
@@ -290,23 +291,31 @@ def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:
 
 
 def format_tree(t: Tree) -> str:
-    out: List[str] = []
+    return "".join(tree_text(t))
+
+
+def tree_text(t: Tree) -> Iterator[str]:
+    """The text of ``format_tree(t)``, piece by piece, left to right.
+
+    A shared subtree is written out at every occurrence, so the whole text
+    can be exponential in the number of distinct nodes; a reader that needs
+    only a prefix stops early.
+    """
     stack: List[object] = [t]  # trees still to write, and the text between them
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
+            yield item
             continue
-        out.append(item.symbol)
+        yield item.symbol
         kids = item.children
         if kids:
-            out.append("(")
+            yield "("
             stack.append(")")
             for i in range(len(kids) - 1, 0, -1):
                 stack.append(kids[i])
                 stack.append(",")
             stack.append(kids[0])
-    return "".join(out)
 
 
 # --- context algebra ------------------------------------------------------
@@ -367,28 +376,12 @@ def decompose_elementary(c: Tree) -> List[Tree]:
 # --- deterministic enumeration -------------------------------------------
 
 
-def enumerate_trees(
-    alphabet: RankedAlphabet, max_height: Optional[int] = None
-) -> Iterator[Tree]:
-    """All trees in height-then-declaration-lexicographic order.
-
-    With ``max_height=None`` the generator is unbounded.
-    """
-    seen: List[Tree] = []  # cumulative, in enumeration order
-    h = 0
-    while max_height is None or h <= max_height:
-        level = list(_trees_of_exact_height(alphabet, h, seen))
-        if not level:
-            return
-        for t in level:
-            yield t
-        seen.extend(level)
-        h += 1
-
-
 def _trees_of_exact_height(
     alphabet: RankedAlphabet, h: int, lower: List[Tree]
 ) -> Iterator[Tree]:
+    """The trees of height ``h`` in order, given ``lower``, every tree of
+    height below ``h`` in order: symbols in declaration order, then child
+    tuples in lexicographic order of their places in ``lower``."""
     if h == 0:
         for s in alphabet.nullary_symbols():
             yield Tree(s)

@@ -1,24 +1,60 @@
-"""Random automaton and monomial generation for the test suite.
+"""Tree enumeration and random automata and monomials for the test suite.
 
-Generated automata are slim and bu-deterministic by construction: a
-spanning set of transitions realizes every state, and transitions are
-keyed uniquely per (state tuple, symbol).  Automata with three or more
-states use unary-spine alphabets so that literal context enumeration at
-height 2*|Q| stays small; binary-symbol automata are capped at two
-states.
+`enumerate_trees` lists every tree, height by height; it is the reference
+that `automaton.representative_trees` is checked against.
+
+Automata from `random_slim_budet` are slim and bu-deterministic by
+construction: a spanning set of transitions realizes every state, and
+transitions are keyed uniquely per (state tuple, symbol).  Automata with
+three or more states use unary-spine alphabets so that literal context
+enumeration at height 2*|Q| stays small; binary-symbol automata are capped
+at two states.  `layered` and `chain` build minimal automata whose states
+need high trees.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from budwta import semifield as sf
+from budwta import automaton, semifield as sf, terms
 from budwta.automaton import TransKey, Wta
 from budwta.scalar import Monomial
 from budwta.semifield import Semifield, Value
 from budwta.terms import RankedAlphabet, Tree
+
+
+def enumerate_trees(
+    alphabet: RankedAlphabet, max_height: Optional[int] = None
+) -> Iterator[Tree]:
+    """All trees in height-then-declaration-lexicographic order.
+
+    With ``max_height=None`` the generator is unbounded.
+    """
+    seen: List[Tree] = []  # cumulative, in enumeration order
+    h = 0
+    while max_height is None or h <= max_height:
+        level = list(terms._trees_of_exact_height(alphabet, h, seen))
+        if not level:
+            return
+        yield from level
+        seen.extend(level)
+        h += 1
+
+
+def first_trees(a: Wta) -> Dict[str, Tree]:
+    """The first enumerated tree reaching each state of a slim automaton,
+    in the order found."""
+    reps: Dict[str, Tree] = {}
+    for t in enumerate_trees(a.alphabet):
+        q = automaton.state_of(a, t)
+        if q is not None and q not in reps:
+            reps[q] = t
+            if len(reps) == len(a.states):
+                return reps
+
 
 RAT_POOL = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
 TROP_POOL = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]
@@ -72,8 +108,6 @@ def random_slim_budet(
 
     # random extra transitions, bu-det by unique keys
     for sym, k in symbols:
-        import itertools
-
         for ws in itertools.product(states, repeat=k):
             if (ws, sym) in used:
                 continue
@@ -95,3 +129,63 @@ def random_monomial(
     if rng.random() < zero_prob:
         return Monomial(kind.zero, t)
     return Monomial(random_weight(rng, kind), t)
+
+
+def layered(rng: random.Random, kind: Semifield, n: int, height: int) -> Wta:
+    """A minimal unary automaton whose deepest state needs a tree of ``height``.
+
+    Symbols c/1, g/1, h/1, a/0, b/0.  States q0..q(n-1) are numbered by
+    layer: layer d holds the states whose least tree has height d.  Both
+    leaves lead to q0, each state of layer d >= 1 has a g or h transition
+    from layer d-1, no transition leads more than one layer up, and c runs
+    the cycle q0 -> q1 -> ... -> q(n-1) -> q0.  State q_i observes a
+    nonzero weight in context c^j iff q_(i+j mod n) has a final weight, and
+    that support has no rotation symmetry, so no two states are
+    proportional: the automaton is minimal.
+    """
+    assert height < n < 2 ** (height + 1)
+    sizes = [1] * (height + 1)  # a layer holds at most twice the layer below
+    while sum(sizes) < n:
+        d = rng.randrange(1, height + 1)
+        if sizes[d] < 2 * sizes[d - 1]:
+            sizes[d] += 1
+    states = [f"q{i}" for i in range(n)]
+    layer = [d for d, size in enumerate(sizes) for _ in range(size)]
+    delta: Dict[TransKey, Value] = {
+        ((), "a", "q0"): random_weight(rng, kind),
+        ((), "b", "q0"): random_weight(rng, kind),
+    }
+    for i, q in enumerate(states):
+        delta[((q,), "c", states[(i + 1) % n])] = random_weight(rng, kind)
+    free = set(itertools.product(("g", "h"), range(n)))  # (symbol, source index)
+    for i in range(1, n):
+        below = sorted(s for s in free if layer[s[1]] == layer[i] - 1)
+        sym, j = rng.choice(below)
+        free.discard((sym, j))
+        delta[((states[j],), sym, states[i])] = random_weight(rng, kind)
+    for sym, j in sorted(free):
+        if rng.random() < 0.85:
+            top = [q for q, d in zip(states, layer) if d <= layer[j] + 1]
+            delta[((states[j],), sym, rng.choice(top))] = random_weight(rng, kind)
+    while True:
+        support = [i == 0 or rng.random() < 0.5 for i in range(n)]
+        if all(support[d:] + support[:d] != support for d in range(1, n)):
+            break
+    final = {q: random_weight(rng, kind) for q, s in zip(states, support) if s}
+    alphabet = RankedAlphabet([("c", 1), ("g", 1), ("h", 1), ("a", 0), ("b", 0)])
+    return Wta(alphabet, tuple(states), kind, delta, final)
+
+
+def chain(rng: random.Random, kind: Semifield, n: int) -> Wta:
+    """The binary chain a -> q0, s(q_i, q_i) -> q_(i+1), every state final.
+
+    State q_i needs a tree of height i, with 2^(i+1) - 1 nodes.  Minimal:
+    the context s(z, t_i), with t_i reaching q_i, observes q_i and gives
+    every other state the weight zero.
+    """
+    states = tuple(f"q{i}" for i in range(n))
+    delta: Dict[TransKey, Value] = {((), "a", "q0"): random_weight(rng, kind)}
+    for p, q in zip(states, states[1:]):
+        delta[((p, p), "s", q)] = random_weight(rng, kind)
+    final = {q: random_weight(rng, kind) for q in states}
+    return Wta(RankedAlphabet([("s", 2), ("a", 0)]), states, kind, delta, final)

@@ -17,7 +17,7 @@ from budwta.minimize import candidate_set, equivalent, is_minimal, minimize
 from budwta.scalar import Monomial
 
 from conftest import EVEN_ODD, GAMMA3, TWO_LEAF
-from corpus import random_monomial, random_slim_budet
+from corpus import enumerate_trees, random_monomial, random_slim_budet
 
 
 def _ok(criterion, text):
@@ -32,7 +32,7 @@ def test_criterion_1_even_odd_closed_form(even_odd):
         )
         == 8
     )
-    for tree in terms.enumerate_trees(even_odd.alphabet, 3):
+    for tree in enumerate_trees(even_odd.alphabet, 3):
         n = terms.count_symbol(tree, "alpha")
         expected = Fraction(2 if n % 2 == 0 else 3) * 2**n
         assert evaluate(even_odd, tree) == expected
@@ -95,7 +95,7 @@ def test_criterion_5_refinement_vs_bounded_oracle():
         a = random_slim_budet(rng, kind, n, binary=binary)
         qt = build_syntactic_quotient(a)
         oracle = BoundedContextOracle(a, 2 * len(a.states))
-        trees = list(terms.enumerate_trees(a.alphabet, 3))
+        trees = list(enumerate_trees(a.alphabet, 3))
         automata += 1
         for _ in range(1000):
             m1 = random_monomial(rng, kind, trees)
@@ -121,7 +121,7 @@ def test_criterion_6_semantics_preserved_and_idempotent():
         n = rng.randint(1, 2) if binary else rng.randint(1, 4)
         a = random_slim_budet(rng, kind, n, binary=binary)
         m = minimize(a)
-        for tree in terms.enumerate_trees(a.alphabet, 4):
+        for tree in enumerate_trees(a.alphabet, 4):
             assert evaluate(m, tree) == evaluate(a, tree)
         assert len(minimize(m).states) == len(m.states)
     _ok(6, "minimization preserves semantics on trees of height <= 4 and is size-idempotent")
@@ -140,7 +140,7 @@ def test_criterion_7_addition_irrelevance():
             {k: sf.MAXTIMES.from_fraction(w) for k, w in a.delta.items()},
             {q: sf.MAXTIMES.from_fraction(w) for q, w in a.final.items()},
         )
-        for tree in terms.enumerate_trees(a.alphabet, 4):
+        for tree in enumerate_trees(a.alphabet, 4):
             assert evaluate(a, tree) == evaluate(b, tree)
     _ok(7, "bu-det evaluation does not depend on the additive operation (50 automata, height <= 4)")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -29,7 +30,7 @@ from budwta.automaton import (
 from budwta.terms import RankedAlphabet, Tree
 
 from conftest import EVEN_ODD, GAMMA3
-from corpus import random_slim_budet
+from corpus import chain, enumerate_trees, first_trees, layered, random_slim_budet
 
 
 def t(text, a):
@@ -121,7 +122,7 @@ def test_evaluate_examples(even_odd, gamma3):
 
 def test_evaluate_closed_form_even_odd(even_odd):
     # weight 2*2^n for an even number n of alpha leaves, 3*2^n for odd
-    for tree in terms.enumerate_trees(even_odd.alphabet, 3):
+    for tree in enumerate_trees(even_odd.alphabet, 3):
         n = terms.count_symbol(tree, "alpha")
         base = 2 if n % 2 == 0 else 3
         assert evaluate(even_odd, tree) == rat(base * 2**n)
@@ -143,7 +144,7 @@ def test_h_det_matches_h_general_on_corpus():
         binary = i % 3 == 0
         n = rng.randint(1, 2) if binary else rng.randint(1, 4)
         a = random_slim_budet(rng, kind, n, binary=binary)
-        for tree in terms.enumerate_trees(a.alphabet, 3):
+        for tree in enumerate_trees(a.alphabet, 3):
             vec = h_general(a, tree)
             v = h_det(a, tree)
             if v is None:
@@ -173,7 +174,7 @@ def test_context_transform_factorization_on_corpus():
         kind = [sf.RATIONAL, sf.BOOLEAN, sf.TROPICAL][i % 3]
         a = random_slim_budet(rng, kind, rng.randint(1, 3))
         ctxs = list(terms.enumerate_contexts(a.alphabet, 3))
-        trees = list(terms.enumerate_trees(a.alphabet, 2))
+        trees = list(enumerate_trees(a.alphabet, 2))
         for _ in range(40):
             ctx = rng.choice(ctxs)
             tree = rng.choice(trees)
@@ -214,7 +215,7 @@ def test_slim_zero_branch():
     assert len(s.states) == 1
     assert s.final == {}
     assert is_total(s)
-    for tree in terms.enumerate_trees(a.alphabet, 3):
+    for tree in enumerate_trees(a.alphabet, 3):
         assert evaluate(s, tree) == sf.RATIONAL.zero
         assert evaluate(a, tree) == sf.RATIONAL.zero
 
@@ -233,7 +234,7 @@ def test_slim_preserves_semantics_on_corpus():
         s = slim(a)
         assert is_slim(s)
         assert len(s.states) <= len(a.states)
-        for tree in terms.enumerate_trees(a.alphabet, 4):
+        for tree in enumerate_trees(a.alphabet, 4):
             assert evaluate(s, tree) == evaluate(a, tree)
 
 
@@ -263,6 +264,77 @@ def test_representative_trees_examples(even_odd, gamma3, non_slim):
         representative_trees(non_slim)
 
 
+def _same_first_trees(a):
+    derived = representative_trees(a)
+    assert list(derived.items()) == list(first_trees(a).items())
+    return derived
+
+
+def test_representative_trees_match_enumeration_on_corpus():
+    rng = random.Random(606)
+    for i in range(240):
+        kind = sf.KINDS[i % 4]
+        binary = i % 3 == 0
+        a = random_slim_budet(rng, kind, rng.randint(1, 2 if binary else 4), binary)
+        _same_first_trees(a)
+
+
+def test_representative_trees_match_enumeration_on_high_witnesses():
+    rng = random.Random(607)
+    for height in range(1, 7):
+        for kind in sf.KINDS:
+            a = layered(rng, kind, rng.randint(height + 1, 3 * height), height)
+            reps = _same_first_trees(a)
+            assert max(map(terms.height, reps.values())) == height
+    for n in range(1, 6):
+        reps = _same_first_trees(chain(rng, sf.KINDS[n % 4], n))
+        assert [terms.height(reps[f"q{i}"]) for i in range(n)] == list(range(n))
+
+
+def test_representative_trees_are_shared():
+    # the tree of q63 has 2^64 - 1 nodes and 64 distinct ones
+    reps = representative_trees(chain(random.Random(608), sf.BOOLEAN, 64))
+    top = reps["q63"]
+    assert terms.height(top) == 63
+    assert len(list(terms.postorder(top))) == 64
+    assert top.children[0] is top.children[1] is reps["q62"]
+
+
+def _swept_reachable(a):
+    reached = set()
+    while True:
+        new = {q for (ws, _sym, q) in a.delta if reached.issuperset(ws)} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def _swept_dead(a):
+    observable = set(a.final)
+    while True:
+        new = {p for (ws, _sym, q) in a.delta if q in observable for p in ws} - observable
+        if not new:
+            return set(a.states) - observable
+        observable |= new
+
+
+def test_reachable_and_dead_states_match_sweeps():
+    rng = random.Random(609)
+    alphabet = RankedAlphabet([("s", 2), ("g", 1), ("a", 0), ("b", 0)])
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        states = [f"q{i}" for i in range(n)]
+        delta = {}
+        for sym, k in (("s", 2), ("g", 1), ("a", 0), ("b", 0)):
+            for ws in itertools.product(states, repeat=k):
+                if rng.random() < 0.3:
+                    delta[(ws, sym, rng.choice(states))] = sf.BOOLEAN.one
+        final = {q: sf.BOOLEAN.one for q in states if rng.random() < 0.3}
+        a = Wta(alphabet, tuple(states), sf.BOOLEAN, delta, final)
+        assert reachable_states(a) == _swept_reachable(a)
+        assert dead_states(a) == _swept_dead(a)
+
+
 # --- addition irrelevance -------------------------------------------------
 
 
@@ -272,7 +344,7 @@ def test_addition_irrelevance_invariant():
     for _ in range(10):
         a = random_slim_budet(rng, sf.MAXTIMES, rng.randint(1, 3))
         as_rational = Wta(a.alphabet, a.states, sf.RATIONAL, a.delta, a.final)
-        for tree in terms.enumerate_trees(a.alphabet, 4):
+        for tree in enumerate_trees(a.alphabet, 4):
             assert evaluate(a, tree) == evaluate(as_rational, tree)
 
 

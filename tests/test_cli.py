@@ -5,7 +5,9 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from budwta import congruence
+import importlib
+
+from budwta import automaton, congruence
 from budwta.automaton import WtaError, format_wta, parse_wta
 from budwta.cli import main
 
@@ -257,6 +259,66 @@ def test_tree_error_text_is_bounded(wta_file, capsys):
         assert main(["eval", path, "--tree", tree]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err) < 200
+
+
+def test_weight_error_text_is_bounded(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    huge = "7" * 10**5
+    for text in (
+        GAMMA3.replace("semifield rational", "semifield boolean").replace("@ 2", "@ " + huge),
+        GAMMA3.replace("semifield rational", "semifield maxtimes").replace("@ 2", "@ -" + huge),
+        GAMMA3.replace("semifield rational", "semifield " + "x" * 10**5),
+    ):
+        (tmp_path / "w.wta").write_text(text)
+        assert main(["validate", "w.wta"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: w.wta: line ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+
+_MINIMIZE = importlib.import_module("budwta.minimize")
+
+
+@pytest.mark.parametrize("command, owner, phase", [
+    ("validate", automaton, "is_total"),
+    ("eval", automaton, "evaluate"),
+    ("state", automaton, "state_of"),
+    ("check", _MINIMIZE, "minimality"),
+    ("minimize", _MINIMIZE, "minimize"),
+    ("congruent", congruence, "build_syntactic_quotient"),
+    ("equiv", _MINIMIZE, "equivalent"),
+])
+def test_unexpected_exception_exits_4(wta_file, capsys, monkeypatch, command, owner, phase):
+    path = wta_file(EVEN_ODD)
+    argv = {
+        "eval": ["eval", path, "--tree", "alpha"],
+        "state": ["state", path, "--tree", "alpha"],
+        "congruent": ["congruent", path, "--mono", "1.alpha", "--mono", "2.alpha"],
+        "equiv": ["equiv", path, path],
+    }.get(command, [command, path])
+
+    def fail(*args):
+        raise ZeroDivisionError("a fault\nover two lines " + "x" * 1000)
+
+    monkeypatch.setattr(owner, phase, fail)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ZeroDivisionError('a fault\\nover")
+    assert err.count("\n") == 1 and len(err) < 400
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(owner, phase, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+
+
+def test_failed_witness_check_exits_4(wta_file, capsys, monkeypatch):
+    monkeypatch.setattr(automaton, "state_of", lambda a, t: None)
+    assert main(["minimize", wta_file(GAMMA3)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError('the derived tree for state q1")
 
 
 def test_eval_and_state_on_deep_spine(wta_file, capsys):

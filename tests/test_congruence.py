@@ -15,7 +15,7 @@ from budwta.congruence import (
 from budwta.scalar import Monomial
 from budwta.terms import Tree
 
-from corpus import random_monomial, random_slim_budet
+from corpus import enumerate_trees, random_monomial, random_slim_budet
 
 
 def rat(x):
@@ -94,7 +94,7 @@ def test_class_of_even_odd(even_odd):
 def test_congruent_parity_rule(even_odd):
     qt = build_syntactic_quotient(even_odd)
     # b1 * 2^#alpha(t1) = b2 * 2^#alpha(t2) and equal parity
-    trees = list(terms.enumerate_trees(even_odd.alphabet, 3))
+    trees = list(enumerate_trees(even_odd.alphabet, 3))
     rng = random.Random(3)
     for _ in range(300):
         t1, t2 = rng.choice(trees), rng.choice(trees)
@@ -158,7 +158,7 @@ def test_brute_force_zero_sides(two_leaf):
 def test_congruence_respects_scaling(even_odd):
     qt = build_syntactic_quotient(even_odd)
     rng = random.Random(23)
-    trees = list(terms.enumerate_trees(even_odd.alphabet, 3))
+    trees = list(enumerate_trees(even_odd.alphabet, 3))
     for _ in range(200):
         m1 = random_monomial(rng, sf.RATIONAL, trees)
         m2 = random_monomial(rng, sf.RATIONAL, trees)
@@ -177,7 +177,7 @@ def test_congruence_respects_top_concatenation(even_odd):
     # them congruent; checked against the bounded oracle as well
     qt = build_syntactic_quotient(even_odd)
     rng = random.Random(29)
-    trees = list(terms.enumerate_trees(even_odd.alphabet, 2))
+    trees = list(enumerate_trees(even_odd.alphabet, 2))
     ctxs = [
         c
         for c in terms.enumerate_contexts(even_odd.alphabet, 2)
@@ -203,7 +203,7 @@ def test_kernel_equality_implies_congruent(even_odd):
     # equal scaled h_det values always land in the same congruence class
     qt = build_syntactic_quotient(even_odd)
     rng = random.Random(41)
-    trees = list(terms.enumerate_trees(even_odd.alphabet, 3))
+    trees = list(enumerate_trees(even_odd.alphabet, 3))
     for _ in range(300):
         m1 = random_monomial(rng, sf.RATIONAL, trees)
         m2 = random_monomial(rng, sf.RATIONAL, trees)
@@ -239,7 +239,7 @@ def test_refinement_matches_oracle_small_corpus(kind):
         a = random_slim_budet(rng, kind, n, binary=binary)
         qt = build_syntactic_quotient(a)
         oracle = BoundedContextOracle(a, 2 * len(a.states))
-        trees = list(terms.enumerate_trees(a.alphabet, 3))
+        trees = list(enumerate_trees(a.alphabet, 3))
         for _ in range(150):
             m1 = random_monomial(rng, kind, trees)
             m2 = random_monomial(rng, kind, trees)
@@ -256,7 +256,7 @@ def test_refinement_matches_oracle_tropical():
         a = random_slim_budet(rng, sf.TROPICAL, rng.randint(1, 3))
         qt = build_syntactic_quotient(a)
         oracle = BoundedContextOracle(a, 2 * len(a.states))
-        trees = list(terms.enumerate_trees(a.alphabet, 3))
+        trees = list(enumerate_trees(a.alphabet, 3))
         for _ in range(100):
             m1 = random_monomial(rng, sf.TROPICAL, trees)
             m2 = random_monomial(rng, sf.TROPICAL, trees)

@@ -17,6 +17,8 @@ from budwta.automaton import (
 )
 from budwta.congruence import build_syntactic_quotient, class_of
 from budwta.minimize import (
+    NAME_TEXT_CAP,
+    _basis_state_name,
     build_wta_from_basis,
     candidate_set,
     degree,
@@ -27,7 +29,7 @@ from budwta.minimize import (
 )
 from budwta.scalar import Monomial
 
-from corpus import random_slim_budet
+from corpus import chain, enumerate_trees, layered, random_slim_budet
 
 
 def rat(x):
@@ -134,10 +136,50 @@ def test_build_zero_language():
         "semifield rational\nrank alpha 0\ntrans alpha() -> p @ 1\n"
     )  # no final weights: the zero language
     m = minimize(a)
-    assert len(m.states) == 1
+    assert m.states == ("c0__alpha",)
     assert m.final == {}
-    for tree in terms.enumerate_trees(a.alphabet, 3):
+    for tree in enumerate_trees(a.alphabet, 3):
         assert evaluate(m, tree) == sf.RATIONAL.zero
+
+
+def _uncapped_name(index, tree):
+    flat = terms.format_tree(tree)
+    for ch in "(),":
+        flat = flat.replace(ch, "_")
+    flat = flat.strip("_")
+    while "__" in flat:
+        flat = flat.replace("__", "_")
+    return f"c{index}__{flat}"
+
+
+def test_basis_state_names_are_capped():
+    alphabet = terms.RankedAlphabet([("sigma", 2), ("g_", 1), ("_al", 0), ("beta", 0)])
+    lengths = set()
+    for tree in enumerate_trees(alphabet, 3):
+        full = _uncapped_name(17, tree)
+        lengths.add(len(full) - len("c17__"))
+        assert _basis_state_name(17, tree) == full[: len("c17__") + NAME_TEXT_CAP]
+    assert {NAME_TEXT_CAP, NAME_TEXT_CAP + 1} < lengths
+
+
+@pytest.mark.parametrize("kind", [sf.BOOLEAN, sf.TROPICAL], ids=str)
+def test_minimize_64_state_chain(kind):
+    # the tree of the last state has 2^64 - 1 nodes; over rational or
+    # max-times its weight w^(2^63) cannot be written down at all
+    a = chain(random.Random(610), kind, 64)
+    m = minimize(a)
+    assert len(m.states) == 64
+    assert max(map(len, m.states)) <= len("c63__") + NAME_TEXT_CAP
+    assert equivalent(a, parse_wta(format_wta(m)))
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_minimize_unary_witness_height_12(kind):
+    a = layered(random.Random(611), kind, 200, 12)
+    assert max(map(terms.height, automaton.representative_trees(a).values())) == 12
+    m = minimize(a)
+    assert len(m.states) == 200
+    assert equivalent(a, m)
 
 
 def test_minimize_two_leaf(two_leaf):
@@ -242,7 +284,7 @@ def test_equivalent_ignores_dead_differences():
 def _bounded_equivalence(a, b, max_height):
     return all(
         evaluate(a, tree) == evaluate(b, tree)
-        for tree in terms.enumerate_trees(a.alphabet, max_height)
+        for tree in enumerate_trees(a.alphabet, max_height)
     )
 
 
@@ -277,7 +319,7 @@ def test_minimize_corpus_invariants():
         assert is_bu_deterministic(m)
         assert is_slim(m)
         assert len(m.states) <= len(a.states)
-        for tree in terms.enumerate_trees(a.alphabet, 4):
+        for tree in enumerate_trees(a.alphabet, 4):
             assert evaluate(m, tree) == evaluate(a, tree)
         assert is_minimal(m)
         qt = build_syntactic_quotient(slim(a))

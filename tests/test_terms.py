@@ -14,13 +14,14 @@ from budwta.terms import (
     compose,
     decompose_elementary,
     enumerate_contexts,
-    enumerate_trees,
     format_tree,
     height,
     parse_context,
     parse_tree,
     substitute,
 )
+
+from corpus import enumerate_trees
 
 SIG = RankedAlphabet([("alpha", 0), ("sigma", 2)])
 UNARY = RankedAlphabet([("gamma", 1), ("alpha", 0)])

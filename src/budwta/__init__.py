@@ -21,7 +21,6 @@ from .terms import (
     TermError,
     Tree,
     Z,
-    compose,
     decompose_elementary,
     enumerate_contexts,
     format_tree,

@@ -188,11 +188,19 @@ def _run(a: Wta, t: Tree) -> DetValue:
 
 
 def _det(a: Wta, t: Tree) -> DetValue:
-    """The run of ``t``; the tree is validated only when the memo misses."""
-    v = a._runs.get(t, _MISS)
+    """The run of ``t``; the tree is validated only when the memo misses.
+
+    A hit is stored again under ``t`` itself: a tree equal to the key but
+    parsed apart costs one comparison walk, and the next lookup of the
+    same object (a monomial is looked up once per decision procedure)
+    is an identity hit.
+    """
+    runs = a._runs
+    v = runs.pop(t, _MISS)
     if v is _MISS:
         terms.validate_tree(t, a.alphabet)
-        v = _run(a, t)
+        return _run(a, t)
+    runs[t] = v
     return v  # type: ignore[return-value]
 
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import automaton, terms
-from .automaton import PreconditionError, Wta
+from .automaton import DetValue, PreconditionError, Wta
 from .scalar import Monomial
 from .semifield import Semifield, SemifieldError, Value
 from .terms import Tree
@@ -53,12 +53,13 @@ class SyntacticQuotient:
 
 def _observe(a: Wta, q: str, c: Tree) -> Value:
     """Weight of plugging a unit run at state q into context c, then F."""
+    return _read_out(a, automaton.context_transform(a, c, (q, a.kind.one)))
+
+
+def _read_out(a: Wta, v: DetValue) -> Value:
+    """The weight of a run value at the root: its weight times F of its state."""
     k = a.kind
-    v = automaton.context_transform(a, c, (q, k.one))
-    if v is None:
-        return k.zero
-    p, w = v
-    return k.times(w, a.final.get(p, k.zero))
+    return k.zero if v is None else k.times(v[1], a.final.get(v[0], k.zero))
 
 
 def _observation_steps(
@@ -254,32 +255,96 @@ def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
 # --- brute-force oracle over literally enumerated contexts ----------------
 
 
+def context_tables(
+    a: Wta, ctx_height: int
+) -> Iterator[Tuple[Tree, Tuple[DetValue, ...]]]:
+    """Every context of height <= ctx_height, in enumeration order, with its
+    table: entry i is the run of the context on a unit value at state i,
+    ``context_transform(a, c, (a.states[i], one))``.
+
+    The table of ``z`` is the identity.  Every other context the
+    enumeration builds is s(t1, ..., c', ..., tk) around a context c' it
+    yielded earlier, and a context decomposes uniquely into elementary
+    contexts, so its table is the table of c' followed by one elementary
+    step: the side trees are run once, then delta is applied once per
+    state.  That is O(|Q| + k) per context.  Only a context below
+    ctx_height can be the hole child of a later one, so only those tables
+    are kept; the hole child is the very object yielded before, which a
+    dict lookup finds by identity, and a side tree never matches a key.
+    """
+    one = a.kind.one
+    below: Dict[Tree, Tuple[DetValue, ...]] = {}
+    for c in terms.enumerate_contexts(a.alphabet, ctx_height):
+        if c.children:
+            table = _step_table(a, c, below)
+        else:  # z
+            table = tuple((q, one) for q in a.states)
+        if terms.height(c) < ctx_height:
+            below[c] = table
+        yield c, table
+
+
+def _step_table(
+    a: Wta, c: Tree, below: Dict[Tree, Tuple[DetValue, ...]]
+) -> Tuple[DetValue, ...]:
+    """The table of ``c``: its hole child's table, then c's elementary step."""
+    times = a.kind.times
+    ws: List[str] = []  # child states; the hole's is filled in per state
+    factor = a.kind.one  # the product of the side trees' weights
+    for i, kid in enumerate(c.children):
+        inner = below.get(kid)
+        if inner is not None:
+            hole, hole_table = i, inner
+            ws.append("")
+            continue
+        v = automaton.h_det(a, kid)
+        if v is None:  # a side tree without a run kills every state
+            return (None,) * len(a.states)
+        ws.append(v[0])
+        factor = times(factor, v[1])
+    out: List[DetValue] = []
+    for v in hole_table:
+        if v is not None:
+            ws[hole] = v[0]
+            hits = a.targets(tuple(ws), c.symbol)
+            if hits:
+                q, w = hits[0]
+                out.append((q, times(times(v[1], factor), w)))
+                continue
+        out.append(None)
+    return tuple(out)
+
+
 class BoundedContextOracle:
     """Checks the congruence condition over every context up to a height.
 
-    Observations are precomputed per context and state, then deduplicated
-    per ordered state pair, so that a membership query costs only a few
-    weight comparisons per distinct observation pair.
+    The oracle ranges over the literal contexts of `terms.enumerate_contexts`
+    and shares no reasoning with the refinement: only the run of a context
+    is computed incrementally (see `context_tables`), and it equals
+    `automaton.context_transform`.  Each table gives one observation row,
+    the weight of plugging a unit run at each state into the context and
+    reading the final weight.  The distinct rows are kept, then folded into
+    the distinct observation pairs per ordered state pair, so that a
+    membership query costs only a few weight comparisons per pair.
     """
 
     def __init__(self, a: Wta, ctx_height: int):
         automaton._require_budet(a)
         self.wta = a
         self.ctx_height = ctx_height
-        contexts = list(terms.enumerate_contexts(a.alphabet, ctx_height))
-        obs_rows: List[Dict[str, Value]] = []
-        for c in contexts:
-            obs_rows.append({q: _observe(a, q, c) for q in a.states})
+        zero = a.kind.zero
+        rows = {
+            tuple(_read_out(a, v) for v in table)
+            for _c, table in context_tables(a, ctx_height)
+        }
+        states = a.states
         self.col_nonzero: Dict[str, bool] = {
-            q: any(row[q] != a.kind.zero for row in obs_rows) for q in a.states
+            q: any(row[i] != zero for row in rows) for i, q in enumerate(states)
         }
         self.pair_obs: Dict[Tuple[str, str], Tuple[Tuple[Value, Value], ...]] = {}
-        for q1 in a.states:
-            for q2 in a.states:
-                seen: Set[Tuple[Value, Value]] = set()
-                for row in obs_rows:
-                    seen.add((row[q1], row[q2]))
-                self.pair_obs[(q1, q2)] = tuple(seen)
+        for i, q1 in enumerate(states):
+            for j, q2 in enumerate(states):
+                self.pair_obs[(q1, q2)] = tuple({(row[i], row[j]) for row in rows})
 
     def _coefficient(self, m: Monomial) -> Tuple[Optional[str], Value]:
         k = self.wta.kind

@@ -63,7 +63,7 @@ class Semifield:
             raise WeightSyntaxError(f"malformed weight: {text[:60]!r}")
         num, _, den = text.partition("/")
         try:
-            x = Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+            x = Fraction(_int(num), _int(den) if den else 1)
         except ZeroDivisionError:
             msg = f"zero denominator in weight: {text[:60]!r}"
             raise WeightSyntaxError(msg) from None
@@ -137,15 +137,57 @@ def get(name: str) -> Semifield:
 # "0"/"1" for booleans.  Used verbatim by the .wta format and the CLI.
 _NUM_RE = re.compile(r"^-?\d+(/\d+)?$")
 
-# int <-> str conversions refuse more than 4300 digits (sys.int_info);
-# Decimal converts exactly at any length, so weight text goes through it.
+# int <-> str conversions refuse more than sys.get_int_max_str_digits()
+# digits, 4300 by default, and a program may lower that limit to 640, the
+# least it accepts.  Weight text of up to 640 digits converts directly;
+# longer text is converted by halves, which keeps every piece within the
+# limit and costs a few multiplications of the full size (subquadratic)
+# instead of the quadratic digit-by-digit conversion.
+_DIGITS = 640
+_BITS = 2000  # 2^2000 has 603 decimal digits
+
+
+def _int(text: str) -> int:
+    """The integer of digit text with an optional minus sign, of any length."""
+    if len(text) <= _DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_int(text[1:])
+    h = len(text) // 2
+    return _int(text[:-h]) * 10**h + _int(text[-h:])
+
+
+def _digits(n: int) -> str:
+    """The decimal text of an integer, of any length.
+
+    A long integer is split by bits, which is cheap, and the halves are
+    joined in `decimal` arithmetic, which multiplies large numbers in
+    near-linear time and prints them in linear time.
+    """
+    if n.bit_length() <= _BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    with decimal.localcontext() as ctx:  # exact: no rounding at any length
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(_decimal(n, n.bit_length()))
+
+
+def _decimal(n: int, bits: int) -> decimal.Decimal:
+    """``n``, of at most ``bits`` bits, as a Decimal (in an exact context)."""
+    if bits <= _BITS:
+        return decimal.Decimal(n)
+    h = bits // 2
+    hi, lo = _decimal(n >> h, bits - h), _decimal(n & ((1 << h) - 1), h)
+    return hi * decimal.Decimal(2) ** h + lo
 
 
 def _number_text(x: Fraction) -> str:
-    num = str(decimal.Decimal(x.numerator))
     if x.denominator == 1:
-        return num
-    return f"{num}/{decimal.Decimal(x.denominator)}"
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def format_weight(w: Value) -> str:

@@ -165,10 +165,6 @@ def count_symbol(t: Tree, name: str) -> int:
     return counts[id(t)]
 
 
-def is_context(t: Tree) -> bool:
-    return count_symbol(t, Z_NAME) == 1
-
-
 def validate_tree(t: Tree, alphabet: RankedAlphabet, allow_z: bool = False) -> None:
     arities = alphabet._arity
     seen: Set[int] = set()  # inner nodes already checked (shared subtrees)
@@ -335,11 +331,6 @@ def substitute(c: Tree, t: Tree) -> Tree:
         same = all(map(operator.is_, kids, node.children))
         new[id(node)] = node if same else Tree(node.symbol, kids)
     return new[id(c)]
-
-
-def compose(c1: Tree, c2: Tree) -> Tree:
-    """Context composition: ``c1`` around ``c2`` (z of c1 replaced by c2)."""
-    return substitute(c1, c2)
 
 
 def decompose_elementary(c: Tree) -> List[Tree]:

@@ -2,6 +2,10 @@
 
 `enumerate_trees` lists every tree, height by height; it is the reference
 that `automaton.representative_trees` is checked against.
+`ObserveOracle` is the bounded-context oracle that runs every context on
+every state through `automaton.context_transform`; it is the reference
+that `congruence.BoundedContextOracle` and its context tables are checked
+against.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -17,9 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from budwta import automaton, semifield as sf, terms
+from budwta import automaton, congruence, semifield as sf, terms
 from budwta.automaton import TransKey, Wta
 from budwta.scalar import Monomial
 from budwta.semifield import Semifield, Value
@@ -42,6 +46,46 @@ def enumerate_trees(
         yield from level
         seen.extend(level)
         h += 1
+
+
+class ObserveOracle:
+    """`congruence.BoundedContextOracle` as it was before context tables:
+    one `congruence._observe` call, and so one full run of the context,
+    per context and state."""
+
+    def __init__(self, a: Wta, ctx_height: int):
+        self.wta = a
+        contexts = list(terms.enumerate_contexts(a.alphabet, ctx_height))
+        rows = [{q: congruence._observe(a, q, c) for q in a.states} for c in contexts]
+        self.col_nonzero: Dict[str, bool] = {
+            q: any(row[q] != a.kind.zero for row in rows) for q in a.states
+        }
+        self.pair_obs: Dict[Tuple[str, str], Set[Tuple[Value, Value]]] = {
+            (q1, q2): {(row[q1], row[q2]) for row in rows}
+            for q1 in a.states
+            for q2 in a.states
+        }
+
+    def _coefficient(self, m: Monomial) -> Tuple[Optional[str], Value]:
+        k = self.wta.kind
+        if m.weight == k.zero:
+            return (None, None)
+        v = automaton.h_det(self.wta, m.tree)
+        if v is None:
+            return (None, None)
+        return (v[0], k.times(m.weight, v[1]))
+
+    def congruent(self, m1: Monomial, m2: Monomial) -> bool:
+        q1, c1 = self._coefficient(m1)
+        q2, c2 = self._coefficient(m2)
+        if q1 is None and q2 is None:
+            return True
+        if q1 is None:
+            return not self.col_nonzero[q2]
+        if q2 is None:
+            return not self.col_nonzero[q1]
+        times = self.wta.kind.times
+        return all(times(c1, o1) == times(c2, o2) for o1, o2 in self.pair_obs[(q1, q2)])
 
 
 def first_trees(a: Wta) -> Dict[str, Tree]:
@@ -120,6 +164,16 @@ def random_slim_budet(
             final[q] = random_weight(rng, kind)
 
     return Wta(alphabet, states, kind, delta, final)
+
+
+def small_corpus(kind: Semifield, count: int, seed: int = 0) -> Iterator[Wta]:
+    """``count`` random slim bu-det automata: every third one binary with
+    1-2 states, the others unary with 1-4 states."""
+    rng = random.Random(f"{kind}:{seed}")
+    for i in range(count):
+        binary = i % 3 == 0
+        n = rng.randint(1, 2) if binary else rng.randint(1, 4)
+        yield random_slim_budet(rng, kind, n, binary=binary)
 
 
 def random_monomial(

@@ -96,6 +96,17 @@ def test_weights_over_4300_digits_parse(wta_file, capsys):
     assert "must be 0 or 1" in capsys.readouterr().err
 
 
+def test_million_digit_weight_round_trip_and_eval(wta_file, capsys):
+    weight = ("1234567890" * 10**5)[:-1] + "1/2"  # 10^6 digits, in lowest terms
+    text = (
+        "semifield rational\nrank alpha 0\n"
+        f"trans alpha() -> q @ {weight}\nfinal q @ 1\n"
+    )
+    assert format_wta(parse_wta(text)) == text
+    assert main(["eval", wta_file(text), "--tree", "alpha"]) == 0
+    assert capsys.readouterr().out == weight + "\n"
+
+
 def test_state(wta_file, capsys):
     path = wta_file(EVEN_ODD)
     assert main(["state", path, "--tree", "sigma(alpha,alpha)"]) == 0

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,20 @@ def test_parse_format_roundtrip(kind, num, den):
 def test_tropical_infinity_roundtrip():
     assert format_weight(sf.TROPICAL.zero) == "inf"
     assert sf.TROPICAL.parse("inf") == sf.TROPICAL.zero
+
+
+@pytest.mark.parametrize("digits", [1, 639, 640, 641, 1281, 4300, 4301, 9000])
+def test_weight_text_round_trip_at_any_length(digits):
+    rng = random.Random(digits)
+    text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(digits - 1))
+    for weight in (text, f"-{text}", f"-1/{text}0"):
+        assert format_weight(sf.RATIONAL.parse(weight)) == weight
+
+
+def test_number_text_across_the_split_point():
+    with localcontext() as ctx:
+        ctx.prec = 10000
+        for bits in (1999, 2000, 2001, 4001, 8191):
+            for n in (2**bits - 1, 2**bits, 2**bits + 1):
+                assert format_weight(Fraction(n)) == str(Decimal(n))
+                assert format_weight(Fraction(-1, n)) == f"-1/{Decimal(n)}"

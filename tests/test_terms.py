@@ -11,7 +11,6 @@ from budwta.terms import (
     TermError,
     Tree,
     Z,
-    compose,
     decompose_elementary,
     enumerate_contexts,
     format_tree,
@@ -67,7 +66,7 @@ def test_substitute_examples():
     c = parse_context("sigma(z,alpha)", SIG)
     assert substitute(c, alpha) == parse_tree("sigma(alpha,alpha)", SIG)
     c2 = parse_context("sigma(alpha,z)", SIG)
-    composed = compose(c, c2)
+    composed = substitute(c, c2)
     assert substitute(composed, alpha) == parse_tree(
         "sigma(sigma(alpha,alpha),alpha)", SIG
     )
@@ -88,9 +87,9 @@ def test_context_monoid_laws():
     ctxs = list(enumerate_contexts(SIG, 2))
     for _ in range(200):
         c1, c2, c3 = (rng.choice(ctxs) for _ in range(3))
-        assert compose(compose(c1, c2), c3) == compose(c1, compose(c2, c3))
-        assert compose(Z, c1) == c1
-        assert compose(c1, Z) == c1
+        assert substitute(substitute(c1, c2), c3) == substitute(c1, substitute(c2, c3))
+        assert substitute(Z, c1) == c1
+        assert substitute(c1, Z) == c1
 
 
 def test_decompose_recompose_random():
@@ -127,7 +126,7 @@ def test_enumeration_distinct_and_counted():
 def test_enumeration_contexts_distinct():
     ctxs = list(enumerate_contexts(SIG, 3))
     assert len(ctxs) == len(set(ctxs))
-    assert all(terms.is_context(c) for c in ctxs)
+    assert all(terms.count_symbol(c, "z") == 1 for c in ctxs)
     assert all(height(c) <= 3 for c in ctxs)
     # K(d) = 1 + 2*K(d-1)*T(<=d-1): 1, 3, 13, 131
     assert len(ctxs) == 131
@@ -167,7 +166,7 @@ def test_deep_context_decompose_substitute():
     assert set(factors) == {parse_context("gamma(z)", UNARY)}
     alpha = parse_tree("alpha", UNARY)
     assert substitute(c, alpha) == parse_tree(spine_text(depth), UNARY)
-    assert compose(c, c) == parse_context(spine_text(2 * depth, "z"), UNARY)
+    assert substitute(c, c) == parse_context(spine_text(2 * depth, "z"), UNARY)
 
 
 def test_parse_shares_equal_subtrees():

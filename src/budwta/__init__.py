@@ -21,20 +21,16 @@ from .terms import (
     TermError,
     Tree,
     Z,
-    decompose_elementary,
     enumerate_contexts,
     format_tree,
     height,
-    parse_context,
     parse_tree,
-    substitute,
 )
 from .automaton import (
     DetValue,
     PreconditionError,
     Wta,
     WtaError,
-    context_transform,
     dead_states,
     evaluate,
     format_wta,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from . import semifield, terms
 from .semifield import Semifield, Value
@@ -45,11 +45,10 @@ class Wta:
     ``final`` is a nonzero raw value of it, checked once, here.
     The derived fields are computed once, here: ``_succ`` indexes delta by
     (state tuple, symbol) and ``budet`` records bottom-up determinism.
-    Two memos fill as the automaton is used: ``_runs`` maps each tree run
-    so far to its deterministic value, and ``_factors`` maps the context
-    run last to its elementary factors, innermost first.  Only validated
-    input goes in, and the memos belong to the automaton, so they can never
-    go stale and die with it.
+    A memo fills as the automaton is used: ``_runs`` maps each tree run
+    so far to its deterministic value.  Only validated input goes in, and
+    the memo belongs to the automaton, so it can never go stale and dies
+    with it.
     """
 
     alphabet: RankedAlphabet
@@ -97,7 +96,6 @@ class Wta:
         _init(self, "_succ", succ)
         _init(self, "budet", all(len(v) <= 1 for v in succ.values()))
         _init(self, "_runs", {})
-        _init(self, "_factors", {})
 
     def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
         return self._succ.get((ws, sym), [])
@@ -228,49 +226,6 @@ def evaluate(a: Wta, t: Tree) -> Value:
     for q, w in h_general(a, t).items():
         out = k.plus(out, k.times(w, a.final.get(q, k.zero)))
     return out
-
-
-def elementary_step(a: Wta, e: Tree, v: DetValue) -> DetValue:
-    """Apply one elementary context to a deterministic run value."""
-    _require_budet(a)
-    if v is None:
-        return None
-    times = a.kind.times
-    ws: List[str] = []
-    factor = v[1]
-    for child in e.children:
-        if child.symbol == terms.Z_NAME:
-            ws.append(v[0])
-        else:
-            hv = _run(a, child)
-            if hv is None:
-                return None
-            ws.append(hv[0])
-            factor = times(factor, hv[1])
-    hits = a.targets(tuple(ws), e.symbol)
-    if not hits:
-        return None
-    q, w = hits[0]
-    return (q, times(factor, w))
-
-
-def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
-    """Run a context on top of a deterministic value, innermost-first."""
-    _require_budet(a)
-    last = a._factors
-    factors = last.get(c)
-    if factors is None:
-        terms.validate_tree(c, a.alphabet, allow_z=True)
-        factors = terms.decompose_elementary(c)[::-1]
-        # observing states runs one context on each of them in turn: keep
-        # the latest context's factors, and only those
-        last.clear()
-        last[c] = factors
-    for e in factors:
-        v = elementary_step(a, e, v)
-        if v is None:
-            return None
-    return v
 
 
 # --- reachability, slimming, observability --------------------------------

@@ -11,8 +11,7 @@ The partition is computed by refinement over abstract elementary
 contexts.  An abstract elementary context fixes a symbol, a hole
 position and the states of the side subtrees; concrete side subtrees
 only contribute a common nonzero factor to both observations being
-compared, so they never separate states and can be replaced by one
-representative tree per side state.
+compared, so they never separate states and are left out.
 
 Because the refinement is the only nontrivial algorithm in the package,
 a brute-force check over literally enumerated contexts of bounded height
@@ -35,6 +34,12 @@ from .terms import Tree
 # scaling factor.  None stands for the class of the zero language.
 ClassRep = Optional[Tuple[int, Value]]
 
+# An abstract elementary context: symbol, hole position, side states.
+Elementary = Tuple[str, int, Tuple[str, ...]]
+# Per live state, the first step of a shortest observation path and the state
+# it leads to; None where the final weight is nonzero already.
+Steps = Dict[str, Optional[Tuple[Elementary, str]]]
+
 
 @dataclass
 class SyntacticQuotient:
@@ -51,27 +56,20 @@ class SyntacticQuotient:
 # --- observation helpers --------------------------------------------------
 
 
-def _observe(a: Wta, q: str, c: Tree) -> Value:
-    """Weight of plugging a unit run at state q into context c, then F."""
-    return _read_out(a, automaton.context_transform(a, c, (q, a.kind.one)))
-
-
 def _read_out(a: Wta, v: DetValue) -> Value:
     """The weight of a run value at the root: its weight times F of its state."""
     k = a.kind
     return k.zero if v is None else k.times(v[1], a.final.get(v[0], k.zero))
 
 
-def _observation_steps(
-    a: Wta,
-) -> Dict[str, Optional[Tuple[Tuple[str, int, Tuple[str, ...]], str]]]:
+def _observation_steps(a: Wta) -> Steps:
     """Shortest abstract step towards a nonzero final weight, per live state.
 
     Returns, for each state that is not dead, either nothing (final weight
     already nonzero) or one step (symbol, hole position, side states) plus
     the successor state on a shortest observation path.
     """
-    steps: Dict[str, Optional[Tuple[Tuple[str, int, Tuple[str, ...]], str]]] = {}
+    steps: Steps = {}
     frontier = list(a.final)
     for q in frontier:
         steps[q] = None
@@ -91,36 +89,30 @@ def _observation_steps(
     return steps
 
 
-def _witness_context(
-    a: Wta,
-    q: str,
-    steps: Dict[str, Optional[Tuple[Tuple[str, int, Tuple[str, ...]], str]]],
-    rep_tree: Dict[str, Tree],
-) -> Tree:
-    """A concrete context in which state q has a nonzero observation."""
-    c = terms.Z
-    cur = q
-    while True:
-        step = steps[cur]
-        if step is None:
-            return c
-        (sym, i, sides), nxt = step
-        kids: List[Tree] = []
-        side_iter = iter(sides)
-        for pos in range(a.alphabet.arity(sym)):
-            if pos == i:
-                kids.append(terms.Z)
-            else:
-                kids.append(rep_tree[next(side_iter)])
-        c = terms.substitute(Tree(sym, tuple(kids)), c)
-        cur = nxt
+def _path_observation(a: Wta, steps: Steps, q: str, rep: str) -> Value:
+    """Weight of running a unit run at state q along the observation path of
+    state rep, side trees left out, then F.
+
+    Each step applies delta with q's current state in the hole and the
+    step's side states around it; a missing transition observes zero.
+    """
+    k = a.kind
+    w = k.one
+    step = steps[rep]
+    while step is not None:
+        (sym, i, sides), on_path = step
+        hits = a.targets(sides[:i] + (q,) + sides[i:], sym)
+        if not hits:
+            return k.zero
+        q, f = hits[0]
+        w = k.times(w, f)
+        step = steps[on_path]
+    return _read_out(a, (q, w))
 
 
-def _abstract_elementaries(
-    a: Wta, pool: Sequence[str]
-) -> List[Tuple[str, int, Tuple[str, ...]]]:
+def _abstract_elementaries(a: Wta, pool: Sequence[str]) -> List[Elementary]:
     """All (symbol, hole position, side states) triples, deterministic order."""
-    out: List[Tuple[str, int, Tuple[str, ...]]] = []
+    out: List[Elementary] = []
     for sym in a.alphabet.symbols():
         k = a.alphabet.arity(sym)
         if k == 0:
@@ -136,7 +128,14 @@ def _abstract_elementaries(
 
 def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     """Partition the states of a slim bu-det automaton by proportional
-    observation behaviour, with explicit scaling witnesses."""
+    observation behaviour, with explicit scaling witnesses.
+
+    Each round anchors the states of a block at the observation path of its
+    first state, its representative.  The side trees of that path are left
+    out: their weights are one nonzero factor shared by every state of the
+    block, so it cancels in lam[q] = obs(q) * obs(rep)^-1 and never makes
+    an observation zero.
+    """
     automaton._require_budet(a)
     if not automaton.is_slim(a):
         raise PreconditionError("the syntactic quotient needs a slim automaton")
@@ -145,7 +144,6 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     live = [q for q in a.states if q not in dead]
     rep_tree = automaton.representative_trees(a)
     steps = _observation_steps(a)
-    witness = {q: _witness_context(a, q, steps, rep_tree) for q in live}
 
     dead_rep = next((q for q in a.states if q in dead), None)
     pool: List[str] = list(live) + ([dead_rep] if dead_rep is not None else [])
@@ -158,17 +156,16 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     # Each round either splits a block or reaches the fixpoint; at most
     # |live| + 1 rounds are needed.
     for _round in range(len(live) + 2):
-        # anchor scaling witnesses at the block representative's witness
-        # context; states whose observation vanishes there cannot share the
+        # anchor scaling witnesses at the block representative's observation
+        # path; states whose observation vanishes there cannot share the
         # block and are split off immediately
         lam = {}
         mismatch: Dict[str, bool] = {}
         for block in blocks:
             rep = block[0]
-            c = witness[rep]
-            base_inv = k.inv(_observe(a, rep, c))
+            base_inv = k.inv(_path_observation(a, steps, rep, rep))
             for q in block:
-                o = _observe(a, q, c)
+                o = _path_observation(a, steps, q, rep)
                 if o == k.zero:
                     mismatch[q] = True
                 else:
@@ -259,8 +256,7 @@ def context_tables(
     a: Wta, ctx_height: int
 ) -> Iterator[Tuple[Tree, Tuple[DetValue, ...]]]:
     """Every context of height <= ctx_height, in enumeration order, with its
-    table: entry i is the run of the context on a unit value at state i,
-    ``context_transform(a, c, (a.states[i], one))``.
+    table: entry i is the run of the context on a unit value at state i.
 
     The table of ``z`` is the identity.  Every other context the
     enumeration builds is s(t1, ..., c', ..., tk) around a context c' it
@@ -320,11 +316,12 @@ class BoundedContextOracle:
 
     The oracle ranges over the literal contexts of `terms.enumerate_contexts`
     and shares no reasoning with the refinement: only the run of a context
-    is computed incrementally (see `context_tables`), and it equals
-    `automaton.context_transform`.  Each table gives one observation row,
-    the weight of plugging a unit run at each state into the context and
-    reading the final weight.  The distinct rows are kept, then folded into
-    the distinct observation pairs per ordered state pair, so that a
+    is computed incrementally (see `context_tables`), and it equals running
+    the literal context's elementary factors one by one, the reference the
+    test suite checks the tables against.  Each table gives one observation
+    row, the weight of plugging a unit run at each state into the context
+    and reading the final weight.  The distinct rows are kept, then folded
+    into the distinct observation pairs per ordered state pair, so that a
     membership query costs only a few weight comparisons per pair.
     """
 

@@ -17,22 +17,11 @@ import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import automaton, congruence, terms
-from .automaton import PreconditionError, TransKey, Wta, representative_trees
+from .automaton import PreconditionError, TransKey, Wta
 from .congruence import ClassRep, SyntacticQuotient
 from .scalar import Monomial
 from .semifield import Value
 from .terms import Tree
-
-__all__ = [
-    "representative_trees",
-    "candidate_set",
-    "scalar_basis",
-    "build_wta_from_basis",
-    "minimize",
-    "is_minimal",
-    "minimality",
-    "equivalent",
-]
 
 
 def candidate_set(
@@ -158,13 +147,9 @@ def is_minimal(a: Wta) -> bool:
     return minimality(a)[0]
 
 
-def degree(a: Wta) -> int:
-    """Size of the scalar basis of the syntactic algebra of the language."""
-    return minimality(a)[1]
-
-
 def minimality(a: Wta) -> Tuple[bool, int]:
-    """``(is_minimal(a), degree(a))`` from one syntactic quotient.
+    """Whether the automaton is minimal, and its degree: the size of the
+    scalar basis of the syntactic algebra of its language.
 
     The degree is read off the slimmed automaton.  A slim automaton is
     minimal when it has as many states as the scalar basis has elements;

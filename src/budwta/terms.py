@@ -2,9 +2,10 @@
 
 A tree is a finite term over a ranked alphabet.  A context is a tree over
 the alphabet extended with the reserved nullary symbol ``z``, containing
-exactly one occurrence of ``z``.  Contexts compose by substitution at the
-``z`` leaf and decompose uniquely into elementary contexts (depth one,
-``z`` as a direct child of the root).
+exactly one occurrence of ``z``.  This module parses, validates, prints
+and enumerates them.  Plugging a tree into a context and splitting a
+context into elementary ones are not needed by the package: the test
+suite keeps them as its reference.
 
 Enumeration of contexts is deterministic: by height first, then
 lexicographically following the declaration order of the alphabet, with
@@ -14,7 +15,6 @@ the side trees of each height enumerated in the same order.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -155,16 +155,6 @@ def postorder(t: Tree) -> Iterator[Tree]:
             stack.extend([(c, False) for c in reversed(node.children)])
 
 
-def count_symbol(t: Tree, name: str) -> int:
-    counts: Dict[int, int] = {}  # id(node) -> occurrences below it
-    for node in postorder(t):
-        n = node.symbol == name
-        for c in node.children:
-            n += counts[id(c)]
-        counts[id(node)] = n
-    return counts[id(t)]
-
-
 def validate_tree(t: Tree, alphabet: RankedAlphabet, allow_z: bool = False) -> None:
     arities = alphabet._arity
     seen: Set[int] = set()  # inner nodes already checked (shared subtrees)
@@ -278,14 +268,6 @@ def _arity_error(name: str, k: int, got: int) -> TermError:
     return TermError(f"symbol {name} has arity {k}, got {got} children")
 
 
-def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:
-    c = parse_tree(text, alphabet, allow_z=True)
-    n = count_symbol(c, Z_NAME)
-    if n != 1:
-        raise TermError(f"a context needs exactly one {Z_NAME!r}, found {n}")
-    return c
-
-
 def format_tree(t: Tree) -> str:
     return "".join(tree_text(t))
 
@@ -312,56 +294,6 @@ def tree_text(t: Tree) -> Iterator[str]:
                 stack.append(kids[i])
                 stack.append(",")
             stack.append(kids[0])
-
-
-# --- context algebra ------------------------------------------------------
-
-
-def substitute(c: Tree, t: Tree) -> Tree:
-    """Plug ``t`` into the ``z`` leaf of context ``c``.
-
-    Subtrees of ``c`` without ``z`` are shared with the result.
-    """
-    new: Dict[int, Tree] = {}
-    for node in postorder(c):
-        if node.symbol == Z_NAME:
-            new[id(node)] = t
-            continue
-        kids = tuple(new[id(k)] for k in node.children)
-        same = all(map(operator.is_, kids, node.children))
-        new[id(node)] = node if same else Tree(node.symbol, kids)
-    return new[id(c)]
-
-
-def decompose_elementary(c: Tree) -> List[Tree]:
-    """Split a context into elementary factors, outermost first.
-
-    An elementary context has ``z`` as a direct child of its root.  The
-    returned list e1..en satisfies c = e1[e2[...en[z]...]]; it is empty
-    exactly when c = z.
-    """
-    if count_symbol(c, Z_NAME) != 1:
-        raise TermError("not a context")
-    # one depth-first walk to the hole, noting where each node hangs; the
-    # nodes on the hole's path occur once in c, so their entry is exact
-    parent: Dict[int, Tuple[Tree, int]] = {}
-    stack = [c]
-    while True:
-        node = stack.pop()
-        if node.symbol == Z_NAME:
-            break
-        for i, child in enumerate(node.children):
-            if id(child) not in parent:
-                parent[id(child)] = (node, i)
-                stack.append(child)
-    factors: List[Tree] = []
-    while node is not c:
-        up, hole = parent[id(node)]
-        kids = up.children
-        factors.append(Tree(up.symbol, kids[:hole] + (Z,) + kids[hole + 1 :]))
-        node = up
-    factors.reverse()
-    return factors
 
 
 # --- deterministic enumeration -------------------------------------------

@@ -1,11 +1,15 @@
-"""Tree enumeration and random automata and monomials for the test suite.
+"""Tree enumeration, context algebra, reference oracles, and random
+automata and monomials for the test suite.
 
 `enumerate_trees` lists every tree, height by height; it is the reference
 that `automaton.representative_trees` is checked against.
-`ObserveOracle` is the bounded-context oracle that runs every context on
-every state through `automaton.context_transform`; it is the reference
-that `congruence.BoundedContextOracle` and its context tables are checked
-against.
+`substitute`, `decompose_elementary`, `count_symbol` and `parse_context`
+work on contexts as literal trees.  `context_transform` runs a context by
+splitting it into its elementary factors and running each side tree, and
+`observe` reads the result out; `ObserveOracle` is the bounded-context
+oracle that observes every context on every state that way.  They are the
+reference that `congruence.context_tables` and
+`congruence.BoundedContextOracle` are checked against.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -13,21 +17,23 @@ transitions are keyed uniquely per (state tuple, symbol).  Automata with
 three or more states use unary-spine alphabets so that literal context
 enumeration at height 2*|Q| stays small; binary-symbol automata are capped
 at two states.  `layered` and `chain` build minimal automata whose states
-need high trees.
+need high trees.  `split_states` gives an automaton proportional copies
+of its states.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from budwta import automaton, congruence, semifield as sf, terms
-from budwta.automaton import TransKey, Wta
+from budwta.automaton import DetValue, TransKey, Wta
 from budwta.scalar import Monomial
 from budwta.semifield import Semifield, Value
-from budwta.terms import RankedAlphabet, Tree
+from budwta.terms import RankedAlphabet, TermError, Tree, Z, Z_NAME
 
 
 def enumerate_trees(
@@ -48,15 +54,116 @@ def enumerate_trees(
         h += 1
 
 
+# --- contexts as literal trees -------------------------------------------
+
+
+def count_symbol(t: Tree, name: str) -> int:
+    counts: Dict[int, int] = {}  # id(node) -> occurrences below it
+    for node in terms.postorder(t):
+        n = node.symbol == name
+        for c in node.children:
+            n += counts[id(c)]
+        counts[id(node)] = n
+    return counts[id(t)]
+
+
+def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:
+    c = terms.parse_tree(text, alphabet, allow_z=True)
+    n = count_symbol(c, Z_NAME)
+    if n != 1:
+        raise TermError(f"a context needs exactly one {Z_NAME!r}, found {n}")
+    return c
+
+
+def substitute(c: Tree, t: Tree) -> Tree:
+    """Plug ``t`` into the ``z`` leaf of context ``c``.
+
+    Subtrees of ``c`` without ``z`` are shared with the result.
+    """
+    new: Dict[int, Tree] = {}
+    for node in terms.postorder(c):
+        if node.symbol == Z_NAME:
+            new[id(node)] = t
+            continue
+        kids = tuple(new[id(k)] for k in node.children)
+        same = all(map(operator.is_, kids, node.children))
+        new[id(node)] = node if same else Tree(node.symbol, kids)
+    return new[id(c)]
+
+
+def decompose_elementary(c: Tree) -> List[Tree]:
+    """Split a context into elementary factors, outermost first.
+
+    An elementary context has ``z`` as a direct child of its root.  The
+    returned list e1..en satisfies c = e1[e2[...en[z]...]]; it is empty
+    exactly when c = z.
+    """
+    if count_symbol(c, Z_NAME) != 1:
+        raise TermError("not a context")
+    # one depth-first walk to the hole, noting where each node hangs; the
+    # nodes on the hole's path occur once in c, so their entry is exact
+    parent: Dict[int, Tuple[Tree, int]] = {}
+    stack = [c]
+    while True:
+        node = stack.pop()
+        if node.symbol == Z_NAME:
+            break
+        for i, child in enumerate(node.children):
+            if id(child) not in parent:
+                parent[id(child)] = (node, i)
+                stack.append(child)
+    factors: List[Tree] = []
+    while node is not c:
+        up, hole = parent[id(node)]
+        kids = up.children
+        factors.append(Tree(up.symbol, kids[:hole] + (Z,) + kids[hole + 1 :]))
+        node = up
+    factors.reverse()
+    return factors
+
+
+def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
+    """Run a context on top of a deterministic value, innermost factor
+    first: each side tree is run, then delta is applied once."""
+    automaton._require_budet(a)
+    terms.validate_tree(c, a.alphabet, allow_z=True)
+    times = a.kind.times
+    for e in reversed(decompose_elementary(c)):
+        if v is None:
+            return None
+        ws: List[str] = []
+        factor = v[1]
+        for child in e.children:
+            if child.symbol == Z_NAME:
+                ws.append(v[0])
+                continue
+            hv = automaton.h_det(a, child)
+            if hv is None:
+                return None
+            ws.append(hv[0])
+            factor = times(factor, hv[1])
+        hits = a.targets(tuple(ws), e.symbol)
+        if not hits:
+            return None
+        q, w = hits[0]
+        v = (q, times(factor, w))
+    return v
+
+
+def observe(a: Wta, q: str, c: Tree) -> Value:
+    """Weight of plugging a unit run at state q into context c, then F."""
+    return congruence._read_out(a, context_transform(a, c, (q, a.kind.one)))
+
+
 class ObserveOracle:
     """`congruence.BoundedContextOracle` as it was before context tables:
-    one `congruence._observe` call, and so one full run of the context,
-    per context and state."""
+    one `observe` call, and so one full run of the context, per context
+    and state."""
 
     def __init__(self, a: Wta, ctx_height: int):
         self.wta = a
         contexts = list(terms.enumerate_contexts(a.alphabet, ctx_height))
-        rows = [{q: congruence._observe(a, q, c) for q in a.states} for c in contexts]
+        rows = [{q: observe(a, q, c) for q in a.states} for c in contexts]
         self.col_nonzero: Dict[str, bool] = {
             q: any(row[q] != a.kind.zero for row in rows) for q in a.states
         }
@@ -174,6 +281,32 @@ def small_corpus(kind: Semifield, count: int, seed: int = 0) -> Iterator[Wta]:
         binary = i % 3 == 0
         n = rng.randint(1, 2) if binary else rng.randint(1, 4)
         yield random_slim_budet(rng, kind, n, binary=binary)
+
+
+def split_states(rng: random.Random, a: Wta) -> Wta:
+    """``a`` with each state q split into copies q_0 and q_1, each rescaled
+    by a random nonzero lam; then slimmed.
+
+    Each transition of ``a``, taken with each choice of child copies, goes
+    to a copy of its target picked at random.  A run reaching q with
+    weight w reaches some q_j with weight w / lam(q_j), and
+    F(q_j) = F(q) * lam(q_j), so the language is a's, and q_0 and q_1,
+    where both are reached, are proportional with the ratio
+    lam(q_1) / lam(q_0).
+    """
+    k = a.kind
+    lam = {(q, j): random_weight(rng, k) for q in a.states for j in (0, 1)}
+    delta: Dict[TransKey, Value] = {}
+    for (ws, sym, q), w in a.delta.items():
+        for js in itertools.product((0, 1), repeat=len(ws)):
+            j = rng.randrange(2)
+            v = k.times(w, k.inv(lam[(q, j)]))
+            for p, jp in zip(ws, js):
+                v = k.times(v, lam[(p, jp)])
+            delta[(tuple(f"{p}_{jp}" for p, jp in zip(ws, js)), sym, f"{q}_{j}")] = v
+    final = {f"{q}_{j}": k.times(f, lam[(q, j)]) for q, f in a.final.items() for j in (0, 1)}
+    states = tuple(f"{q}_{j}" for q in a.states for j in (0, 1))
+    return automaton.slim(Wta(a.alphabet, states, k, delta, final))
 
 
 def random_monomial(

@@ -17,7 +17,7 @@ from budwta.minimize import candidate_set, equivalent, is_minimal, minimize
 from budwta.scalar import Monomial
 
 from conftest import EVEN_ODD, GAMMA3, TWO_LEAF
-from corpus import enumerate_trees, random_monomial, random_slim_budet
+from corpus import count_symbol, enumerate_trees, random_monomial, random_slim_budet
 
 
 def _ok(criterion, text):
@@ -33,7 +33,7 @@ def test_criterion_1_even_odd_closed_form(even_odd):
         == 8
     )
     for tree in enumerate_trees(even_odd.alphabet, 3):
-        n = terms.count_symbol(tree, "alpha")
+        n = count_symbol(tree, "alpha")
         expected = Fraction(2 if n % 2 == 0 else 3) * 2**n
         assert evaluate(even_odd, tree) == expected
     _ok(1, "even/odd automaton matches its closed form on all trees of height <= 3")

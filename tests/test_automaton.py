@@ -12,7 +12,6 @@ from budwta.automaton import (
     PreconditionError,
     Wta,
     WtaError,
-    context_transform,
     dead_states,
     evaluate,
     format_wta,
@@ -30,7 +29,17 @@ from budwta.automaton import (
 from budwta.terms import RankedAlphabet, Tree
 
 from conftest import EVEN_ODD, GAMMA3
-from corpus import chain, enumerate_trees, first_trees, layered, random_slim_budet
+from corpus import (
+    chain,
+    context_transform,
+    count_symbol,
+    enumerate_trees,
+    first_trees,
+    layered,
+    parse_context,
+    random_slim_budet,
+    substitute,
+)
 
 
 def t(text, a):
@@ -38,7 +47,7 @@ def t(text, a):
 
 
 def c(text, a):
-    return terms.parse_context(text, a.alphabet)
+    return parse_context(text, a.alphabet)
 
 
 def rat(x):
@@ -123,7 +132,7 @@ def test_evaluate_examples(even_odd, gamma3):
 def test_evaluate_closed_form_even_odd(even_odd):
     # weight 2*2^n for an even number n of alpha leaves, 3*2^n for odd
     for tree in enumerate_trees(even_odd.alphabet, 3):
-        n = terms.count_symbol(tree, "alpha")
+        n = count_symbol(tree, "alpha")
         base = 2 if n % 2 == 0 else 3
         assert evaluate(even_odd, tree) == rat(base * 2**n)
 
@@ -178,7 +187,7 @@ def test_context_transform_factorization_on_corpus():
         for _ in range(40):
             ctx = rng.choice(ctxs)
             tree = rng.choice(trees)
-            lhs = h_det(a, terms.substitute(ctx, tree))
+            lhs = h_det(a, substitute(ctx, tree))
             rhs = context_transform(a, ctx, h_det(a, tree))
             assert lhs == rhs
 

@@ -15,7 +15,16 @@ from budwta.congruence import (
 from budwta.scalar import Monomial
 from budwta.terms import Tree
 
-from corpus import enumerate_trees, random_monomial, random_slim_budet
+from corpus import (
+    count_symbol,
+    decompose_elementary,
+    enumerate_trees,
+    random_monomial,
+    random_slim_budet,
+    small_corpus,
+    split_states,
+    substitute,
+)
 
 
 def rat(x):
@@ -31,6 +40,19 @@ def mono(w, text, a):
 
 
 # --- building the quotient ------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_proportional_copies_share_a_block(kind):
+    """A split automaton has the original's language, hence as many live
+    blocks (its degree): anchoring must not separate a state from its
+    rescaled copy."""
+    rng = random.Random(f"copies:{kind}")
+    for a in small_corpus(kind, 1000, seed=1):
+        b = split_states(rng, a)
+        assert len(build_syntactic_quotient(b).blocks) == len(
+            build_syntactic_quotient(a).blocks
+        ), automaton.format_wta(b)
 
 
 def test_quotient_gamma3(gamma3):
@@ -100,8 +122,8 @@ def test_congruent_parity_rule(even_odd):
         t1, t2 = rng.choice(trees), rng.choice(trees)
         b1 = rat(rng.choice([1, 2, 4, Fraction(1, 2)]))
         b2 = rat(rng.choice([1, 2, 4, Fraction(1, 2)]))
-        n1 = terms.count_symbol(t1, "alpha")
-        n2 = terms.count_symbol(t2, "alpha")
+        n1 = count_symbol(t1, "alpha")
+        n2 = count_symbol(t2, "alpha")
         expected = (n1 % 2 == n2 % 2) and (
             b1 * 2**n1 == b2 * 2**n2
         )
@@ -181,7 +203,7 @@ def test_congruence_respects_top_concatenation(even_odd):
     ctxs = [
         c
         for c in terms.enumerate_contexts(even_odd.alphabet, 2)
-        if c != terms.Z and not terms.decompose_elementary(c)[1:]
+        if c != terms.Z and not decompose_elementary(c)[1:]
     ]
     oracle = BoundedContextOracle(even_odd, 3)
     checked = 0
@@ -191,8 +213,8 @@ def test_congruence_respects_top_concatenation(even_odd):
         if not congruent(qt, m1, m2):
             continue
         e = rng.choice(ctxs)
-        p1 = Monomial(m1.weight, terms.substitute(e, m1.tree))
-        p2 = Monomial(m2.weight, terms.substitute(e, m2.tree))
+        p1 = Monomial(m1.weight, substitute(e, m1.tree))
+        p2 = Monomial(m2.weight, substitute(e, m2.tree))
         assert congruent(qt, p1, p2)
         assert oracle.congruent(p1, p2)
         checked += 1

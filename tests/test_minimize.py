@@ -21,9 +21,9 @@ from budwta.minimize import (
     _basis_state_name,
     build_wta_from_basis,
     candidate_set,
-    degree,
     equivalent,
     is_minimal,
+    minimality,
     minimize,
     scalar_basis,
 )
@@ -219,8 +219,8 @@ def test_is_minimal_examples(gamma3, non_slim):
 
 
 def test_degree_examples(even_odd, gamma3):
-    assert degree(even_odd) == 2
-    assert degree(gamma3) == 2
+    assert minimality(even_odd)[1] == 2
+    assert minimality(gamma3)[1] == 2
 
 
 def test_minimality_bound_via_redundant_states(gamma3):

@@ -12,7 +12,16 @@ from budwta.congruence import (
     context_tables,
 )
 
-from corpus import ObserveOracle, enumerate_trees, random_monomial, small_corpus
+from corpus import (
+    ObserveOracle,
+    context_transform,
+    enumerate_trees,
+    observe,
+    parse_context,
+    random_monomial,
+    small_corpus,
+    split_states,
+)
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -22,12 +31,49 @@ def test_tables_match_context_transform_on_small_corpus(kind):
         for c, table in context_tables(a, 2):
             contexts += 1
             assert table == tuple(
-                automaton.context_transform(a, c, (q, kind.one)) for q in a.states
+                context_transform(a, c, (q, kind.one)) for q in a.states
             ), (automaton.format_wta(a), c)
             assert tuple(congruence._read_out(a, v) for v in table) == tuple(
-                congruence._observe(a, q, c) for q in a.states
+                observe(a, q, c) for q in a.states
             ), (automaton.format_wta(a), c)
         assert contexts == len(list(terms.enumerate_contexts(a.alphabet, 2)))
+
+
+def _check_lam_rows(a, qt) -> int:
+    """Assert row[q] = lam[q] * row[rep] on every row of the context tables
+    of height 2*|Q|, rep being q's block representative, and row[q] = 0 for
+    a dead q; return the number of rows."""
+    zero, times = a.kind.zero, a.kind.times
+    index = {q: i for i, q in enumerate(a.states)}
+    rows = 0
+    for c, table in context_tables(a, 2 * len(a.states)):
+        rows += 1
+        row = [congruence._read_out(a, v) for v in table]
+        for q in a.states:
+            if q in qt.dead:
+                expected = zero
+            else:
+                rep = qt.blocks[qt.block_of[q]][0]
+                expected = times(qt.lam[q], row[index[rep]])
+            assert row[index[q]] == expected, (automaton.format_wta(a), c, q)
+    return rows
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_lam_scales_every_literal_context(kind):
+    """The quotient anchors each block on its representative's abstract
+    observation path; its lam must be the scaling witness on every literal
+    context.  Corpus automata have few proportional states, so the small
+    ones are also split into rescaled copies."""
+    rng = random.Random(f"split:{kind}")
+    rows = 0
+    for a in small_corpus(kind, 60):
+        rows += _check_lam_rows(a, build_syntactic_quotient(a))
+        # small enough to enumerate: unary up to 2 states, binary 1 state
+        if len(a.states) <= (1 if "s" in a.alphabet else 2):
+            b = split_states(rng, a)
+            rows += _check_lam_rows(b, build_syntactic_quotient(b))
+    assert rows > 50_000
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -52,7 +98,7 @@ def test_tables_of_a_context_killed_by_a_side_tree():
         "trans alpha() -> q @ 2\ntrans sigma(q,q) -> q @ 3\nfinal q @ 1\n"
     )
     tables = dict(context_tables(a, 2))
-    ctx = terms.parse_context
+    ctx = parse_context
     assert tables[ctx("sigma(z,beta)", a.alphabet)] == (None,)
     assert tables[ctx("sigma(sigma(z,alpha),beta)", a.alphabet)] == (None,)
     assert tables[ctx("sigma(alpha,sigma(z,alpha))", a.alphabet)] == (

@@ -11,16 +11,19 @@ from budwta.terms import (
     TermError,
     Tree,
     Z,
-    decompose_elementary,
     enumerate_contexts,
     format_tree,
     height,
-    parse_context,
     parse_tree,
-    substitute,
 )
 
-from corpus import enumerate_trees
+from corpus import (
+    count_symbol,
+    decompose_elementary,
+    enumerate_trees,
+    parse_context,
+    substitute,
+)
 
 SIG = RankedAlphabet([("alpha", 0), ("sigma", 2)])
 UNARY = RankedAlphabet([("gamma", 1), ("alpha", 0)])
@@ -126,7 +129,7 @@ def test_enumeration_distinct_and_counted():
 def test_enumeration_contexts_distinct():
     ctxs = list(enumerate_contexts(SIG, 3))
     assert len(ctxs) == len(set(ctxs))
-    assert all(terms.count_symbol(c, "z") == 1 for c in ctxs)
+    assert all(count_symbol(c, "z") == 1 for c in ctxs)
     assert all(height(c) <= 3 for c in ctxs)
     # K(d) = 1 + 2*K(d-1)*T(<=d-1): 1, 3, 13, 131
     assert len(ctxs) == 131
@@ -152,7 +155,7 @@ def test_deep_spine_parse_format_compare():
     assert t1 == t2 and hash(t1) == hash(t2)
     assert height(t1) == depth
     assert format_tree(t1) == text
-    assert terms.count_symbol(t1, "gamma") == depth
+    assert count_symbol(t1, "gamma") == depth
     terms.validate_tree(t1, UNARY)
     shorter = parse_tree(spine_text(depth - 1), UNARY)
     assert t1 != shorter and shorter != t1
@@ -180,7 +183,7 @@ def test_parse_shares_equal_subtrees():
     big = parse_tree(text, SIG)
     assert height(big) == 12
     assert len(list(terms.postorder(big))) == 13
-    assert terms.count_symbol(big, "alpha") == 2**12
+    assert count_symbol(big, "alpha") == 2**12
     assert big == parse_tree(text, SIG)
 
 

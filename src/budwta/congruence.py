@@ -7,11 +7,15 @@ automaton this relation has a finite presentation: a partition of the
 state set into live blocks plus a set of dead states, together with a
 scaling witness per state relative to its block representative.
 
-The partition is computed by refinement over abstract elementary
-contexts.  An abstract elementary context fixes a symbol, a hole
-position and the states of the side subtrees; concrete side subtrees
-only contribute a common nonzero factor to both observations being
-compared, so they never separate states and are left out.
+The partition is computed once the weights are normalized, after Mohri
+(TCS 2000) and Maletti (Inf. Comput. 2009): each live state is divided by
+its observation along its least abstract observation path, so that
+proportional states get equal normalized final weights and transitions,
+and plain Moore rounds over delta then find the blocks.  An abstract path
+is a sequence of elementary steps (symbol, hole position, side states);
+concrete side subtrees only contribute a common nonzero factor to the
+observations being compared, so they never separate states and are left
+out.
 
 Because the refinement is the only nontrivial algorithm in the package,
 a brute-force check over literally enumerated contexts of bounded height
@@ -20,9 +24,8 @@ is provided as an independent oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from . import automaton, terms
 from .automaton import DetValue, PreconditionError, Wta
@@ -34,26 +37,19 @@ from .terms import Tree
 # scaling factor.  None stands for the class of the zero language.
 ClassRep = Optional[Tuple[int, Value]]
 
-# An abstract elementary context: symbol, hole position, side states.
-Elementary = Tuple[str, int, Tuple[str, ...]]
-# Per live state, the first step of a shortest observation path and the state
-# it leads to; None where the final weight is nonzero already.
-Steps = Dict[str, Optional[Tuple[Elementary, str]]]
-
 
 @dataclass
 class SyntacticQuotient:
     """Finite presentation of the syntactic congruence of one automaton."""
 
     wta: Wta
-    blocks: Tuple[Tuple[str, ...], ...]  # live states, grouped, declaration order
+    # live states, grouped; blocks ordered by the declaration rank of their
+    # first state, states in declaration order within a block
+    blocks: Tuple[Tuple[str, ...], ...]
     dead: FrozenSet[str]
     lam: Dict[str, Value]  # scaling witness relative to the block rep
     rep_tree: Dict[str, Tree]  # one witness tree per state
     block_of: Dict[str, int]
-
-
-# --- observation helpers --------------------------------------------------
 
 
 def _read_out(a: Wta, v: DetValue) -> Value:
@@ -62,79 +58,66 @@ def _read_out(a: Wta, v: DetValue) -> Value:
     return k.zero if v is None else k.times(v[1], a.final.get(v[0], k.zero))
 
 
-def _observation_steps(a: Wta) -> Steps:
-    """Shortest abstract step towards a nonzero final weight, per live state.
-
-    Returns, for each state that is not dead, either nothing (final weight
-    already nonzero) or one step (symbol, hole position, side states) plus
-    the successor state on a shortest observation path.
-    """
-    steps: Steps = {}
-    frontier = list(a.final)
-    for q in frontier:
-        steps[q] = None
-    delta = sorted(a.delta, key=lambda key: (key[1], key[0], key[2]))
-    while frontier:
-        new_frontier: List[str] = []
-        for ws, sym, q in delta:
-            if q not in steps:
-                continue
-            for i, p in enumerate(ws):
-                if p in steps:
-                    continue
-                sides = ws[:i] + ws[i + 1 :]
-                steps[p] = ((sym, i, sides), q)
-                new_frontier.append(p)
-        frontier = new_frontier
-    return steps
-
-
-def _path_observation(a: Wta, steps: Steps, q: str, rep: str) -> Value:
-    """Weight of running a unit run at state q along the observation path of
-    state rep, side trees left out, then F.
-
-    Each step applies delta with q's current state in the hole and the
-    step's side states around it; a missing transition observes zero.
-    """
-    k = a.kind
-    w = k.one
-    step = steps[rep]
-    while step is not None:
-        (sym, i, sides), on_path = step
-        hits = a.targets(sides[:i] + (q,) + sides[i:], sym)
-        if not hits:
-            return k.zero
-        q, f = hits[0]
-        w = k.times(w, f)
-        step = steps[on_path]
-    return _read_out(a, (q, w))
-
-
-def _abstract_elementaries(a: Wta, pool: Sequence[str]) -> List[Elementary]:
-    """All (symbol, hole position, side states) triples, deterministic order."""
-    out: List[Elementary] = []
-    for sym in a.alphabet.symbols():
-        k = a.alphabet.arity(sym)
-        if k == 0:
-            continue
-        for i in range(k):
-            for sides in itertools.product(pool, repeat=k - 1):
-                out.append((sym, i, sides))
-    return out
-
-
 # --- building the quotient ------------------------------------------------
+
+
+def _normalizers(a: Wta) -> Dict[str, Value]:
+    """mu(q) for every live state q: the observation of a unit run at q
+    along q's least abstract observation path, side trees left out.
+
+    Paths are ordered by length, then step by step from the hole outwards
+    by (symbol declaration index, hole position, declaration ranks of the
+    side states).  A backward breadth-first search from the final states
+    finds them layer by layer: every step from a state of layer d into a
+    live state leads to layer d - 1 or higher, so the state's least path is
+    its least step into layer d - 1 followed by that state's least path,
+    and mu(p) = delta weight * mu(target).  Each transition is looked at
+    once per child: O(|delta| * k).
+    """
+    times = a.kind.times
+    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
+    rank = {q: i for i, q in enumerate(a.states)}
+    # target -> (step order, child in the hole, transition weight)
+    into: Dict[str, List[Tuple[tuple, str, Value]]] = {}
+    for (ws, sym, q), w in a.delta.items():
+        ranks = tuple(rank[p] for p in ws)
+        for i, p in enumerate(ws):
+            order = (sym_index[sym], i, ranks[:i] + ranks[i + 1 :])
+            into.setdefault(q, []).append((order, p, w))
+    mu: Dict[str, Value] = dict(a.final)
+    layer = list(a.final)
+    while layer:
+        least: Dict[str, Tuple[tuple, Value]] = {}
+        for q in layer:
+            for order, p, w in into.get(q, ()):
+                if p not in mu and (p not in least or order < least[p][0]):
+                    least[p] = (order, times(w, mu[q]))
+        mu.update((p, mu_p) for p, (_, mu_p) in least.items())
+        layer = list(least)
+    return mu
 
 
 def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     """Partition the states of a slim bu-det automaton by proportional
     observation behaviour, with explicit scaling witnesses.
 
-    Each round anchors the states of a block at the observation path of its
-    first state, its representative.  The side trees of that path are left
-    out: their weights are one nonzero factor shared by every state of the
-    block, so it cancels in lam[q] = obs(q) * obs(rep)^-1 and never makes
-    an observation zero.
+    Normalize once, then refine over delta.  A move of live state q is a
+    transition into a live target t with q in the hole: its step (symbol,
+    hole position, side states), t, and w * mu(t) * mu(q)^-1.  From one
+    block of all live states, each Moore round splits every block by
+    F(q) * mu(q)^-1 and the set of (step, block of t, normalized weight)
+    of q's moves, until a round splits nothing; a round that goes on adds
+    a block, so at most |live| rounds go on.  lam[q] = mu(q) * mu(rep)^-1.
+
+    Sound: states p, q proportional with ratio lam have the same nonzero
+    abstract paths, as a side state stands for its witness tree, whose
+    weight is nonzero; so they share their least path and
+    mu(p) = lam * mu(q), hence equal keys at every round, by induction.
+    Complete: for any nonzero mu, p and q in one final block have
+    obs(p, c) * mu(p)^-1 = obs(q, c) * mu(q)^-1 for every context c, by
+    induction on the height of c.  Dead states: a transition into a live
+    state has only live children, as `automaton.dead_states` is a backward
+    closure, so no move needs a dead side state.
     """
     automaton._require_budet(a)
     if not automaton.is_slim(a):
@@ -143,82 +126,38 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     dead = automaton.dead_states(a)
     live = [q for q in a.states if q not in dead]
     rep_tree = automaton.representative_trees(a)
-    steps = _observation_steps(a)
-
-    dead_rep = next((q for q in a.states if q in dead), None)
-    pool: List[str] = list(live) + ([dead_rep] if dead_rep is not None else [])
-    elementaries = _abstract_elementaries(a, pool)
 
     k = a.kind
-    blocks: List[List[str]] = [list(live)] if live else []
-    lam: Dict[str, Value] = {}
+    mu = _normalizers(a)
+    mu_inv = {q: k.inv(mu[q]) for q in live}
+    final = {q: k.times(a.final.get(q, k.zero), mu_inv[q]) for q in live}
+    moves: Dict[str, List[Tuple[tuple, str, Value]]] = {q: [] for q in live}
+    for (ws, sym, t), w in a.delta.items():
+        if t not in dead:
+            for i, p in enumerate(ws):
+                scal = k.times(k.times(w, mu[t]), mu_inv[p])
+                moves[p].append(((sym, i, ws[:i] + ws[i + 1 :]), t, scal))
 
-    # Each round either splits a block or reaches the fixpoint; at most
-    # |live| + 1 rounds are needed.
-    for _round in range(len(live) + 2):
-        # anchor scaling witnesses at the block representative's observation
-        # path; states whose observation vanishes there cannot share the
-        # block and are split off immediately
-        lam = {}
-        mismatch: Dict[str, bool] = {}
-        for block in blocks:
-            rep = block[0]
-            base_inv = k.inv(_path_observation(a, steps, rep, rep))
-            for q in block:
-                o = _path_observation(a, steps, q, rep)
-                if o == k.zero:
-                    mismatch[q] = True
-                else:
-                    lam[q] = k.times(o, base_inv)
-        if mismatch:
-            blocks = _split(blocks, lambda q: ("mismatch",) if q in mismatch else ("ok",))
-            continue
-
+    # grouping in declaration order keeps blocks ordered by their first state
+    blocks: List[List[str]] = [live] if live else []
+    while True:
         block_of = {q: i for i, block in enumerate(blocks) for q in block}
-
-        def signature(q: str) -> tuple:
-            lam_q_inv = k.inv(lam[q])
-            entries: List[object] = [k.times(lam_q_inv, a.final.get(q, k.zero))]
-            for (sym, i, sides) in elementaries:
-                ws = sides[:i] + (q,) + sides[i:]
-                hits = a.targets(ws, sym)
-                if not hits:
-                    entries.append(None)
-                    continue
-                nxt, f = hits[0]
-                if nxt in dead:
-                    entries.append(None)
-                    continue
-                scal = k.times(k.times(lam_q_inv, f), lam[nxt])
-                entries.append((block_of[nxt], scal))
-            return tuple(entries)
-
-        new_blocks = _split(blocks, signature)
-        if new_blocks == blocks:
+        groups: Dict[tuple, List[str]] = {}
+        for q in live:
+            moved = frozenset((s, block_of[t], w) for s, t, w in moves[q])
+            groups.setdefault((block_of[q], final[q], moved), []).append(q)
+        if len(groups) == len(blocks):
             break
-        blocks = new_blocks
-    else:  # pragma: no cover - guarded by the theory (|live|+1 round bound)
-        raise AssertionError("refinement failed to stabilize")
+        blocks = list(groups.values())
 
-    block_of = {q: i for i, block in enumerate(blocks) for q in block}
     return SyntacticQuotient(
         wta=a,
         blocks=tuple(tuple(b) for b in blocks),
         dead=dead,
-        lam=lam,
+        lam={q: k.times(mu[q], mu_inv[b[0]]) for b in blocks for q in b},
         rep_tree=rep_tree,
         block_of=block_of,
     )
-
-
-def _split(blocks: List[List[str]], key) -> List[List[str]]:
-    out: List[List[str]] = []
-    for block in blocks:
-        groups: Dict[tuple, List[str]] = {}
-        for q in block:  # block order = declaration order, kept stable
-            groups.setdefault(key(q), []).append(q)
-        out.extend(groups.values())
-    return out
 
 
 # --- congruence classes of monomials --------------------------------------

@@ -151,15 +151,16 @@ def minimality(a: Wta) -> Tuple[bool, int]:
     """Whether the automaton is minimal, and its degree: the size of the
     scalar basis of the syntactic algebra of its language.
 
-    The degree is read off the slimmed automaton.  A slim automaton is
-    minimal when it has as many states as the scalar basis has elements;
-    the zero language needs one (dead) state, hence the max with 1.
+    The degree is read off the slimmed automaton: the basis takes one
+    element from each live block, and every live block holds a state, so
+    the degree is the number of live blocks.  A slim automaton is minimal
+    when it has that many states; the zero language needs one (dead)
+    state, hence the max with 1.
     """
     automaton._require_budet(a)
     slim = automaton.is_slim(a)
     s = a if slim else automaton.slim(a)
-    qt = congruence.build_syntactic_quotient(s)
-    deg = len(scalar_basis(s, qt))
+    deg = len(congruence.build_syntactic_quotient(s).blocks)
     return slim and len(a.states) == max(1, deg), deg
 
 

@@ -10,6 +10,10 @@ splitting it into its elementary factors and running each side tree, and
 oracle that observes every context on every state that way.  They are the
 reference that `congruence.context_tables` and
 `congruence.BoundedContextOracle` are checked against.
+`reference_quotient` is the refinement `congruence.build_syntactic_quotient`
+replaced: each round re-anchors every state on its block representative's
+observation path and compares signatures over all abstract elementary
+contexts.  It is the differential reference for the normalized refinement.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -27,10 +31,11 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from budwta import automaton, congruence, semifield as sf, terms
 from budwta.automaton import DetValue, TransKey, Wta
+from budwta.congruence import SyntacticQuotient
 from budwta.scalar import Monomial
 from budwta.semifield import Semifield, Value
 from budwta.terms import RankedAlphabet, TermError, Tree, Z, Z_NAME
@@ -193,6 +198,154 @@ class ObserveOracle:
             return not self.col_nonzero[q1]
         times = self.wta.kind.times
         return all(times(c1, o1) == times(c2, o2) for o1, o2 in self.pair_obs[(q1, q2)])
+
+
+# --- the re-anchored refinement, kept as reference -----------------------
+
+# An abstract elementary context: symbol, hole position, side states.
+Elementary = Tuple[str, int, Tuple[str, ...]]
+# Per live state, the first step of a shortest observation path and the state
+# it leads to; None where the final weight is nonzero already.
+Steps = Dict[str, Optional[Tuple[Elementary, str]]]
+
+
+def _observation_steps(a: Wta) -> Steps:
+    """Shortest abstract step towards a nonzero final weight, per live state.
+
+    Returns, for each state that is not dead, either nothing (final weight
+    already nonzero) or one step (symbol, hole position, side states) plus
+    the successor state on a shortest observation path.
+    """
+    steps: Steps = {}
+    frontier = list(a.final)
+    for q in frontier:
+        steps[q] = None
+    delta = sorted(a.delta, key=lambda key: (key[1], key[0], key[2]))
+    while frontier:
+        new_frontier: List[str] = []
+        for ws, sym, q in delta:
+            if q not in steps:
+                continue
+            for i, p in enumerate(ws):
+                if p in steps:
+                    continue
+                sides = ws[:i] + ws[i + 1 :]
+                steps[p] = ((sym, i, sides), q)
+                new_frontier.append(p)
+        frontier = new_frontier
+    return steps
+
+
+def _path_observation(a: Wta, steps: Steps, q: str, rep: str) -> Value:
+    """Weight of running a unit run at state q along the observation path of
+    state rep, side trees left out, then F.
+
+    Each step applies delta with q's current state in the hole and the
+    step's side states around it; a missing transition observes zero.
+    """
+    k = a.kind
+    w = k.one
+    step = steps[rep]
+    while step is not None:
+        (sym, i, sides), on_path = step
+        hits = a.targets(sides[:i] + (q,) + sides[i:], sym)
+        if not hits:
+            return k.zero
+        q, f = hits[0]
+        w = k.times(w, f)
+        step = steps[on_path]
+    return congruence._read_out(a, (q, w))
+
+
+def _abstract_elementaries(a: Wta, pool: Sequence[str]) -> List[Elementary]:
+    """All (symbol, hole position, side states) triples, deterministic order."""
+    out: List[Elementary] = []
+    for sym in a.alphabet.symbols():
+        k = a.alphabet.arity(sym)
+        if k == 0:
+            continue
+        for i in range(k):
+            for sides in itertools.product(pool, repeat=k - 1):
+                out.append((sym, i, sides))
+    return out
+
+
+def _split(blocks: List[List[str]], key) -> List[List[str]]:
+    out: List[List[str]] = []
+    for block in blocks:
+        groups: Dict[tuple, List[str]] = {}
+        for q in block:
+            groups.setdefault(key(q), []).append(q)
+        out.extend(groups.values())
+    return out
+
+
+def reference_quotient(a: Wta) -> SyntacticQuotient:
+    """The syntactic quotient by re-anchored refinement.
+
+    Each round anchors the states of a block at the observation path of its
+    first state; states whose observation vanishes there are split off at
+    once, and the others are split by their signatures over every abstract
+    elementary context whose side states are drawn from the live states
+    plus one dead state.  Blocks come in the order the splits leave them.
+    """
+    dead = automaton.dead_states(a)
+    live = [q for q in a.states if q not in dead]
+    steps = _observation_steps(a)
+
+    dead_rep = next((q for q in a.states if q in dead), None)
+    pool: List[str] = list(live) + ([dead_rep] if dead_rep is not None else [])
+    elementaries = _abstract_elementaries(a, pool)
+
+    k = a.kind
+    blocks: List[List[str]] = [list(live)] if live else []
+    lam: Dict[str, Value] = {}
+
+    for _round in range(len(live) + 2):
+        lam = {}
+        mismatch: Dict[str, bool] = {}
+        for block in blocks:
+            rep = block[0]
+            base_inv = k.inv(_path_observation(a, steps, rep, rep))
+            for q in block:
+                o = _path_observation(a, steps, q, rep)
+                if o == k.zero:
+                    mismatch[q] = True
+                else:
+                    lam[q] = k.times(o, base_inv)
+        if mismatch:
+            blocks = _split(blocks, lambda q: q in mismatch)
+            continue
+
+        block_of = {q: i for i, block in enumerate(blocks) for q in block}
+
+        def signature(q: str) -> tuple:
+            lam_q_inv = k.inv(lam[q])
+            entries: List[object] = [k.times(lam_q_inv, a.final.get(q, k.zero))]
+            for (sym, i, sides) in elementaries:
+                hits = a.targets(sides[:i] + (q,) + sides[i:], sym)
+                if not hits or hits[0][0] in dead:
+                    entries.append(None)
+                    continue
+                nxt, f = hits[0]
+                entries.append((block_of[nxt], k.times(k.times(lam_q_inv, f), lam[nxt])))
+            return tuple(entries)
+
+        new_blocks = _split(blocks, signature)
+        if new_blocks == blocks:
+            break
+        blocks = new_blocks
+    else:
+        raise AssertionError("refinement failed to stabilize")
+
+    return SyntacticQuotient(
+        wta=a,
+        blocks=tuple(tuple(b) for b in blocks),
+        dead=dead,
+        lam=lam,
+        rep_tree=automaton.representative_trees(a),
+        block_of={q: i for i, block in enumerate(blocks) for q in block},
+    )
 
 
 def first_trees(a: Wta) -> Dict[str, Tree]:
@@ -376,3 +529,17 @@ def chain(rng: random.Random, kind: Semifield, n: int) -> Wta:
         delta[((p, p), "s", q)] = random_weight(rng, kind)
     final = {q: random_weight(rng, kind) for q in states}
     return Wta(RankedAlphabet([("s", 2), ("a", 0)]), states, kind, delta, final)
+
+
+def unary_chain(rng: random.Random, kind: Semifield, n: int) -> Wta:
+    """The unary chain a -> q0, g(q_i) -> q_(i+1), only q_(n-1) final.
+
+    Minimal: only g^(n-1-i) observes q_i.  Every observation path but the
+    last state's is long, and no two states share one.
+    """
+    states = tuple(f"q{i}" for i in range(n))
+    delta: Dict[TransKey, Value] = {((), "a", "q0"): random_weight(rng, kind)}
+    for p, q in zip(states, states[1:]):
+        delta[((p,), "g", q)] = random_weight(rng, kind)
+    final = {states[-1]: random_weight(rng, kind)}
+    return Wta(RankedAlphabet([("g", 1), ("a", 0)]), states, kind, delta, final)

@@ -16,14 +16,18 @@ from budwta.scalar import Monomial
 from budwta.terms import Tree
 
 from corpus import (
+    chain,
     count_symbol,
     decompose_elementary,
     enumerate_trees,
+    layered,
     random_monomial,
     random_slim_budet,
+    reference_quotient,
     small_corpus,
     split_states,
     substitute,
+    unary_chain,
 )
 
 
@@ -53,6 +57,34 @@ def test_proportional_copies_share_a_block(kind):
         assert len(build_syntactic_quotient(b).blocks) == len(
             build_syntactic_quotient(a).blocks
         ), automaton.format_wta(b)
+
+
+def _differential_inputs(kind):
+    rng = random.Random(f"reference:{kind}")
+    for a in small_corpus(kind, 150, seed=3):
+        yield a
+        yield split_states(rng, a)
+    yield layered(rng, kind, 30, 5)
+    yield chain(rng, kind, 10)
+    yield unary_chain(rng, kind, 50)
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_quotient_matches_reference_refinement(kind):
+    """Normalized refinement against the re-anchored one it replaced:
+    the same blocks as sets, the same lam and the same dead states; the
+    blocks come ordered by the declaration rank of their first state."""
+    for a in _differential_inputs(kind):
+        qt = build_syntactic_quotient(a)
+        ref = reference_quotient(a)
+        text = automaton.format_wta(a)
+        assert set(map(frozenset, qt.blocks)) == set(map(frozenset, ref.blocks)), text
+        assert qt.lam == ref.lam, text
+        assert qt.dead == ref.dead, text
+        rank = {q: i for i, q in enumerate(a.states)}
+        firsts = [rank[b[0]] for b in qt.blocks]
+        assert firsts == sorted(firsts), text
+        assert all([rank[q] for q in b] == sorted(rank[q] for q in b) for b in qt.blocks)
 
 
 def test_quotient_gamma3(gamma3):

@@ -195,6 +195,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # argparse takes a --mono value such as -1.a for an option: attach it
+    words = iter(sys.argv[1:] if argv is None else argv)
+    argv = []
+    for w in words:
+        v = next(words, None) if w == "--mono" else None
+        argv.append(w if v is None else f"--mono={v}")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "congruent" and len(args.monomials) != 2:

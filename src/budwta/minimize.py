@@ -5,16 +5,15 @@ scalar basis the class of the first representative tree in each live
 block, and read the minimal automaton off the basis.  A slim bu-det
 automaton is minimal iff its state count equals the size of that basis.
 
-Equivalence of two bu-det automata is decided exactly by a product
-exploration that tracks, per reachable state pair, the ratio of the two
-run weights; a ratio conflict or an observable mismatch on a pair whose
-observations matter disproves equivalence.
+Equivalence of two bu-det automata is decided exactly by one semi-naive
+pass over the pairs of live states that a common tree reaches, each with
+the ratio of the two run weights.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from . import automaton, congruence, terms
 from .automaton import PreconditionError, TransKey, Wta
@@ -166,13 +165,35 @@ def minimality(a: Wta) -> Tuple[bool, int]:
 
 # --- exact equivalence ----------------------------------------------------
 
+Pair = Tuple[str, str]
+
+
+def _pair_tuples(a: Wta, found: List[Pair]) -> Iterator[Tuple[str, Tuple[Pair, ...]]]:
+    """Each (symbol, tuple of found pairs) once, while ``found`` grows: first
+    the nullary symbols; then, as pair n is taken up, the tuples with pair n
+    at position j, pairs found before n before j, and up to n after j."""
+    for sym in a.alphabet.nullary_symbols():
+        yield sym, ()
+    n = 0
+    while n < len(found):
+        for sym in a.alphabet.symbols():
+            r = a.alphabet.arity(sym)
+            for j in range(r):
+                slots = [found[:n]] * j + [found[n : n + 1]] + [found[: n + 1]] * (r - j - 1)
+                yield from ((sym, combo) for combo in itertools.product(*slots))
+        n += 1
+
 
 def equivalent(a: Wta, b: Wta) -> bool:
     """Exact equality of the two recognized weighted tree languages.
 
     Both automata must be bu-det, over the same alphabet and semifield.
-    Runs a ratio-tracking product fixpoint over reachable state pairs;
-    terminates after at most (|Q_A|+1)*(|Q_B|+1) pair discoveries.
+    One semi-naive pass finds the pairs (p, q) of live states reached by a
+    common tree, each with a ratio rho of the two run weights that no tree
+    may change, and checks rho * F_A(p) = F_B(q).  A tree live on one side
+    only is observed there; trees dead or missing on both sides are never
+    observed, nor are trees above them (live states have live children).
+    At most |live_A| * |live_B| pairs; each pair tuple is looked at once.
     """
     if a.alphabet != b.alphabet:
         raise PreconditionError("automata use different alphabets")
@@ -180,82 +201,28 @@ def equivalent(a: Wta, b: Wta) -> bool:
         raise PreconditionError("automata use different semifields")
     automaton._require_budet(a)
     automaton._require_budet(b)
-    a = automaton.slim(a)
-    b = automaton.slim(b)
-    # the sink (None) is never observed either
-    dead_a = automaton.dead_states(a) | {None}
-    dead_b = automaton.dead_states(b) | {None}
+    a, b = automaton.slim(a), automaton.slim(b)
+    dead_a, dead_b = automaton.dead_states(a), automaton.dead_states(b)
     k = a.kind
-    Pair = Tuple[Optional[str], Optional[str]]
+    found: List[Pair] = []
     ratio: Dict[Pair, Value] = {}
-
-    def succ(m: Wta, ws: Tuple[Optional[str], ...], sym: str):
-        if any(p is None for p in ws):
-            return None
-        hits = m.targets(tuple(ws), sym)  # type: ignore[arg-type]
-        return hits[0] if hits else None
-
-    def admit(pair: Pair, rho: Value) -> bool:
-        """Record a discovered pair; False means the languages differ."""
-        p, q = pair
-        oa, ob = p not in dead_a, q not in dead_b
-        if oa != ob:
+    for sym, combo in _pair_tuples(a, found):
+        ha = a.targets(tuple(p for p, _ in combo), sym)
+        hb = b.targets(tuple(q for _, q in combo), sym)
+        live_a = bool(ha) and ha[0][0] not in dead_a
+        if live_a != (bool(hb) and hb[0][0] not in dead_b):
             return False
-        if not oa:
-            # neither side can ever be observed from here
-            if pair not in ratio:
-                ratio[pair] = None
-            return True
-        assert rho is not None
-        # final maps hold no zero weights
-        if (p in a.final) != (q in b.final):
-            return False
-        if p in a.final and rho != k.times(b.final[q], k.inv(a.final[p])):
-            return False
-        if pair in ratio:
-            return ratio[pair] == rho
-        ratio[pair] = rho
-        return True
-
-    # seed with nullary symbols, then close under all symbols
-    for sym in a.alphabet.nullary_symbols():
-        ha, hb = succ(a, (), sym), succ(b, (), sym)
-        pair = (ha[0] if ha else None, hb[0] if hb else None)
-        if pair == (None, None):
+        if not live_a:
             continue
-        rho = None
-        if ha is not None and hb is not None:
-            rho = k.times(ha[1], k.inv(hb[1]))
-        if not admit(pair, rho):
+        (p, x), (q, y) = ha[0], hb[0]
+        rho = k.times(x, k.inv(y))
+        for pair in combo:
+            rho = k.times(rho, ratio[pair])
+        if (p, q) not in ratio:
+            if k.times(rho, a.final.get(p, k.zero)) != b.final.get(q, k.zero):
+                return False
+            ratio[(p, q)] = rho
+            found.append((p, q))
+        elif ratio[(p, q)] != rho:
             return False
-
-    while True:
-        frontier = list(ratio.items())
-        grew = False
-        for sym in a.alphabet.symbols():
-            arity = a.alphabet.arity(sym)
-            if arity == 0:
-                continue
-            for combo in itertools.product(frontier, repeat=arity):
-                pairs = [pr for pr, _ in combo]
-                ha = succ(a, tuple(p for p, _ in pairs), sym)
-                hb = succ(b, tuple(q for _, q in pairs), sym)
-                pair = (ha[0] if ha else None, hb[0] if hb else None)
-                if pair == (None, None):
-                    continue
-                rho: Value = None
-                if (
-                    ha is not None
-                    and hb is not None
-                    and all(r is not None for _, r in combo)
-                ):
-                    rho = k.times(ha[1], k.inv(hb[1]))
-                    for _, r in combo:
-                        rho = k.times(rho, r)
-                known = pair in ratio
-                if not admit(pair, rho):
-                    return False
-                if not known:
-                    grew = True
-        if not grew:
-            return True
+    return True

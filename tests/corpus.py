@@ -14,6 +14,9 @@ reference that `congruence.context_tables` and
 replaced: each round re-anchors every state on its block representative's
 observation path and compares signatures over all abstract elementary
 contexts.  It is the differential reference for the normalized refinement.
+`reference_equivalent` is the round-based product fixpoint that
+`minimize.equivalent` replaced, sink and dead pairs included; it is the
+differential reference for the semi-naive pass.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -346,6 +349,103 @@ def reference_quotient(a: Wta) -> SyntacticQuotient:
         rep_tree=automaton.representative_trees(a),
         block_of={q: i for i, block in enumerate(blocks) for q in block},
     )
+
+
+# --- the round-based equivalence, kept as reference ----------------------
+
+
+def reference_equivalent(a: Wta, b: Wta) -> bool:
+    """Exact equivalence by a round-based product fixpoint.
+
+    Each round re-enumerates every tuple of the pairs found so far, dead
+    pairs and pairs with the sink (None) included; the ratio of a pair is
+    None where a dead state or the sink takes part.
+    """
+    if a.alphabet != b.alphabet:
+        raise automaton.PreconditionError("automata use different alphabets")
+    if a.kind != b.kind:
+        raise automaton.PreconditionError("automata use different semifields")
+    automaton._require_budet(a)
+    automaton._require_budet(b)
+    a = automaton.slim(a)
+    b = automaton.slim(b)
+    # the sink (None) is never observed either
+    dead_a = automaton.dead_states(a) | {None}
+    dead_b = automaton.dead_states(b) | {None}
+    k = a.kind
+    Pair = Tuple[Optional[str], Optional[str]]
+    ratio: Dict[Pair, Value] = {}
+
+    def succ(m: Wta, ws: Tuple[Optional[str], ...], sym: str):
+        if any(p is None for p in ws):
+            return None
+        hits = m.targets(tuple(ws), sym)  # type: ignore[arg-type]
+        return hits[0] if hits else None
+
+    def admit(pair: Pair, rho: Value) -> bool:
+        """Record a discovered pair; False means the languages differ."""
+        p, q = pair
+        oa, ob = p not in dead_a, q not in dead_b
+        if oa != ob:
+            return False
+        if not oa:
+            # neither side can ever be observed from here
+            if pair not in ratio:
+                ratio[pair] = None
+            return True
+        assert rho is not None
+        # final maps hold no zero weights
+        if (p in a.final) != (q in b.final):
+            return False
+        if p in a.final and rho != k.times(b.final[q], k.inv(a.final[p])):
+            return False
+        if pair in ratio:
+            return ratio[pair] == rho
+        ratio[pair] = rho
+        return True
+
+    # seed with nullary symbols, then close under all symbols
+    for sym in a.alphabet.nullary_symbols():
+        ha, hb = succ(a, (), sym), succ(b, (), sym)
+        pair = (ha[0] if ha else None, hb[0] if hb else None)
+        if pair == (None, None):
+            continue
+        rho = None
+        if ha is not None and hb is not None:
+            rho = k.times(ha[1], k.inv(hb[1]))
+        if not admit(pair, rho):
+            return False
+
+    while True:
+        frontier = list(ratio.items())
+        grew = False
+        for sym in a.alphabet.symbols():
+            arity = a.alphabet.arity(sym)
+            if arity == 0:
+                continue
+            for combo in itertools.product(frontier, repeat=arity):
+                pairs = [pr for pr, _ in combo]
+                ha = succ(a, tuple(p for p, _ in pairs), sym)
+                hb = succ(b, tuple(q for _, q in pairs), sym)
+                pair = (ha[0] if ha else None, hb[0] if hb else None)
+                if pair == (None, None):
+                    continue
+                rho: Value = None
+                if (
+                    ha is not None
+                    and hb is not None
+                    and all(r is not None for _, r in combo)
+                ):
+                    rho = k.times(ha[1], k.inv(hb[1]))
+                    for _, r in combo:
+                        rho = k.times(rho, r)
+                known = pair in ratio
+                if not admit(pair, rho):
+                    return False
+                if not known:
+                    grew = True
+        if not grew:
+            return True
 
 
 def first_trees(a: Wta) -> Dict[str, Tree]:

@@ -264,6 +264,33 @@ def test_double_dash_option_value_exits_2(wta_file, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+TROPICAL_LOOP = """\
+semifield tropical
+rank a 0
+rank g 1
+trans a() -> p @ 1
+trans g(p) -> p @ -1
+final p @ 0
+"""
+
+
+@pytest.mark.parametrize(
+    "m1, m2, code",
+    [("-2.g(a)", "-1.g(g(a))", 0), ("-1.a", "-1.g(a)", 1), ("-1.a", "0.a", 1), ("-1.b", "0.a", 2)],
+)
+def test_negative_monomials_read_alike_with_a_space(wta_file, capsys, m1, m2, code):
+    path = wta_file(TROPICAL_LOOP)
+    assert main(["congruent", path, "--mono", m1, "--mono", m2]) == code
+    spaced = capsys.readouterr()
+    assert main(["congruent", path, f"--mono={m1}", f"--mono={m2}"]) == code
+    assert capsys.readouterr() == spaced
+
+
+def test_mono_followed_by_double_dash_exits_2(wta_file, capsys):
+    assert main(["congruent", wta_file(TROPICAL_LOOP), "--mono", "--", "--mono", "0.a"]) == 2
+    assert capsys.readouterr().err == "error: '--' is neither a tree nor a monomial\n"
+
+
 def test_tree_error_text_is_bounded(wta_file, capsys):
     path = wta_file(EVEN_ODD)
     for tree in ("sigma(" * 10**5, "alpha " + "b" * 10**5, "x" * 10**5 + "("):

@@ -1,15 +1,23 @@
-"""Every name a `budwta` module imports is used in that module.
+"""Every name a `budwta` module imports is used in that module, and every
+top-level function or class of a module is named somewhere else.
 
-`__init__.py` is left out: its imports are the package's exports.
+`__init__.py` is left out of the import check: its imports are the
+package's exports.  The naming check searches the text of `src/`,
+`tests/`, `bench/` and `README.md`, so a name that only a test, the
+benchmark or the documentation uses still counts.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "budwta"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = SRC.parent.parent
+SEARCHED = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+SEARCHED.append(ROOT / "README.md")
 
 
 def unused_imports(source: str):
@@ -35,3 +43,32 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_definitions(source: str, elsewhere: str):
+    """The top-level functions and classes of ``source`` whose name occurs
+    neither in ``elsewhere`` nor in ``source`` outside their own lines."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        rest = lines[: node.lineno - 1] + lines[node.end_lineno :] + [elsewhere]
+        if not re.search(rf"\b{re.escape(node.name)}\b", "\n".join(rest)):
+            out.append((node.lineno, node.name))
+    return out
+
+
+def test_the_check_sees_an_unnamed_definition():
+    source = (
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return orphan() + used()\n\n\n"
+        "class Kept:\n    pass\n"
+    )
+    assert unnamed_definitions(source, "k = Kept()") == [(5, "orphan")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_named_elsewhere(path):
+    elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in SEARCHED if p != path)
+    assert unnamed_definitions(path.read_text(encoding="utf-8"), elsewhere) == []

@@ -29,7 +29,16 @@ from budwta.minimize import (
 )
 from budwta.scalar import Monomial
 
-from corpus import chain, enumerate_trees, layered, random_slim_budet
+from corpus import (
+    chain,
+    enumerate_trees,
+    layered,
+    random_slim_budet,
+    random_weight,
+    reference_equivalent,
+    small_corpus,
+    split_states,
+)
 
 
 def rat(x):
@@ -279,6 +288,98 @@ def test_equivalent_ignores_dead_differences():
         "trans alpha() -> p @ 1\nfinal p @ 1\n"
     )
     assert equivalent(a, b)
+
+
+def test_equivalent_live_against_dead_is_a_difference():
+    # alpha reaches p, live in `a` through gamma, and dead in `b`
+    a = parse_wta(
+        "semifield rational\nrank alpha 0\nrank beta 0\nrank gamma 1\n"
+        "trans alpha() -> p @ 1\ntrans gamma(p) -> r @ 1\n"
+        "trans beta() -> s @ 1\nfinal r @ 1\nfinal s @ 1\n"
+    )
+    b = parse_wta(
+        "semifield rational\nrank alpha 0\nrank beta 0\nrank gamma 1\n"
+        "trans alpha() -> p @ 1\ntrans gamma(p) -> r @ 1\n"
+        "trans beta() -> s @ 1\nfinal s @ 1\n"
+    )
+    assert not equivalent(a, b)
+    assert not equivalent(b, a)
+
+
+DEAD_UNDER_SIGMA = (
+    "semifield rational\nrank alpha 0\nrank sigma 2\n"
+    "trans alpha() -> p @ 1\nfinal p @ 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["", "trans sigma(p,p) -> e @ 5\ntrans sigma(e,e) -> e @ 2\n"],
+    ids=["missing", "dead"],
+)
+def test_equivalent_ignores_dead_pairs_under_a_binary_symbol(extra):
+    # sigma(alpha, alpha) reaches the dead d in `a`, and e or nothing in
+    # `b`: the pair is met only after the first step, and never observed
+    a = parse_wta(DEAD_UNDER_SIGMA + "trans sigma(p,p) -> d @ 2\ntrans sigma(p,d) -> d @ 7\n")
+    b = parse_wta(DEAD_UNDER_SIGMA + extra)
+    assert automaton.dead_states(a) == {"d"}
+    assert equivalent(a, b) and equivalent(b, a)
+    assert reference_equivalent(a, b) and reference_equivalent(b, a)
+
+
+TERNARY = terms.RankedAlphabet([("t", 3), ("g", 1), ("a", 0), ("b", 0)])
+
+
+def _random_over(rng, kind, alphabet, n):
+    """A random bu-det automaton over ``alphabet``, not necessarily slim."""
+    states = tuple(f"r{i}" for i in range(n))
+    delta = {}
+    for sym in alphabet.symbols():
+        for ws in itertools.product(states, repeat=alphabet.arity(sym)):
+            if rng.random() < 0.6:
+                delta[(ws, sym, rng.choice(states))] = random_weight(rng, kind)
+    final = {q: random_weight(rng, kind) for q in states if rng.random() < 0.6}
+    return Wta(alphabet, states, kind, delta, final)
+
+
+def _perturbed(rng, a, part):
+    """``a`` with one final weight (part "final") or one transition weight
+    (part "delta") set to another value or dropped."""
+    delta, final = dict(a.delta), dict(a.final)
+    if part == "final":
+        table, key = final, rng.choice(a.states)
+    else:
+        table, key = delta, rng.choice(sorted(delta))
+    w = random_weight(rng, a.kind)
+    if table.get(key) == w:
+        del table[key]
+    else:
+        table[key] = w
+    return Wta(a.alphabet, a.states, a.kind, delta, final)
+
+
+def _partners(rng, a):
+    yield minimize(a)
+    yield split_states(rng, a)
+    yield _perturbed(rng, a, "final")
+    yield _perturbed(rng, a, "delta")
+    yield _random_over(rng, a.kind, a.alphabet, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_equivalent_matches_reference(kind):
+    rng = random.Random(f"equivalent:{kind}")
+    automata = list(small_corpus(kind, 24, seed=10))
+    automata += [layered(rng, kind, 12, 4), chain(rng, kind, 6)]
+    automata += [_random_over(rng, kind, TERNARY, rng.randint(2, 3)) for _ in range(12)]
+    answers = []
+    for a in automata:
+        for b in _partners(rng, a):
+            for x, y in ((a, b), (b, a)):
+                answer = equivalent(x, y)
+                assert answer == reference_equivalent(x, y), (format_wta(x), format_wta(y))
+                answers.append(answer)
+    assert True in answers and False in answers
 
 
 def _bounded_equivalence(a, b, max_height):

@@ -45,10 +45,10 @@ class Wta:
     ``final`` is a nonzero raw value of it, checked once, here.
     The derived fields are computed once, here: ``_succ`` indexes delta by
     (state tuple, symbol) and ``budet`` records bottom-up determinism.
-    A memo fills as the automaton is used: ``_runs`` maps each tree run
-    so far to its deterministic value.  Only validated input goes in, and
-    the memo belongs to the automaton, so it can never go stale and dies
-    with it.
+    A memo fills as the automaton is used: ``_runs`` maps the root of each
+    tree run so far, not its interior nodes, to its deterministic value.
+    Only validated input goes in, and the memo belongs to the automaton,
+    so it can never go stale and dies with it.
     """
 
     alphabet: RankedAlphabet
@@ -150,10 +150,10 @@ _state = operator.itemgetter(0)
 
 
 def _run(a: Wta, t: Tree) -> DetValue:
-    """Deterministic run of a valid tree, memoised in ``a._runs``.
+    """Deterministic run of a valid tree, memoised in ``a._runs`` at the root.
 
     An explicit-stack post-order walk that stops at every subtree the memo
-    already holds; a shared subtree is run once.
+    holds (the root of an earlier run); a shared subtree is run once.
     """
     runs = a._runs
     v = runs.get(t, _MISS)
@@ -176,13 +176,14 @@ def _run(a: Wta, t: Tree) -> DetValue:
                     for kv in kids:
                         w = times(w, kv[1])
                     v = (q, w)
-            runs[node] = vals[id(node)] = v
+            vals[id(node)] = v
         elif id(item) not in vals:
             v = vals[id(item)] = runs.get(item, _MISS)
             if v is _MISS:
                 stack.append((item,))
                 stack.extend(item.children)  # type: ignore[attr-defined]
-    return vals[id(t)]  # type: ignore[return-value]
+    v = runs[t] = vals[id(t)]
+    return v  # type: ignore[return-value]
 
 
 def _det(a: Wta, t: Tree) -> DetValue:
@@ -271,6 +272,14 @@ def is_slim(a: Wta) -> bool:
     return reachable_states(a) == set(a.states)
 
 
+def _zero_language(a: Wta, p: str) -> Wta:
+    """The one-state zero-language automaton over a's alphabet and
+    semifield: state ``p``, a unit self-loop per symbol, no final weight."""
+    sigma = a.alphabet
+    delta = {((p,) * sigma.arity(s), s, p): a.kind.one for s in sigma.symbols()}
+    return Wta(sigma, (p,), a.kind, delta, {})
+
+
 def slim(a: Wta) -> Wta:
     """Restrict to realized states; preserves the recognized weighted language.
 
@@ -280,12 +289,7 @@ def slim(a: Wta) -> Wta:
     """
     reached = reachable_states(a)
     if not reached:
-        p = a.states[0]
-        delta: Dict[TransKey, Value] = {}
-        for sym in a.alphabet.symbols():
-            k = a.alphabet.arity(sym)
-            delta[((p,) * k, sym, p)] = a.kind.one
-        return Wta(a.alphabet, (p,), a.kind, delta, {})
+        return _zero_language(a, a.states[0])
     keep = tuple(q for q in a.states if q in reached)
     delta = {
         key: w

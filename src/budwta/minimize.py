@@ -1,9 +1,9 @@
 """Minimal bu-det automaton construction and exact equivalence.
 
 The pipeline: slim the automaton, build its syntactic quotient, take as
-scalar basis the class of the first representative tree in each live
-block, and read the minimal automaton off the basis.  A slim bu-det
-automaton is minimal iff its state count equals the size of that basis.
+scalar basis the class of the witness tree of each live block's first
+state, and read the minimal automaton off delta in one pass.  A slim
+bu-det automaton is minimal iff its state count equals the basis size.
 
 Equivalence of two bu-det automata is decided exactly by one semi-naive
 pass over the pairs of live states that a common tree reaches, each with
@@ -13,7 +13,7 @@ the ratio of the two run weights.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import automaton, congruence, terms
 from .automaton import PreconditionError, TransKey, Wta
@@ -47,19 +47,16 @@ def candidate_set(
 def scalar_basis(
     a: Wta, qt: SyntacticQuotient
 ) -> List[Tuple[Tree, ClassRep]]:
-    """The first candidate of each live block, in candidate order.
+    """The witness tree of each live block's first state, with its class:
+    the first candidate of each block, in candidate order.
 
     Two nonzero classes are scalar multiples of one another exactly when
     they share a block, so this is a pair-independent generating set: a
     basis, whose size is the number of live blocks.
     """
-    seen: Set[int] = set()
-    basis: List[Tuple[Tree, ClassRep]] = []
-    for t, cls in candidate_set(a, qt):
-        if cls[0] not in seen:
-            seen.add(cls[0])
-            basis.append((t, cls))
-    return basis
+    one = a.kind.one
+    trees = [qt.rep_tree[block[0]] for block in qt.blocks]
+    return [(t, congruence.class_of(qt, Monomial(one, t))) for t in trees]
 
 
 NAME_TEXT_CAP = 64  # characters of tree text that a basis-state name keeps
@@ -91,45 +88,43 @@ def _basis_state_name(index: int, t: Tree) -> str:
 def build_wta_from_basis(
     a: Wta, qt: SyntacticQuotient, basis: List[Tuple[Tree, ClassRep]]
 ) -> Wta:
-    """The automaton whose states are the basis classes.
+    """The automaton whose states are the basis classes, read off delta.
 
-    A transition weight is the scalar by which the class of
-    sigma(basis trees) decomposes over the basis; final weights are the
-    recognized weights of the basis trees.  With an empty basis (zero
-    language) the result is the canonical one-state automaton with no
-    final weights.
+    Basis tree t_i (one per live block, of class (block, b_i)) runs to
+    state s_i with weight wt_i.  The transition on sym(i1..ik) is the class
+    of sym(t_i1, ..., t_ik) over the basis.  By bu-determinism that tree
+    takes the one entry sym(s_i1..s_ik) -> t @ w, if any, so the class is
+    basis element j of t's block times w * prod wt_i * lam[t] * b_j^-1.
+    With no entry, or a dead t, the class is zero: no transition.  So one
+    pass over delta, O(|delta| * k), builds them all.  Final weights are
+    the basis trees' weights; an empty basis (zero language) gives the
+    one-state automaton with no final weight.
     """
-    alphabet = a.alphabet
     k = a.kind
     if not basis:
-        p = _basis_state_name(0, Tree(alphabet.nullary_symbols()[0]))
-        delta: Dict[TransKey, Value] = {}
-        for sym in alphabet.symbols():
-            delta[((p,) * alphabet.arity(sym), sym, p)] = k.one
-        return Wta(alphabet, (p,), k, delta, {})
+        p = _basis_state_name(0, Tree(a.alphabet.nullary_symbols()[0]))
+        return automaton._zero_language(a, p)
 
     names = [_basis_state_name(i, t) for i, (t, _) in enumerate(basis)]
-    block_to_index = {cls[0]: i for i, (_, cls) in enumerate(basis)}
-    delta = {}
-    for sym in alphabet.symbols():
-        arity = alphabet.arity(sym)
-        for combo in itertools.product(range(len(basis)), repeat=arity):
-            t = Tree(sym, tuple(basis[i][0] for i in combo))
-            cls = congruence.class_of(qt, Monomial(k.one, t))
-            if cls is None:
-                continue
-            block, scal = cls
-            j = block_to_index[block]
-            _, (_, base_scal) = basis[j]
-            w = k.times(scal, k.inv(base_scal))
-            key = (tuple(names[i] for i in combo), sym, names[j])
-            delta[key] = w
+    child: Dict[str, Tuple[str, Value]] = {}  # s_i -> (its name, wt_i)
     final: Dict[str, Value] = {}
-    for i, (t, _) in enumerate(basis):
+    for name, (t, _) in zip(names, basis):
+        s, wt = automaton.h_det(a, t)
+        child[s] = (name, wt)
         w = automaton.evaluate(a, t)
         if w != k.zero:
-            final[names[i]] = w
-    return Wta(alphabet, tuple(names), k, delta, final)
+            final[name] = w
+    target = {block: (names[j], k.inv(b)) for j, (_, (block, b)) in enumerate(basis)}
+    delta: Dict[TransKey, Value] = {}
+    for (ws, sym, t), w in a.delta.items():
+        if t in qt.dead or not all(p in child for p in ws):
+            continue
+        name, b_inv = target[qt.block_of[t]]
+        w = k.times(k.times(w, qt.lam[t]), b_inv)
+        for p in ws:
+            w = k.times(w, child[p][1])
+        delta[(tuple(child[p][0] for p in ws), sym, name)] = w
+    return Wta(a.alphabet, tuple(names), k, delta, final)
 
 
 def minimize(a: Wta) -> Wta:

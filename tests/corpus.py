@@ -17,6 +17,10 @@ contexts.  It is the differential reference for the normalized refinement.
 `reference_equivalent` is the round-based product fixpoint that
 `minimize.equivalent` replaced, sink and dead pairs included; it is the
 differential reference for the semi-naive pass.
+`reference_build` is the builder `minimize.build_wta_from_basis`
+replaced: it runs sym(basis trees) through `congruence.class_of` for every
+tuple of basis trees.  It is the differential reference for the pass over
+delta.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -25,7 +29,8 @@ three or more states use unary-spine alphabets so that literal context
 enumeration at height 2*|Q| stays small; binary-symbol automata are capped
 at two states.  `layered` and `chain` build minimal automata whose states
 need high trees.  `split_states` gives an automaton proportional copies
-of its states.
+of its states.  `sparse_binary` gives large slim automata with |delta| = 3n,
+on which a builder that loops over basis tuples is quadratic.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from budwta import automaton, congruence, semifield as sf, terms
 from budwta.automaton import DetValue, TransKey, Wta
-from budwta.congruence import SyntacticQuotient
+from budwta.congruence import ClassRep, SyntacticQuotient
+from budwta.minimize import _basis_state_name
 from budwta.scalar import Monomial
 from budwta.semifield import Semifield, Value
 from budwta.terms import RankedAlphabet, TermError, Tree, Z, Z_NAME
@@ -448,6 +454,49 @@ def reference_equivalent(a: Wta, b: Wta) -> bool:
             return True
 
 
+# --- the basis-tuple builder, kept as reference ---------------------------
+
+
+def reference_build(
+    a: Wta, qt: SyntacticQuotient, basis: List[Tuple[Tree, ClassRep]]
+) -> Wta:
+    """The automaton whose states are the basis classes, built literally.
+
+    For every symbol and every tuple of basis trees, the tree
+    sym(basis trees) is run through `congruence.class_of`, and its class
+    is divided by the scalar of the basis element of its block.  With an
+    empty basis the result is the one-state automaton of the zero
+    language, spelled out.
+    """
+    alphabet = a.alphabet
+    k = a.kind
+    if not basis:
+        p = _basis_state_name(0, Tree(alphabet.nullary_symbols()[0]))
+        zero: Dict[TransKey, Value] = {}
+        for sym in alphabet.symbols():
+            zero[((p,) * alphabet.arity(sym), sym, p)] = k.one
+        return Wta(alphabet, (p,), k, zero, {})
+    names = [_basis_state_name(i, t) for i, (t, _) in enumerate(basis)]
+    block_to_index = {cls[0]: i for i, (_, cls) in enumerate(basis)}
+    delta: Dict[TransKey, Value] = {}
+    for sym in alphabet.symbols():
+        for combo in itertools.product(range(len(basis)), repeat=alphabet.arity(sym)):
+            t = Tree(sym, tuple(basis[i][0] for i in combo))
+            cls = congruence.class_of(qt, Monomial(k.one, t))
+            if cls is None:
+                continue
+            block, scal = cls
+            j = block_to_index[block]
+            w = k.times(scal, k.inv(basis[j][1][1]))
+            delta[(tuple(names[i] for i in combo), sym, names[j])] = w
+    final: Dict[str, Value] = {}
+    for i, (t, _) in enumerate(basis):
+        w = automaton.evaluate(a, t)
+        if w != k.zero:
+            final[names[i]] = w
+    return Wta(alphabet, tuple(names), k, delta, final)
+
+
 def first_trees(a: Wta) -> Dict[str, Tree]:
     """The first enumerated tree reaching each state of a slim automaton,
     in the order found."""
@@ -629,6 +678,37 @@ def chain(rng: random.Random, kind: Semifield, n: int) -> Wta:
         delta[((p, p), "s", q)] = random_weight(rng, kind)
     final = {q: random_weight(rng, kind) for q in states}
     return Wta(RankedAlphabet([("s", 2), ("a", 0)]), states, kind, delta, final)
+
+
+def sparse_binary(rng: random.Random, kind: Semifield, n: int) -> Wta:
+    """A random slim bu-det automaton with n states and 3n transitions over
+    f/2, g/1, h/1, a/0, each state final with probability 1/2.
+
+    a reaches q0, and each later state q_i is first reached by a random
+    f, g or h transition from states before it, so every state is
+    realized; the other transitions have random free keys and targets.
+    """
+    states = tuple(f"q{i}" for i in range(n))
+    alphabet = RankedAlphabet([("f", 2), ("g", 1), ("h", 1), ("a", 0)])
+    delta: Dict[TransKey, Value] = {}
+    used: Set[Tuple[Tuple[str, ...], str]] = set()
+
+    def add(pool: Sequence[str], q: str) -> None:
+        while True:
+            sym = rng.choice(("f", "g", "h"))
+            ws = tuple(rng.choice(pool) for _ in range(alphabet.arity(sym)))
+            if (ws, sym) not in used:
+                used.add((ws, sym))
+                delta[(ws, sym, q)] = random_weight(rng, kind)
+                return
+
+    delta[((), "a", states[0])] = random_weight(rng, kind)
+    for i in range(1, n):
+        add(states[:i], states[i])
+    while len(delta) < 3 * n:
+        add(states, rng.choice(states))
+    final = {q: random_weight(rng, kind) for q in states if rng.random() < 0.5}
+    return Wta(alphabet, states, kind, delta, final)
 
 
 def unary_chain(rng: random.Random, kind: Semifield, n: int) -> Wta:

@@ -441,6 +441,12 @@ def test_deep_spine_eval_and_state(gamma3):
     assert state_of(gamma3, spine(gamma3, 1001)) == "q2"
 
 
+def test_run_memo_keeps_only_the_root():
+    a = parse_wta(GAMMA3)
+    evaluate(a, spine(a, 10**5))
+    assert len(a._runs) <= 1
+
+
 def test_h_general_matches_h_det_on_deep_spine(gamma3):
     tree = spine(gamma3, 10**4)
     q, w = h_det(gamma3, tree)

@@ -1,5 +1,6 @@
-"""Every name a `budwta` module imports is used in that module, and every
-top-level function or class of a module is named somewhere else.
+"""Every name a `budwta` module or `tests/corpus.py` imports is used in
+that file, and every top-level function or class of them is named
+somewhere else.
 
 `__init__.py` is left out of the import check: its imports are the
 package's exports.  The naming check searches the text of `src/`,
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "budwta"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ROOT = SRC.parent.parent
+CORPUS = ROOT / "tests" / "corpus.py"  # the reference oracles and generators
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + [CORPUS]
 SEARCHED = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
 SEARCHED.append(ROOT / "README.md")
 
@@ -68,7 +70,7 @@ def test_the_check_sees_an_unnamed_definition():
     assert unnamed_definitions(source, "k = Kept()") == [(5, "orphan")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + [CORPUS], ids=lambda p: p.name)
 def test_every_definition_is_named_elsewhere(path):
     elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in SEARCHED if p != path)
     assert unnamed_definitions(path.read_text(encoding="utf-8"), elsewhere) == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from budwta import automaton, semifield as sf, terms
+from budwta import automaton, congruence, semifield as sf, terms
 from budwta.automaton import (
     PreconditionError,
     Wta,
@@ -35,8 +35,10 @@ from corpus import (
     layered,
     random_slim_budet,
     random_weight,
+    reference_build,
     reference_equivalent,
     small_corpus,
+    sparse_binary,
     split_states,
 )
 
@@ -404,6 +406,48 @@ def test_equivalent_matches_bounded_enumeration_corpus():
         exact = equivalent(a, b)
         bounded = _bounded_equivalence(a, b, 2 * (len(a.states) + len(b.states)))
         assert exact == bounded, (format_wta(a), format_wta(b))
+
+
+# --- the pass over delta against the basis-tuple builder --------------------
+
+
+def _builds(a):
+    """Both builds of slim(a) on scalar_basis, and on a basis that takes each
+    block's last state's witness tree, blocks in reverse order."""
+    s = slim(a)
+    qt = build_syntactic_quotient(s)
+    last = [Monomial(s.kind.one, qt.rep_tree[block[-1]]) for block in reversed(qt.blocks)]
+    for basis in (scalar_basis(s, qt), [(m.tree, class_of(qt, m)) for m in last]):
+        yield build_wta_from_basis(s, qt, basis), reference_build(s, qt, basis)
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_build_matches_reference(kind):
+    rng = random.Random(f"build:{kind}")
+    automata = list(small_corpus(kind, 24, seed=11))
+    automata += [split_states(rng, a) for a in automata]
+    automata += [layered(rng, kind, 12, 4), chain(rng, kind, 6)]
+    automata += [_random_over(rng, kind, TERNARY, rng.randint(2, 3)) for _ in range(12)]
+    no_final = automata[0]  # the zero language
+    automata.append(Wta(no_final.alphabet, no_final.states, kind, no_final.delta, {}))
+    for a in automata:
+        for built, reference in _builds(a):
+            assert format_wta(built) == format_wta(reference), format_wta(a)
+
+
+def test_minimize_runs_class_of_once_per_block(monkeypatch):
+    a = sparse_binary(random.Random(60), sf.BOOLEAN, 60)
+    blocks = build_syntactic_quotient(a).blocks
+    calls = []
+    real = congruence.class_of
+
+    def counted(qt, m):
+        calls.append(m)
+        return real(qt, m)
+
+    monkeypatch.setattr(congruence, "class_of", counted)
+    minimize(a)
+    assert 0 < len(calls) <= len(blocks)
 
 
 # --- corpus invariants ----------------------------------------------------

@@ -190,9 +190,9 @@ def _det(a: Wta, t: Tree) -> DetValue:
     """The run of ``t``; the tree is validated only when the memo misses.
 
     A hit is stored again under ``t`` itself: a tree equal to the key but
-    parsed apart costs one comparison walk, and the next lookup of the
-    same object (a monomial is looked up once per decision procedure)
-    is an identity hit.
+    built apart (by ``Tree``, or parsed against an equal but separate
+    alphabet) costs one comparison walk, and the next lookup of the same
+    object is an identity hit.
     """
     runs = a._runs
     v = runs.pop(t, _MISS)

@@ -62,8 +62,10 @@ class Semifield:
         if not _NUM_RE.match(text):
             raise WeightSyntaxError(f"malformed weight: {text[:60]!r}")
         num, _, den = text.partition("/")
+        if not den:
+            return self.from_fraction(_int(num))
         try:
-            x = Fraction(_int(num), _int(den) if den else 1)
+            x = Fraction(_int(num), _int(den))
         except ZeroDivisionError:
             msg = f"zero denominator in weight: {text[:60]!r}"
             raise WeightSyntaxError(msg) from None

@@ -3,9 +3,10 @@
 A tree is a finite term over a ranked alphabet.  A context is a tree over
 the alphabet extended with the reserved nullary symbol ``z``, containing
 exactly one occurrence of ``z``.  This module parses, validates, prints
-and enumerates them.  Plugging a tree into a context and splitting a
-context into elementary ones are not needed by the package: the test
-suite keeps them as its reference.
+and enumerates them.  Parsing is memoised on the alphabet: each distinct
+text gives one tree object per alphabet.  Plugging a tree into a context
+and splitting a context into elementary ones are not needed by the
+package: the test suite keeps them as its reference.
 
 Enumeration of contexts is deterministic: by height first, then
 lexicographically following the declaration order of the alphabet, with
@@ -90,10 +91,16 @@ Z = Tree(Z_NAME)
 
 
 class RankedAlphabet:
-    """Finite set of symbols with fixed arities, in declaration order."""
+    """Finite set of symbols with fixed arities, in declaration order.
+
+    An alphabet is immutable.  It also keeps `parse_tree`'s memo: one tree
+    object per distinct text parsed against it, which can never go stale
+    and dies with the alphabet.
+    """
 
     def __init__(self, symbols: Iterable[Tuple[str, int]]):
         self._arity: Dict[str, int] = {}
+        self._parsed: Dict[Tuple[str, bool], Tree] = {}  # (text, allow_z) -> tree
         for name, k in symbols:
             if not _IDENT_RE.match(name):
                 raise TermError(f"bad symbol name: {name!r}")
@@ -189,7 +196,15 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
     bounded by memory, and checks each node's arity as it closes.  Equal
     subtrees become one shared object: a balanced tree comes back as a DAG
     with one node per distinct subtree.
+
+    A text parsed again against the same alphabet object gives back the
+    same tree object, so a run memo finds it by identity.  A text that
+    fails to parse is not remembered.
     """
+    text_key = (text, allow_z)
+    node = alphabet._parsed.get(text_key)
+    if node is not None:
+        return node
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input
     arities = alphabet._arity
@@ -236,6 +251,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
         else:
             if tokens[pos]:
                 raise TermError(f"trailing input {_at(text, pos)}")
+            alphabet._parsed[text_key] = node
             return node
 
 

@@ -4,7 +4,8 @@ automata and monomials for the test suite.
 `enumerate_trees` lists every tree, height by height; it is the reference
 that `automaton.representative_trees` is checked against.
 `substitute`, `decompose_elementary`, `count_symbol` and `parse_context`
-work on contexts as literal trees.  `context_transform` runs a context by
+work on contexts as literal trees; `equal_alphabet` gives a second parse
+of a text as another object.  `context_transform` runs a context by
 splitting it into its elementary factors and running each side tree, and
 `observe` reads the result out; `ObserveOracle` is the bounded-context
 oracle that observes every context on every state that way.  They are the
@@ -79,6 +80,13 @@ def count_symbol(t: Tree, name: str) -> int:
             n += counts[id(c)]
         counts[id(node)] = n
     return counts[id(t)]
+
+
+def equal_alphabet(alphabet: RankedAlphabet) -> RankedAlphabet:
+    """A separate alphabet equal to ``alphabet``.  `terms.parse_tree`
+    memoises per alphabet object, so a text parsed against it gives a tree
+    equal to, but not the same object as, a parse against ``alphabet``."""
+    return RankedAlphabet([(s, alphabet.arity(s)) for s in alphabet.symbols()])
 
 
 def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:

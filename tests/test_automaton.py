@@ -34,6 +34,7 @@ from corpus import (
     context_transform,
     count_symbol,
     enumerate_trees,
+    equal_alphabet,
     first_trees,
     layered,
     parse_context,
@@ -430,7 +431,8 @@ def test_wta_is_frozen(even_odd):
 def test_deep_spine_eval_and_state(gamma3):
     # gamma^n(alpha) reaches q2 for odd n and q3 for even n >= 2
     depth = 10**5
-    first, second = spine(gamma3, depth), spine(gamma3, depth)
+    first = spine(gamma3, depth)
+    second = terms.parse_tree(terms.format_tree(first), equal_alphabet(gamma3.alphabet))
     assert first is not second
     assert state_of(gamma3, first) == "q3"
     assert evaluate(gamma3, first) == rat(2)

@@ -12,10 +12,12 @@ from budwta.congruence import (
     context_tables,
 )
 
+from conftest import EVEN_ODD
 from corpus import (
     ObserveOracle,
     context_transform,
     enumerate_trees,
+    equal_alphabet,
     observe,
     parse_context,
     random_monomial,
@@ -106,16 +108,11 @@ def test_tables_of_a_context_killed_by_a_side_tree():
     )
 
 
-def test_monomial_tree_walked_once_per_decision(even_odd, monkeypatch):
+def test_monomial_tree_walked_once_per_decision(monkeypatch):
     """A parsed monomial is compared with its memo key once, not once by
-    the quotient and again by the oracle."""
-    a = even_odd
-    qt = build_syntactic_quotient(a)
-    oracle = BoundedContextOracle(a, 2)
+    the quotient and again by the oracle; not at all when the key is the
+    same text parsed against the same alphabet, which is the same object."""
     texts = ("sigma(alpha,sigma(alpha,alpha))", "sigma(sigma(alpha,alpha),alpha)")
-    for text in texts:  # in the memo, under other objects than the monomials'
-        automaton.h_det(a, terms.parse_tree(text, a.alphabet))
-    m1, m2 = (scalar.parse_monomial(f"2.{text}", a.alphabet, a.kind) for text in texts)
     walks = []
     eq = terms.Tree.__eq__
 
@@ -123,6 +120,16 @@ def test_monomial_tree_walked_once_per_decision(even_odd, monkeypatch):
         walks.append((x, y))
         return eq(x, y)
 
-    monkeypatch.setattr(terms.Tree, "__eq__", counted)
-    assert congruent(qt, m1, m2) == oracle.congruent(m1, m2)
-    assert len(walks) == 2
+    for same_alphabet, expected in ((False, 2), (True, 0)):
+        a = automaton.parse_wta(EVEN_ODD)
+        qt = build_syntactic_quotient(a)
+        oracle = BoundedContextOracle(a, 2)
+        keys = a.alphabet if same_alphabet else equal_alphabet(a.alphabet)
+        for text in texts:  # in the memo before the monomials are parsed
+            automaton.h_det(a, terms.parse_tree(text, keys))
+        m1, m2 = (scalar.parse_monomial(f"2.{text}", a.alphabet, a.kind) for text in texts)
+        walks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(terms.Tree, "__eq__", counted)
+            assert congruent(qt, m1, m2) == oracle.congruent(m1, m2)
+        assert len(walks) == expected

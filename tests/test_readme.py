@@ -65,4 +65,4 @@ def test_library_example(tmp_path, monkeypatch):
         assert isinstance(stmt, ast.Expr), source
         assert eval(source, namespace) == expected, source
         checked.append(comment)
-    assert checked == ["Fraction(8, 1)", "True", "True, True"]
+    assert checked == ["Fraction(8, 1)", "True", "True", "True, True"]

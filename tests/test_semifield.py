@@ -85,6 +85,30 @@ def test_parse_weight_errors():
         sf.BOOLEAN.parse("2")
 
 
+def _outcome(f, *args):
+    """The value and its type, or the error text, of ``f(*args)``."""
+    try:
+        v = f(*args)
+    except WeightSyntaxError as e:
+        return str(e)
+    return v, type(v)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_parse_agrees_with_from_fraction(kind):
+    """Integer text reaches ``from_fraction`` as an int, without a Fraction
+    on the way: the value, its type and the error text are the same."""
+    big = "7" + "0" * 4998 + "3"  # 5 000 digits: past int()'s default text limit
+    cases = {"0": 0, "-0": 0, "1": 1, "-1": -1, "2": 2, "3/2": Fraction(3, 2),
+             big: 7 * 10**4999 + 3, "-" + big: -(7 * 10**4999 + 3)}
+    for text, x in cases.items():
+        assert _outcome(kind.parse, text) == _outcome(kind.from_fraction, Fraction(x))
+    if kind is sf.TROPICAL:
+        assert _outcome(kind.parse, "inf") == (None, type(None))
+    else:
+        assert _outcome(kind.parse, "inf") == '"inf" is only a tropical weight'
+
+
 def _random_weights(kind, rng, n):
     out = []
     for _ in range(n):

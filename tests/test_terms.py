@@ -1,11 +1,14 @@
 import copy
+import gc
 import pickle
 import random
+import weakref
 from functools import reduce
 
 import pytest
 
 from budwta import terms
+from budwta.automaton import evaluate, parse_wta, slim
 from budwta.terms import (
     RankedAlphabet,
     TermError,
@@ -17,10 +20,12 @@ from budwta.terms import (
     parse_tree,
 )
 
+from conftest import EVEN_ODD
 from corpus import (
     count_symbol,
     decompose_elementary,
     enumerate_trees,
+    equal_alphabet,
     parse_context,
     substitute,
 )
@@ -150,7 +155,8 @@ def spine_text(depth, leaf="alpha"):
 def test_deep_spine_parse_format_compare():
     depth = 10**5
     text = spine_text(depth)
-    t1, t2 = parse_tree(text, UNARY), parse_tree(text, UNARY)
+    t1, t2 = parse_tree(text, UNARY), parse_tree(text, equal_alphabet(UNARY))
+    assert parse_tree(text, UNARY) is t1
     assert t1 is not t2
     assert t1 == t2 and hash(t1) == hash(t2)
     assert height(t1) == depth
@@ -185,6 +191,43 @@ def test_parse_shares_equal_subtrees():
     assert len(list(terms.postorder(big))) == 13
     assert count_symbol(big, "alpha") == 2**12
     assert big == parse_tree(text, SIG)
+
+
+def test_parse_memo_dies_with_the_automaton():
+    a = parse_wta(EVEN_ODD)
+    t = parse_tree("sigma(alpha,sigma(alpha,alpha))", a.alphabet)
+    evaluate(a, t)
+    ref = weakref.ref(a.alphabet)
+    del a, t
+    gc.collect()
+    assert ref() is None
+
+
+def test_failed_parse_is_not_remembered():
+    alphabet = equal_alphabet(SIG)
+    for text in ("sigma(alpha)", "tau", "sigma(alpha,alpha", "z", "alpha)", ""):
+        with pytest.raises(TermError) as first:
+            parse_tree(text, alphabet)
+        with pytest.raises(TermError) as second:
+            parse_tree(text, alphabet)
+        assert str(second.value) == str(first.value)
+    assert alphabet._parsed == {}
+
+
+def test_parse_memo_keeps_contexts_apart_from_trees():
+    alphabet = equal_alphabet(UNARY)
+    c = parse_tree("gamma(z)", alphabet, allow_z=True)
+    with pytest.raises(TermError, match="not allowed in a plain tree"):
+        parse_tree("gamma(z)", alphabet)
+    assert parse_tree("gamma(z)", alphabet, allow_z=True) is c
+
+
+def test_slim_shares_the_parse_memo():
+    a = parse_wta(EVEN_ODD + "trans sigma(x,o) -> x @ 1\n")  # x is never reached
+    s = slim(a)
+    assert s.states != a.states
+    text = "sigma(sigma(alpha,alpha),alpha)"
+    assert parse_tree(text, s.alphabet) is parse_tree(text, a.alphabet)
 
 
 def test_trees_are_immutable():

@@ -150,15 +150,21 @@ _state = operator.itemgetter(0)
 
 
 def _run(a: Wta, t: Tree) -> DetValue:
-    """Deterministic run of a valid tree, memoised in ``a._runs`` at the root.
+    """Deterministic run of ``t``, memoised in ``a._runs`` at the root.
 
-    An explicit-stack post-order walk that stops at every subtree the memo
-    holds (the root of an earlier run); a shared subtree is run once.
+    A hit is stored again under ``t`` itself: a tree equal to the key but
+    built apart (by ``Tree``, or parsed against an equal but separate
+    alphabet) costs one comparison walk, and the next lookup of the same
+    object is an identity hit.  On a miss the tree is validated, then run
+    by an explicit-stack post-order walk that stops at every subtree the
+    memo holds (the root of an earlier run); a shared subtree is run once.
     """
     runs = a._runs
-    v = runs.get(t, _MISS)
+    v = runs.pop(t, _MISS)
     if v is not _MISS:
+        runs[t] = v
         return v  # type: ignore[return-value]
+    terms.validate_tree(t, a.alphabet)
     succ = a._succ
     times = a.kind.times
     vals: Dict[int, object] = {}  # id(node) -> its value in this walk
@@ -186,27 +192,10 @@ def _run(a: Wta, t: Tree) -> DetValue:
     return v  # type: ignore[return-value]
 
 
-def _det(a: Wta, t: Tree) -> DetValue:
-    """The run of ``t``; the tree is validated only when the memo misses.
-
-    A hit is stored again under ``t`` itself: a tree equal to the key but
-    built apart (by ``Tree``, or parsed against an equal but separate
-    alphabet) costs one comparison walk, and the next lookup of the same
-    object is an identity hit.
-    """
-    runs = a._runs
-    v = runs.pop(t, _MISS)
-    if v is _MISS:
-        terms.validate_tree(t, a.alphabet)
-        return _run(a, t)
-    runs[t] = v
-    return v  # type: ignore[return-value]
-
-
 def h_det(a: Wta, t: Tree) -> DetValue:
     """Product-only run of a bottom-up deterministic automaton."""
     _require_budet(a)
-    return _det(a, t)
+    return _run(a, t)
 
 
 def state_of(a: Wta, t: Tree) -> Optional[str]:
@@ -218,7 +207,7 @@ def evaluate(a: Wta, t: Tree) -> Value:
     """The weight the automaton assigns to a tree."""
     k = a.kind
     if is_bu_deterministic(a):
-        v = _det(a, t)
+        v = _run(a, t)
         if v is None:
             return k.zero
         q, w = v
@@ -283,11 +272,15 @@ def _zero_language(a: Wta, p: str) -> Wta:
 def slim(a: Wta) -> Wta:
     """Restrict to realized states; preserves the recognized weighted language.
 
-    If no state is realized at all (possible when some symbol arities are
-    never satisfiable), the result is the one-state automaton for the zero
+    A slim automaton is returned itself, so ``slim(a) is a`` exactly when
+    every state of ``a`` is realized, and its run memo is kept.  If no state
+    is realized at all (possible when some symbol arities are never
+    satisfiable), the result is the one-state automaton for the zero
     language: total with unit weights and no final weight.
     """
     reached = reachable_states(a)
+    if len(reached) == len(a.states):
+        return a
     if not reached:
         return _zero_language(a, a.states[0])
     keep = tuple(q for q in a.states if q in reached)

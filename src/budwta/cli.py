@@ -194,6 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     # argparse takes a --mono value such as -1.a for an option: attach it
     words = iter(sys.argv[1:] if argv is None else argv)
@@ -201,12 +204,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for w in words:
         v = next(words, None) if w == "--mono" else None
         argv.append(w if v is None else f"--mono={v}")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "command", None) == "congruent" and len(args.monomials) != 2:
         print("error: congruent needs exactly two --mono arguments", file=sys.stderr)
         return EXIT_INPUT
-    # argparse before Python 3.12 reads the option value in --tree=-- as []
+    # argparse of Python 3.10-3.12 reads the option value in --tree=-- as []
     if [] in (getattr(args, "tree", None), *getattr(args, "monomials", ())):
         print("error: '--' is neither a tree nor a monomial", file=sys.stderr)
         return EXIT_INPUT

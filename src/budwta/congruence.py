@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from . import automaton, terms
-from .automaton import DetValue, PreconditionError, Wta
+from .automaton import DetValue, Wta
 from .scalar import Monomial
 from .semifield import Semifield, SemifieldError, Value
 from .terms import Tree
@@ -118,11 +118,11 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     induction on the height of c.  Dead states: a transition into a live
     state has only live children, as `automaton.dead_states` is a backward
     closure, so no move needs a dead side state.
+
+    A non-slim automaton is refused by `automaton.representative_trees`
+    with `automaton.PreconditionError`, before any refinement.
     """
     automaton._require_budet(a)
-    if not automaton.is_slim(a):
-        raise PreconditionError("the syntactic quotient needs a slim automaton")
-
     dead = automaton.dead_states(a)
     live = [q for q in a.states if q not in dead]
     rep_tree = automaton.representative_trees(a)

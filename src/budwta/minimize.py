@@ -149,13 +149,13 @@ def minimality(a: Wta) -> Tuple[bool, int]:
     element from each live block, and every live block holds a state, so
     the degree is the number of live blocks.  A slim automaton is minimal
     when it has that many states; the zero language needs one (dead)
-    state, hence the max with 1.
+    state, hence the max with 1.  ``a`` is slim exactly when
+    `automaton.slim` returns it itself.
     """
     automaton._require_budet(a)
-    slim = automaton.is_slim(a)
-    s = a if slim else automaton.slim(a)
+    s = automaton.slim(a)
     deg = len(congruence.build_syntactic_quotient(s).blocks)
-    return slim and len(a.states) == max(1, deg), deg
+    return s is a and len(a.states) == max(1, deg), deg
 
 
 # --- exact equivalence ----------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Z_NAME = "z"
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class TermError(ValueError):

@@ -210,9 +210,9 @@ def test_slim_examples(even_odd, non_slim):
     assert s.states == ("p1",)
     assert s.delta == {((), "alpha", "p1"): rat(1)}
     assert is_slim(s)
+    assert slim(s) is s  # a slim input is returned itself
     s2 = slim(even_odd)
-    assert s2.states == even_odd.states
-    assert s2.delta == even_odd.delta
+    assert s2 is even_odd
 
 
 def test_slim_zero_branch():
@@ -243,6 +243,8 @@ def test_slim_preserves_semantics_on_corpus():
             a = Wta(a.alphabet, a.states, a.kind, delta, a.final)
         s = slim(a)
         assert is_slim(s)
+        assert (s is a) == is_slim(a)
+        assert slim(s) is s
         assert len(s.states) <= len(a.states)
         for tree in enumerate_trees(a.alphabet, 4):
             assert evaluate(s, tree) == evaluate(a, tree)

@@ -386,6 +386,49 @@ def test_check_builds_the_quotient_once(wta_file, capsys, monkeypatch):
     assert "slim: no\nminimal: no\nstates: 2\ndegree: 1\n" in out
 
 
+def test_minimize_and_two_equiv_build_each_automaton_once(wta_file, tmp_path, monkeypatch):
+    built = []
+    post_init = automaton.Wta.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(automaton.Wta, "__post_init__", counting)
+    src = wta_file(GAMMA3)
+    other = wta_file(GAMMA3.replace("final q3 @ 2", "final q3 @ 3"), "other.wta")
+    out_path = str(tmp_path / "min.wta")
+    assert main(["minimize", src, "-o", out_path]) == 0
+    assert main(["equiv", src, out_path]) == 0
+    assert main(["equiv", src, other]) == 1
+    # one parse per file read, and the minimal automaton; slim builds none
+    assert len(built) == 6
+
+
+def test_the_shared_parser_keeps_no_state(wta_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    oracle = congruence.brute_force_congruent
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(congruence, "brute_force_congruent", counting)
+    path = wta_file(TWO_LEAF)
+    argv = ["congruent", path, "--mono", "1.alpha", "--mono", "2.beta"]
+    assert main(argv + ["--oracle-depth", "2"]) == 0
+    assert main(argv) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    out_path = str(tmp_path / "min.wta")
+    assert main(["minimize", path, "-o", out_path]) == 0
+    assert capsys.readouterr().out == "states: 2 -> 1\n"
+    assert main(["minimize", path]) == 0
+    assert capsys.readouterr().out.startswith("semifield rational\n")
+    assert main(["eval", path, "--tree", "alpha"]) == 0
+    assert main(["eval", path, "--tree=--"]) == 2
+
+
 def test_congruent_negative_oracle_depth_exits_2(wta_file, capsys):
     argv = ["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha", "--mono", "2.alpha"]
     assert main(argv + ["--oracle-depth", "-3"]) == 2

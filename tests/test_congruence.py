@@ -109,7 +109,7 @@ def test_quotient_even_odd(even_odd):
 
 
 def test_quotient_preconditions(non_slim):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="slim"):
         build_syntactic_quotient(non_slim)
 
 

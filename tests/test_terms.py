@@ -43,6 +43,8 @@ def test_alphabet_validation():
         RankedAlphabet([("alpha", 0), ("alpha", 1)])
     with pytest.raises(TermError):
         RankedAlphabet([("z", 0)])
+    with pytest.raises(TermError):
+        RankedAlphabet([("a\n", 0)])  # format_wta would write an unreadable rank line
 
 
 def test_parse_and_format():

@@ -203,15 +203,17 @@ def state_of(a: Wta, t: Tree) -> Optional[str]:
     return None if v is None else v[0]
 
 
+def _read_out(a: Wta, v: DetValue) -> Value:
+    """The weight of a run value at the root: its weight times F of its state."""
+    k = a.kind
+    return k.zero if v is None else k.times(v[1], a.final.get(v[0], k.zero))
+
+
 def evaluate(a: Wta, t: Tree) -> Value:
     """The weight the automaton assigns to a tree."""
     k = a.kind
     if is_bu_deterministic(a):
-        v = _run(a, t)
-        if v is None:
-            return k.zero
-        q, w = v
-        return k.times(w, a.final.get(q, k.zero))
+        return _read_out(a, _run(a, t))
     out = k.zero
     for q, w in h_general(a, t).items():
         out = k.plus(out, k.times(w, a.final.get(q, k.zero)))

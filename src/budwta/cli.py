@@ -198,19 +198,22 @@ _PARSER = _build_parser()  # parse_args keeps no state between calls
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # argparse takes a --mono value such as -1.a for an option: attach it
+    # argparse takes a value such as -1.a for an option, and reads -- apart
+    # from version to version: attach each --tree and --mono value, refuse --
     words = iter(sys.argv[1:] if argv is None else argv)
     argv = []
     for w in words:
-        v = next(words, None) if w == "--mono" else None
-        argv.append(w if v is None else f"--mono={v}")
+        opt, eq, v = w.partition("=")
+        if opt in ("--tree", "--mono"):
+            v = v if eq else next(words, None)
+            if v == "--":
+                print("error: '--' is neither a tree nor a monomial", file=sys.stderr)
+                return EXIT_INPUT
+            w = w if v is None else f"{opt}={v}"
+        argv.append(w)
     args = _PARSER.parse_args(argv)
     if getattr(args, "command", None) == "congruent" and len(args.monomials) != 2:
         print("error: congruent needs exactly two --mono arguments", file=sys.stderr)
-        return EXIT_INPUT
-    # argparse of Python 3.10-3.12 reads the option value in --tree=-- as []
-    if [] in (getattr(args, "tree", None), *getattr(args, "monomials", ())):
-        print("error: '--' is neither a tree nor a monomial", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

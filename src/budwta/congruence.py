@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from . import automaton, terms
 from .automaton import DetValue, Wta
 from .scalar import Monomial
-from .semifield import Semifield, SemifieldError, Value
+from .semifield import SemifieldError, Value
 from .terms import Tree
 
 # A congruence class of a nonzero monomial: live block index plus nonzero
@@ -50,12 +50,6 @@ class SyntacticQuotient:
     lam: Dict[str, Value]  # scaling witness relative to the block rep
     rep_tree: Dict[str, Tree]  # one witness tree per state
     block_of: Dict[str, int]
-
-
-def _read_out(a: Wta, v: DetValue) -> Value:
-    """The weight of a run value at the root: its weight times F of its state."""
-    k = a.kind
-    return k.zero if v is None else k.times(v[1], a.final.get(v[0], k.zero))
 
 
 # --- building the quotient ------------------------------------------------
@@ -163,25 +157,24 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
 # --- congruence classes of monomials --------------------------------------
 
 
+def _monomial_run(a: Wta, m: Monomial) -> DetValue:
+    """The run of ``m.tree`` scaled by ``m.weight``; None for a zero weight,
+    whose tree is not looked at.  The weight is checked to be in the
+    semifield first."""
+    k = a.kind
+    if not k.contains(m.weight):
+        raise SemifieldError(f"monomial weight {m.weight!r} is not in the {k} semifield")
+    v = None if m.weight == k.zero else automaton.h_det(a, m.tree)
+    return None if v is None else (v[0], k.times(m.weight, v[1]))
+
+
 def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
     """Congruence class of a monomial; None is the class of the zero language."""
-    a = qt.wta
-    k = a.kind
-    _require_weight(k, m.weight)
-    if m.weight == k.zero:
-        return None
-    v = automaton.h_det(a, m.tree)
-    if v is None:
+    v = _monomial_run(qt.wta, m)
+    if v is None or v[0] in qt.dead:
         return None
     q, w = v
-    if q in qt.dead:
-        return None
-    return (qt.block_of[q], k.times(k.times(m.weight, w), qt.lam[q]))
-
-
-def _require_weight(k: Semifield, w: object) -> None:
-    if not k.contains(w):
-        raise SemifieldError(f"monomial weight {w!r} is not in the {k} semifield")
+    return (qt.block_of[q], qt.wta.kind.times(w, qt.lam[q]))
 
 
 def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
@@ -270,7 +263,7 @@ class BoundedContextOracle:
         self.ctx_height = ctx_height
         zero = a.kind.zero
         rows = {
-            tuple(_read_out(a, v) for v in table)
+            tuple(automaton._read_out(a, v) for v in table)
             for _c, table in context_tables(a, ctx_height)
         }
         states = a.states
@@ -282,26 +275,13 @@ class BoundedContextOracle:
             for j, q2 in enumerate(states):
                 self.pair_obs[(q1, q2)] = tuple({(row[i], row[j]) for row in rows})
 
-    def _coefficient(self, m: Monomial) -> Tuple[Optional[str], Value]:
-        k = self.wta.kind
-        _require_weight(k, m.weight)
-        if m.weight == k.zero:
-            return (None, None)
-        v = automaton.h_det(self.wta, m.tree)
-        if v is None:
-            return (None, None)
-        q, w = v
-        return (q, k.times(m.weight, w))
-
     def congruent(self, m1: Monomial, m2: Monomial) -> bool:
-        q1, c1 = self._coefficient(m1)
-        q2, c2 = self._coefficient(m2)
-        if q1 is None and q2 is None:
-            return True
-        if q1 is None:
-            return not self.col_nonzero[q2]
-        if q2 is None:
-            return not self.col_nonzero[q1]
+        v1 = _monomial_run(self.wta, m1)
+        v2 = _monomial_run(self.wta, m2)
+        if v1 is None or v2 is None:
+            v = v1 or v2
+            return v is None or not self.col_nonzero[v[0]]
+        (q1, c1), (q2, c2) = v1, v2
         times = self.wta.kind.times
         for o1, o2 in self.pair_obs[(q1, q2)]:
             if times(c1, o1) != times(c2, o2):

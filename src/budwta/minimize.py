@@ -62,10 +62,11 @@ def scalar_basis(
 NAME_TEXT_CAP = 64  # characters of tree text that a basis-state name keeps
 
 
-def _basis_state_name(index: int, t: Tree) -> str:
+def _basis_state_name(alphabet: terms.RankedAlphabet, index: int, t: Tree) -> str:
     """``c{index}__`` and the tree's text with each run of ``(``, ``)``,
     ``,`` and ``_`` written as one ``_``, none at either end, cut after
-    NAME_TEXT_CAP characters.
+    NAME_TEXT_CAP characters, with ``_`` appended while the name is a
+    symbol of the alphabet.
 
     The text is read piece by piece and no further than the cap: a shared
     tree of height n can have 2^(n+1) - 1 nodes.
@@ -82,7 +83,10 @@ def _basis_state_name(index: int, t: Tree) -> str:
         out.append(ch)
         if len(out) > NAME_TEXT_CAP:
             break
-    return f"c{index}__" + "".join(out[:NAME_TEXT_CAP])
+    name = f"c{index}__" + "".join(out[:NAME_TEXT_CAP])
+    while name in alphabet:
+        name += "_"
+    return name
 
 
 def build_wta_from_basis(
@@ -102,10 +106,10 @@ def build_wta_from_basis(
     """
     k = a.kind
     if not basis:
-        p = _basis_state_name(0, Tree(a.alphabet.nullary_symbols()[0]))
+        p = _basis_state_name(a.alphabet, 0, Tree(a.alphabet.nullary_symbols()[0]))
         return automaton._zero_language(a, p)
 
-    names = [_basis_state_name(i, t) for i, (t, _) in enumerate(basis)]
+    names = [_basis_state_name(a.alphabet, i, t) for i, (t, _) in enumerate(basis)]
     child: Dict[str, Tuple[str, Value]] = {}  # s_i -> (its name, wt_i)
     final: Dict[str, Value] = {}
     for name, (t, _) in zip(names, basis):

@@ -56,6 +56,17 @@ final p1 @ 1
 final p2 @ 1
 """
 
+SYMBOL_C0__A = """\
+# minimal, with a symbol named like the first basis state c0__a
+semifield rational
+rank c0__a 1
+rank a 0
+trans a() -> p @ 1
+trans c0__a(p) -> q @ 2
+trans c0__a(q) -> p @ 2
+final p @ 1
+"""
+
 
 @pytest.fixture
 def even_odd():

@@ -174,7 +174,7 @@ def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
 
 def observe(a: Wta, q: str, c: Tree) -> Value:
     """Weight of plugging a unit run at state q into context c, then F."""
-    return congruence._read_out(a, context_transform(a, c, (q, a.kind.one)))
+    return automaton._read_out(a, context_transform(a, c, (q, a.kind.one)))
 
 
 class ObserveOracle:
@@ -271,7 +271,7 @@ def _path_observation(a: Wta, steps: Steps, q: str, rep: str) -> Value:
         q, f = hits[0]
         w = k.times(w, f)
         step = steps[on_path]
-    return congruence._read_out(a, (q, w))
+    return automaton._read_out(a, (q, w))
 
 
 def _abstract_elementaries(a: Wta, pool: Sequence[str]) -> List[Elementary]:
@@ -479,12 +479,12 @@ def reference_build(
     alphabet = a.alphabet
     k = a.kind
     if not basis:
-        p = _basis_state_name(0, Tree(alphabet.nullary_symbols()[0]))
+        p = _basis_state_name(alphabet, 0, Tree(alphabet.nullary_symbols()[0]))
         zero: Dict[TransKey, Value] = {}
         for sym in alphabet.symbols():
             zero[((p,) * alphabet.arity(sym), sym, p)] = k.one
         return Wta(alphabet, (p,), k, zero, {})
-    names = [_basis_state_name(i, t) for i, (t, _) in enumerate(basis)]
+    names = [_basis_state_name(alphabet, i, t) for i, (t, _) in enumerate(basis)]
     block_to_index = {cls[0]: i for i, (_, cls) in enumerate(basis)}
     delta: Dict[TransKey, Value] = {}
     for sym in alphabet.symbols():

@@ -11,7 +11,7 @@ from budwta import automaton, congruence
 from budwta.automaton import WtaError, format_wta, parse_wta
 from budwta.cli import main
 
-from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF
+from conftest import EVEN_ODD, GAMMA3, NON_SLIM, SYMBOL_C0__A, TWO_LEAF
 
 NONDET = """\
 semifield rational
@@ -145,6 +145,17 @@ def test_minimize_to_file_and_equiv(wta_file, tmp_path, capsys):
     assert capsys.readouterr().out == "equivalent\n"
 
 
+def test_minimize_when_a_symbol_has_a_basis_state_name(wta_file, tmp_path, capsys):
+    src = wta_file(SYMBOL_C0__A)
+    assert main(["check", src]) == 0
+    assert "minimal: yes\n" in capsys.readouterr().out
+    out_path = str(tmp_path / "min.wta")
+    assert main(["minimize", src, "-o", out_path]) == 0
+    assert capsys.readouterr().out == "states: 2 -> 2\n"
+    assert main(["equiv", src, out_path]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
 def test_minimize_to_stdout(wta_file, capsys):
     assert main(["minimize", wta_file(TWO_LEAF)]) == 0
     captured = capsys.readouterr()
@@ -259,9 +270,14 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
 
 def test_double_dash_option_value_exits_2(wta_file, capsys):
     path = wta_file(EVEN_ODD)
-    assert main(["eval", path, "--tree=--"]) == 2
-    assert main(["congruent", path, "--mono=--", "--mono=1.alpha"]) == 2
-    assert capsys.readouterr().err.count("error:") == 2
+    for argv in (
+        ["eval", path, "--tree=--"],
+        ["eval", path, "--tree", "--"],
+        ["congruent", path, "--mono=--", "--mono=1.alpha"],
+        ["congruent", path, "--mono", "--", "--mono=1.alpha"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: '--' is neither a tree nor a monomial\n")
 
 
 TROPICAL_LOOP = """\

@@ -29,6 +29,7 @@ from budwta.minimize import (
 )
 from budwta.scalar import Monomial
 
+from conftest import SYMBOL_C0__A
 from corpus import (
     chain,
     enumerate_trees,
@@ -153,6 +154,20 @@ def test_build_zero_language():
         assert evaluate(m, tree) == sf.RATIONAL.zero
 
 
+def test_basis_state_names_are_not_symbols():
+    # a name that is a symbol gets "_" appended until it is not
+    a = parse_wta(SYMBOL_C0__A)
+    assert is_minimal(a)
+    m = minimize(a)
+    assert m.states == ("c0__a_", "c1__c0_a_a")
+    assert equivalent(a, m)
+    zero = parse_wta(
+        "semifield rational\nrank a 0\nrank c0__a 0\nrank c0__a_ 1\n"
+        "trans a() -> p @ 1\n"
+    )  # no final weights: the zero language
+    assert minimize(zero).states == ("c0__a__",)
+
+
 def _uncapped_name(index, tree):
     flat = terms.format_tree(tree)
     for ch in "(),":
@@ -169,7 +184,7 @@ def test_basis_state_names_are_capped():
     for tree in enumerate_trees(alphabet, 3):
         full = _uncapped_name(17, tree)
         lengths.add(len(full) - len("c17__"))
-        assert _basis_state_name(17, tree) == full[: len("c17__") + NAME_TEXT_CAP]
+        assert _basis_state_name(alphabet, 17, tree) == full[: len("c17__") + NAME_TEXT_CAP]
     assert {NAME_TEXT_CAP, NAME_TEXT_CAP + 1} < lengths
 
 

@@ -35,7 +35,7 @@ def test_tables_match_context_transform_on_small_corpus(kind):
             assert table == tuple(
                 context_transform(a, c, (q, kind.one)) for q in a.states
             ), (automaton.format_wta(a), c)
-            assert tuple(congruence._read_out(a, v) for v in table) == tuple(
+            assert tuple(automaton._read_out(a, v) for v in table) == tuple(
                 observe(a, q, c) for q in a.states
             ), (automaton.format_wta(a), c)
         assert contexts == len(list(terms.enumerate_contexts(a.alphabet, 2)))
@@ -50,7 +50,7 @@ def _check_lam_rows(a, qt) -> int:
     rows = 0
     for c, table in context_tables(a, 2 * len(a.states)):
         rows += 1
-        row = [congruence._read_out(a, v) for v in table]
+        row = [automaton._read_out(a, v) for v in table]
         for q in a.states:
             if q in qt.dead:
                 expected = zero

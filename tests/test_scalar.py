@@ -5,7 +5,12 @@ import pytest
 
 from budwta import semifield as sf, terms
 from budwta.automaton import Wta
-from budwta.congruence import build_syntactic_quotient, class_of, congruent
+from budwta.congruence import (
+    BoundedContextOracle,
+    build_syntactic_quotient,
+    class_of,
+    congruent,
+)
 from budwta.minimize import candidate_set, scalar_basis
 from budwta.scalar import Monomial, format_monomial, parse_monomial
 from budwta.terms import RankedAlphabet, Tree
@@ -30,6 +35,34 @@ def test_zero_monomials_are_equal(even_odd):
     with pytest.raises(sf.SemifieldError):
         class_of(qt, Monomial(sf.BOOLEAN.zero, Tree("alpha")))
     assert not congruent(qt, a, Monomial(rat(1), Tree("alpha")))
+
+
+def _by_class_of(a):
+    qt = build_syntactic_quotient(a)
+    return lambda m1, m2: class_of(qt, m1) == class_of(qt, m2)
+
+
+def _by_oracle(a):
+    return BoundedContextOracle(a, 2).congruent
+
+
+@pytest.mark.parametrize("decider", [_by_class_of, _by_oracle], ids=["class_of", "oracle"])
+def test_monomial_weight_is_read_before_its_tree(even_odd, decider):
+    # the weight is checked first, and a zero weight is the zero class
+    # whatever its tree, which is never looked at: beta is no symbol here
+    decide = decider(even_odd)
+    zero, one = sf.RATIONAL.zero, rat(1)
+    stray = Tree("beta")
+    assert decide(Monomial(zero, stray), Monomial(zero, Tree("alpha")))
+    assert not decide(Monomial(zero, stray), Monomial(one, Tree("alpha")))
+    assert not decide(Monomial(one, Tree("alpha")), Monomial(zero, stray))
+    with pytest.raises(sf.SemifieldError):
+        decide(Monomial(sf.BOOLEAN.one, stray), Monomial(zero, stray))
+    with pytest.raises(sf.SemifieldError):
+        decide(Monomial(zero, stray), Monomial(sf.BOOLEAN.zero, stray))
+    # m1 is read whole before m2
+    with pytest.raises(terms.TermError):
+        decide(Monomial(one, stray), Monomial(sf.BOOLEAN.one, stray))
 
 
 def test_parse_format_monomial():

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from . import semifield, terms
 from .semifield import Semifield, Value
@@ -45,10 +45,11 @@ class Wta:
     ``final`` is a nonzero raw value of it, checked once, here.
     The derived fields are computed once, here: ``_succ`` indexes delta by
     (state tuple, symbol) and ``budet`` records bottom-up determinism.
-    A memo fills as the automaton is used: ``_runs`` maps the root of each
-    tree run so far, not its interior nodes, to its deterministic value.
-    Only validated input goes in, and the memo belongs to the automaton,
-    so it can never go stale and dies with it.
+    Two memos fill as the automaton is used: ``_runs`` maps the root of
+    each tree run with weights so far, not its interior nodes, to its
+    deterministic value, and ``_states`` maps the root of each tree run by
+    `state_of` to its state.  Only validated input goes in, and the memos
+    belong to the automaton, so they can never go stale and die with it.
     """
 
     alphabet: RankedAlphabet
@@ -96,6 +97,7 @@ class Wta:
         _init(self, "_succ", succ)
         _init(self, "budet", all(len(v) <= 1 for v in succ.values()))
         _init(self, "_runs", {})
+        _init(self, "_states", {})
 
     def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
         return self._succ.get((ws, sym), [])
@@ -149,22 +151,27 @@ _MISS = object()
 _state = operator.itemgetter(0)
 
 
-def _run(a: Wta, t: Tree) -> DetValue:
-    """Deterministic run of ``t``, memoised in ``a._runs`` at the root.
+def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
+    """Deterministic run of ``t``, memoised at the root: with ``weighed``,
+    its `DetValue` in ``a._runs``; without, its state alone (or None) in
+    ``a._states``, and no weight is multiplied.
 
     A hit is stored again under ``t`` itself: a tree equal to the key but
     built apart (by ``Tree``, or parsed against an equal but separate
     alphabet) costs one comparison walk, and the next lookup of the same
-    object is an identity hit.  On a miss the tree is validated, then run
-    by an explicit-stack post-order walk that stops at every subtree the
-    memo holds (the root of an earlier run); a shared subtree is run once.
+    object is an identity hit.  On a miss the tree is validated, unless the
+    other memo holds it, then run by an explicit-stack post-order walk that
+    stops at every subtree the memo holds (the root of an earlier run); a
+    shared subtree is run once.  The two kinds of run share this walk and
+    differ only in the step at each node.
     """
-    runs = a._runs
-    v = runs.pop(t, _MISS)
+    memo, other = (a._runs, a._states) if weighed else (a._states, a._runs)
+    v = memo.pop(t, _MISS)
     if v is not _MISS:
-        runs[t] = v
-        return v  # type: ignore[return-value]
-    terms.validate_tree(t, a.alphabet)
+        memo[t] = v
+        return v
+    if t not in other:  # a root of either memo was validated on its way in
+        terms.validate_tree(t, a.alphabet)
     succ = a._succ
     times = a.kind.times
     vals: Dict[int, object] = {}  # id(node) -> its value in this walk
@@ -176,20 +183,25 @@ def _run(a: Wta, t: Tree) -> DetValue:
             kids = [vals[id(c)] for c in node.children]
             v = None
             if None not in kids:
-                hits = succ.get((tuple(map(_state, kids)), node.symbol))
-                if hits:
-                    q, w = hits[0]
-                    for kv in kids:
-                        w = times(w, kv[1])
-                    v = (q, w)
+                if weighed:
+                    hits = succ.get((tuple(map(_state, kids)), node.symbol))
+                    if hits:
+                        q, w = hits[0]
+                        for kv in kids:
+                            w = times(w, kv[1])
+                        v = (q, w)
+                else:
+                    hits = succ.get((tuple(kids), node.symbol))
+                    if hits:
+                        v = hits[0][0]
             vals[id(node)] = v
         elif id(item) not in vals:
-            v = vals[id(item)] = runs.get(item, _MISS)
+            v = vals[id(item)] = memo.get(item, _MISS)
             if v is _MISS:
                 stack.append((item,))
                 stack.extend(item.children)  # type: ignore[attr-defined]
-    v = runs[t] = vals[id(t)]
-    return v  # type: ignore[return-value]
+    v = memo[t] = vals[id(t)]
+    return v
 
 
 def h_det(a: Wta, t: Tree) -> DetValue:
@@ -199,8 +211,13 @@ def h_det(a: Wta, t: Tree) -> DetValue:
 
 
 def state_of(a: Wta, t: Tree) -> Optional[str]:
-    v = h_det(a, t)
-    return None if v is None else v[0]
+    """The state ``t`` reaches in a bottom-up deterministic automaton, or
+    None for the sink.  By bu-determinism the state does not depend on the
+    weights, so no weight is multiplied: the run looks up one transition
+    per distinct node, and its memo ``a._states`` keeps roots only, as
+    ``a._runs`` does."""
+    _require_budet(a)
+    return _run(a, t, weighed=False)
 
 
 def _read_out(a: Wta, v: DetValue) -> Value:
@@ -333,7 +350,9 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
     in that order.  Children are the representatives themselves, so the
     trees share their subtrees: the tree of a state at height n may have
     2^(n+1) - 1 nodes, but no more distinct subtrees than there are states.  Each
-    tree is run through `state_of` as the derivation's own check.
+    tree is run through `state_of` as the derivation's own check, in the
+    order found: its children are the roots of earlier checks, so the run
+    looks up one transition, and no weight of a witness tree is computed.
     """
     _require_budet(a)
     sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}

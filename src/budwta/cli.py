@@ -84,8 +84,8 @@ def _cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_PRECONDITION
-    print(f"slim: {'yes' if automaton.is_slim(a) else 'no'}")
-    minimal, degree = minimize.minimality(a)
+    slim, minimal, degree = minimize.minimality(a)
+    print(f"slim: {'yes' if slim else 'no'}")
     print(f"minimal: {'yes' if minimal else 'no'}")
     print(f"states: {len(a.states)}")
     print(f"degree: {degree}")

@@ -53,7 +53,13 @@ def scalar_basis(
     Two nonzero classes are scalar multiples of one another exactly when
     they share a block, so this is a pair-independent generating set: a
     basis, whose size is the number of live blocks.
+
+    The run memo keeps roots only, so every witness tree is first run in
+    the order `automaton.representative_trees` found them: the children
+    of each are then earlier roots, and each run is one step.
     """
+    for t in qt.rep_tree.values():
+        automaton.h_det(a, t)
     one = a.kind.one
     trees = [qt.rep_tree[block[0]] for block in qt.blocks]
     return [(t, congruence.class_of(qt, Monomial(one, t))) for t in trees]
@@ -142,24 +148,25 @@ def minimize(a: Wta) -> Wta:
 
 def is_minimal(a: Wta) -> bool:
     """True iff the automaton is slim and as small as the scalar basis allows."""
-    return minimality(a)[0]
+    return minimality(a)[1]
 
 
-def minimality(a: Wta) -> Tuple[bool, int]:
-    """Whether the automaton is minimal, and its degree: the size of the
-    scalar basis of the syntactic algebra of its language.
+def minimality(a: Wta) -> Tuple[bool, bool, int]:
+    """Whether the automaton is slim, whether it is minimal, and its
+    degree: the size of the scalar basis of the syntactic algebra of its
+    language.
 
-    The degree is read off the slimmed automaton: the basis takes one
-    element from each live block, and every live block holds a state, so
-    the degree is the number of live blocks.  A slim automaton is minimal
-    when it has that many states; the zero language needs one (dead)
-    state, hence the max with 1.  ``a`` is slim exactly when
-    `automaton.slim` returns it itself.
+    ``a`` is slim exactly when `automaton.slim` returns it itself.  The
+    degree is read off the slimmed automaton: the basis takes one element
+    from each live block, and every live block holds a state, so the
+    degree is the number of live blocks.  A slim automaton is minimal when
+    it has that many states; the zero language needs one (dead) state,
+    hence the max with 1.
     """
     automaton._require_budet(a)
     s = automaton.slim(a)
     deg = len(congruence.build_syntactic_quotient(s).blocks)
-    return s is a and len(a.states) == max(1, deg), deg
+    return s is a, s is a and len(a.states) == max(1, deg), deg
 
 
 # --- exact equivalence ----------------------------------------------------

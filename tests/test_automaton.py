@@ -39,6 +39,7 @@ from corpus import (
     layered,
     parse_context,
     random_slim_budet,
+    small_corpus,
     substitute,
 )
 
@@ -109,6 +110,60 @@ def test_state_of_examples(even_odd, gamma3, non_slim):
     assert state_of(gamma3, t("gamma(alpha)", gamma3)) == "q2"
     assert state_of(gamma3, t("gamma(gamma(alpha))", gamma3)) == "q3"
     assert state_of(even_odd, t("sigma(alpha,alpha)", even_odd)) == "e"
+
+
+def _shared_variants(a, x):
+    """``x``, each binary-or-more symbol over copies of the one object
+    ``x`` (a shared DAG), and ``x`` parsed against an equal but separate
+    alphabet."""
+    out = [x]
+    for sym in a.alphabet.symbols():
+        if a.alphabet.arity(sym) >= 2:
+            out.append(Tree(sym, (x,) * a.alphabet.arity(sym)))
+    out.append(terms.parse_tree(terms.format_tree(x), equal_alphabet(a.alphabet)))
+    return out
+
+
+def _copy(a, kind=None):
+    return Wta(a.alphabet, a.states, kind or a.kind, a.delta, a.final)
+
+
+def test_state_of_matches_h_det_on_corpus():
+    sinks = 0
+    for kind in sf.KINDS:
+        automata = list(small_corpus(kind, 12, seed=1500))
+        automata.append(chain(random.Random(1500), kind, 12))
+        for a in automata:
+            # copies with their own memos, so that each side runs apart
+            b = _copy(a)
+            trees = list(enumerate_trees(a.alphabet, 3))
+            trees += representative_trees(_copy(a)).values()
+            for x in trees:
+                for y in _shared_variants(a, x):
+                    v = h_det(b, y)
+                    want = None if v is None else v[0]
+                    sinks += want is None
+                    assert state_of(a, y) == want
+                    assert state_of(b, y) == want  # b._runs holds y: no validation
+    assert sinks > 0
+
+
+def _no_times(x, y):
+    raise AssertionError("a states-only run multiplied two weights")
+
+
+def test_state_of_and_witness_trees_multiply_no_weights():
+    kind = dataclasses.replace(sf.RATIONAL, name="no-times", times=_no_times)
+    for a in (chain(random.Random(1501), sf.RATIONAL, 40), parse_wta(EVEN_ODD), parse_wta(GAMMA3)):
+        b = _copy(a, kind)
+        reps = representative_trees(b)
+        assert list(reps) == list(b.states)
+        assert all(state_of(b, reps[q]) == q for q in b.states)
+        for x in itertools.islice(enumerate_trees(b.alphabet, 4), 200):
+            assert state_of(b, x) == state_of(a, x)
+        assert not b._runs
+        with pytest.raises(AssertionError, match="multiplied"):
+            h_det(b, reps[b.states[-1]])
 
 
 def test_h_det_examples(even_odd, non_slim):
@@ -425,7 +480,7 @@ def spine(a, depth, leaf="alpha"):
 
 
 def test_wta_is_frozen(even_odd):
-    for name in ("alphabet", "states", "kind", "delta", "final", "budet", "_succ", "_runs"):
+    for name in ("alphabet", "states", "kind", "delta", "final", "budet", "_succ", "_runs", "_states"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(even_odd, name, getattr(even_odd, name))
 
@@ -449,6 +504,9 @@ def test_run_memo_keeps_only_the_root():
     a = parse_wta(GAMMA3)
     evaluate(a, spine(a, 10**5))
     assert len(a._runs) <= 1
+    b = parse_wta(GAMMA3)
+    assert state_of(b, spine(b, 10**5)) == "q3"
+    assert len(b._states) <= 1 and not b._runs
 
 
 def test_h_general_matches_h_det_on_deep_spine(gamma3):

@@ -1,17 +1,23 @@
 import contextlib
 import io
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import importlib
 
-from budwta import automaton, congruence
+from budwta import automaton, congruence, semifield as sf
 from budwta.automaton import WtaError, format_wta, parse_wta
 from budwta.cli import main
 
 from conftest import EVEN_ODD, GAMMA3, NON_SLIM, SYMBOL_C0__A, TWO_LEAF
+from corpus import chain
 
 NONDET = """\
 semifield rational
@@ -400,6 +406,57 @@ def test_check_builds_the_quotient_once(wta_file, capsys, monkeypatch):
         assert len(calls) == 1
     out = capsys.readouterr().out
     assert "slim: no\nminimal: no\nstates: 2\ndegree: 1\n" in out
+
+
+def test_check_derives_the_reachable_states_once(wta_file, capsys, monkeypatch):
+    calls = []
+    reachable = automaton.reachable_states
+
+    def counting(a):
+        calls.append(a)
+        return reachable(a)
+
+    monkeypatch.setattr(automaton, "reachable_states", counting)
+    for text, slim in ((GAMMA3, "yes"), (NON_SLIM, "no")):
+        calls.clear()
+        assert main(["check", wta_file(text)]) == 0
+        assert len(calls) == 1
+        assert f"slim: {slim}\n" in capsys.readouterr().out
+
+
+def test_check_and_congruent_on_a_40_state_weighted_chain(wta_file, capsys):
+    # the witness tree of q39 has 2^40 - 1 nodes (40 distinct ones), so its
+    # weight is a product of 2^40 - 1 rationals: neither command computes it
+    path = wta_file(format_wta(chain(random.Random(1502), sf.RATIONAL, 40)))
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out == (
+        "bu-deterministic: yes\n"
+        "total: no\n"
+        "slim: yes\n"
+        "minimal: yes\n"
+        "states: 40\n"
+        "degree: 40\n"
+    )
+    argv = ["congruent", path, "--mono", "2.s(a,a)"]
+    assert main(argv + ["--mono", "2.s(a,a)"]) == 0
+    assert capsys.readouterr().out == "congruent\n"
+    assert main(argv + ["--mono", "2.a"]) == 1
+    assert capsys.readouterr().out == "not congruent\n"
+
+
+def test_module_entry_point_runs_state(wta_file):
+    path = wta_file(GAMMA3)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def cli(tree):
+        argv = [sys.executable, "-m", "budwta.cli", "state", path, "--tree", tree]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert cli("gamma(gamma(alpha))") == (0, "q3\n", "")
+    code, out, err = cli("beta")
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_minimize_and_two_equiv_build_each_automaton_once(wta_file, tmp_path, monkeypatch):

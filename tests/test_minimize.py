@@ -245,10 +245,10 @@ def test_is_minimal_examples(gamma3, non_slim):
 
 
 def test_degree_examples(even_odd, gamma3, non_slim):
-    assert minimality(even_odd)[1] == 2
-    assert minimality(gamma3)[1] == 2
-    assert minimality(non_slim) == (False, 1)
-    assert minimality(slim(non_slim)) == (True, 1)
+    assert minimality(even_odd) == (True, True, 2)
+    assert minimality(gamma3) == (True, False, 2)
+    assert minimality(non_slim) == (False, False, 1)
+    assert minimality(slim(non_slim)) == (True, True, 1)
 
 
 def test_minimality_bound_via_redundant_states(gamma3):

@@ -37,19 +37,32 @@ class PreconditionError(RuntimeError):
     """An operation was called on an automaton outside its domain."""
 
 
+def _check_state_name(q: object, alphabet: RankedAlphabet, where: str = "") -> None:
+    """Refuse a state name that `parse_wta` would not read back: one that
+    is not an identifier, is ``z`` or is a symbol.  ``where`` starts the
+    message."""
+    if not isinstance(q, str) or not terms._IDENT_RE.match(q) or q == terms.Z_NAME:
+        raise WtaError(f"{where}bad state name {q!r}")
+    if q in alphabet:
+        raise WtaError(f"{where}state name collides with symbol {q!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Wta:
     """An immutable automaton.
 
     ``kind`` is a `semifield.Semifield`; every weight in ``delta`` and
-    ``final`` is a nonzero raw value of it, checked once, here.
+    ``final`` is a nonzero raw value of it, checked once, here.  Every
+    state name is one that `parse_wta` reads back from `format_wta`'s
+    text: an identifier, neither ``z`` nor a symbol.
     The derived fields are computed once, here: ``_succ`` indexes delta by
     (state tuple, symbol) and ``budet`` records bottom-up determinism.
     Two memos fill as the automaton is used: ``_runs`` maps the root of
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
-    `state_of` to its state.  Only validated input goes in, and the memos
-    belong to the automaton, so they can never go stale and die with it.
+    `state_of` to its state.  Only validated input goes in, so a run
+    validates no subtree its memo holds; the memos belong to the
+    automaton, so they can never go stale and die with it.
     """
 
     alphabet: RankedAlphabet
@@ -71,8 +84,7 @@ class Wta:
         if len(set(self.states)) != len(self.states):
             raise WtaError("duplicate state names")
         for q in self.states:
-            if q in self.alphabet:
-                raise WtaError(f"state name collides with a symbol: {q}")
+            _check_state_name(q, self.alphabet)
         stateset = set(self.states)
         arity = self.alphabet.arity
         succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
@@ -108,13 +120,10 @@ def is_bu_deterministic(a: Wta) -> bool:
 
 
 def is_total(a: Wta) -> bool:
-    """Every (state tuple, symbol) pair has at least one nonzero target."""
-    for sym in a.alphabet.symbols():
-        k = a.alphabet.arity(sym)
-        for ws in itertools.product(a.states, repeat=k):
-            if not a.targets(ws, sym):
-                return False
-    return True
+    """Every (state tuple, symbol) pair has at least one nonzero target:
+    ``_succ`` has a key for each of the |Q|^k tuples of each symbol."""
+    n = len(a.states)
+    return len(a._succ) == sum(n ** a.alphabet.arity(s) for s in a.alphabet.symbols())
 
 
 def _require_budet(a: Wta) -> None:
@@ -127,11 +136,10 @@ def _require_budet(a: Wta) -> None:
 
 def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
     """Sum-product vector semantics; works for any automaton."""
-    terms.validate_tree(t, a.alphabet)
     k = a.kind
     index = {q: i for i, q in enumerate(a.states)}
     vecs: Dict[int, Tuple[Value, ...]] = {}
-    for node in terms.postorder(t):
+    for node in terms.validate_tree(t, a.alphabet):
         kid_vecs = [vecs[id(c)] for c in node.children]
         out = [k.zero for _ in a.states]
         for ws in itertools.product(a.states, repeat=len(kid_vecs)):
@@ -159,47 +167,39 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
     A hit is stored again under ``t`` itself: a tree equal to the key but
     built apart (by ``Tree``, or parsed against an equal but separate
     alphabet) costs one comparison walk, and the next lookup of the same
-    object is an identity hit.  On a miss the tree is validated, unless the
-    other memo holds it, then run by an explicit-stack post-order walk that
-    stops at every subtree the memo holds (the root of an earlier run); a
-    shared subtree is run once.  The two kinds of run share this walk and
-    differ only in the step at each node.
+    object is an identity hit.  On a miss the run steps over the one walk
+    of `terms.validate_tree` with the memo as ``known``: the distinct nodes
+    not under an earlier root, checked, children before parents.  So a
+    tree whose children are earlier roots costs one step.  The two kinds of
+    run differ only in the step at each node.
     """
-    memo, other = (a._runs, a._states) if weighed else (a._states, a._runs)
+    memo = a._runs if weighed else a._states
     v = memo.pop(t, _MISS)
     if v is not _MISS:
         memo[t] = v
         return v
-    if t not in other:  # a root of either memo was validated on its way in
-        terms.validate_tree(t, a.alphabet)
     succ = a._succ
     times = a.kind.times
     vals: Dict[int, object] = {}  # id(node) -> its value in this walk
-    stack: List[object] = [t]  # a tree to visit, or (tree,) once its children are done
-    while stack:
-        item = stack.pop()
-        if item.__class__ is tuple:
-            node = item[0]  # type: ignore[index]
+    for node in terms.validate_tree(t, a.alphabet, known=memo):
+        try:
             kids = [vals[id(c)] for c in node.children]
-            v = None
-            if None not in kids:
-                if weighed:
-                    hits = succ.get((tuple(map(_state, kids)), node.symbol))
-                    if hits:
-                        q, w = hits[0]
-                        for kv in kids:
-                            w = times(w, kv[1])
-                        v = (q, w)
-                else:
-                    hits = succ.get((tuple(kids), node.symbol))
-                    if hits:
-                        v = hits[0][0]
-            vals[id(node)] = v
-        elif id(item) not in vals:
-            v = vals[id(item)] = memo.get(item, _MISS)
-            if v is _MISS:
-                stack.append((item,))
-                stack.extend(item.children)  # type: ignore[attr-defined]
+        except KeyError:  # a child the memo holds
+            kids = [vals[id(c)] if id(c) in vals else memo[c] for c in node.children]
+        v = None
+        if None not in kids:
+            if weighed:
+                hits = succ.get((tuple(map(_state, kids)), node.symbol))
+                if hits:
+                    q, w = hits[0]
+                    for kv in kids:
+                        w = times(w, kv[1])
+                    v = (q, w)
+            else:
+                hits = succ.get((tuple(kids), node.symbol))
+                if hits:
+                    v = hits[0][0]
+        vals[id(node)] = v
     v = memo[t] = vals[id(t)]
     return v
 
@@ -352,7 +352,8 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
     2^(n+1) - 1 nodes, but no more distinct subtrees than there are states.  Each
     tree is run through `state_of` as the derivation's own check, in the
     order found: its children are the roots of earlier checks, so the run
-    looks up one transition, and no weight of a witness tree is computed.
+    validates and steps over its root alone, in O(k), and no weight of a
+    witness tree is computed.
     """
     _require_budet(a)
     sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
@@ -449,10 +450,7 @@ def parse_wta(text: str) -> Wta:
     states: Dict[str, None] = {}
 
     def add_state(q: str, lineno: int) -> None:
-        if not terms._IDENT_RE.match(q) or q == terms.Z_NAME:
-            raise WtaError(f"line {lineno}: bad state name {q!r}")
-        if q in alphabet:
-            raise WtaError(f"line {lineno}: state name collides with symbol {q!r}")
+        _check_state_name(q, alphabet, f"line {lineno}: ")
         states[q] = None
 
     # an automaton uses few distinct weight texts: parse each once; a zero
@@ -504,10 +502,7 @@ def parse_wta(text: str) -> Wta:
 
     if not states:
         raise WtaError("automaton declares no states (no trans/final lines)")
-    try:
-        return Wta(alphabet, tuple(states), kind, delta, final)
-    except terms.TermError as exc:
-        raise WtaError(str(exc)) from None
+    return Wta(alphabet, tuple(states), kind, delta, final)
 
 
 def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Set, Tuple
 
 Z_NAME = "z"
 
@@ -148,40 +148,46 @@ def height(t: Tree) -> int:
     return t._height
 
 
-def postorder(t: Tree) -> Iterator[Tree]:
-    """Each distinct node object of ``t`` once, children before parents."""
+def postorder(t: Tree, known: Container[Tree] = ()) -> List[Tree]:
+    """Each distinct node object of ``t`` once, children before parents,
+    leaving out every subtree that ``known`` holds (an equal tree built
+    apart is found too) and every node under it."""
+    known = known or ()  # an empty memo: no node is hashed
+    order: List[Tree] = []
     seen: Set[int] = set()
-    stack = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            yield node
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend([(c, False) for c in reversed(node.children)])
-
-
-def validate_tree(t: Tree, alphabet: RankedAlphabet, allow_z: bool = False) -> None:
-    arities = alphabet._arity
-    seen: Set[int] = set()  # inner nodes already checked (shared subtrees)
-    stack = [t]
+    stack: List[object] = [t]  # a node to visit, or (node,) once its children are done
     while stack:
         node = stack.pop()
-        kids = node.children
-        if kids:
-            if id(node) in seen:
-                continue
+        if node.__class__ is tuple:
+            order.append(node[0])  # type: ignore[index]
+        elif id(node) not in seen and node not in known:
             seen.add(id(node))
-            stack.extend(kids)
-        if arities.get(node.symbol) == len(kids):
-            continue
-        if node.symbol != Z_NAME:
-            raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(kids))
-        if not allow_z:
-            raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
-        if kids:
-            raise TermError(f"{Z_NAME!r} is nullary")
+            stack.append((node,))
+            stack.extend(node.children)  # type: ignore[attr-defined]
+    return order
+
+
+def validate_tree(
+    t: Tree, alphabet: RankedAlphabet, allow_z: bool = False, known: Container[Tree] = ()
+) -> List[Tree]:
+    """Check that ``t`` is a tree over ``alphabet`` (a context over it if
+    ``allow_z``) and return the nodes checked: `postorder(t, known)`.
+
+    A subtree that ``known`` holds is taken as checked, with every node
+    under it: a run memo holds only trees that were validated on their way
+    in, and a tree equal to a valid one is valid.
+    """
+    nodes = postorder(t, known)
+    arities = alphabet._arity
+    for node in nodes:
+        if arities.get(node.symbol) != len(node.children):
+            if node.symbol != Z_NAME:
+                raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(node.children))
+            if not allow_z:
+                raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
+            if node.children:
+                raise TermError(f"{Z_NAME!r} is nullary")
+    return nodes
 
 
 # --- concrete syntax ------------------------------------------------------
@@ -334,17 +340,14 @@ def _trees_of_exact_height(
                 yield Tree(s, kids)
 
 
-def enumerate_contexts(
-    alphabet: RankedAlphabet, max_height: Optional[int] = None
-) -> Iterator[Tree]:
-    """All contexts, height-first; same ordering conventions as trees."""
+def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tree]:
+    """All contexts up to height ``max_height``, height-first; same
+    ordering conventions as trees."""
     trees_seen: List[Tree] = []
     ctx_seen: List[Tree] = [Z]
     yield Z
-    h = 1
-    while max_height is None or h <= max_height:
-        tree_level = list(_trees_of_exact_height(alphabet, h - 1, trees_seen))
-        trees_seen.extend(tree_level)
+    for h in range(1, max_height + 1):
+        trees_seen += list(_trees_of_exact_height(alphabet, h - 1, trees_seen))
         level: List[Tree] = []
         for s in alphabet.symbols():
             k = alphabet.arity(s)
@@ -355,9 +358,5 @@ def enumerate_contexts(
                 for kids in itertools.product(*slots):
                     if max(height(c) for c in kids) == h - 1:
                         level.append(Tree(s, tuple(kids)))
-        if not level:
-            return
-        for c in level:
-            yield c
+        yield from level
         ctx_seen.extend(level)
-        h += 1

@@ -22,6 +22,8 @@ differential reference for the semi-naive pass.
 replaced: it runs sym(basis trees) through `congruence.class_of` for every
 tuple of basis trees.  It is the differential reference for the pass over
 delta.
+`reference_is_total` is the check `automaton.is_total` replaced: it looks
+up every state tuple of every symbol.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -503,6 +505,16 @@ def reference_build(
         if w != k.zero:
             final[names[i]] = w
     return Wta(alphabet, tuple(names), k, delta, final)
+
+
+def reference_is_total(a: Wta) -> bool:
+    """Every (state tuple, symbol) pair has at least one nonzero target,
+    checked tuple by tuple."""
+    for sym in a.alphabet.symbols():
+        for ws in itertools.product(a.states, repeat=a.alphabet.arity(sym)):
+            if not a.targets(ws, sym):
+                return False
+    return True
 
 
 def first_trees(a: Wta) -> Dict[str, Tree]:

@@ -26,6 +26,7 @@ from budwta.automaton import (
     slim,
     state_of,
 )
+from budwta.minimize import minimality
 from budwta.terms import RankedAlphabet, Tree
 
 from conftest import EVEN_ODD, GAMMA3
@@ -39,6 +40,7 @@ from corpus import (
     layered,
     parse_context,
     random_slim_budet,
+    reference_is_total,
     small_corpus,
     substitute,
 )
@@ -144,7 +146,7 @@ def test_state_of_matches_h_det_on_corpus():
                     want = None if v is None else v[0]
                     sinks += want is None
                     assert state_of(a, y) == want
-                    assert state_of(b, y) == want  # b._runs holds y: no validation
+                    assert state_of(b, y) == want  # in b._runs, not b._states: a walk of its own
     assert sinks > 0
 
 
@@ -402,6 +404,34 @@ def test_reachable_and_dead_states_match_sweeps():
         assert dead_states(a) == _swept_dead(a)
 
 
+def test_is_total_matches_enumeration_on_corpus():
+    rng = random.Random(610)
+    seen = set()  # (total, bu-det) pairs met
+    for kind in sf.KINDS:
+        for a in small_corpus(kind, 12, seed=610):
+            full = dict(a.delta)
+            for sym in a.alphabet.symbols():
+                for ws in itertools.product(a.states, repeat=a.alphabet.arity(sym)):
+                    if not a.targets(ws, sym):
+                        full[(ws, sym, rng.choice(a.states))] = kind.one
+            keys = list(full)
+            drop = rng.choice(keys)
+            ws, sym, q = rng.choice(keys)
+            other = next((p for p in a.states if p != q), q)
+            variants = [
+                (a.states, a.delta),
+                (a.states, full),
+                (a.states, {key: w for key, w in full.items() if key != drop}),
+                (a.states, {**full, (ws, sym, other): kind.one}),
+                (a.states + ("extra",), {**full, (ws, sym, "extra"): kind.one}),
+            ]
+            for states, delta in variants:
+                b = Wta(a.alphabet, states, kind, delta, a.final)
+                assert is_total(b) == reference_is_total(b)
+                seen.add((is_total(b), b.budet))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
 # --- addition irrelevance -------------------------------------------------
 
 
@@ -459,6 +489,23 @@ def test_parse_errors():
         )
 
 
+def test_state_names_that_do_not_parse_back_are_refused():
+    alphabet = RankedAlphabet([("alpha", 0)])
+    one = sf.RATIONAL.one
+    for name in ("a b", "z", "1q", "q,r", "q)", "alpha", "q\n", 7):
+        with pytest.raises(WtaError, match="state name"):
+            Wta(alphabet, (name,), sf.RATIONAL, {((), "alpha", name): one}, {})
+    for name in ("1q", "z", "alpha"):
+        with pytest.raises(WtaError, match="^line 3: .*state name"):
+            parse_wta(f"semifield rational\nrank alpha 0\ntrans alpha() -> {name} @ 1\n")
+    names = ("q", "Q_1", "_p", "c0__alpha", "zz")
+    a = Wta(alphabet, names, sf.RATIONAL, {((), "alpha", q): one for q in names}, {"q": one})
+    text = format_wta(a)
+    again = parse_wta(text)
+    assert again.states == names
+    assert format_wta(again) == text
+
+
 def test_zero_weights_normalized_away():
     a = parse_wta(
         "semifield rational\nrank alpha 0\nrank beta 0\n"
@@ -507,6 +554,57 @@ def test_run_memo_keeps_only_the_root():
     b = parse_wta(GAMMA3)
     assert state_of(b, spine(b, 10**5)) == "q3"
     assert len(b._states) <= 1 and not b._runs
+
+
+def _walked(monkeypatch):
+    """The node lists `terms.validate_tree` returns from now on."""
+    walked = []
+    validate = terms.validate_tree
+
+    def recording(*args, **kwargs):
+        walked.append(validate(*args, **kwargs))
+        return walked[-1]
+
+    monkeypatch.setattr(terms, "validate_tree", recording)
+    return walked
+
+
+def test_witness_checks_validate_each_node_once(monkeypatch):
+    # each derived witness tree has earlier roots as children, so its
+    # check validates one node: O(n) in all, not the n^2 / 2 of whole trees
+    walked = _walked(monkeypatch)
+    for n in (100, 400):
+        walked.clear()
+        assert minimality(chain(random.Random(1502), sf.RATIONAL, n)) == (True, True, n)
+        assert n <= sum(map(len, walked)) <= 2 * n
+
+
+def test_bad_node_over_or_beside_a_memo_root_is_refused(even_odd):
+    x = t("sigma(alpha,sigma(alpha,alpha))", even_odd)
+    assert h_det(even_odd, x)[0] == "o" and state_of(even_odd, x) == "o"
+    runs, states = dict(even_odd._runs), dict(even_odd._states)
+    over = Tree("sigma", (x,))
+    beside = Tree("sigma", (x, Tree("alpha", (x,))))
+    context = Tree("sigma", (x, terms.Z))
+    for bad, message in ((over, "arity"), (beside, "arity"), (context, "not allowed")):
+        for run in (h_det, state_of, evaluate):
+            with pytest.raises(terms.TermError, match=message):
+                run(even_odd, bad)
+            assert even_odd._runs == runs and even_odd._states == states
+
+
+def test_subtree_equal_to_a_memo_root_ends_the_walk(gamma3, monkeypatch):
+    x = spine(gamma3, 1000)
+    apart = terms.parse_tree(terms.format_tree(x), equal_alphabet(gamma3.alphabet))
+    assert apart is not x and apart == x
+    top = Tree("gamma", (apart,))
+    fresh = parse_wta(GAMMA3)
+    want = h_det(fresh, top), state_of(fresh, top)
+    h_det(gamma3, x)
+    state_of(gamma3, x)
+    walked = _walked(monkeypatch)
+    assert (h_det(gamma3, top), state_of(gamma3, top)) == want
+    assert [[node is top for node in nodes] for nodes in walked] == [[True], [True]]
 
 
 def test_h_general_matches_h_det_on_deep_spine(gamma3):

@@ -133,6 +133,43 @@ def test_enumeration_distinct_and_counted():
         terms.validate_tree(t, SIG)
 
 
+def _children_first(nodes, known=()):
+    """Each node once, each child of a node either in ``known`` or earlier."""
+    at = {id(node): i for i, node in enumerate(nodes)}
+    assert len(at) == len(nodes)
+    for i, node in enumerate(nodes):
+        assert all(c in known or at.get(id(c), i) < i for c in node.children)
+
+
+def test_validate_tree_returns_the_nodes_it_checks():
+    t = parse_tree("sigma(sigma(alpha,sigma(alpha,alpha)),sigma(alpha,alpha))", SIG)
+    nodes = terms.validate_tree(t, SIG)
+    assert nodes[-1] is t
+    assert {id(n) for n in nodes} == {id(n) for n in terms.postorder(t)}
+    assert len(nodes) == 4  # alpha, sigma(alpha,alpha), its parent, t
+    _children_first(nodes)
+    apart = parse_tree("sigma(alpha,alpha)", equal_alphabet(SIG))
+    known = {apart: None}
+    nodes = terms.validate_tree(t, SIG, known=known)
+    assert [n.symbol for n in nodes] == ["alpha", "sigma", "sigma"]
+    _children_first(nodes, known)
+    assert terms.validate_tree(t, SIG, known={t: None}) == []
+
+
+def test_validate_tree_refuses_bad_nodes():
+    alpha = Tree("alpha")
+    with pytest.raises(TermError, match="arity 2, got 1"):
+        terms.validate_tree(Tree("sigma", (Tree("sigma", (alpha, alpha)),)), SIG)
+    with pytest.raises(TermError, match="unknown symbol"):
+        terms.validate_tree(Tree("sigma", (alpha, Tree("beta"))), SIG)
+    with pytest.raises(TermError, match="not allowed"):
+        terms.validate_tree(Tree("sigma", (alpha, Z)), SIG)
+    with pytest.raises(TermError, match="nullary"):
+        terms.validate_tree(Tree("sigma", (alpha, Tree("z", (alpha,)))), SIG, allow_z=True)
+    c = Tree("sigma", (alpha, Z))
+    assert terms.validate_tree(c, SIG, allow_z=True)[-1] is c
+
+
 def test_enumeration_contexts_distinct():
     ctxs = list(enumerate_contexts(SIG, 3))
     assert len(ctxs) == len(set(ctxs))

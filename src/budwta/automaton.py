@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from . import semifield, terms
 from .semifield import Semifield, Value
@@ -37,14 +37,15 @@ class PreconditionError(RuntimeError):
     """An operation was called on an automaton outside its domain."""
 
 
-def _check_state_name(q: object, alphabet: RankedAlphabet, where: str = "") -> None:
+def _check_state_names(names: Iterable[object], alphabet: RankedAlphabet, where: str = "") -> None:
     """Refuse a state name that `parse_wta` would not read back: one that
     is not an identifier, is ``z`` or is a symbol.  ``where`` starts the
     message."""
-    if not isinstance(q, str) or not terms._IDENT_RE.match(q) or q == terms.Z_NAME:
-        raise WtaError(f"{where}bad state name {q!r}")
-    if q in alphabet:
-        raise WtaError(f"{where}state name collides with symbol {q!r}")
+    for q in names:
+        if not terms._is_identifier(q) or q == terms.Z_NAME:
+            raise WtaError(f"{where}bad state name {q!r}")
+        if q in alphabet:
+            raise WtaError(f"{where}state name collides with symbol {q!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +84,7 @@ class Wta:
             raise WtaError("automaton needs at least one state")
         if len(set(self.states)) != len(self.states):
             raise WtaError("duplicate state names")
-        for q in self.states:
-            _check_state_name(q, self.alphabet)
+        _check_state_names(self.states, self.alphabet)
         stateset = set(self.states)
         arity = self.alphabet.arity
         succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
@@ -450,7 +450,7 @@ def parse_wta(text: str) -> Wta:
     states: Dict[str, None] = {}
 
     def add_state(q: str, lineno: int) -> None:
-        _check_state_name(q, alphabet, f"line {lineno}: ")
+        _check_state_names((q,), alphabet, f"line {lineno}: ")
         states[q] = None
 
     # an automaton uses few distinct weight texts: parse each once; a zero

@@ -21,7 +21,10 @@ from typing import Container, Dict, Iterable, Iterator, List, Set, Tuple
 
 Z_NAME = "z"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+def _is_identifier(name: object) -> bool:
+    """``name`` is a string ``[A-Za-z_][A-Za-z0-9_]*``: a symbol or state name."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 class TermError(ValueError):
@@ -102,7 +105,7 @@ class RankedAlphabet:
         self._arity: Dict[str, int] = {}
         self._parsed: Dict[Tuple[str, bool], Tree] = {}  # (text, allow_z) -> tree
         for name, k in symbols:
-            if not _IDENT_RE.match(name):
+            if not _is_identifier(name):
                 raise TermError(f"bad symbol name: {name!r}")
             if name == Z_NAME:
                 raise TermError(f"symbol name {Z_NAME!r} is reserved for contexts")
@@ -266,7 +269,7 @@ def _unlisted_symbol(name: str, allow_z: bool, text: str, pos: int) -> int:
     an allowed ``z``; anything else is an error."""
     if not name:
         raise TermError(f"unexpected end of term {_at(text, pos)}")
-    if not _IDENT_RE.match(name):
+    if not _is_identifier(name):
         raise TermError(f"expected a symbol, got {_at(text, pos)}")
     if name != Z_NAME:
         raise TermError(f"unknown symbol {_at(text, pos)}")

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import re
 import weakref
 from functools import reduce
 
@@ -32,6 +33,17 @@ from corpus import (
 
 SIG = RankedAlphabet([("alpha", 0), ("sigma", 2)])
 UNARY = RankedAlphabet([("gamma", 1), ("alpha", 0)])
+
+
+def test_identifier_test_matches_the_ascii_pattern():
+    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    names = ["", "a b", "q\n", "a-b", "Z_9", "if", "x\u00b2", "\u212c", "a\u00e9"]
+    names += [chr(i) for i in range(0x300)] + ["a" + chr(i) for i in range(0x300)]
+    for name in names:
+        assert terms._is_identifier(name) == bool(pattern.match(name)), name
+    assert not terms._is_identifier(7)
+    with pytest.raises(TermError, match="bad symbol name"):
+        RankedAlphabet([(7, 0)])
 
 
 def test_alphabet_validation():

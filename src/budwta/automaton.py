@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
@@ -75,44 +76,66 @@ class Wta:
     def __post_init__(self) -> None:
         # read-only copies of the caller's maps
         _init = object.__setattr__
-        _init(self, "delta", MappingProxyType(dict(self.delta)))
-        _init(self, "final", MappingProxyType(dict(self.final)))
+        delta = dict(self.delta)
+        final = dict(self.final)
+        _init(self, "delta", MappingProxyType(delta))
+        _init(self, "final", MappingProxyType(final))
         k = self.kind
         if not isinstance(k, Semifield):
             raise WtaError(f"kind must be a semifield object, got {k!r}")
         if not self.states:
             raise WtaError("automaton needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        stateset = set(self.states)
+        if len(stateset) != len(self.states):
             raise WtaError("duplicate state names")
         _check_state_names(self.states, self.alphabet)
-        stateset = set(self.states)
-        arity = self.alphabet.arity
+        # one dict lookup per entry and one set check for all child states;
+        # on a failure `_raise_bad_entry` names the first bad entry
+        arities = self.alphabet._arity
         succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
-        for (ws, sym, q), w in self.delta.items():
-            if len(ws) != arity(sym):
-                raise WtaError(f"transition arity mismatch for {sym}")
-            if q not in stateset or not stateset.issuperset(ws):
-                bad = next(p for p in ws + (q,) if p not in stateset)
-                raise WtaError(f"unknown state in transition: {bad}")
+        for (ws, sym, q), w in delta.items():
+            if len(ws) != arities.get(sym) or q not in stateset:
+                _raise_bad_entry(delta, arities, stateset)
             succ.setdefault((ws, sym), []).append((q, w))
-        for q in self.final:
-            if q not in stateset:
-                raise WtaError(f"unknown state in final map: {q}")
+        if not stateset.issuperset(itertools.chain.from_iterable(map(_children, delta))):
+            _raise_bad_entry(delta, arities, stateset)
+        if not stateset.issuperset(final):
+            bad = next(q for q in final if q not in stateset)
+            raise WtaError(f"unknown state in final map: {bad}")
         # weights are usually a few shared objects: check each one once
-        weights = {id(w): w for w in self.delta.values()}
-        weights.update((id(w), w) for w in self.final.values())
+        weights = {id(w): w for w in delta.values()}
+        weights.update((id(w), w) for w in final.values())
         for w in weights.values():
             if not k.contains(w):
                 raise WtaError(f"weight {w!r} is not in the {k} semifield")
             if w == k.zero:
                 raise WtaError("zero weights must not be stored")
         _init(self, "_succ", succ)
-        _init(self, "budet", all(len(v) <= 1 for v in succ.values()))
+        _init(self, "budet", len(succ) == len(delta))
         _init(self, "_runs", {})
         _init(self, "_states", {})
 
     def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
         return self._succ.get((ws, sym), [])
+
+
+_children = operator.itemgetter(0)  # of a delta key
+
+
+def _raise_bad_entry(
+    delta: Mapping[TransKey, Value], arities: Mapping[str, int], stateset: Set[str]
+) -> None:
+    """Name the first transition of ``delta`` that has an unknown symbol,
+    the wrong number of children or an unknown state."""
+    for ws, sym, q in delta:
+        n = arities.get(sym)
+        if n is None:
+            raise WtaError(f"unknown symbol in transition: {sym!r}")
+        if len(ws) != n:
+            raise WtaError(f"transition arity mismatch for {sym}")
+        for p in ws + (q,):
+            if p not in stateset:
+                raise WtaError(f"unknown state in transition: {p}")
 
 
 def is_bu_deterministic(a: Wta) -> bool:
@@ -389,14 +412,26 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
 # --- the .wta text format -------------------------------------------------
 
 
+# a trans line as format_wta writes it, read with one match: ASCII words
+# for the symbol and the states, no space but one on each side of "->" and
+# "@", no comment.  Its fields are the ones the general path below reads
+# from the same line, which takes every other spelling; names and weights
+# are checked later on either path.
+_TRANS_LINE = re.compile(
+    r"trans (\w+)\(((?:\w+(?:,\w+)*)?)\) -> (\w+) @ ([^\s#@]+)",
+    re.ASCII,
+).fullmatch
+
+
 def parse_wta(text: str) -> Wta:
     """Load an automaton from its line-based description.
 
     Lines: ``semifield KIND``, ``rank SYM ARITY``,
     ``trans SYM(q1,...,qk) -> q @ w``, ``final q @ w``; ``#`` starts a
-    comment.  States are introduced by first use.  Duplicate transition
-    keys, duplicate final states and duplicate rank lines are errors.
-    Zero weights are accepted and normalized away.
+    comment.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as universal
+    newlines read it.  States are introduced by first use.  Duplicate
+    transition keys, duplicate final states and duplicate rank lines are
+    errors.  Zero weights are accepted and normalized away.
     """
     kind: Optional[Semifield] = None
     ranks: List[Tuple[str, int]] = []
@@ -404,7 +439,14 @@ def parse_wta(text: str) -> Wta:
     raw_trans: List[Tuple[int, str, Tuple[str, ...], str, str]] = []
     raw_final: List[Tuple[int, str, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        m = _TRANS_LINE(raw)
+        if m is not None:
+            sym, args, target, wtext = m.groups()
+            raw_trans.append((lineno, sym, tuple(args.split(",")) if args else (), target, wtext))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -453,22 +495,22 @@ def parse_wta(text: str) -> Wta:
         _check_state_names((q,), alphabet, f"line {lineno}: ")
         states[q] = None
 
-    # an automaton uses few distinct weight texts: parse each once; a zero
-    # weight is kept as _MISS
+    # an automaton uses few distinct weight texts: each is parsed once into
+    # ``weights``, a zero weight as _MISS; no nonzero weight is None (the
+    # tropical None is its zero)
     weights: Dict[str, object] = {}
 
     def weight(wtext: str, lineno: int) -> object:
-        if wtext not in weights:
-            try:
-                w = kind.parse(wtext)
-            except semifield.WeightSyntaxError as exc:
-                raise WtaError(f"line {lineno}: {exc}") from None
-            weights[wtext] = _MISS if w == kind.zero else w
-        return weights[wtext]
+        try:
+            w = kind.parse(wtext)
+        except semifield.WeightSyntaxError as exc:
+            raise WtaError(f"line {lineno}: {exc}") from None
+        weights[wtext] = w = _MISS if w == kind.zero else w
+        return w
 
-    arities = {s: alphabet.arity(s) for s in alphabet.symbols()}
+    arities = alphabet._arity
     delta: Dict[TransKey, Value] = {}
-    seen_keys: Set[TransKey] = set()
+    zero_keys: Set[TransKey] = set()  # read with a zero weight: not in delta
     for lineno, sym, args, target, wtext in raw_trans:
         k = arities.get(sym)
         if k is None:
@@ -477,15 +519,20 @@ def parse_wta(text: str) -> Wta:
             raise WtaError(
                 f"line {lineno}: {sym} has arity {k}, got {len(args)} arguments"
             )
-        for q in args + (target,):
+        for q in args:
             if q not in states:
                 add_state(q, lineno)
+        if target not in states:
+            add_state(target, lineno)
         key = (args, sym, target)
-        if key in seen_keys:
+        if key in delta or key in zero_keys:
             raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
-        seen_keys.add(key)
-        w = weight(wtext, lineno)
-        if w is not _MISS:
+        w = weights.get(wtext)
+        if w is None:
+            w = weight(wtext, lineno)
+        if w is _MISS:
+            zero_keys.add(key)
+        else:
             delta[key] = w
 
     final: Dict[str, Value] = {}
@@ -496,7 +543,9 @@ def parse_wta(text: str) -> Wta:
         if q in seen_final:
             raise WtaError(f"line {lineno}: duplicate final line for {q}")
         seen_final.add(q)
-        w = weight(wtext, lineno)
+        w = weights.get(wtext)
+        if w is None:
+            w = weight(wtext, lineno)
         if w is not _MISS:
             final[q] = w
 

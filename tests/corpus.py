@@ -24,6 +24,10 @@ tuple of basis trees.  It is the differential reference for the pass over
 delta.
 `reference_is_total` is the check `automaton.is_total` replaced: it looks
 up every state tuple of every symbol.
+`reference_parse_wta` is the `.wta` reader `automaton.parse_wta` replaced,
+with lines split by universal newlines: every line goes through
+`str.split`/`str.strip`, and a trans line through `_reference_parse_trans`.
+It is the differential reference for the one-match read of a trans line.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -38,6 +42,7 @@ on which a builder that loops over basis tuples is quadratic.
 
 from __future__ import annotations
 
+import io
 import itertools
 import operator
 import random
@@ -45,7 +50,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from budwta import automaton, congruence, semifield as sf, terms
-from budwta.automaton import DetValue, TransKey, Wta
+from budwta.automaton import DetValue, TransKey, Wta, WtaError
 from budwta.congruence import ClassRep, SyntacticQuotient
 from budwta.minimize import _basis_state_name
 from budwta.scalar import Monomial
@@ -515,6 +520,135 @@ def reference_is_total(a: Wta) -> bool:
             if not a.targets(ws, sym):
                 return False
     return True
+
+
+def reference_parse_wta(text: str) -> Wta:
+    """`automaton.parse_wta` read line by line with string methods; a line
+    ends where universal newlines end it."""
+    kind: Optional[Semifield] = None
+    ranks: List[Tuple[str, int]] = []
+    rank_names: Set[str] = set()
+    raw_trans: List[Tuple[int, str, Tuple[str, ...], str, str]] = []
+    raw_final: List[Tuple[int, str, str]] = []
+
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+        if head == "semifield":
+            if kind is not None:
+                raise WtaError(f"line {lineno}: duplicate semifield line")
+            try:
+                kind = sf.get(rest.strip())
+            except sf.WeightSyntaxError as exc:
+                raise WtaError(f"line {lineno}: {exc}") from None
+        elif head == "rank":
+            fields = rest.split()
+            if len(fields) != 2:
+                raise WtaError(f"line {lineno}: expected 'rank SYM ARITY'")
+            name, arity_text = fields
+            if not arity_text.isdecimal():
+                raise WtaError(f"line {lineno}: bad arity {arity_text!r}")
+            if name in rank_names:
+                raise WtaError(f"line {lineno}: duplicate rank line for {name}")
+            rank_names.add(name)
+            ranks.append((name, int(arity_text)))
+        elif head == "trans":
+            raw_trans.append((lineno,) + _reference_parse_trans(rest, lineno))
+        elif head == "final":
+            fields = [f.strip() for f in rest.split("@")]
+            if len(fields) != 2:
+                raise WtaError(f"line {lineno}: expected 'final q @ w'")
+            raw_final.append((lineno, fields[0], fields[1]))
+        else:
+            raise WtaError(f"line {lineno}: unknown directive {head!r}")
+
+    if kind is None:
+        raise WtaError("missing semifield line")
+    try:
+        alphabet = RankedAlphabet(ranks)
+    except TermError as exc:
+        raise WtaError(str(exc)) from None
+
+    states: Dict[str, None] = {}
+
+    def add_state(q: str, lineno: int) -> None:
+        automaton._check_state_names((q,), alphabet, f"line {lineno}: ")
+        states[q] = None
+
+    weights: Dict[str, object] = {}
+    zero = object()
+
+    def weight(wtext: str, lineno: int) -> object:
+        if wtext not in weights:
+            try:
+                w = kind.parse(wtext)
+            except sf.WeightSyntaxError as exc:
+                raise WtaError(f"line {lineno}: {exc}") from None
+            weights[wtext] = zero if w == kind.zero else w
+        return weights[wtext]
+
+    arities = {s: alphabet.arity(s) for s in alphabet.symbols()}
+    delta: Dict[TransKey, Value] = {}
+    seen_keys: Set[TransKey] = set()
+    for lineno, sym, args, target, wtext in raw_trans:
+        k = arities.get(sym)
+        if k is None:
+            raise WtaError(f"line {lineno}: undeclared symbol {sym!r}")
+        if len(args) != k:
+            raise WtaError(f"line {lineno}: {sym} has arity {k}, got {len(args)} arguments")
+        for q in args + (target,):
+            if q not in states:
+                add_state(q, lineno)
+        key = (args, sym, target)
+        if key in seen_keys:
+            raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
+        seen_keys.add(key)
+        w = weight(wtext, lineno)
+        if w is not zero:
+            delta[key] = w
+
+    final: Dict[str, Value] = {}
+    seen_final: Set[str] = set()
+    for lineno, q, wtext in raw_final:
+        if q not in states:
+            add_state(q, lineno)
+        if q in seen_final:
+            raise WtaError(f"line {lineno}: duplicate final line for {q}")
+        seen_final.add(q)
+        w = weight(wtext, lineno)
+        if w is not zero:
+            final[q] = w
+
+    if not states:
+        raise WtaError("automaton declares no states (no trans/final lines)")
+    return Wta(alphabet, tuple(states), kind, delta, final)
+
+
+def _reference_parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:
+    if "@" not in rest or "->" not in rest:
+        raise WtaError(f"line {lineno}: expected 'trans SYM(...) -> q @ w'")
+    lhs, wtext = rest.rsplit("@", 1)
+    src, target = lhs.split("->", 1)
+    src = src.strip()
+    target = target.strip()
+    wtext = wtext.strip()
+    if "(" in src:
+        if not src.endswith(")"):
+            raise WtaError(f"line {lineno}: malformed transition source {src!r}")
+        sym, inner = src[:-1].split("(", 1)
+        sym = sym.strip()
+        args = tuple(map(str.strip, inner.split(","))) if inner.strip() else ()
+    else:
+        sym, args = src, ()
+    if not sym:
+        raise WtaError(f"line {lineno}: missing symbol in transition")
+    for piece in args + (target,):
+        if not piece:
+            raise WtaError(f"line {lineno}: malformed transition {rest!r}")
+    return (sym, args, target, wtext)
 
 
 def first_trees(a: Wta) -> Dict[str, Tree]:

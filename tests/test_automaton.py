@@ -29,7 +29,7 @@ from budwta.automaton import (
 from budwta.minimize import minimality
 from budwta.terms import RankedAlphabet, Tree
 
-from conftest import EVEN_ODD, GAMMA3
+from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF
 from corpus import (
     chain,
     context_transform,
@@ -41,7 +41,9 @@ from corpus import (
     parse_context,
     random_slim_budet,
     reference_is_total,
+    reference_parse_wta,
     small_corpus,
+    sparse_binary,
     substitute,
 )
 
@@ -512,6 +514,12 @@ def test_zero_weights_normalized_away():
         "trans alpha() -> p @ 1\ntrans beta() -> p @ 0\nfinal p @ 1\n"
     )
     assert ((), "beta", "p") not in a.delta
+    # a key read with a zero weight is still read
+    with pytest.raises(WtaError, match=r"^line 5: duplicate transition for beta\(\)$"):
+        parse_wta(
+            "semifield rational\nrank alpha 0\nrank beta 0\n"
+            "trans beta() -> p @ 0\ntrans beta() -> p @ 1\n"
+        )
 
 
 def test_comments_and_blank_lines():
@@ -520,6 +528,129 @@ def test_comments_and_blank_lines():
         "trans alpha() -> p @ 2\nfinal p @ 1 # done\n"
     )
     assert evaluate(a, Tree("alpha")) == rat(2)
+
+
+def test_lines_end_only_at_universal_newlines():
+    head = "semifield rational\nrank a 0\n"
+    # a comment runs to the end of its line, past a form feed
+    a = parse_wta(head + "# note\x0ctrans a() -> q @ 1\ntrans a() -> p @ 1\n")
+    assert a.states == ("p",)
+    body = "trans a() -> p @ 1\nfinal p @ 1\nfinal p @ 2\n"
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(WtaError, match="^line 6: duplicate final line for p$"):
+            parse_wta(head + f"# note{sep}# more\n" + body)
+        assert parse_wta(head + f"# note{sep}more\ntrans a() -> p @ 1\n").states == ("p",)
+    for newline in ("\r\n", "\r"):
+        with pytest.raises(WtaError, match="^line 6: duplicate final line for p$"):
+            parse_wta((head + "# note\n" + body).replace("\n", newline))
+
+
+def test_bad_transition_entries_are_wta_errors():
+    alphabet = RankedAlphabet([("f", 1), ("alpha", 0)])
+    one = sf.RATIONAL.one
+    good = {((), "alpha", "q"): one, (("q",), "f", "q"): one}
+    cases = [
+        ({((), "zz", "q"): one}, "unknown symbol in transition: 'zz'"),
+        ({((), "f", "q"): one}, "transition arity mismatch for f"),
+        ({(("r",), "f", "q"): one}, "unknown state in transition: r"),
+        ({(("q",), "f", "r"): one}, "unknown state in transition: r"),
+        # the first bad entry in the order of delta is named
+        ({(("s",), "f", "q"): one, ((), "zz", "q"): one}, "unknown state in transition: s"),
+        ({((), "zz", "q"): one, (("s",), "f", "q"): one}, "unknown symbol in transition: 'zz'"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(WtaError, match=f"^{message}$"):
+            Wta(alphabet, ("q",), sf.RATIONAL, {**good, **bad}, {})
+    with pytest.raises(WtaError, match="^unknown state in final map: r$"):
+        Wta(alphabet, ("q",), sf.RATIONAL, good, {"q": one, "r": one})
+
+
+def _corpus_texts():
+    """The `format_wta` text of corpus automata in all four semifields."""
+    rng = random.Random(1701)
+    texts = [format_wta(parse_wta(text)) for text in (EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF)]
+    for kind in sf.KINDS:
+        automata = list(small_corpus(kind, 9, seed=1701))
+        automata += [chain(rng, kind, 5), layered(rng, kind, 7, 3), sparse_binary(rng, kind, 12)]
+        texts += [format_wta(a) for a in automata]
+    return texts
+
+
+_RESPELLINGS = [
+    ("(", (" (", "( ", "\t(")),
+    (",", (" ,", ", ", "\t,")),
+    (" -> ", ("->", "  ->\t")),
+    (" @ ", ("@", " @\t")),
+]
+
+
+def _respell(rng, text):
+    """``text`` with the same meaning, spelled with the freedom the format
+    gives: spaces and tabs, comments, CRLF or CR line ends, bare nullary
+    symbols."""
+    lines = []
+    for line in text.splitlines():
+        for old, new in _RESPELLINGS:
+            if rng.random() < 0.2:
+                line = line.replace(old, rng.choice(new))
+        if rng.random() < 0.3:
+            line = line.replace("() ", " ", 1)
+        if rng.random() < 0.2:
+            line = rng.choice((" ", "\t", "  ")) + line + rng.choice((" ", "\t", ""))
+        if rng.random() < 0.2:
+            line += rng.choice((" # note", "#", "\t# trans a() -> q @ 1"))
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "# comment", "   ")))
+    return rng.choice(("\n", "\r\n", "\r")).join(lines) + "\n"
+
+
+def _outcome(reader, text):
+    try:
+        a = reader(text)
+    except WtaError as exc:
+        return ("error", str(exc))
+    return (a.states, format_wta(a))
+
+
+def test_parse_wta_matches_the_reference_reader():
+    rng = random.Random(1702)
+    texts = _corpus_texts()
+    for text in texts:
+        read = _outcome(reference_parse_wta, text)
+        assert read[0] != "error"
+        assert _outcome(parse_wta, text) == read
+        for _ in range(3):
+            respelled = _respell(rng, text)
+            assert _outcome(parse_wta, respelled) == read
+            assert _outcome(reference_parse_wta, respelled) == read
+    errors = 0
+    for _ in range(3000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text))
+        char = rng.choice("(),#@->z0123456789 \t\r")
+        text = text[:i] + rng.choice(("", char, char + text[i])) + text[i + 1 :]
+        got = _outcome(parse_wta, text)
+        assert got == _outcome(reference_parse_wta, text), repr(text)
+        errors += got[0] == "error"
+    assert min(errors, 3000 - errors) > 300  # the mutations reach both outcomes
+
+
+def test_format_wta_text_takes_the_one_match_path(monkeypatch):
+    calls = []
+    general = automaton._parse_trans
+
+    def counted(*args):
+        calls.append(args)
+        return general(*args)
+
+    monkeypatch.setattr(automaton, "_parse_trans", counted)
+    texts = _corpus_texts()
+    for text in texts:
+        parse_wta(text)
+    assert not calls
+    parse_wta(texts[0].replace(" -> ", "  -> "))  # another spelling takes the general path
+    assert calls
 
 
 def spine(a, depth, leaf="alpha"):

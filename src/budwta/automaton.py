@@ -58,7 +58,8 @@ class Wta:
     state name is one that `parse_wta` reads back from `format_wta`'s
     text: an identifier, neither ``z`` nor a symbol.
     The derived fields are computed once, here: ``_succ`` indexes delta by
-    (state tuple, symbol) and ``budet`` records bottom-up determinism.
+    (state tuple, symbol) and ``budet`` records bottom-up determinism; the
+    loop that builds ``_succ`` checks each entry and names the first bad one.
     Two memos fill as the automaton is used: ``_runs`` maps the root of
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
@@ -89,16 +90,17 @@ class Wta:
         if len(stateset) != len(self.states):
             raise WtaError("duplicate state names")
         _check_state_names(self.states, self.alphabet)
-        # one dict lookup per entry and one set check for all child states;
-        # on a failure `_raise_bad_entry` names the first bad entry
         arities = self.alphabet._arity
         succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
         for (ws, sym, q), w in delta.items():
-            if len(ws) != arities.get(sym) or q not in stateset:
-                _raise_bad_entry(delta, arities, stateset)
+            if len(ws) != arities.get(sym) or q not in stateset or not stateset.issuperset(ws):
+                if sym not in arities:
+                    raise WtaError(f"unknown symbol in transition: {sym!r}")
+                if len(ws) != arities[sym]:
+                    raise WtaError(f"transition arity mismatch for {sym}")
+                bad = next(p for p in ws + (q,) if p not in stateset)
+                raise WtaError(f"unknown state in transition: {bad}")
             succ.setdefault((ws, sym), []).append((q, w))
-        if not stateset.issuperset(itertools.chain.from_iterable(map(_children, delta))):
-            _raise_bad_entry(delta, arities, stateset)
         if not stateset.issuperset(final):
             bad = next(q for q in final if q not in stateset)
             raise WtaError(f"unknown state in final map: {bad}")
@@ -117,25 +119,6 @@ class Wta:
 
     def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
         return self._succ.get((ws, sym), [])
-
-
-_children = operator.itemgetter(0)  # of a delta key
-
-
-def _raise_bad_entry(
-    delta: Mapping[TransKey, Value], arities: Mapping[str, int], stateset: Set[str]
-) -> None:
-    """Name the first transition of ``delta`` that has an unknown symbol,
-    the wrong number of children or an unknown state."""
-    for ws, sym, q in delta:
-        n = arities.get(sym)
-        if n is None:
-            raise WtaError(f"unknown symbol in transition: {sym!r}")
-        if len(ws) != n:
-            raise WtaError(f"transition arity mismatch for {sym}")
-        for p in ws + (q,):
-            if p not in stateset:
-                raise WtaError(f"unknown state in transition: {p}")
 
 
 def is_bu_deterministic(a: Wta) -> bool:
@@ -464,12 +447,16 @@ def parse_wta(text: str) -> Wta:
             if len(fields) != 2:
                 raise WtaError(f"line {lineno}: expected 'rank SYM ARITY'")
             name, arity_text = fields
-            if not arity_text.isdecimal():
-                raise WtaError(f"line {lineno}: bad arity {arity_text!r}")
+            try:  # ASCII digits, no more than int() converts
+                arity = int(arity_text) if arity_text.isascii() and arity_text.isdigit() else -1
+            except ValueError:
+                arity = -1
+            if arity < 0:
+                raise WtaError(f"line {lineno}: bad arity {arity_text[:60]!r}")
             if name in rank_names:
                 raise WtaError(f"line {lineno}: duplicate rank line for {name}")
             rank_names.add(name)
-            ranks.append((name, int(arity_text)))
+            ranks.append((name, arity))
         elif head == "trans":
             m = _parse_trans(rest, lineno)
             raw_trans.append((lineno,) + m)
@@ -555,17 +542,17 @@ def parse_wta(text: str) -> Wta:
 
 
 def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:
-    if "@" not in rest or "->" not in rest:
+    lhs, _, wtext = rest.rpartition("@")
+    src, arrow, target = lhs.partition("->")
+    if not arrow:
         raise WtaError(f"line {lineno}: expected 'trans SYM(...) -> q @ w'")
-    lhs, wtext = rest.rsplit("@", 1)
-    src, target = lhs.split("->", 1)
     src = src.strip()
     target = target.strip()
     wtext = wtext.strip()
     if "(" in src:
         if not src.endswith(")"):
             raise WtaError(f"line {lineno}: malformed transition source {src!r}")
-        sym, inner = src[:-1].split("(", 1)
+        sym, _, inner = src[:-1].partition("(")
         sym = sym.strip()
         args = tuple(map(str.strip, inner.split(","))) if inner.strip() else ()
     else:

@@ -64,12 +64,10 @@ class Semifield:
         num, _, den = text.partition("/")
         if not den:
             return self.from_fraction(_int(num))
-        try:
-            x = Fraction(_int(num), _int(den))
-        except ZeroDivisionError:
-            msg = f"zero denominator in weight: {text[:60]!r}"
-            raise WeightSyntaxError(msg) from None
-        return self.from_fraction(x)
+        d = _int(den)
+        if not d:  # before Fraction, whose error text prints the numerator
+            raise WeightSyntaxError(f"zero denominator in weight: {text[:60]!r}")
+        return self.from_fraction(Fraction(_int(num), d))
 
     def __str__(self) -> str:
         return self.name
@@ -136,8 +134,9 @@ def get(name: str) -> Semifield:
 
 
 # Weight text grammar: integers, "p/q" with q > 0, "inf" (tropical only),
-# "0"/"1" for booleans.  Used verbatim by the .wta format and the CLI.
-_NUM_RE = re.compile(r"^-?\d+(/\d+)?$")
+# "0"/"1" for booleans, in ASCII digits.  Used verbatim by the .wta format
+# and the CLI.
+_NUM_RE = re.compile(r"^-?\d+(/\d+)?$", re.ASCII)
 
 # int <-> str conversions refuse more than sys.get_int_max_str_digits()
 # digits, 4300 by default, and a program may lower that limit to 640, the

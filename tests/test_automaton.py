@@ -27,6 +27,7 @@ from budwta.automaton import (
     state_of,
 )
 from budwta.minimize import minimality
+from budwta.scalar import format_monomial, parse_monomial
 from budwta.terms import RankedAlphabet, Tree
 
 from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF
@@ -39,6 +40,7 @@ from corpus import (
     first_trees,
     layered,
     parse_context,
+    random_monomial,
     random_slim_budet,
     reference_is_total,
     reference_parse_wta,
@@ -545,6 +547,23 @@ def test_lines_end_only_at_universal_newlines():
             parse_wta((head + "# note\n" + body).replace("\n", newline))
 
 
+@pytest.mark.parametrize("line, message", [
+    # the only "->" after the last "@"
+    ("trans a() @ 1 -> q", r"expected 'trans SYM\(\.\.\.\) -> q @ w'"),
+    ("trans f @ 1 -> q", r"expected 'trans SYM\(\.\.\.\) -> q @ w'"),
+    # digits are ASCII, and an arity no longer than int() converts
+    ("rank b \u0661", "bad arity '\u0661'"),
+    ("trans a() -> q @ \u0662", "malformed weight: '\u0662'"),
+    ("rank b " + "1" * 5000, f"bad arity '{'1' * 60}'"),
+    # more numerator digits than int() converts to text
+    ("trans a() -> q @ " + "4" * 4400 + "/0", f"zero denominator in weight: '{'4' * 60}'"),
+], ids=["misordered", "misordered-bare", "unicode-arity", "unicode-weight", "long-arity",
+        "zero-denominator"])
+def test_malformed_line_is_named(line, message):
+    with pytest.raises(WtaError, match=f"^line 4: {message}$"):
+        parse_wta(f"semifield rational\nrank a 0\nrank f 1\n{line}\ntrans a() -> p @ 1\n")
+
+
 def test_bad_transition_entries_are_wta_errors():
     alphabet = RankedAlphabet([("f", 1), ("alpha", 0)])
     one = sf.RATIONAL.one
@@ -634,6 +653,63 @@ def test_parse_wta_matches_the_reference_reader():
         assert got == _outcome(reference_parse_wta, text), repr(text)
         errors += got[0] == "error"
     assert min(errors, 3000 - errors) > 300  # the mutations reach both outcomes
+
+
+_PIECES = ("@ 1 ->", "-> q @", "/0", "4" * 5000, "\u0661", "@", "->", "(", ")", ",", ".", "#")
+
+
+def _mangle(rng, text):
+    """``text`` with one to three edits: one or two pieces in place of up
+    to three characters, or a segment of up to 30 characters moved."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.6:
+            pieces = "".join(rng.choices(_PIECES, k=rng.randint(1, 2)))
+            text = text[:i] + pieces + text[i + rng.randrange(4) :]
+        else:
+            j = i + rng.randrange(1, 31)
+            segment, rest = text[i:j], text[:i] + text[j:]
+            k = rng.randrange(len(rest) + 1)
+            text = rest[:k] + segment + rest[k:]
+    return text
+
+
+_INPUT_ERRORS = (WtaError, terms.TermError, sf.WeightSyntaxError, sf.SemifieldError)
+
+
+def test_mangled_text_raises_only_input_errors():
+    rng = random.Random(1801)
+    texts = _corpus_texts()
+    read = 0
+    for _ in range(12000):
+        try:
+            parse_wta(_mangle(rng, rng.choice(texts)))
+            read += 1
+        except WtaError:
+            pass
+    assert read > 50  # some mangled texts still read
+    monomials = []
+    for text in texts[::4]:
+        a = parse_wta(text)
+        trees = list(itertools.islice(enumerate_trees(a.alphabet, 3), 20))
+        for _ in range(5):
+            m = format_monomial(random_monomial(rng, a.kind, trees))
+            monomials.append((m, a.alphabet, a.kind))
+    for _ in range(12000):
+        m, alphabet, kind = rng.choice(monomials)
+        weight, _, tree = m.partition(".")
+        # the weight, the tree or the whole text
+        m = rng.choice((
+            f"{_mangle(rng, weight)}.{tree}", f"{weight}.{_mangle(rng, tree)}", _mangle(rng, m)
+        ))
+        try:
+            parse_monomial(m, alphabet, kind)
+        except _INPUT_ERRORS:
+            pass
+        try:
+            terms.parse_tree(m.partition(".")[2], alphabet)
+        except _INPUT_ERRORS:
+            pass
 
 
 def test_format_wta_text_takes_the_one_match_path(monkeypatch):

@@ -246,6 +246,25 @@ def test_parse_error_exits_2(wta_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("trans alpha() @ 1 -> o", "expected 'trans SYM(...) -> q @ w'"),
+    ("trans alpha() -> p @ " + "4" * 4400 + "/0", f"zero denominator in weight: '{'4' * 60}'"),
+    ("rank beta " + "1" * 5000, f"bad arity '{'1' * 60}'"),
+    ("rank beta \u0661", "bad arity '\u0661'"),
+], ids=["misordered", "zero-denominator", "long-arity", "unicode-arity"])
+def test_malformed_line_exits_2(wta_file, capsys, line, message):
+    path = wta_file(EVEN_ODD.replace("final o @ 3", line))
+    lineno = EVEN_ODD.splitlines().index("final o @ 3") + 1
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: line {lineno}: {message}\n")
+
+
+def test_zero_denominator_monomial_exits_2(wta_file, capsys):
+    mono = "4" * 4400 + "/0.alpha"
+    assert main(["congruent", wta_file(EVEN_ODD), "--mono", mono, "--mono", "1.alpha"]) == 2
+    assert capsys.readouterr().err == f"error: zero denominator in weight: '{'4' * 60}'\n"
+
+
 def test_bad_tree_exits_2(wta_file, capsys):
     assert main(["eval", wta_file(EVEN_ODD), "--tree", "sigma(alpha)"]) == 2
     assert "error" in capsys.readouterr().err

@@ -85,6 +85,20 @@ def test_parse_weight_errors():
         sf.BOOLEAN.parse("2")
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_weight_digits_are_ascii(kind):
+    for text in ("\u0663", "1/\u0662", "-\u0661"):
+        with pytest.raises(WeightSyntaxError, match="^malformed weight: "):
+            kind.parse(text)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_zero_denominator_after_a_long_numerator(kind):
+    # more numerator digits than int() converts to text
+    with pytest.raises(WeightSyntaxError, match=f"^zero denominator in weight: '{'4' * 60}'$"):
+        kind.parse("4" * 4400 + "/0")
+
+
 def _outcome(f, *args):
     """The value and its type, or the error text, of ``f(*args)``."""
     try:

@@ -64,8 +64,11 @@ class Wta:
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
     `state_of` to its state.  Only validated input goes in, so a run
-    validates no subtree its memo holds; the memos belong to the
-    automaton, so they can never go stale and die with it.
+    validates no subtree its memo holds.  ``_derived`` keeps the two
+    derivations over delta, `_least_keys` forward and `_least_steps`
+    backward, one entry per state, each computed on first use by
+    `_derivation`.  All of these belong to the automaton, so they can
+    never go stale and die with it.
     """
 
     alphabet: RankedAlphabet
@@ -116,6 +119,7 @@ class Wta:
         _init(self, "budet", len(succ) == len(delta))
         _init(self, "_runs", {})
         _init(self, "_states", {})
+        _init(self, "_derived", {})
 
     def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
         return self._succ.get((ws, sym), [])
@@ -127,9 +131,14 @@ def is_bu_deterministic(a: Wta) -> bool:
 
 def is_total(a: Wta) -> bool:
     """Every (state tuple, symbol) pair has at least one nonzero target:
-    ``_succ`` has a key for each of the |Q|^k tuples of each symbol."""
-    n = len(a.states)
-    return len(a._succ) == sum(n ** a.alphabet.arity(s) for s in a.alphabet.symbols())
+    ``_succ`` has a key for each of the |Q|^k tuples of each symbol.
+
+    With two states or more, a symbol of arity k >= the bit length of
+    |_succ| has 2^k > |_succ| tuples, so the answer is no and no power is
+    built: a huge arity costs nothing."""
+    n, bound = len(a.states), len(a._succ).bit_length()
+    arities = a.alphabet._arity.values()
+    return all(n == 1 or k < bound for k in arities) and len(a._succ) == sum(n**k for k in arities)
 
 
 def _require_budet(a: Wta) -> None:
@@ -246,44 +255,107 @@ def evaluate(a: Wta, t: Tree) -> Value:
 # --- reachability, slimming, observability --------------------------------
 
 
-def _waiting(a: Wta) -> Tuple[Dict[str, List[SuccKey]], Dict[SuccKey, int], List[SuccKey]]:
-    """The counters of a derivation over delta, after Dowling & Gallier (1984).
+def _least_keys(a: Wta) -> Dict[str, SuccKey]:
+    """Each realized state's least (state tuple, symbol) key, in rank order:
+    the forward derivation over delta.
 
-    Per (state tuple, symbol) key, the number of its distinct child states
-    not found yet; per state, the keys that wait for it; and the keys that
-    wait for nothing (the nullary ones).  Finding a state decrements each
-    of its keys once, so a whole derivation costs O(|delta| * k).
+    A key waits for its distinct child states (Dowling & Gallier 1984) and
+    joins the bucket of height 1 + max(child heights) when the last one is
+    found, after Knuth's generalization of Dijkstra's algorithm (1977).
+    Within a height each state not found yet takes its least (symbol index,
+    child ranks) key; the states found are ranked in that order.  Every
+    target of a key is visited, so a non-bu-det automaton reaches every
+    state too.  Finding a state decrements each of its keys once: O(|delta|
+    * k), and an order is built only for a state not found yet.
     """
+    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
     waiting_on: Dict[str, List[SuccKey]] = {}
-    missing: Dict[SuccKey, int] = {}
-    ready: List[SuccKey] = []
+    missing: Dict[SuccKey, int] = {}  # per key, its child states not found yet
+    bucket: List[SuccKey] = []
     for key in a._succ:
         kids = set(key[0])
         missing[key] = len(kids)
         for p in kids:
             waiting_on.setdefault(p, []).append(key)
         if not kids:
-            ready.append(key)
-    return waiting_on, missing, ready
+            bucket.append(key)
+    rank: Dict[str, int] = {}
+    keys: Dict[str, SuccKey] = {}
+    while bucket:
+        least: Dict[str, tuple] = {}  # state -> (order, key) of its least key
+        for key in bucket:
+            for q, _ in a._succ[key]:
+                if q in keys:
+                    continue
+                order = (sym_index[key[1]], *map(rank.__getitem__, key[0]))
+                if q not in least or order < least[q][0]:
+                    least[q] = (order, key)
+        bucket = []
+        for q in sorted(least, key=least.get):
+            rank[q] = len(rank)
+            keys[q] = least[q][1]
+            for ready in waiting_on.get(q, ()):
+                missing[ready] -= 1
+                if not missing[ready]:
+                    bucket.append(ready)
+    return keys
+
+
+def _least_steps(a: Wta) -> Dict[str, Optional[Tuple[str, Value]]]:
+    """Each observable state's first step along its least abstract
+    observation path, in layer order: the backward derivation over delta.
+
+    Paths are ordered by length, then step by step from the hole outwards
+    by (symbol declaration index, hole position, declaration ranks of the
+    side states); a final state's path is empty (None).  A breadth-first
+    search from the final states, after Mohri (TCS 2000), finds them layer
+    by layer: every step from a state of layer d leads to layer d - 1 or
+    higher, so a state's least path is its least step into layer d - 1
+    followed by that state's least path.  Each transition is looked at once
+    per child, O(|delta| * k), and an order is built only for a state not
+    found yet.
+    """
+    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
+    rank = {q: i for i, q in enumerate(a.states)}
+    into: Dict[str, List[Tuple[Tuple[str, ...], str, Value]]] = {}  # target -> (ws, sym, w)
+    for (ws, sym, q), w in a.delta.items():
+        into.setdefault(q, []).append((ws, sym, w))
+    steps = dict.fromkeys(a.final)  # state -> (target, weight) of its least step
+    layer = list(steps)
+    while layer:
+        least: Dict[str, tuple] = {}  # state -> (order, step) of its least step
+        for q in layer:
+            for ws, sym, w in into.get(q, ()):
+                for i, p in enumerate(ws):
+                    if p in steps:
+                        continue
+                    order = (sym_index[sym], i, *map(rank.__getitem__, ws[:i] + ws[i + 1 :]))
+                    if p not in least or order < least[p][0]:
+                        least[p] = (order, (q, w))
+        steps.update((p, step) for p, (_, step) in least.items())
+        layer = list(least)
+    return steps
+
+
+def _derivation(a: Wta, derive):
+    """``derive(a)``, computed on first use and kept in ``a._derived``.
+    It is kept there, not set as an attribute with ``__dict__`` or
+    `functools.cached_property`: in CPython 3.11 a write to ``__dict__``
+    makes every later attribute read on the automaton about three times
+    slower."""
+    got = a._derived.get(derive)
+    if got is None:
+        got = a._derived[derive] = derive(a)
+    return got
 
 
 def reachable_states(a: Wta) -> FrozenSet[str]:
     """States realized by some tree (the image of the run map, minus sink)."""
-    waiting_on, missing, ready = _waiting(a)
-    reached: Set[str] = set()
-    while ready:
-        for q, _ in a._succ[ready.pop()]:
-            if q not in reached:
-                reached.add(q)
-                for key in waiting_on.get(q, ()):
-                    missing[key] -= 1
-                    if not missing[key]:
-                        ready.append(key)
-    return frozenset(reached)
+    return frozenset(_derivation(a, _least_keys))
 
 
 def is_slim(a: Wta) -> bool:
-    return reachable_states(a) == set(a.states)
+    return len(_derivation(a, _least_keys)) == len(a.states)
 
 
 def _zero_language(a: Wta, p: str) -> Wta:
@@ -319,24 +391,14 @@ def slim(a: Wta) -> Wta:
 
 
 def dead_states(a: Wta) -> FrozenSet[str]:
-    """States from which no context can reach a nonzero final weight.
+    """States from which no context can reach a nonzero final weight: those
+    the backward derivation does not find.
 
     Meaningful for slim automata, where every side state of a transition is
     realized by a tree.
     """
     _require_budet(a)
-    into: Dict[str, List[Tuple[str, ...]]] = {}  # target -> child tuples of its transitions
-    for ws, _sym, q in a.delta:
-        into.setdefault(q, []).append(ws)
-    observable: Set[str] = set(a.final)
-    todo = list(observable)
-    while todo:
-        for ws in into.get(todo.pop(), ()):
-            for p in ws:
-                if p not in observable:
-                    observable.add(p)
-                    todo.append(p)
-    return frozenset(set(a.states) - observable)
+    return frozenset(a.states).difference(_derivation(a, _least_steps))
 
 
 def representative_trees(a: Wta) -> Dict[str, Tree]:
@@ -347,13 +409,9 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
     No tree is enumerated.  The first tree reaching q is
     sym(rep(p1), ..., rep(pk)) for a transition sym(p1, ..., pk) -> q whose
     child representatives come earlier: replacing a child by its state's
-    representative never makes a tree higher or later.  So the
-    representatives are derived over delta, height by height, after Knuth's
-    generalization of Dijkstra's algorithm (1977).  A transition joins the
-    bucket of height 1 + max(child heights) when its last child state gets
-    its representative; within a height each state takes its least
-    (symbol index, child ranks) transition, and the states found are ranked
-    in that order.  Children are the representatives themselves, so the
+    representative never makes a tree higher or later.  So each tree is
+    built from q's least key in the forward derivation, `_least_keys`,
+    in its rank order.  Children are the representatives themselves, so the
     trees share their subtrees: the tree of a state at height n may have
     2^(n+1) - 1 nodes, but no more distinct subtrees than there are states.  Each
     tree is run through `state_of` as the derivation's own check, in the
@@ -362,30 +420,11 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
     witness tree is computed.
     """
     _require_budet(a)
-    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
-    waiting_on, missing, bucket = _waiting(a)
-    reps: Dict[str, Tree] = {}
-    rank: Dict[str, int] = {}
-    while bucket:
-        least: Dict[str, tuple] = {}  # state -> (order, ws, sym) of its least transition
-        for ws, sym in bucket:
-            q = a._succ[(ws, sym)][0][0]
-            if q in reps:
-                continue
-            order = (sym_index[sym], tuple(rank[p] for p in ws))
-            if q not in least or order < least[q][0]:
-                least[q] = (order, ws, sym)
-        bucket = []
-        for q, (_, ws, sym) in sorted(least.items(), key=lambda item: item[1][0]):
-            rank[q] = len(rank)
-            reps[q] = Tree(sym, tuple(reps[p] for p in ws))
-            for key in waiting_on.get(q, ()):
-                missing[key] -= 1
-                if not missing[key]:
-                    bucket.append(key)
-    if len(reps) < len(a.states):
+    if not is_slim(a):
         raise PreconditionError("representative trees need a slim automaton")
-    for q, t in reps.items():
+    reps: Dict[str, Tree] = {}
+    for q, (ws, sym) in _derivation(a, _least_keys).items():
+        reps[q] = t = Tree(sym, tuple(reps[p] for p in ws))
         got = state_of(a, t)
         if got != q:
             raise RuntimeError(f"the derived tree for state {q} reaches {got}")
@@ -404,6 +443,15 @@ _TRANS_LINE = re.compile(
     r"trans (\w+)\(((?:\w+(?:,\w+)*)?)\) -> (\w+) @ ([^\s#@]+)",
     re.ASCII,
 ).fullmatch
+
+
+def _ascii_natural(text: str) -> Optional[int]:
+    """The number ``text`` spells in ASCII digits, no more than int()
+    converts; None for any other text."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
 
 
 def parse_wta(text: str) -> Wta:
@@ -447,11 +495,8 @@ def parse_wta(text: str) -> Wta:
             if len(fields) != 2:
                 raise WtaError(f"line {lineno}: expected 'rank SYM ARITY'")
             name, arity_text = fields
-            try:  # ASCII digits, no more than int() converts
-                arity = int(arity_text) if arity_text.isascii() and arity_text.isdigit() else -1
-            except ValueError:
-                arity = -1
-            if arity < 0:
+            arity = _ascii_natural(arity_text)
+            if arity is None:
                 raise WtaError(f"line {lineno}: bad arity {arity_text[:60]!r}")
             if name in rank_names:
                 raise WtaError(f"line {lineno}: duplicate rank line for {name}")

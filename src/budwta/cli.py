@@ -111,8 +111,12 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_congruent(args) -> int:
-    if args.oracle_depth is not None and args.oracle_depth < 0:
-        raise _CliInputError(f"--oracle-depth must be >= 0, got {args.oracle_depth}")
+    text = args.oracle_depth  # ASCII digits, as a rank line's arity
+    depth = None if text is None else automaton._ascii_natural(text)
+    if text is not None and depth is None:
+        if text.startswith("-") and automaton._ascii_natural(text[1:]) is not None:
+            raise _CliInputError(f"--oracle-depth must be >= 0, got {text}")
+        raise _CliInputError(f"--oracle-depth must be ASCII digits, got {text[:60]!r}")
     a = _load(args.file)
     automaton._require_budet(a)
     m1 = scalar.parse_monomial(args.monomials[0], a.alphabet, a.kind)
@@ -120,8 +124,8 @@ def _cmd_congruent(args) -> int:
     s = automaton.slim(a)
     qt = congruence.build_syntactic_quotient(s)
     answer = congruence.congruent(qt, m1, m2)
-    if args.oracle_depth is not None:
-        check = congruence.brute_force_congruent(s, m1, m2, args.oracle_depth)
+    if depth is not None:
+        check = congruence.brute_force_congruent(s, m1, m2, depth)
         if check != answer:
             print(
                 "internal error: refinement and bounded-context oracle "
@@ -183,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="WEIGHT.TREE",
     )
-    sp.add_argument("--oracle-depth", type=int, default=None)
+    sp.add_argument("--oracle-depth", default=None)
     sp.set_defaults(func=_cmd_congruent)
 
     sp = sub.add_parser("equiv", help="exact equivalence of two automata")

@@ -59,35 +59,14 @@ def _normalizers(a: Wta) -> Dict[str, Value]:
     """mu(q) for every live state q: the observation of a unit run at q
     along q's least abstract observation path, side trees left out.
 
-    Paths are ordered by length, then step by step from the hole outwards
-    by (symbol declaration index, hole position, declaration ranks of the
-    side states).  A backward breadth-first search from the final states
-    finds them layer by layer: every step from a state of layer d into a
-    live state leads to layer d - 1 or higher, so the state's least path is
-    its least step into layer d - 1 followed by that state's least path,
-    and mu(p) = delta weight * mu(target).  Each transition is looked at
-    once per child: O(|delta| * k).
+    Reads the backward derivation, `automaton._least_steps`: in its
+    layer order a state's least step leads to a state whose mu is known,
+    so mu(p) = delta weight * mu(target), one multiplication per state, and
+    mu(q) = F(q) at a final state.
     """
-    times = a.kind.times
-    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
-    rank = {q: i for i, q in enumerate(a.states)}
-    # target -> (step order, child in the hole, transition weight)
-    into: Dict[str, List[Tuple[tuple, str, Value]]] = {}
-    for (ws, sym, q), w in a.delta.items():
-        ranks = tuple(rank[p] for p in ws)
-        for i, p in enumerate(ws):
-            order = (sym_index[sym], i, ranks[:i] + ranks[i + 1 :])
-            into.setdefault(q, []).append((order, p, w))
-    mu: Dict[str, Value] = dict(a.final)
-    layer = list(a.final)
-    while layer:
-        least: Dict[str, Tuple[tuple, Value]] = {}
-        for q in layer:
-            for order, p, w in into.get(q, ()):
-                if p not in mu and (p not in least or order < least[p][0]):
-                    least[p] = (order, times(w, mu[q]))
-        mu.update((p, mu_p) for p, (_, mu_p) in least.items())
-        layer = list(least)
+    mu: Dict[str, Value] = {}
+    for p, step in automaton._derivation(a, automaton._least_steps).items():
+        mu[p] = a.final[p] if step is None else a.kind.times(step[1], mu[step[0]])
     return mu
 
 
@@ -110,11 +89,14 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     Complete: for any nonzero mu, p and q in one final block have
     obs(p, c) * mu(p)^-1 = obs(q, c) * mu(q)^-1 for every context c, by
     induction on the height of c.  Dead states: a transition into a live
-    state has only live children, as `automaton.dead_states` is a backward
-    closure, so no move needs a dead side state.
+    state has only live children, as the live states are those the
+    backward derivation finds, so no move needs a dead side state.
 
-    A non-slim automaton is refused by `automaton.representative_trees`
-    with `automaton.PreconditionError`, before any refinement.
+    Reads each derivation over delta kept on ``a``: the backward one,
+    `automaton._least_steps`, for the dead states and mu; the forward one,
+    `automaton._least_keys`, for the witness trees.  A non-slim
+    automaton is refused by `automaton.representative_trees` with
+    `automaton.PreconditionError`, before any refinement.
     """
     automaton._require_budet(a)
     dead = automaton.dead_states(a)

@@ -394,18 +394,27 @@ def _swept_dead(a):
 def test_reachable_and_dead_states_match_sweeps():
     rng = random.Random(609)
     alphabet = RankedAlphabet([("s", 2), ("g", 1), ("a", 0), ("b", 0)])
-    for _ in range(300):
+    two_targets = 0  # non-bu-det automata met with a key of two targets
+    for trial in range(600):
+        budet = trial % 2 == 0
         n = rng.randint(1, 6)
         states = [f"q{i}" for i in range(n)]
         delta = {}
         for sym, k in (("s", 2), ("g", 1), ("a", 0), ("b", 0)):
             for ws in itertools.product(states, repeat=k):
                 if rng.random() < 0.3:
-                    delta[(ws, sym, rng.choice(states))] = sf.BOOLEAN.one
+                    for q in rng.sample(states, 1 if budet else min(n, rng.randint(1, 2))):
+                        delta[(ws, sym, q)] = sf.BOOLEAN.one
         final = {q: sf.BOOLEAN.one for q in states if rng.random() < 0.3}
         a = Wta(alphabet, tuple(states), sf.BOOLEAN, delta, final)
-        assert reachable_states(a) == _swept_reachable(a)
-        assert dead_states(a) == _swept_dead(a)
+        swept = _swept_reachable(a)
+        assert reachable_states(a) == swept
+        assert slim(a).states == (tuple(q for q in states if q in swept) or (states[0],))
+        if budet:
+            assert dead_states(a) == _swept_dead(a)
+        else:
+            two_targets += not a.budet
+    assert two_targets > 100
 
 
 def test_is_total_matches_enumeration_on_corpus():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -49,6 +50,18 @@ def test_validate(wta_file, capsys):
         "total: yes\n"
         "slim: yes\n"
     )
+
+
+def test_a_huge_arity_is_not_total_at_once(wta_file, capsys):
+    path = wta_file(
+        "semifield rational\nrank b 16000000\nrank a 0\nrank g 1\n"
+        "trans a() -> p @ 1\ntrans g(p) -> q @ 1\ntrans g(q) -> r @ 1\nfinal r @ 1\n"
+    )
+    for command in ("validate", "check"):
+        start = time.perf_counter()
+        assert main([command, path]) == 0
+        assert time.perf_counter() - start < 1
+        assert "\ntotal: no\n" in capsys.readouterr().out
 
 
 def test_validate_nondeterministic(wta_file, capsys):
@@ -427,7 +440,7 @@ def test_check_builds_the_quotient_once(wta_file, capsys, monkeypatch):
     assert "slim: no\nminimal: no\nstates: 2\ndegree: 1\n" in out
 
 
-def test_check_derives_the_reachable_states_once(wta_file, capsys, monkeypatch):
+def test_check_derives_the_reachable_states_once(wta_file, tmp_path, capsys, monkeypatch):
     calls = []
     reachable = automaton.reachable_states
 
@@ -441,6 +454,38 @@ def test_check_derives_the_reachable_states_once(wta_file, capsys, monkeypatch):
         assert main(["check", wta_file(text)]) == 0
         assert len(calls) == 1
         assert f"slim: {slim}\n" in capsys.readouterr().out
+
+    # each derivation over delta runs at most once per automaton object
+    runs = {"_least_keys": [], "_least_steps": []}
+
+    def derivation(name):
+        derive = getattr(automaton, name)
+
+        def wrapper(a):
+            runs[name].append(a)  # kept alive, so no two automata share an id
+            return derive(a)
+
+        return wrapper
+
+    for name in runs:
+        monkeypatch.setattr(automaton, name, derivation(name))
+    out_path = str(tmp_path / "min.wta")
+    for text in (GAMMA3, NON_SLIM, TWO_LEAF):
+        path = wta_file(text)
+        for argv, code in (
+            (["check", path], 0),
+            (["minimize", path, "-o", out_path], 0),
+            (["congruent", path, "--mono", "1.alpha", "--mono", "2.alpha"], 1),
+            (["congruent", path, "--mono", "1.alpha", "--mono", "1.alpha", "--oracle-depth", "2"], 0),
+            (["equiv", path, out_path], 0),
+            (["equiv", path, path], 0),
+        ):
+            for seen in runs.values():
+                seen.clear()
+            assert main(argv) == code, argv
+            for name, seen in runs.items():
+                assert seen, (argv, name)
+                assert len({id(a) for a in seen}) == len(seen), (argv, name)
 
 
 def test_check_and_congruent_on_a_40_state_weighted_chain(wta_file, capsys):
@@ -525,6 +570,18 @@ def test_congruent_negative_oracle_depth_exits_2(wta_file, capsys):
     argv = ["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha", "--mono", "2.alpha"]
     assert main(argv + ["--oracle-depth", "-3"]) == 2
     assert "--oracle-depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", ["-1", "-0", "\u0661", "+1", "1_0", " 1", "1 ", "", "-", "9" * 5000])
+def test_oracle_depth_takes_ascii_digits_only(wta_file, capsys, depth):
+    argv = ["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha", "--mono", "2.alpha"]
+    assert main(argv + [f"--oracle-depth={depth}"]) == 2
+    err = capsys.readouterr().err
+    if depth.startswith("-") and depth[1:].isdigit():
+        assert err == f"error: --oracle-depth must be >= 0, got {depth}\n"
+    else:
+        assert err.startswith("error: --oracle-depth must be ASCII digits, got ")
+    assert main(argv + ["--oracle-depth=1"]) == 1
 
 
 # --- exit codes on arbitrary input -------------------------------------------

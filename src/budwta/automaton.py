@@ -78,8 +78,9 @@ class Wta:
     final: Mapping[str, Value]
 
     def __post_init__(self) -> None:
-        # read-only copies of the caller's maps
+        # a tuple and read-only copies of the caller's states and maps
         _init = object.__setattr__
+        _init(self, "states", tuple(self.states))
         delta = dict(self.delta)
         final = dict(self.final)
         _init(self, "delta", MappingProxyType(delta))

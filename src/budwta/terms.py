@@ -2,11 +2,12 @@
 
 A tree is a finite term over a ranked alphabet.  A context is a tree over
 the alphabet extended with the reserved nullary symbol ``z``, containing
-exactly one occurrence of ``z``.  This module parses, validates, prints
-and enumerates them.  Parsing is memoised on the alphabet: each distinct
-text gives one tree object per alphabet.  Plugging a tree into a context
-and splitting a context into elementary ones are not needed by the
-package: the test suite keeps them as its reference.
+exactly one occurrence of ``z``.  This module parses, validates and prints
+trees, and enumerates contexts: a context is built, never read from text
+or validated.  Parsing is memoised on the alphabet: each distinct text
+gives one tree object per alphabet.  Plugging a tree into a context and
+splitting a context into elementary ones are not needed by the package:
+the test suite keeps them as its reference.
 
 Enumeration of contexts is deterministic: by height first, then
 lexicographically following the declaration order of the alphabet, with
@@ -103,7 +104,7 @@ class RankedAlphabet:
 
     def __init__(self, symbols: Iterable[Tuple[str, int]]):
         self._arity: Dict[str, int] = {}
-        self._parsed: Dict[Tuple[str, bool], Tree] = {}  # (text, allow_z) -> tree
+        self._parsed: Dict[str, Tree] = {}  # text -> tree
         for name, k in symbols:
             if not _is_identifier(name):
                 raise TermError(f"bad symbol name: {name!r}")
@@ -111,7 +112,7 @@ class RankedAlphabet:
                 raise TermError(f"symbol name {Z_NAME!r} is reserved for contexts")
             if name in self._arity:
                 raise TermError(f"symbol declared twice: {name}")
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise TermError(f"bad arity for {name}: {k!r}")
             self._arity[name] = k
         if not self._arity:
@@ -170,11 +171,9 @@ def postorder(t: Tree, known: Container[Tree] = ()) -> List[Tree]:
     return order
 
 
-def validate_tree(
-    t: Tree, alphabet: RankedAlphabet, allow_z: bool = False, known: Container[Tree] = ()
-) -> List[Tree]:
-    """Check that ``t`` is a tree over ``alphabet`` (a context over it if
-    ``allow_z``) and return the nodes checked: `postorder(t, known)`.
+def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()) -> List[Tree]:
+    """Check that ``t`` is a tree over ``alphabet`` and return the nodes
+    checked: `postorder(t, known)`.
 
     A subtree that ``known`` holds is taken as checked, with every node
     under it: a run memo holds only trees that were validated on their way
@@ -184,12 +183,9 @@ def validate_tree(
     arities = alphabet._arity
     for node in nodes:
         if arities.get(node.symbol) != len(node.children):
-            if node.symbol != Z_NAME:
-                raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(node.children))
-            if not allow_z:
+            if node.symbol == Z_NAME:
                 raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
-            if node.children:
-                raise TermError(f"{Z_NAME!r} is nullary")
+            raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(node.children))
     return nodes
 
 
@@ -198,7 +194,7 @@ def validate_tree(
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]|\S")
 
 
-def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tree:
+def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     """Parse ``sigma(t1,...,tk)``; nullary symbols may omit the parentheses.
 
     The parser keeps its own stack of open nodes, so nesting depth is
@@ -210,8 +206,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
     same tree object, so a run memo finds it by identity.  A text that
     fails to parse is not remembered.
     """
-    text_key = (text, allow_z)
-    node = alphabet._parsed.get(text_key)
+    node = alphabet._parsed.get(text)
     if node is not None:
         return node
     tokens = _TOKEN_RE.findall(text)
@@ -226,7 +221,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
         name = tokens[pos]
         k = arities.get(name)
         if k is None:
-            k = _unlisted_symbol(name, allow_z, text, pos)
+            raise _unlisted_symbol(name, text, pos)
         pos += 1
         if tokens[pos] == "(":
             if tokens[pos + 1] != ")":
@@ -260,22 +255,19 @@ def parse_tree(text: str, alphabet: RankedAlphabet, allow_z: bool = False) -> Tr
         else:
             if tokens[pos]:
                 raise TermError(f"trailing input {_at(text, pos)}")
-            alphabet._parsed[text_key] = node
+            alphabet._parsed[text] = node
             return node
 
 
-def _unlisted_symbol(name: str, allow_z: bool, text: str, pos: int) -> int:
-    """The arity of token ``pos``, a name that is not in the alphabet: 0 for
-    an allowed ``z``; anything else is an error."""
+def _unlisted_symbol(name: str, text: str, pos: int) -> TermError:
+    """The error for token ``pos``, where a symbol of the alphabet should be."""
     if not name:
-        raise TermError(f"unexpected end of term {_at(text, pos)}")
+        return TermError(f"unexpected end of term {_at(text, pos)}")
     if not _is_identifier(name):
-        raise TermError(f"expected a symbol, got {_at(text, pos)}")
-    if name != Z_NAME:
-        raise TermError(f"unknown symbol {_at(text, pos)}")
-    if not allow_z:
-        raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
-    return 0
+        return TermError(f"expected a symbol, got {_at(text, pos)}")
+    if name == Z_NAME:
+        return TermError(f"{Z_NAME!r} is not allowed in a plain tree")
+    return TermError(f"unknown symbol {_at(text, pos)}")
 
 
 def _at(text: str, pos: int) -> str:
@@ -288,8 +280,6 @@ def _at(text: str, pos: int) -> str:
 
 
 def _arity_error(name: str, k: int, got: int) -> TermError:
-    if name == Z_NAME:
-        return TermError(f"{Z_NAME!r} is nullary")
     return TermError(f"symbol {name} has arity {k}, got {got} children")
 
 

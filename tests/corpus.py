@@ -97,11 +97,15 @@ def equal_alphabet(alphabet: RankedAlphabet) -> RankedAlphabet:
 
 
 def parse_context(text: str, alphabet: RankedAlphabet) -> Tree:
-    c = terms.parse_tree(text, alphabet, allow_z=True)
+    """Read a context: ``z`` is read as one more nullary symbol, over a
+    copy of ``alphabet``, and its leaf is then replaced by `terms.Z`."""
+    with_z = equal_alphabet(alphabet)
+    with_z._arity[Z_NAME] = 0  # RankedAlphabet refuses the reserved name
+    c = terms.parse_tree(text, with_z)
     n = count_symbol(c, Z_NAME)
     if n != 1:
         raise TermError(f"a context needs exactly one {Z_NAME!r}, found {n}")
-    return c
+    return substitute(c, Z)
 
 
 def substitute(c: Tree, t: Tree) -> Tree:
@@ -155,7 +159,7 @@ def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
     """Run a context on top of a deterministic value, innermost factor
     first: each side tree is run, then delta is applied once."""
     automaton._require_budet(a)
-    terms.validate_tree(c, a.alphabet, allow_z=True)
+    terms.validate_tree(substitute(c, Tree(a.alphabet.nullary_symbols()[0])), a.alphabet)
     times = a.kind.times
     for e in reversed(decompose_elementary(c)):
         if v is None:

@@ -92,6 +92,11 @@ def test_maps_are_read_only(even_odd):
     a = Wta(even_odd.alphabet, ("p", "q"), sf.RATIONAL, delta, {})
     delta[((), "alpha", "q")] = sf.RATIONAL.one
     assert is_bu_deterministic(a) and len(a.delta) == 1
+    states = ["p"]
+    a = Wta(even_odd.alphabet, states, sf.RATIONAL, {}, {"p": sf.RATIONAL.one})
+    states[:] = ["q", "r"]
+    assert a.states == ("p",)
+    assert Wta(even_odd.alphabet, a.states, sf.RATIONAL, {}, {}).states is a.states
 
 
 # --- semantics -----------------------------------------------------------
@@ -591,6 +596,25 @@ def test_bad_transition_entries_are_wta_errors():
             Wta(alphabet, ("q",), sf.RATIONAL, {**good, **bad}, {})
     with pytest.raises(WtaError, match="^unknown state in final map: r$"):
         Wta(alphabet, ("q",), sf.RATIONAL, good, {"q": one, "r": one})
+
+
+def test_bad_fields_are_wta_errors():
+    alphabet = RankedAlphabet([("alpha", 0)])
+    one, zero = sf.RATIONAL.one, sf.RATIONAL.zero
+    fields = {"states": ("q",), "kind": sf.RATIONAL, "delta": {((), "alpha", "q"): one},
+              "final": {"q": one}}
+    cases = [
+        ({"kind": "rational"}, "kind must be a semifield object, got 'rational'"),
+        ({"states": ()}, "automaton needs at least one state"),
+        ({"states": ("q", "q")}, "duplicate state names"),
+        ({"delta": {((), "alpha", "q"): zero}}, "zero weights must not be stored"),
+        ({"final": {"q": zero}}, "zero weights must not be stored"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(WtaError, match=f"^{message}$"):
+            Wta(alphabet, **{**fields, **bad})
+    with pytest.raises(WtaError, match=r"^automaton declares no states \(no trans/final lines\)$"):
+        parse_wta("semifield rational\nrank alpha 0\n")
 
 
 def _corpus_texts():

@@ -223,6 +223,22 @@ def test_congruent_with_oracle_depth(wta_file, capsys):
     assert capsys.readouterr().out == "congruent\n"
 
 
+def test_oracle_disagreement_exits_4(wta_file, capsys, monkeypatch):
+    oracle = congruence.brute_force_congruent
+    monkeypatch.setattr(congruence, "brute_force_congruent", lambda *args: not oracle(*args))
+    for text, monomials, answer in (
+        (TWO_LEAF, ["1.alpha", "2.beta"], True),
+        (EVEN_ODD, ["1.alpha", "1.sigma(alpha,alpha)"], False),
+    ):
+        argv = ["congruent", wta_file(text), "--mono", monomials[0], "--mono", monomials[1]]
+        assert main(argv + ["--oracle-depth", "2"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "internal error: refinement and bounded-context oracle disagree "
+            f"(refinement={answer}, oracle={not answer})\n",
+        )
+
+
 def test_congruent_needs_two_monomials(wta_file, capsys):
     assert main(["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha"]) == 2
     assert "two --mono" in capsys.readouterr().err

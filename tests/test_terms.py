@@ -8,8 +8,8 @@ from functools import reduce
 
 import pytest
 
-from budwta import terms
-from budwta.automaton import evaluate, parse_wta, slim
+from budwta import semifield as sf, terms
+from budwta.automaton import Wta, evaluate, format_wta, parse_wta, slim
 from budwta.terms import (
     RankedAlphabet,
     TermError,
@@ -59,6 +59,20 @@ def test_alphabet_validation():
         RankedAlphabet([("a\n", 0)])  # format_wta would write an unreadable rank line
 
 
+def test_an_arity_is_a_natural_int():
+    for k in (True, False, -1, 1.0, "1", None):
+        with pytest.raises(TermError, match=f"^bad arity for g: {re.escape(repr(k))}$"):
+            RankedAlphabet([("a", 0), ("g", k)])
+    # every arity an alphabet takes, format_wta writes and parse_wta reads back
+    one = sf.RATIONAL.one
+    for k in (0, 1, 2):
+        alphabet = RankedAlphabet([("a", 0), ("g", k)])
+        delta = {((), "a", "q"): one, (("q",) * k, "g", "q"): one}
+        text = format_wta(Wta(alphabet, ("q",), sf.RATIONAL, delta, {"q": one}))
+        assert f"rank g {k}\n" in text
+        assert format_wta(parse_wta(text)) == text
+
+
 def test_parse_and_format():
     t = parse_tree("sigma(alpha,alpha)", SIG)
     assert t == Tree("sigma", (Tree("alpha"), Tree("alpha")))
@@ -76,8 +90,8 @@ def test_parse_errors():
         parse_tree("tau", SIG)  # unknown symbol
     with pytest.raises(TermError):
         parse_tree("sigma(alpha,alpha", SIG)  # missing paren
-    with pytest.raises(TermError):
-        parse_tree("z", SIG)  # z not allowed in plain trees
+    with pytest.raises(TermError, match="^'z' is not allowed in a plain tree$"):
+        parse_tree("z", SIG)
     with pytest.raises(TermError):
         parse_context("sigma(z,z)", SIG)  # two holes
 
@@ -174,12 +188,9 @@ def test_validate_tree_refuses_bad_nodes():
         terms.validate_tree(Tree("sigma", (Tree("sigma", (alpha, alpha)),)), SIG)
     with pytest.raises(TermError, match="unknown symbol"):
         terms.validate_tree(Tree("sigma", (alpha, Tree("beta"))), SIG)
-    with pytest.raises(TermError, match="not allowed"):
-        terms.validate_tree(Tree("sigma", (alpha, Z)), SIG)
-    with pytest.raises(TermError, match="nullary"):
-        terms.validate_tree(Tree("sigma", (alpha, Tree("z", (alpha,)))), SIG, allow_z=True)
-    c = Tree("sigma", (alpha, Z))
-    assert terms.validate_tree(c, SIG, allow_z=True)[-1] is c
+    for z in (Z, Tree("z", (alpha,))):
+        with pytest.raises(TermError, match="^'z' is not allowed in a plain tree$"):
+            terms.validate_tree(Tree("sigma", (alpha, z)), SIG)
 
 
 def test_enumeration_contexts_distinct():
@@ -256,21 +267,13 @@ def test_parse_memo_dies_with_the_automaton():
 
 def test_failed_parse_is_not_remembered():
     alphabet = equal_alphabet(SIG)
-    for text in ("sigma(alpha)", "tau", "sigma(alpha,alpha", "z", "alpha)", ""):
+    for text in ("sigma(alpha)", "tau", "sigma(alpha,alpha", "z", "sigma(z,alpha)", "alpha)", ""):
         with pytest.raises(TermError) as first:
             parse_tree(text, alphabet)
         with pytest.raises(TermError) as second:
             parse_tree(text, alphabet)
         assert str(second.value) == str(first.value)
     assert alphabet._parsed == {}
-
-
-def test_parse_memo_keeps_contexts_apart_from_trees():
-    alphabet = equal_alphabet(UNARY)
-    c = parse_tree("gamma(z)", alphabet, allow_z=True)
-    with pytest.raises(TermError, match="not allowed in a plain tree"):
-        parse_tree("gamma(z)", alphabet)
-    assert parse_tree("gamma(z)", alphabet, allow_z=True) is c
 
 
 def test_slim_shares_the_parse_memo():
@@ -295,5 +298,5 @@ def test_parse_error_kinds():
                  "alpha(alpha)", "alpha)", "1", "sigma(alpha,alpha))"):
         with pytest.raises(TermError):
             parse_tree(text, SIG)
-    with pytest.raises(TermError, match="nullary"):
+    with pytest.raises(TermError, match="^symbol z has arity 0, got 1 children$"):
         parse_context("sigma(z(alpha),alpha)", SIG)

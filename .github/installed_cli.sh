@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Installs budwta into the running Python and checks the installed `budwta`
+# console script on README.md's counter.wta: stdout and exit codes.
+#
+#     bash .github/installed_cli.sh    # from the root of a checkout
+set -euo pipefail
+readme="$PWD/README.md"
+python -m pip install "setuptools>=68" wheel
+python -m pip install -e . --no-build-isolation
+cd "$(mktemp -d)"
+python -c 'import re, sys; text = open(sys.argv[1]).read(); start = text.index("saved as `counter.wta`:"); print(re.search(r"^```\n(.*?)^```$", text[start:], re.M | re.S)[1], end="")' "$readme" > counter.wta
+test "$(budwta minimize counter.wta -o counter_min.wta)" = "states: 3 -> 2"
+test "$(budwta equiv counter.wta counter_min.wta)" = "equivalent"
+test "$(budwta check counter.wta)" = "$(printf 'bu-deterministic: yes\ntotal: yes\nslim: yes\nminimal: no\nstates: 3\ndegree: 2')"
+test "$(budwta check counter_min.wta)" = "$(printf 'bu-deterministic: yes\ntotal: yes\nslim: yes\nminimal: yes\nstates: 2\ndegree: 2')"
+test "$(budwta eval counter.wta --tree 'gamma(alpha)')" = "3"
+test "$(budwta state counter.wta --tree 'gamma(gamma(alpha))')" = "q3"
+# a 'z' in a tree is an input error: exit 2
+code=0; budwta eval counter.wta --tree 'gamma(z)' || code=$?
+test "$code" -eq 2
+# rational monomial weights: a query answered yes exits 0, one answered no 1
+test "$(budwta congruent counter.wta --mono 2/3.alpha --mono '2/3.gamma(gamma(alpha))' --oracle-depth 3)" = "congruent"
+code=0; out=$(budwta congruent counter.wta --mono 3/2.alpha --mono '1.gamma(alpha)' --oracle-depth 3) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
+code=0; out=$(budwta congruent counter.wta --mono 1.alpha --mono '1.gamma(alpha)' --oracle-depth 3) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
+# a malformed file is an input error: exit 2
+printf 'semifield rational\nrank a 0\ntrans a() @ 1 -> q\n' > misordered.wta
+code=0; budwta validate misordered.wta || code=$?
+test "$code" -eq 2
+echo "installed CLI: all checks passed"

@@ -80,7 +80,9 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     block of all live states, each Moore round splits every block by
     F(q) * mu(q)^-1 and the set of (step, block of t, normalized weight)
     of q's moves, until a round splits nothing; a round that goes on adds
-    a block, so at most |live| rounds go on.  lam[q] = mu(q) * mu(rep)^-1.
+    a block, so at most |live| rounds go on.  Each normalized final weight,
+    and each step with its normalized weight, is hashed once, into a small
+    int that the rounds compare instead.  lam[q] = mu(q) * mu(rep)^-1.
 
     Sound: states p, q proportional with ratio lam have the same nonzero
     abstract paths, as a side state stands for its witness tree, whose
@@ -106,13 +108,18 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     k = a.kind
     mu = _normalizers(a)
     mu_inv = {q: k.inv(mu[q]) for q in live}
-    final = {q: k.times(a.final.get(q, k.zero), mu_inv[q]) for q in live}
-    moves: Dict[str, List[Tuple[tuple, str, Value]]] = {q: [] for q in live}
+    codes: Dict[object, int] = {}  # weight, or (step, weight) -> small int
+    final = {
+        q: codes.setdefault(k.times(a.final.get(q, k.zero), mu_inv[q]), len(codes))
+        for q in live
+    }
+    moves: Dict[str, List[Tuple[int, str]]] = {q: [] for q in live}
     for (ws, sym, t), w in a.delta.items():
         if t not in dead:
             for i, p in enumerate(ws):
                 scal = k.times(k.times(w, mu[t]), mu_inv[p])
-                moves[p].append(((sym, i, ws[:i] + ws[i + 1 :]), t, scal))
+                move = ((sym, i, ws[:i] + ws[i + 1 :]), scal)
+                moves[p].append((codes.setdefault(move, len(codes)), t))
 
     # grouping in declaration order keeps blocks ordered by their first state
     blocks: List[List[str]] = [live] if live else []
@@ -120,7 +127,7 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
         block_of = {q: i for i, block in enumerate(blocks) for q in block}
         groups: Dict[tuple, List[str]] = {}
         for q in live:
-            moved = frozenset((s, block_of[t], w) for s, t, w in moves[q])
+            moved = frozenset((m, block_of[t]) for m, t in moves[q])
             groups.setdefault((block_of[q], final[q], moved), []).append(q)
         if len(groups) == len(blocks):
             break

@@ -106,9 +106,11 @@ def build_wta_from_basis(
     takes the one entry sym(s_i1..s_ik) -> t @ w, if any, so the class is
     basis element j of t's block times w * prod wt_i * lam[t] * b_j^-1.
     With no entry, or a dead t, the class is zero: no transition.  So one
-    pass over delta, O(|delta| * k), builds them all.  Final weights are
-    the basis trees' weights; an empty basis (zero language) gives the
-    one-state automaton with no final weight.
+    pass over delta, O(|delta| * k), builds them all; each weight is one
+    `Semifield.product`, reduced once, as the wt_i can be far longer than
+    the result.  Final weights are the basis trees' weights; an empty
+    basis (zero language) gives the one-state automaton with no final
+    weight.
     """
     k = a.kind
     if not basis:
@@ -130,9 +132,7 @@ def build_wta_from_basis(
         if t in qt.dead or not all(p in child for p in ws):
             continue
         name, b_inv = target[qt.block_of[t]]
-        w = k.times(k.times(w, qt.lam[t]), b_inv)
-        for p in ws:
-            w = k.times(w, child[p][1])
+        w = k.product([w, qt.lam[t], b_inv, *(child[p][1] for p in ws)])
         delta[(tuple(child[p][0] for p in ws), sym, name)] = w
     return Wta(a.alphabet, tuple(names), k, delta, final)
 

@@ -12,16 +12,28 @@ Weights are raw values: rationals are `fractions.Fraction`, booleans are
 semifield; the object that operates on it does, and membership is checked
 where weights enter an automaton.  Equality is decidable everywhere and no
 floats appear anywhere in this package.
+
+The ⊗ and inverse of the three semifields over Q, rational ⊕, and weight
+text read each `Fraction`'s two integer parts and build the reduced result
+once, from coprime parts, without `Fraction`'s numeric-tower dispatch
+(Knuth, TAOCP vol. 2, §4.5.1).  Every result is an exact `Fraction` whose denominator is
+positive and coprime to its numerator; zero is ``0/1``.  `Fraction`'s
+``==`` and ``hash`` compare the parts, so a result that broke these rules
+would compare unequal to its value without any error.  `Semifield.product`
+multiplies many weights: the rational kinds multiply all the parts and
+reduce once.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 Value = Union[Fraction, bool, None]
 
@@ -46,6 +58,7 @@ class Semifield:
     _inverse: Callable[[Value], Value]
     contains: Callable[[object], bool]  # is the value a weight of this semifield
     from_fraction: Callable[[Union[int, Fraction]], Value]
+    product: Callable[[Iterable[Value]], Value]  # ⊗ of all the weights; `one` if none
 
     def inv(self, x: Value) -> Value:
         if x == self.zero:
@@ -65,12 +78,91 @@ class Semifield:
         if not den:
             return self.from_fraction(_int(num))
         d = _int(den)
-        if not d:  # before Fraction, whose error text prints the numerator
+        if not d:
             raise WeightSyntaxError(f"zero denominator in weight: {text[:60]!r}")
-        return self.from_fraction(Fraction(_int(num), d))
+        n = _int(num)
+        g = _gcd(n, d)
+        return self.from_fraction(_fraction(n // g, d // g))
 
     def __str__(self) -> str:
         return self.name
+
+
+_new = object.__new__
+_gcd = math.gcd
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The `Fraction` n/d of coprime ``n`` and ``d`` > 0, built as is.
+
+    This is what `Fraction`'s own arithmetic does when it knows its result
+    is reduced: the two slots are set and no gcd is taken.
+    """
+    x = _new(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _exact(x: Union[int, Fraction]) -> Fraction:
+    """An int as a `Fraction`; a `Fraction` passes through."""
+    return x if x.__class__ is Fraction else Fraction(x)
+
+
+def _mul(x: Fraction, y: Fraction) -> Fraction:
+    """x * y: each numerator reduced against the other denominator."""
+    na, da = x._numerator, x._denominator
+    nb, db = y._numerator, y._denominator
+    g = _gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = _gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    return _fraction(na * nb, da * db)
+
+
+def _add(x: Fraction, y: Fraction) -> Fraction:
+    """x + y over the lcm of the denominators, reduced by its one common
+    factor with the numerator's sum."""
+    na, da = x._numerator, x._denominator
+    nb, db = y._numerator, y._denominator
+    g = _gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
+
+def _reciprocal(x: Fraction) -> Fraction:  # x is not zero
+    n, d = x._numerator, x._denominator
+    return _fraction(d, n) if n > 0 else _fraction(-d, -n)
+
+
+def _negative(x: Fraction) -> Fraction:
+    return _fraction(-x._numerator, x._denominator)
+
+
+def _product(xs: Iterable[Fraction]) -> Fraction:
+    """The product of all the numerators over that of all the
+    denominators, reduced once."""
+    n = d = 1
+    for x in xs:
+        n *= x._numerator
+        d *= x._denominator
+    g = _gcd(n, d)
+    return _fraction(n // g, d // g)
+
+
+def _fold(times: Callable[[Value, Value], Value], one: Value):
+    """The product of many weights as a fold of ``times`` from ``one``."""
+    return lambda xs: functools.reduce(times, xs, one)
 
 
 def _zero_or_one(x: Union[int, Fraction]) -> bool:
@@ -82,8 +174,8 @@ def _zero_or_one(x: Union[int, Fraction]) -> bool:
 
 
 def _non_negative(x: Union[int, Fraction]) -> Fraction:
-    x = Fraction(x)
-    if x < 0:
+    x = _exact(x)
+    if x._numerator < 0:
         raise WeightSyntaxError(
             f"maxtimes weight must be non-negative, got {_number_text(x)[:60]}"
         )
@@ -101,24 +193,26 @@ def _min_plus(x: Value, y: Value) -> Value:  # None is +inf, the neutral element
 def _add_finite(x: Value, y: Value) -> Value:  # inf absorbs
     if x is None or y is None:
         return None
-    return x + y
+    return _add(x, y)
 
 
 RATIONAL = Semifield(
-    "rational", Fraction(0), Fraction(1), operator.add, operator.mul,
-    lambda x: 1 / x, lambda x: x.__class__ is Fraction, Fraction,
+    "rational", Fraction(0), Fraction(1), _add, _mul, _reciprocal,
+    lambda x: x.__class__ is Fraction, _exact, _product,
 )
 BOOLEAN = Semifield(
-    "boolean", False, True, operator.or_, operator.and_,
-    lambda x: x, lambda x: x.__class__ is bool, _zero_or_one,
+    "boolean", False, True, operator.or_, operator.and_, lambda x: x,
+    lambda x: x.__class__ is bool, _zero_or_one,
+    _fold(operator.and_, True),
 )
 MAXTIMES = Semifield(
-    "maxtimes", Fraction(0), Fraction(1), max, operator.mul,
-    lambda x: 1 / x, lambda x: x.__class__ is Fraction and x >= 0, _non_negative,
+    "maxtimes", Fraction(0), Fraction(1), max, _mul, _reciprocal,
+    lambda x: x.__class__ is Fraction and x >= 0, _non_negative, _product,
 )
 TROPICAL = Semifield(
-    "tropical", None, Fraction(0), _min_plus, _add_finite,
-    operator.neg, lambda x: x is None or x.__class__ is Fraction, Fraction,
+    "tropical", None, Fraction(0), _min_plus, _add_finite, _negative,
+    lambda x: x is None or x.__class__ is Fraction, _exact,
+    _fold(_add_finite, Fraction(0)),
 )
 
 KINDS = (RATIONAL, BOOLEAN, MAXTIMES, TROPICAL)

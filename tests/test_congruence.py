@@ -87,6 +87,19 @@ def test_quotient_matches_reference_refinement(kind):
         assert all([rank[q] for q in b] == sorted(rank[q] for q in b) for b in qt.blocks)
 
 
+def test_refinement_rounds_hash_no_weight(monkeypatch):
+    """Each normalized weight is hashed once, when the moves are built, not
+    again in each of the chain's 40 Moore rounds."""
+    a = unary_chain(random.Random(5), sf.RATIONAL, 40)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+    qt = build_syntactic_quotient(a)
+    monkeypatch.undo()
+    assert len(qt.blocks) == 40
+    assert len(hashed) == len(a.states) + len(a.delta) - 1  # finals, then moves
+
+
 def test_quotient_gamma3(gamma3):
     qt = build_syntactic_quotient(gamma3)
     assert qt.blocks == (("q1", "q3"), ("q2",))

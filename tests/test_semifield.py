@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -196,3 +198,116 @@ def test_number_text_across_the_split_point():
             for n in (2**bits - 1, 2**bits, 2**bits + 1):
                 assert format_weight(Fraction(n)) == str(Decimal(n))
                 assert format_weight(Fraction(-1, n)) == f"-1/{Decimal(n)}"
+
+
+# --- ⊗, ⊕, inverse and weight text against Fraction's own operators --------
+
+F = Fraction
+BIG = 10**6  # decimal digits of the longest parts below
+
+
+def test_fraction_keeps_its_parts_in_two_slots():
+    """The semifields build each rational result by setting these slots."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def _same(got, want):
+    """The same exact Fraction: value, parts, type and hash."""
+    assert type(got) is Fraction
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+
+
+@pytest.fixture(scope="module")
+def big():
+    """Integers of 10^6 digits: n is odd and 2 mod 3, m is 4 mod 5, so each
+    is coprime to the small parts it meets below."""
+    p = 10 ** (BIG - 1)
+    return p + 7, 2 * p + 9
+
+
+# zero, units, integers, negative rationals, and parts with common factors
+SMALL = [F(0), F(1), F(-1), F(2), F(-7), F(12), F(1, 2), F(-3, 4), F(6, 35),
+         F(-14, 9), F(10, 21), F(-25, 6), F(49, 10)]
+
+REFERENCE = {  # ⊗, ⊕ and inverse of each rational semifield, on Fractions
+    "rational": (operator.mul, operator.add, lambda x: 1 / x),
+    "maxtimes": (operator.mul, max, lambda x: 1 / x),
+    "tropical": (operator.add, min, operator.neg),
+}
+
+
+def _carrier(kind, xs):
+    return [abs(x) for x in xs] if kind is sf.MAXTIMES else xs
+
+
+@pytest.mark.parametrize("kind", [sf.RATIONAL, sf.MAXTIMES, sf.TROPICAL], ids=str)
+def test_arithmetic_agrees_with_fraction(kind, big):
+    n, m = big
+    large = _carrier(kind, [F(n, 3), F(-5, m), F(7 * n, 6)])
+    small = _carrier(kind, SMALL)
+    times, plus, inverse = REFERENCE[kind.name]
+    # long parts meet small ones, and one long numerator another, so that
+    # every gcd has a small operand: a gcd of two long ones is quadratic
+    pairs = [(x, y) for x in small + large for y in small]
+    pairs += [(y, x) for x, y in pairs] + [(large[0], large[2])]
+    for x, y in pairs:
+        _same(kind.times(x, y), times(x, y))
+        _same(kind.plus(x, y), plus(x, y))
+    for x in small + large:
+        if x != kind.zero:
+            _same(kind.inv(x), inverse(x))
+    rng = random.Random(2101)
+    for _ in range(500):
+        x, y = (F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12)) for _ in "xy")
+        x, y = _carrier(kind, [x, y])
+        _same(kind.times(x, y), times(x, y))
+        _same(kind.plus(x, y), plus(x, y))
+        if x:
+            _same(kind.inv(x), inverse(x))
+
+
+@pytest.mark.parametrize("kind", [sf.RATIONAL, sf.MAXTIMES, sf.TROPICAL], ids=str)
+def test_parse_agrees_with_fraction(kind, big):
+    n, _ = big
+    long_den = 10**4999 + 3  # past int()'s default text limit
+    cases = {"0": (0, 1), "-0": (0, 1), "0/5": (0, 5), "-0/7": (0, 7), "1": (1, 1),
+             "-1": (-1, 1), "12/1": (12, 1), "6/4": (6, 4), "-12/18": (-12, 18),
+             "35/14": (35, 14), "-9/3": (-9, 3), "100/250": (100, 250),
+             "3" + "0" * (BIG - 3) + "21/6": (3 * n, 6),
+             "-5/1" + "0" * 4998 + "3": (-5, long_den), "5/1" + "0" * 4998 + "3": (5, long_den)}
+    for text, (num, den) in cases.items():
+        want = F(num, den)
+        if kind is sf.MAXTIMES and want < 0:
+            with pytest.raises(WeightSyntaxError, match="^maxtimes weight must be non-negative"):
+                kind.parse(text)
+        else:
+            _same(kind.parse(text), want)
+
+
+PRODUCT_POOLS = {
+    "rational": SMALL,
+    "boolean": [False, True],
+    "maxtimes": [abs(x) for x in SMALL],
+    "tropical": SMALL + [None],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_product_is_the_fold_of_times(kind, big):
+    n, m = big
+    pool = PRODUCT_POOLS[kind.name]
+    rng = random.Random(2102)
+    cases = [[], [kind.one], [kind.one] * 3] + [[x] for x in pool]
+    cases += [[rng.choice(pool) for _ in range(rng.randint(2, 7))] for _ in range(300)]
+    if kind is not sf.BOOLEAN:
+        cases += [_carrier(kind, xs) for xs in ([F(n, 3)], [F(-5, m)], [F(n, 3), F(9, 7), F(-14, 3)])]
+    if kind in (sf.RATIONAL, sf.MAXTIMES):  # m/1 cancels the long denominator m
+        cases.append(_carrier(kind, [F(-5, m), F(-2), F(m)]))
+    for xs in cases:
+        got, want = kind.product(iter(xs)), functools.reduce(kind.times, xs, kind.one)
+        if want.__class__ is Fraction:
+            _same(got, want)
+        else:
+            assert got is want

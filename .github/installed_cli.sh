@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
-# console script on README.md's counter.wta: stdout and exit codes.
+# console script on README.md's counter.wta and on two wide-symbol files,
+# each of those under a 20 s timeout: stdout and exit codes.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -30,4 +31,10 @@ test "$out" = "not congruent"
 printf 'semifield rational\nrank a 0\ntrans a() @ 1 -> q\n' > misordered.wta
 code=0; budwta validate misordered.wta || code=$?
 test "$code" -eq 2
+# a non-bu-det entry of arity 30 is one term per node, not 2^30 state tuples
+printf 'semifield rational\nrank alpha 0\nrank f 30\ntrans alpha() -> p @ 2\ntrans alpha() -> q @ 3\ntrans f(%sq) -> p @ 1/5\nfinal p @ 1\n' "$(printf 'p,%.0s' $(seq 29))" > wide.wta
+test "$(timeout 20 budwta eval wide.wta --tree "f($(printf 'alpha,%.0s' $(seq 29))alpha)")" = "1610612736/5"
+# equivalence looks at no tuple of a symbol that labels no transition
+printf 'semifield rational\nrank alpha 0\nrank gamma 1\nrank f 40\ntrans alpha() -> p @ 2\ntrans gamma(p) -> q @ 3\ntrans gamma(q) -> p @ 1/2\nfinal q @ 1\n' > unused.wta
+test "$(timeout 20 budwta equiv unused.wta unused.wta)" = "equivalent"
 echo "installed CLI: all checks passed"

@@ -11,7 +11,6 @@ sum-product semantics is kept alongside as a slow reference oracle.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -64,11 +63,12 @@ class Wta:
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
     `state_of` to its state.  Only validated input goes in, so a run
-    validates no subtree its memo holds.  ``_derived`` keeps the two
-    derivations over delta, `_least_keys` forward and `_least_steps`
-    backward, one entry per state, each computed on first use by
-    `_derivation`.  All of these belong to the automaton, so they can
-    never go stale and die with it.
+    validates no subtree its memo holds.  ``_derived`` keeps three
+    derivations over delta, each computed on first use by `_derivation`:
+    `_least_keys` forward and `_least_steps` backward, one entry per
+    state, and `_inverse`, the entries into and the uses of each state.
+    All of these belong to the automaton, so they can never go stale and
+    die with it.
     """
 
     alphabet: RankedAlphabet
@@ -151,24 +151,21 @@ def _require_budet(a: Wta) -> None:
 
 
 def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
-    """Sum-product vector semantics; works for any automaton."""
+    """Sum-product vector semantics; works for any automaton.  Each node
+    sums over the delta entries of its symbol, read from ``a.delta`` alone."""
     k = a.kind
-    index = {q: i for i, q in enumerate(a.states)}
-    vecs: Dict[int, Tuple[Value, ...]] = {}
+    entries: Dict[str, list] = {}  # symbol -> (child states, target, weight)
+    for (ws, sym, q), w in a.delta.items():
+        entries.setdefault(sym, []).append((ws, q, w))
+    vecs: Dict[int, Dict[str, Value]] = {}
     for node in terms.validate_tree(t, a.alphabet):
-        kid_vecs = [vecs[id(c)] for c in node.children]
-        out = [k.zero for _ in a.states]
-        for ws in itertools.product(a.states, repeat=len(kid_vecs)):
-            factor = k.one
-            for p, vec in zip(ws, kid_vecs):
-                factor = k.times(factor, vec[index[p]])
-            if factor == k.zero:  # a zero child: semifields have no zero divisors
-                continue
-            for q, w in a.targets(ws, node.symbol):
-                i = index[q]
-                out[i] = k.plus(out[i], k.times(factor, w))
-        vecs[id(node)] = tuple(out)
-    return dict(zip(a.states, vecs[id(t)]))
+        out = dict.fromkeys(a.states, k.zero)
+        for ws, q, w in entries.get(node.symbol, ()):
+            for p, c in zip(ws, node.children):
+                w = k.times(w, vecs[id(c)][p])
+            out[q] = k.plus(out[q], w)
+        vecs[id(node)] = out
+    return vecs[id(t)]
 
 
 _MISS = object()
@@ -256,49 +253,55 @@ def evaluate(a: Wta, t: Tree) -> Value:
 # --- reachability, slimming, observability --------------------------------
 
 
+def _inverse(a: Wta) -> Tuple[Dict[str, list], Dict[str, list]]:
+    """delta read backwards, in delta order: ``into[q]``, the entries (key,
+    weight) with target q, and ``uses[p]``, the (entry key, position) pairs
+    with p at that position.  The one inverse of delta: every pass that
+    walks delta from a state to its entries reads it."""
+    into: Dict[str, list] = {}  # target -> (key, weight)
+    uses: Dict[str, list] = {}  # child state -> (key, position)
+    for entry in a.delta.items():
+        into.setdefault(entry[0][2], []).append(entry)
+        for i, p in enumerate(entry[0][0]):
+            uses.setdefault(p, []).append((entry[0], i))
+    return into, uses
+
+
 def _least_keys(a: Wta) -> Dict[str, SuccKey]:
     """Each realized state's least (state tuple, symbol) key, in rank order:
     the forward derivation over delta.
 
-    A key waits for its distinct child states (Dowling & Gallier 1984) and
-    joins the bucket of height 1 + max(child heights) when the last one is
-    found, after Knuth's generalization of Dijkstra's algorithm (1977).
-    Within a height each state not found yet takes its least (symbol index,
-    child ranks) key; the states found are ranked in that order.  Every
-    target of a key is visited, so a non-bu-det automaton reaches every
-    state too.  Finding a state decrements each of its keys once: O(|delta|
-    * k), and an order is built only for a state not found yet.
+    Each delta entry waits on its k child positions (Dowling & Gallier
+    1984), reading ``uses`` of `_inverse`: finding a state counts down
+    each of its uses once, and an entry joins the bucket of height
+    1 + max(child heights) when its last position is found, after Knuth's
+    generalization of Dijkstra's algorithm (1977).  Within a height each
+    state not found yet takes its least (symbol index, child ranks) key;
+    the states found are ranked in that order.  Each entry is its own
+    bucket item, so a non-bu-det automaton reaches every target too.
+    O(|delta| * k), and an order is built only for a state not found yet.
     """
     sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
-    waiting_on: Dict[str, List[SuccKey]] = {}
-    missing: Dict[SuccKey, int] = {}  # per key, its child states not found yet
-    bucket: List[SuccKey] = []
-    for key in a._succ:
-        kids = set(key[0])
-        missing[key] = len(kids)
-        for p in kids:
-            waiting_on.setdefault(p, []).append(key)
-        if not kids:
-            bucket.append(key)
+    uses = _derivation(a, _inverse)[1]
+    missing = {key: len(key[0]) for key in a.delta}  # child positions not found yet
+    bucket = [key for key, n in missing.items() if not n]
     rank: Dict[str, int] = {}
     keys: Dict[str, SuccKey] = {}
     while bucket:
         least: Dict[str, tuple] = {}  # state -> (order, key) of its least key
-        for key in bucket:
-            for q, _ in a._succ[key]:
-                if q in keys:
-                    continue
-                order = (sym_index[key[1]], *map(rank.__getitem__, key[0]))
+        for ws, sym, q in bucket:
+            if q not in keys:
+                order = (sym_index[sym], *map(rank.__getitem__, ws))
                 if q not in least or order < least[q][0]:
-                    least[q] = (order, key)
+                    least[q] = (order, (ws, sym))
         bucket = []
         for q in sorted(least, key=least.get):
             rank[q] = len(rank)
             keys[q] = least[q][1]
-            for ready in waiting_on.get(q, ()):
-                missing[ready] -= 1
-                if not missing[ready]:
-                    bucket.append(ready)
+            for key, _ in uses.get(q, ()):
+                missing[key] -= 1
+                if not missing[key]:
+                    bucket.append(key)
     return keys
 
 
@@ -310,23 +313,21 @@ def _least_steps(a: Wta) -> Dict[str, Optional[Tuple[str, Value]]]:
     by (symbol declaration index, hole position, declaration ranks of the
     side states); a final state's path is empty (None).  A breadth-first
     search from the final states, after Mohri (TCS 2000), finds them layer
-    by layer: every step from a state of layer d leads to layer d - 1 or
-    higher, so a state's least path is its least step into layer d - 1
-    followed by that state's least path.  Each transition is looked at once
-    per child, O(|delta| * k), and an order is built only for a state not
-    found yet.
+    by layer, reading ``into`` of `_inverse`: every step from a state of
+    layer d leads to layer d - 1 or higher, so a state's least path is its
+    least step into layer d - 1 followed by that state's least path.  Each
+    transition is looked at once per child, O(|delta| * k), and an order is
+    built only for a state not found yet.
     """
     sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
     rank = {q: i for i, q in enumerate(a.states)}
-    into: Dict[str, List[Tuple[Tuple[str, ...], str, Value]]] = {}  # target -> (ws, sym, w)
-    for (ws, sym, q), w in a.delta.items():
-        into.setdefault(q, []).append((ws, sym, w))
+    into = _derivation(a, _inverse)[0]
     steps = dict.fromkeys(a.final)  # state -> (target, weight) of its least step
     layer = list(steps)
     while layer:
         least: Dict[str, tuple] = {}  # state -> (order, step) of its least step
         for q in layer:
-            for ws, sym, w in into.get(q, ()):
+            for (ws, sym, _), w in into.get(q, ()):
                 for i, p in enumerate(ws):
                     if p in steps:
                         continue
@@ -382,11 +383,8 @@ def slim(a: Wta) -> Wta:
     if not reached:
         return _zero_language(a, a.states[0])
     keep = tuple(q for q in a.states if q in reached)
-    delta = {
-        key: w
-        for key, w in a.delta.items()
-        if all(p in reached for p in key[0]) and key[2] in reached
-    }
+    # an entry whose child states are all realized realizes its target
+    delta = {key: w for key, w in a.delta.items() if reached.issuperset(key[0])}
     final = {q: w for q, w in a.final.items() if q in reached}
     return Wta(a.alphabet, keep, a.kind, delta, final)
 

@@ -96,8 +96,10 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
 
     Reads each derivation over delta kept on ``a``: the backward one,
     `automaton._least_steps`, for the dead states and mu; the forward one,
-    `automaton._least_keys`, for the witness trees.  A non-slim
-    automaton is refused by `automaton.representative_trees` with
+    `automaton._least_keys`, for the witness trees; and the inverse,
+    `automaton._inverse`, whose entries into each live target give the
+    moves, so no dead target is looked at.  A non-slim automaton is
+    refused by `automaton.representative_trees` with
     `automaton.PreconditionError`, before any refinement.
     """
     automaton._require_budet(a)
@@ -113,9 +115,10 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
         q: codes.setdefault(k.times(a.final.get(q, k.zero), mu_inv[q]), len(codes))
         for q in live
     }
+    into = automaton._derivation(a, automaton._inverse)[0]
     moves: Dict[str, List[Tuple[int, str]]] = {q: [] for q in live}
-    for (ws, sym, t), w in a.delta.items():
-        if t not in dead:
+    for t in live:
+        for (ws, sym, _), w in into.get(t, ()):
             for i, p in enumerate(ws):
                 scal = k.times(k.times(w, mu[t]), mu_inv[p])
                 move = ((sym, i, ws[:i] + ws[i + 1 :]), scal)

@@ -174,15 +174,18 @@ def minimality(a: Wta) -> Tuple[bool, bool, int]:
 Pair = Tuple[str, str]
 
 
-def _pair_tuples(a: Wta, found: List[Pair]) -> Iterator[Tuple[str, Tuple[Pair, ...]]]:
+def _pair_tuples(a: Wta, b: Wta, found: List[Pair]) -> Iterator[Tuple[str, Tuple[Pair, ...]]]:
     """Each (symbol, tuple of found pairs) once, while ``found`` grows: first
     the nullary symbols; then, as pair n is taken up, the tuples with pair n
-    at position j, pairs found before n before j, and up to n after j."""
-    for sym in a.alphabet.nullary_symbols():
-        yield sym, ()
+    at position j, pairs found before n before j, and up to n after j.
+    Only symbols of an entry of ``a`` or ``b`` are looked at: every tuple
+    of another symbol has no target on either side."""
+    used = {sym for _, sym, _ in a.delta}.union(sym for _, sym, _ in b.delta)
+    symbols = [sym for sym in a.alphabet.symbols() if sym in used]
+    yield from ((sym, ()) for sym in symbols if not a.alphabet.arity(sym))
     n = 0
     while n < len(found):
-        for sym in a.alphabet.symbols():
+        for sym in symbols:
             r = a.alphabet.arity(sym)
             for j in range(r):
                 slots = [found[:n]] * j + [found[n : n + 1]] + [found[: n + 1]] * (r - j - 1)
@@ -212,7 +215,7 @@ def equivalent(a: Wta, b: Wta) -> bool:
     k = a.kind
     found: List[Pair] = []
     ratio: Dict[Pair, Value] = {}
-    for sym, combo in _pair_tuples(a, found):
+    for sym, combo in _pair_tuples(a, b, found):
         ha = a.targets(tuple(p for p, _ in combo), sym)
         hb = b.targets(tuple(q for _, q in combo), sym)
         live_a = bool(ha) and ha[0][0] not in dead_a

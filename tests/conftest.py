@@ -67,6 +67,30 @@ trans c0__a(q) -> p @ 2
 final p @ 1
 """
 
+WIDE_NONDET = """\
+# not bu-det: alpha reaches p and q; the one f entry reads 29 p's and a q
+semifield rational
+rank alpha 0
+rank f 30
+trans alpha() -> p @ 2
+trans alpha() -> q @ 3
+trans f(p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,p,q) -> p @ 1/5
+final p @ 1
+"""
+WIDE_NONDET_TREE = "f(" + ",".join(["alpha"] * 30) + ")"  # weight 3 * 2^29 / 5
+
+UNUSED_WIDE = """\
+# f/40 labels no transition
+semifield rational
+rank alpha 0
+rank gamma 1
+rank f 40
+trans alpha() -> p @ 2
+trans gamma(p) -> q @ 3
+trans gamma(q) -> p @ 1/2
+final q @ 1
+"""
+
 
 @pytest.fixture
 def even_odd():

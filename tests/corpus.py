@@ -24,6 +24,9 @@ tuple of basis trees.  It is the differential reference for the pass over
 delta.
 `reference_is_total` is the check `automaton.is_total` replaced: it looks
 up every state tuple of every symbol.
+`reference_h_general` is the sum-product semantics `automaton.h_general`
+replaced: each node sweeps all |Q|^k state tuples and looks up the targets
+of each.  It is the differential reference for the walk over delta entries.
 `reference_parse_wta` is the `.wta` reader `automaton.parse_wta` replaced,
 with lines split by universal newlines: every line goes through
 `str.split`/`str.strip`, and a trans line through `_reference_parse_trans`.
@@ -514,6 +517,27 @@ def reference_build(
         if w != k.zero:
             final[names[i]] = w
     return Wta(alphabet, tuple(names), k, delta, final)
+
+
+def reference_h_general(a: Wta, t: Tree) -> Dict[str, Value]:
+    """Sum-product vector semantics; works for any automaton."""
+    k = a.kind
+    index = {q: i for i, q in enumerate(a.states)}
+    vecs: Dict[int, Tuple[Value, ...]] = {}
+    for node in terms.validate_tree(t, a.alphabet):
+        kid_vecs = [vecs[id(c)] for c in node.children]
+        out = [k.zero for _ in a.states]
+        for ws in itertools.product(a.states, repeat=len(kid_vecs)):
+            factor = k.one
+            for p, vec in zip(ws, kid_vecs):
+                factor = k.times(factor, vec[index[p]])
+            if factor == k.zero:  # a zero child: semifields have no zero divisors
+                continue
+            for q, w in a.targets(ws, node.symbol):
+                i = index[q]
+                out[i] = k.plus(out[i], k.times(factor, w))
+        vecs[id(node)] = tuple(out)
+    return dict(zip(a.states, vecs[id(t)]))
 
 
 def reference_is_total(a: Wta) -> bool:

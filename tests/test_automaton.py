@@ -30,7 +30,7 @@ from budwta.minimize import minimality
 from budwta.scalar import format_monomial, parse_monomial
 from budwta.terms import RankedAlphabet, Tree
 
-from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF
+from conftest import EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF, WIDE_NONDET, WIDE_NONDET_TREE
 from corpus import (
     chain,
     context_transform,
@@ -42,6 +42,7 @@ from corpus import (
     parse_context,
     random_monomial,
     random_slim_budet,
+    reference_h_general,
     reference_is_total,
     reference_parse_wta,
     small_corpus,
@@ -229,6 +230,64 @@ def test_h_det_matches_h_general_on_corpus():
                 q, w = v
                 assert vec[q] == w
                 assert all(vec[p] == kind.zero for p in a.states if p != q)
+
+
+# weights with negatives, so rational sums can cancel to zero
+NONDET_POOLS = {
+    sf.RATIONAL: [1, -1, 2, -2, Fraction(1, 2)],
+    sf.BOOLEAN: [1],
+    sf.MAXTIMES: [1, 2, Fraction(1, 2), 3],
+    sf.TROPICAL: [0, 1, -1, 2],
+}
+
+
+def test_h_general_matches_the_tuple_sweep():
+    rng = random.Random(2201)
+    alphabet = RankedAlphabet([("s", 2), ("g", 1), ("a", 0), ("b", 0)])
+    trees = list(enumerate_trees(alphabet, 2))
+    met = {"two targets": 0, "repeated child": 0, "zero child": 0, "cancelled": 0}
+    for trial in range(160):
+        kind = sf.KINDS[trial % 4]
+        states = [f"q{i}" for i in range(rng.randint(1, 3))]
+        delta = {}
+        for sym, k in (("s", 2), ("g", 1), ("a", 0), ("b", 0)):
+            for ws in itertools.product(states, repeat=k):
+                if rng.random() < 0.5:
+                    for q in rng.sample(states, min(len(states), rng.randint(1, 2))):
+                        delta[(ws, sym, q)] = kind.from_fraction(rng.choice(NONDET_POOLS[kind]))
+        final = {q: kind.one for q in states if rng.random() < 0.6}
+        a = Wta(alphabet, tuple(states), kind, delta, final)
+        met["two targets"] += not a.budet
+        met["repeated child"] += any(len(set(ws)) < len(ws) for ws, _, _ in delta)
+        want = {}
+        for tree in trees:
+            want[tree] = vec = reference_h_general(a, tree)
+            assert h_general(a, tree) == vec
+            assert list(vec) == states
+            summed = dict.fromkeys(states, 0)  # nonzero terms summed into each state
+            for ws, sym, q in delta:
+                if sym == tree.symbol:
+                    zero_child = kind.zero in [want[c][p] for c, p in zip(tree.children, ws)]
+                    met["zero child"] += zero_child
+                    summed[q] += not zero_child
+            met["cancelled"] += any(n > 1 and vec[q] == kind.zero for q, n in summed.items())
+    assert min(met.values()) >= 10, met
+
+
+@pytest.mark.parametrize("arity", [1, 2, 6, 30])
+def test_h_general_of_a_wide_non_bu_det_entry(arity):
+    text = WIDE_NONDET.replace("rank f 30", f"rank f {arity}")
+    text = text.replace("p," * 29, "p," * (arity - 1))
+    a = parse_wta(text)
+    assert not a.budet
+    tree = t("f(" + ",".join(["alpha"] * arity) + ")", a)
+    want = {"p": Fraction(3 * 2 ** (arity - 1), 5), "q": 0}
+    assert h_general(a, tree) == want
+    if arity < 30:  # the sweep meets 2^arity state tuples
+        assert reference_h_general(a, tree) == want
+    else:
+        assert terms.format_tree(tree) == WIDE_NONDET_TREE
+        assert evaluate(a, tree) == Fraction(1610612736, 5)
 
 
 # --- context transformation ----------------------------------------------
@@ -420,6 +479,17 @@ def test_reachable_and_dead_states_match_sweeps():
         else:
             two_targets += not a.budet
     assert two_targets > 100
+
+
+def test_an_entry_waits_on_each_child_position():
+    # finding p counts down both of t(p,q,p)'s p positions; q stays missing
+    a = parse_wta(
+        "semifield boolean\nrank a 0\nrank t 3\ntrans a() -> p @ 1\n"
+        "trans t(p,q,p) -> r @ 1\ntrans t(p,p,p) -> s @ 1\nfinal r @ 1\n"
+    )
+    assert reachable_states(a) == {"p", "s"}
+    assert slim(a).states == ("p", "s")
+    assert dead_states(slim(a)) == {"p", "s"}
 
 
 def test_is_total_matches_enumeration_on_corpus():
@@ -767,7 +837,8 @@ def spine(a, depth, leaf="alpha"):
 
 
 def test_wta_is_frozen(even_odd):
-    for name in ("alphabet", "states", "kind", "delta", "final", "budet", "_succ", "_runs", "_states"):
+    fields = ("alphabet", "states", "kind", "delta", "final", "budet")
+    for name in fields + ("_succ", "_runs", "_states", "_derived"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(even_odd, name, getattr(even_odd, name))
 

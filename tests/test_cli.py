@@ -17,7 +17,16 @@ from budwta import automaton, congruence, semifield as sf
 from budwta.automaton import WtaError, format_wta, parse_wta
 from budwta.cli import main
 
-from conftest import EVEN_ODD, GAMMA3, NON_SLIM, SYMBOL_C0__A, TWO_LEAF
+from conftest import (
+    EVEN_ODD,
+    GAMMA3,
+    NON_SLIM,
+    SYMBOL_C0__A,
+    TWO_LEAF,
+    UNUSED_WIDE,
+    WIDE_NONDET,
+    WIDE_NONDET_TREE,
+)
 from corpus import chain
 
 NONDET = """\
@@ -62,6 +71,29 @@ def test_a_huge_arity_is_not_total_at_once(wta_file, capsys):
         assert main([command, path]) == 0
         assert time.perf_counter() - start < 1
         assert "\ntotal: no\n" in capsys.readouterr().out
+
+
+def test_eval_of_an_arity_30_non_bu_det_file(wta_file, capsys):
+    # each node walks the entries of its symbol, not the 2^30 state tuples
+    path = wta_file(WIDE_NONDET)
+    start = time.perf_counter()
+    assert main(["eval", path, "--tree", WIDE_NONDET_TREE]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "1610612736/5\n"
+
+
+def test_equiv_with_an_unused_arity_40_symbol(wta_file, capsys):
+    # f labels no entry on either side, so none of its 2^40 tuples is met
+    path = wta_file(UNUSED_WIDE)
+    other = wta_file(UNUSED_WIDE.replace("final q @ 1", "final q @ 2"), "b.wta")
+    for argv, code, out in (
+        (["equiv", path, path], 0, "equivalent\n"),
+        (["equiv", path, other], 1, "not equivalent\n"),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == out
 
 
 def test_validate_nondeterministic(wta_file, capsys):
@@ -472,7 +504,7 @@ def test_check_derives_the_reachable_states_once(wta_file, tmp_path, capsys, mon
         assert f"slim: {slim}\n" in capsys.readouterr().out
 
     # each derivation over delta runs at most once per automaton object
-    runs = {"_least_keys": [], "_least_steps": []}
+    runs = {"_least_keys": [], "_least_steps": [], "_inverse": []}
 
     def derivation(name):
         derive = getattr(automaton, name)

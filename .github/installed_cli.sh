@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
-# console script on README.md's counter.wta and on two wide-symbol files,
-# each of those under a 20 s timeout: stdout and exit codes.
+# console script on README.md's counter.wta, on a tropical file and on two
+# wide-symbol files, each of those two under a 20 s timeout: stdout and
+# exit codes.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -25,6 +26,18 @@ code=0; out=$(budwta congruent counter.wta --mono 3/2.alpha --mono '1.gamma(alph
 test "$code" -eq 1
 test "$out" = "not congruent"
 code=0; out=$(budwta congruent counter.wta --mono 1.alpha --mono '1.gamma(alpha)' --oracle-depth 3) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
+# zero monomials, spelt apart, are congruent to each other and to no other
+test "$(budwta congruent counter.wta --mono 0/5.alpha --mono '-0.gamma(gamma(alpha))' --oracle-depth 3)" = "congruent"
+code=0; out=$(budwta congruent counter.wta --mono 0.alpha --mono 1.alpha --oracle-depth 3) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
+# tropical weights: inf is the zero, and 1 + 1 = 1/2 + 1 + 1/2
+printf 'semifield tropical\nrank alpha 0\nrank gamma 1\ntrans alpha() -> q @ 1\ntrans gamma(q) -> q @ 1/2\nfinal q @ 0\n' > tropical.wta
+test "$(budwta congruent tropical.wta --mono inf.alpha --mono 'inf.gamma(alpha)' --oracle-depth 3)" = "congruent"
+test "$(budwta congruent tropical.wta --mono 1.alpha --mono '1/2.gamma(alpha)' --oracle-depth 3)" = "congruent"
+code=0; out=$(budwta congruent tropical.wta --mono inf.alpha --mono 0.alpha --oracle-depth 3) || code=$?
 test "$code" -eq 1
 test "$out" = "not congruent"
 # a malformed file is an input error: exit 2

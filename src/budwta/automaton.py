@@ -114,7 +114,7 @@ class Wta:
         for w in weights.values():
             if not k.contains(w):
                 raise WtaError(f"weight {w!r} is not in the {k} semifield")
-            if w == k.zero:
+            if semifield.eq(w, k.zero):
                 raise WtaError("zero weights must not be stored")
         _init(self, "_succ", succ)
         _init(self, "budet", len(succ) == len(delta))
@@ -536,7 +536,7 @@ def parse_wta(text: str) -> Wta:
             w = kind.parse(wtext)
         except semifield.WeightSyntaxError as exc:
             raise WtaError(f"line {lineno}: {exc}") from None
-        weights[wtext] = w = _MISS if w == kind.zero else w
+        weights[wtext] = w = _MISS if semifield.eq(w, kind.zero) else w
         return w
 
     arities = alphabet._arity

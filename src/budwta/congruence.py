@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from . import automaton, terms
 from .automaton import DetValue, Wta
 from .scalar import Monomial
-from .semifield import SemifieldError, Value
+from .semifield import SemifieldError, Value, eq
 from .terms import Tree
 
 # A congruence class of a nonzero monomial: live block index plus nonzero
@@ -152,11 +152,13 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
 def _monomial_run(a: Wta, m: Monomial) -> DetValue:
     """The run of ``m.tree`` scaled by ``m.weight``; None for a zero weight,
     whose tree is not looked at.  The weight is checked to be in the
-    semifield first."""
+    semifield first; `automaton.h_det` refuses an automaton not bu-det."""
     k = a.kind
     if not k.contains(m.weight):
         raise SemifieldError(f"monomial weight {m.weight!r} is not in the {k} semifield")
-    v = None if m.weight == k.zero else automaton.h_det(a, m.tree)
+    if eq(m.weight, k.zero):
+        return None
+    v = automaton._run(a, m.tree) if a.budet else automaton.h_det(a, m.tree)
     return None if v is None else (v[0], k.times(m.weight, v[1]))
 
 
@@ -170,7 +172,10 @@ def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
 
 
 def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
-    return class_of(qt, m1) == class_of(qt, m2)
+    c1, c2 = class_of(qt, m1), class_of(qt, m2)
+    if c1 is None or c2 is None:  # the zero class equals only itself
+        return c1 is c2
+    return c1[0] == c2[0] and eq(c1[1], c2[1])
 
 
 # --- brute-force oracle over literally enumerated contexts ----------------
@@ -260,7 +265,7 @@ class BoundedContextOracle:
         }
         states = a.states
         self.col_nonzero: Dict[str, bool] = {
-            q: any(row[i] != zero for row in rows) for i, q in enumerate(states)
+            q: any(not eq(row[i], zero) for row in rows) for i, q in enumerate(states)
         }
         self.pair_obs: Dict[Tuple[str, str], Tuple[Tuple[Value, Value], ...]] = {}
         for i, q1 in enumerate(states):
@@ -276,7 +281,7 @@ class BoundedContextOracle:
         (q1, c1), (q2, c2) = v1, v2
         times = self.wta.kind.times
         for o1, o2 in self.pair_obs[(q1, q2)]:
-            if times(c1, o1) != times(c2, o2):
+            if not eq(times(c1, o1), times(c2, o2)):
                 return False
         return True
 

@@ -19,7 +19,7 @@ from . import automaton, congruence, terms
 from .automaton import PreconditionError, TransKey, Wta
 from .congruence import ClassRep, SyntacticQuotient
 from .scalar import Monomial
-from .semifield import Value
+from .semifield import Value, eq
 from .terms import Tree
 
 
@@ -37,7 +37,7 @@ def candidate_set(
     for q in a.states:
         t = reps[q]
         cls = congruence.class_of(qt, Monomial(a.kind.one, t))
-        if cls is None or cls in seen:
+        if cls is None or any(c[0] == cls[0] and eq(c[1], cls[1]) for c in seen):
             continue
         seen.append(cls)
         out.append((t, cls))
@@ -124,7 +124,7 @@ def build_wta_from_basis(
         s, wt = automaton.h_det(a, t)
         child[s] = (name, wt)
         w = automaton.evaluate(a, t)
-        if w != k.zero:
+        if not eq(w, k.zero):
             final[name] = w
     target = {block: (names[j], k.inv(b)) for j, (_, (block, b)) in enumerate(basis)}
     delta: Dict[TransKey, Value] = {}
@@ -228,10 +228,10 @@ def equivalent(a: Wta, b: Wta) -> bool:
         for pair in combo:
             rho = k.times(rho, ratio[pair])
         if (p, q) not in ratio:
-            if k.times(rho, a.final.get(p, k.zero)) != b.final.get(q, k.zero):
+            if not eq(k.times(rho, a.final.get(p, k.zero)), b.final.get(q, k.zero)):
                 return False
             ratio[(p, q)] = rho
             found.append((p, q))
-        elif ratio[(p, q)] != rho:
+        elif not eq(ratio[(p, q)], rho):
             return False
     return True

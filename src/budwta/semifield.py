@@ -10,18 +10,19 @@ Four weight structures are available, one `Semifield` object each:
 Weights are raw values: rationals are `fractions.Fraction`, booleans are
 `bool`, and the tropical infinity is `None`.  A value does not know its
 semifield; the object that operates on it does, and membership is checked
-where weights enter an automaton.  Equality is decidable everywhere and no
-floats appear anywhere in this package.
+where weights enter an automaton.  No floats appear in this package.
 
-The ⊗ and inverse of the three semifields over Q, rational ⊕, and weight
-text read each `Fraction`'s two integer parts and build the reduced result
-once, from coprime parts, without `Fraction`'s numeric-tower dispatch
-(Knuth, TAOCP vol. 2, §4.5.1).  Every result is an exact `Fraction` whose denominator is
-positive and coprime to its numerator; zero is ``0/1``.  `Fraction`'s
-``==`` and ``hash`` compare the parts, so a result that broke these rules
-would compare unequal to its value without any error.  `Semifield.product`
-multiplies many weights: the rational kinds multiply all the parts and
-reduce once.
+Arithmetic, order, equality and weight text read each `Fraction`'s two
+integer parts, without `Fraction`'s numeric-tower dispatch (Knuth, TAOCP
+vol. 2, §4.5.1): ⊗, inverse and rational ⊕ build the reduced result once,
+from coprime parts; max-times and tropical ⊕ compare n1*d2 with n2*d1 and
+keep the first value on a tie, as ``max`` and ``min`` do.  Every result is
+an exact `Fraction` whose denominator is positive and coprime to its
+numerator; zero is ``0/1``.  So `eq`, the one equality of weights, compares
+two values of one semifield by their parts (`True`, `False` and `None` by
+identity); a value that broke these rules would differ from an equal one,
+in `eq` and ``hash``, without any error.  `Semifield.product` multiplies
+many weights: the rational kinds multiply all the parts and reduce once.
 """
 
 from __future__ import annotations
@@ -61,21 +62,22 @@ class Semifield:
     product: Callable[[Iterable[Value]], Value]  # ⊗ of all the weights; `one` if none
 
     def inv(self, x: Value) -> Value:
-        if x == self.zero:
+        if eq(x, self.zero):
             raise SemifieldError("zero has no multiplicative inverse")
         return self._inverse(x)
 
     def parse(self, text: str) -> Value:
         """Weight text: an integer, ``p/q`` with q > 0, or ``inf`` (tropical)."""
         text = text.strip()
-        if text == "inf":
+        match = _NUM_RE.fullmatch(text)
+        if match is None:
+            if text != "inf":
+                raise WeightSyntaxError(f"malformed weight: {text[:60]!r}")
             if not self.contains(None):
                 raise WeightSyntaxError('"inf" is only a tropical weight')
             return None
-        if not _NUM_RE.match(text):
-            raise WeightSyntaxError(f"malformed weight: {text[:60]!r}")
-        num, _, den = text.partition("/")
-        if not den:
+        num, den = match.groups()
+        if den is None:
             return self.from_fraction(_int(num))
         d = _int(den)
         if not d:
@@ -166,8 +168,9 @@ def _fold(times: Callable[[Value, Value], Value], one: Value):
 
 
 def _zero_or_one(x: Union[int, Fraction]) -> bool:
-    if x == 0 or x == 1:
-        return x == 1
+    n, d = (x._numerator, x._denominator) if x.__class__ is Fraction else (x, 1)
+    if d == 1 and (n == 0 or n == 1):
+        return n == 1
     raise WeightSyntaxError(
         f"boolean weight must be 0 or 1, got {_number_text(Fraction(x))[:60]}"
     )
@@ -182,12 +185,24 @@ def _non_negative(x: Union[int, Fraction]) -> Fraction:
     return x
 
 
+def eq(x: Value, y: Value) -> bool:
+    """Equality of two values of one semifield: `Fraction`s by their parts,
+    anything else by identity."""
+    if x.__class__ is Fraction and y.__class__ is Fraction:
+        return x._numerator == y._numerator and x._denominator == y._denominator
+    return x is y
+
+
+def _max(x: Fraction, y: Fraction) -> Fraction:
+    return y if y._numerator * x._denominator > x._numerator * y._denominator else x
+
+
 def _min_plus(x: Value, y: Value) -> Value:  # None is +inf, the neutral element
     if x is None:
         return y
     if y is None:
         return x
-    return min(x, y)
+    return y if y._numerator * x._denominator < x._numerator * y._denominator else x
 
 
 def _add_finite(x: Value, y: Value) -> Value:  # inf absorbs
@@ -206,8 +221,8 @@ BOOLEAN = Semifield(
     _fold(operator.and_, True),
 )
 MAXTIMES = Semifield(
-    "maxtimes", Fraction(0), Fraction(1), max, _mul, _reciprocal,
-    lambda x: x.__class__ is Fraction and x >= 0, _non_negative, _product,
+    "maxtimes", Fraction(0), Fraction(1), _max, _mul, _reciprocal,
+    lambda x: x.__class__ is Fraction and x._numerator >= 0, _non_negative, _product,
 )
 TROPICAL = Semifield(
     "tropical", None, Fraction(0), _min_plus, _add_finite, _negative,
@@ -230,7 +245,7 @@ def get(name: str) -> Semifield:
 # Weight text grammar: integers, "p/q" with q > 0, "inf" (tropical only),
 # "0"/"1" for booleans, in ASCII digits.  Used verbatim by the .wta format
 # and the CLI.
-_NUM_RE = re.compile(r"^-?\d+(/\d+)?$", re.ASCII)
+_NUM_RE = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)  # numerator, denominator
 
 # int <-> str conversions refuse more than sys.get_int_max_str_digits()
 # digits, 4300 by default, and a program may lower that limit to 640, the

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from budwta import automaton, semifield as sf, terms
-from budwta.automaton import PreconditionError, slim
+from budwta.automaton import PreconditionError, Wta, slim
 from budwta.congruence import (
     BoundedContextOracle,
     brute_force_congruent,
@@ -12,7 +13,8 @@ from budwta.congruence import (
     class_of,
     congruent,
 )
-from budwta.scalar import Monomial
+from budwta.minimize import equivalent, minimize
+from budwta.scalar import Monomial, parse_monomial
 from budwta.terms import Tree
 
 from corpus import (
@@ -328,3 +330,58 @@ def test_refinement_matches_oracle_tropical():
             m1 = random_monomial(rng, sf.TROPICAL, trees)
             m2 = random_monomial(rng, sf.TROPICAL, trees)
             assert congruent(qt, m1, m2) == oracle.congruent(m1, m2)
+
+
+# --- weights are compared by their parts ----------------------------------
+
+# weight texts of each semifield: zeros and equal values spelt apart
+QUERY_WEIGHTS = {
+    "rational": ["0", "-0", "0/5", "1", "-1", "2", "1/2", "2/4", "-3/2", "6/4", "2/3"],
+    "boolean": ["0", "-0", "0/5", "1", "2/2"],
+    "maxtimes": ["0", "-0", "0/5", "1", "2", "1/2", "2/4", "3/2", "6/4", "2/3"],
+    "tropical": ["inf", "0", "-0", "1", "-1", "1/2", "-2/4", "2", "-3/2"],
+}
+FRACTION_COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__")
+
+
+def _count_fraction_comparisons(monkeypatch) -> Counter:
+    """From now on, count every call of a comparison operator of `Fraction`."""
+    calls: Counter = Counter()
+    for name in FRACTION_COMPARISONS:
+        def counted(*args, _name=name, _operator=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _operator(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_queries_compare_no_fraction(kind, monkeypatch):
+    """Once the quotients, oracles and minimal automata are built, neither a
+    congruence query from monomial text nor an equivalence check calls any
+    comparison operator of `Fraction`: weights are compared by `sf.eq`."""
+    rng = random.Random(f"compare-by-parts:{kind}")
+    automata = list(small_corpus(kind, 4, seed=23))
+    built = [(a, build_syntactic_quotient(a), BoundedContextOracle(a, 2 * len(a.states)))
+             for a in automata]
+    minimal = [minimize(a) for a in automata]
+    # each automaton with the final weight of one state dropped, or added
+    changed = [Wta(a.alphabet, a.states, kind, a.delta, dict(list(a.final.items())[1:])
+                   if a.final else {a.states[0]: kind.one}) for a in automata]
+    calls = _count_fraction_comparisons(monkeypatch)
+    answers = Counter()
+    for a, qt, oracle in built:
+        trees = [terms.format_tree(x) for x in enumerate_trees(a.alphabet, 3)]
+        for p in range(50):
+            t1, t2 = (f"{rng.choice(QUERY_WEIGHTS[kind.name])}.{rng.choice(trees)}" for _ in "12")
+            m1 = parse_monomial(t1, a.alphabet, kind)
+            m2 = m1 if p % 10 == 0 else parse_monomial(t2, a.alphabet, kind)
+            answer = congruent(qt, m1, m2)
+            assert oracle.congruent(m1, m2) is answer, (automaton.format_wta(a), t1, t2)
+            answers[answer] += 1
+    for a, b, c in zip(automata, minimal, changed):
+        assert equivalent(a, b) and equivalent(b, a)
+        assert not equivalent(a, c) and not equivalent(c, b)
+    monkeypatch.undo()
+    assert not calls, calls
+    assert answers[True] > 20 and answers[False] > 20, answers

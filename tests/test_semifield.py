@@ -311,3 +311,43 @@ def test_product_is_the_fold_of_times(kind, big):
             _same(got, want)
         else:
             assert got is want
+
+
+# --- equality and order by parts ----------------------------------------
+
+# zeros, units and equal values spelt apart; a text a semifield refuses is
+# left out of its values
+EQ_TEXTS = ["0", "-0", "0/5", "1", "-1", "2/2", "1/2", "2/4", "-3/6", "6/4", "3/2", "inf"]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_eq_agrees_with_fraction_equality(kind, big):
+    """`eq` answers as ``==`` does on two values of one semifield: `eq`'s
+    contract does not cover values of two (``Fraction(0) == False``)."""
+    n, m = big
+    values = [kind.zero, kind.one]
+    for text in EQ_TEXTS:  # each parsed twice: equal values, two objects
+        try:
+            values += [kind.parse(text), kind.parse(text)]
+        except WeightSyntaxError:
+            pass
+    if kind is not sf.BOOLEAN:
+        large = _carrier(kind, [F(n, 3), F(-5, m), F(7 * n, 6), F(n + 3, 3)])
+        values += large + [F(x.numerator, x.denominator) for x in large]
+    assert {type(x) for x in values} == {type(kind.zero), type(kind.one)}
+    pairs = [(x, y) for x in values for y in values]
+    rng = random.Random(2301)
+    pairs += [tuple(_random_weights(kind, rng, 2)) for _ in range(300)]
+    apart = sum(x is not y and x == y for x, y in pairs)  # True and False are one each
+    assert apart > 20 or kind is sf.BOOLEAN
+    for x, y in pairs:
+        assert sf.eq(x, y) is (x == y), (x, y)
+
+
+@pytest.mark.parametrize("kind", [sf.MAXTIMES, sf.TROPICAL], ids=str)
+def test_plus_keeps_the_first_of_two_equal_values(kind):
+    """Max-times and tropical ⊕ return the first argument on a tie, as
+    ``max`` and ``min`` do."""
+    for text in ("0", "1", "2/4", "3"):
+        x, y = kind.parse(text), kind.parse(text)
+        assert x is not y and kind.plus(x, y) is x and kind.plus(y, x) is y

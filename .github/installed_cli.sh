@@ -50,4 +50,6 @@ test "$(timeout 20 budwta eval wide.wta --tree "f($(printf 'alpha,%.0s' $(seq 29
 # equivalence looks at no tuple of a symbol that labels no transition
 printf 'semifield rational\nrank alpha 0\nrank gamma 1\nrank f 40\ntrans alpha() -> p @ 2\ntrans gamma(p) -> q @ 3\ntrans gamma(q) -> p @ 1/2\nfinal q @ 1\n' > unused.wta
 test "$(timeout 20 budwta equiv unused.wta unused.wta)" = "equivalent"
+# the oracle enumerates no context through a symbol that labels no transition
+test "$(timeout 20 budwta congruent unused.wta --mono 1.alpha --mono '2/3.gamma(gamma(alpha))' --oracle-depth 2)" = "congruent"
 echo "installed CLI: all checks passed"

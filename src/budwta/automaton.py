@@ -15,7 +15,7 @@ import operator
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import semifield, terms
 from .semifield import Semifield, Value
@@ -464,8 +464,7 @@ def parse_wta(text: str) -> Wta:
     errors.  Zero weights are accepted and normalized away.
     """
     kind: Optional[Semifield] = None
-    ranks: List[Tuple[str, int]] = []
-    rank_names: Set[str] = set()
+    ranks: Dict[str, int] = {}  # symbol -> arity, in declaration order
     raw_trans: List[Tuple[int, str, Tuple[str, ...], str, str]] = []
     raw_final: List[Tuple[int, str, str]] = []
 
@@ -497,10 +496,9 @@ def parse_wta(text: str) -> Wta:
             arity = _ascii_natural(arity_text)
             if arity is None:
                 raise WtaError(f"line {lineno}: bad arity {arity_text[:60]!r}")
-            if name in rank_names:
+            if name in ranks:
                 raise WtaError(f"line {lineno}: duplicate rank line for {name}")
-            rank_names.add(name)
-            ranks.append((name, arity))
+            ranks[name] = arity
         elif head == "trans":
             m = _parse_trans(rest, lineno)
             raw_trans.append((lineno,) + m)
@@ -515,7 +513,7 @@ def parse_wta(text: str) -> Wta:
     if kind is None:
         raise WtaError("missing semifield line")
     try:
-        alphabet = RankedAlphabet(ranks)
+        alphabet = RankedAlphabet(ranks.items())
     except terms.TermError as exc:
         raise WtaError(str(exc)) from None
 
@@ -539,9 +537,10 @@ def parse_wta(text: str) -> Wta:
         weights[wtext] = w = _MISS if semifield.eq(w, kind.zero) else w
         return w
 
+    # one map per line kind, in line order, a zero weight kept as _MISS:
+    # a duplicate is looked up there, and the zeros are dropped at the end
     arities = alphabet._arity
-    delta: Dict[TransKey, Value] = {}
-    zero_keys: Set[TransKey] = set()  # read with a zero weight: not in delta
+    entries: Dict[TransKey, object] = {}
     for lineno, sym, args, target, wtext in raw_trans:
         k = arities.get(sym)
         if k is None:
@@ -556,32 +555,24 @@ def parse_wta(text: str) -> Wta:
         if target not in states:
             add_state(target, lineno)
         key = (args, sym, target)
-        if key in delta or key in zero_keys:
+        if key in entries:
             raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
         w = weights.get(wtext)
-        if w is None:
-            w = weight(wtext, lineno)
-        if w is _MISS:
-            zero_keys.add(key)
-        else:
-            delta[key] = w
+        entries[key] = weight(wtext, lineno) if w is None else w
 
-    final: Dict[str, Value] = {}
-    seen_final: Set[str] = set()
+    finals: Dict[str, object] = {}
     for lineno, q, wtext in raw_final:
         if q not in states:
             add_state(q, lineno)
-        if q in seen_final:
+        if q in finals:
             raise WtaError(f"line {lineno}: duplicate final line for {q}")
-        seen_final.add(q)
         w = weights.get(wtext)
-        if w is None:
-            w = weight(wtext, lineno)
-        if w is not _MISS:
-            final[q] = w
+        finals[q] = weight(wtext, lineno) if w is None else w
 
     if not states:
         raise WtaError("automaton declares no states (no trans/final lines)")
+    delta = {key: w for key, w in entries.items() if w is not _MISS}
+    final = {q: w for q, w in finals.items() if w is not _MISS}
     return Wta(alphabet, tuple(states), kind, delta, final)
 
 

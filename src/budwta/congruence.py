@@ -252,6 +252,11 @@ class BoundedContextOracle:
     and reading the final weight.  The distinct rows are kept, then folded
     into the distinct observation pairs per ordered state pair, so that a
     membership query costs only a few weight comparisons per pair.
+
+    The contexts range over the nullary symbols and the symbols that label
+    a transition, in declaration order.  Every other context passes
+    through a symbol with no transition, so it has no run and its row is
+    all zero: that row is counted once, if there is such a context.
     """
 
     def __init__(self, a: Wta, ctx_height: int):
@@ -259,10 +264,18 @@ class BoundedContextOracle:
         self.wta = a
         self.ctx_height = ctx_height
         zero = a.kind.zero
-        rows = {
+        labels = {sym for _ws, sym, _q in a.delta}
+        symbols = a.alphabet._arity.items()
+        used = [(s, k) for s, k in symbols if k == 0 or s in labels]
+        rows = set()
+        if len(used) < len(symbols):
+            if ctx_height >= 1:
+                rows.add((zero,) * len(a.states))
+            a = Wta(terms.RankedAlphabet(used), a.states, a.kind, a.delta, a.final)
+        rows.update(
             tuple(automaton._read_out(a, v) for v in table)
             for _c, table in context_tables(a, ctx_height)
-        }
+        )
         states = a.states
         self.col_nonzero: Dict[str, bool] = {
             q: any(not eq(row[i], zero) for row in rows) for i, q in enumerate(states)

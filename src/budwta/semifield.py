@@ -107,8 +107,12 @@ def _fraction(n: int, d: int) -> Fraction:
 
 
 def _exact(x: Union[int, Fraction]) -> Fraction:
-    """An int as a `Fraction`; a `Fraction` passes through."""
-    return x if x.__class__ is Fraction else Fraction(x)
+    """An int as a `Fraction`, built as is; a `Fraction` passes through.
+    Any other class, a `bool` say, goes through `Fraction` itself."""
+    cls = x.__class__
+    if cls is Fraction:
+        return x
+    return _fraction(x, 1) if cls is int else Fraction(x)
 
 
 def _mul(x: Fraction, y: Fraction) -> Fraction:

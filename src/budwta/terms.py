@@ -152,41 +152,37 @@ def height(t: Tree) -> int:
     return t._height
 
 
-def postorder(t: Tree, known: Container[Tree] = ()) -> List[Tree]:
-    """Each distinct node object of ``t`` once, children before parents,
-    leaving out every subtree that ``known`` holds (an equal tree built
-    apart is found too) and every node under it."""
+def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()) -> List[Tree]:
+    """Check that ``t`` is a tree over ``alphabet`` and return the nodes
+    checked: each distinct node object of ``t`` once, children before
+    parents, leaving out every subtree that ``known`` holds (an equal tree
+    built apart is found too) and every node under it.
+
+    This is the one walk over a tree: a node is checked as it is appended,
+    after its children, so the first bad node in post-order is the one
+    named.  A subtree that ``known`` holds is taken as checked: a run memo
+    holds only trees that were validated on their way in, and a tree equal
+    to a valid one is valid.
+    """
     known = known or ()  # an empty memo: no node is hashed
+    arities = alphabet._arity
     order: List[Tree] = []
     seen: Set[int] = set()
     stack: List[object] = [t]  # a node to visit, or (node,) once its children are done
     while stack:
         node = stack.pop()
         if node.__class__ is tuple:
-            order.append(node[0])  # type: ignore[index]
+            node = node[0]  # type: ignore[index]
+            if arities.get(node.symbol) != len(node.children):
+                if node.symbol == Z_NAME:
+                    raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
+                raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(node.children))
+            order.append(node)
         elif id(node) not in seen and node not in known:
             seen.add(id(node))
             stack.append((node,))
             stack.extend(node.children)  # type: ignore[attr-defined]
     return order
-
-
-def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()) -> List[Tree]:
-    """Check that ``t`` is a tree over ``alphabet`` and return the nodes
-    checked: `postorder(t, known)`.
-
-    A subtree that ``known`` holds is taken as checked, with every node
-    under it: a run memo holds only trees that were validated on their way
-    in, and a tree equal to a valid one is valid.
-    """
-    nodes = postorder(t, known)
-    arities = alphabet._arity
-    for node in nodes:
-        if arities.get(node.symbol) != len(node.children):
-            if node.symbol == Z_NAME:
-                raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
-            raise _arity_error(node.symbol, alphabet.arity(node.symbol), len(node.children))
-    return nodes
 
 
 # --- concrete syntax ------------------------------------------------------

@@ -3,8 +3,9 @@ automata and monomials for the test suite.
 
 `enumerate_trees` lists every tree, height by height; it is the reference
 that `automaton.representative_trees` is checked against.
-`substitute`, `decompose_elementary`, `count_symbol` and `parse_context`
-work on contexts as literal trees; `equal_alphabet` gives a second parse
+`postorder` lists a tree's distinct nodes, children first, the order
+`terms.validate_tree` checks them in; `substitute`, `decompose_elementary`,
+`count_symbol` and `parse_context` work on contexts as literal trees; `equal_alphabet` gives a second parse
 of a text as another object.  `context_transform` runs a context by
 splitting it into its elementary factors and running each side tree, and
 `observe` reads the result out; `ObserveOracle` is the bounded-context
@@ -82,9 +83,26 @@ def enumerate_trees(
 # --- contexts as literal trees -------------------------------------------
 
 
+def postorder(t: Tree) -> List[Tree]:
+    """Each distinct node object of ``t`` once, children before parents:
+    the order `terms.validate_tree` returns its nodes in."""
+    order: List[Tree] = []
+    seen: Set[int] = set()
+    stack: List[object] = [t]  # a node to visit, or (node,) once its children are done
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            order.append(node[0])  # type: ignore[index]
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node,))
+            stack.extend(node.children)  # type: ignore[attr-defined]
+    return order
+
+
 def count_symbol(t: Tree, name: str) -> int:
     counts: Dict[int, int] = {}  # id(node) -> occurrences below it
-    for node in terms.postorder(t):
+    for node in postorder(t):
         n = node.symbol == name
         for c in node.children:
             n += counts[id(c)]
@@ -117,7 +135,7 @@ def substitute(c: Tree, t: Tree) -> Tree:
     Subtrees of ``c`` without ``z`` are shared with the result.
     """
     new: Dict[int, Tree] = {}
-    for node in terms.postorder(c):
+    for node in postorder(c):
         if node.symbol == Z_NAME:
             new[id(node)] = t
             continue

@@ -40,6 +40,7 @@ from corpus import (
     first_trees,
     layered,
     parse_context,
+    postorder,
     random_monomial,
     random_slim_budet,
     reference_h_general,
@@ -433,7 +434,7 @@ def test_representative_trees_are_shared():
     reps = representative_trees(chain(random.Random(608), sf.BOOLEAN, 64))
     top = reps["q63"]
     assert terms.height(top) == 63
-    assert len(list(terms.postorder(top))) == 64
+    assert len(postorder(top)) == 64
     assert top.children[0] is top.children[1] is reps["q62"]
 
 

@@ -96,6 +96,20 @@ def test_equiv_with_an_unused_arity_40_symbol(wta_file, capsys):
         assert capsys.readouterr().out == out
 
 
+def test_congruent_oracle_with_an_unused_arity_40_symbol(wta_file, capsys):
+    # f labels no entry, so the oracle enumerates no context through it
+    path = wta_file(UNUSED_WIDE)
+    for m2, code, out in (
+        ("2/3.gamma(gamma(alpha))", 0, "congruent\n"),
+        ("1.gamma(alpha)", 1, "not congruent\n"),
+    ):
+        start = time.perf_counter()
+        argv = ["congruent", path, "--mono", "1.alpha", "--mono", m2, "--oracle-depth", "2"]
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == out
+
+
 def test_validate_nondeterministic(wta_file, capsys):
     assert main(["validate", wta_file(NONDET)]) == 0
     out = capsys.readouterr().out

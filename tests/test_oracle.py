@@ -93,6 +93,27 @@ def test_oracle_matches_per_context_oracle(kind):
             assert new.congruent(m1, m2) == old.congruent(m1, m2)
 
 
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_oracle_matches_per_context_oracle_with_unused_symbols(kind):
+    # g/1 labels no transition: every context through it has an all-zero row
+    text = (
+        f"semifield {kind}\nrank sigma 2\nrank g 1\nrank alpha 0\n"
+        "trans alpha() -> p @ 1\ntrans sigma(p,p) -> q @ 1\ntrans sigma(q,p) -> p @ 1\n"
+        "final q @ 1\n"
+    )
+    automata = [automaton.parse_wta(text)]
+    for a in small_corpus(kind, 60):
+        labels = {sym for _ws, sym, _q in a.delta}
+        if any(k and s not in labels for s, k in a.alphabet._arity.items()):
+            automata.append(a)
+    assert len(automata) > 1
+    for a in automata:
+        for height in range(4):
+            new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
+            assert new.col_nonzero == old.col_nonzero
+            assert {p: set(obs) for p, obs in new.pair_obs.items()} == old.pair_obs
+
+
 def test_tables_of_a_context_killed_by_a_side_tree():
     # beta has no transition: every context with a beta side tree has no run
     a = automaton.parse_wta(

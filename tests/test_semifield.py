@@ -273,7 +273,7 @@ def test_parse_agrees_with_fraction(kind, big):
     n, _ = big
     long_den = 10**4999 + 3  # past int()'s default text limit
     cases = {"0": (0, 1), "-0": (0, 1), "0/5": (0, 5), "-0/7": (0, 7), "1": (1, 1),
-             "-1": (-1, 1), "12/1": (12, 1), "6/4": (6, 4), "-12/18": (-12, 18),
+             "-1": (-1, 1), "-7": (-7, 1), "1" + "0" * (BIG - 2) + "7": (n, 1), "12/1": (12, 1), "6/4": (6, 4), "-12/18": (-12, 18),
              "35/14": (35, 14), "-9/3": (-9, 3), "100/250": (100, 250),
              "3" + "0" * (BIG - 3) + "21/6": (3 * n, 6),
              "-5/1" + "0" * 4998 + "3": (-5, long_den), "5/1" + "0" * 4998 + "3": (5, long_den)}
@@ -284,6 +284,9 @@ def test_parse_agrees_with_fraction(kind, big):
                 kind.parse(text)
         else:
             _same(kind.parse(text), want)
+    # an int is built from its parts; a bool goes through Fraction
+    for x in (0, 7, n, True, False):
+        _same(kind.from_fraction(x), F(x))
 
 
 PRODUCT_POOLS = {

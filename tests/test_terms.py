@@ -28,6 +28,7 @@ from corpus import (
     enumerate_trees,
     equal_alphabet,
     parse_context,
+    postorder,
     substitute,
 )
 
@@ -171,7 +172,7 @@ def test_validate_tree_returns_the_nodes_it_checks():
     t = parse_tree("sigma(sigma(alpha,sigma(alpha,alpha)),sigma(alpha,alpha))", SIG)
     nodes = terms.validate_tree(t, SIG)
     assert nodes[-1] is t
-    assert {id(n) for n in nodes} == {id(n) for n in terms.postorder(t)}
+    assert [id(n) for n in nodes] == [id(n) for n in postorder(t)]
     assert len(nodes) == 4  # alpha, sigma(alpha,alpha), its parent, t
     _children_first(nodes)
     apart = parse_tree("sigma(alpha,alpha)", equal_alphabet(SIG))
@@ -191,6 +192,12 @@ def test_validate_tree_refuses_bad_nodes():
     for z in (Z, Tree("z", (alpha,))):
         with pytest.raises(TermError, match="^'z' is not allowed in a plain tree$"):
             terms.validate_tree(Tree("sigma", (alpha, z)), SIG)
+
+
+def test_validate_tree_names_the_first_bad_node_in_post_order():
+    # beta is unknown and sigma has one child too few: beta comes first
+    with pytest.raises(TermError, match="^unknown symbol: beta$"):
+        terms.validate_tree(Tree("sigma", (Tree("beta"),)), SIG)
 
 
 def test_enumeration_contexts_distinct():
@@ -250,7 +257,7 @@ def test_parse_shares_equal_subtrees():
         text = f"sigma({text},{text})"
     big = parse_tree(text, SIG)
     assert height(big) == 12
-    assert len(list(terms.postorder(big))) == 13
+    assert len(postorder(big)) == 13
     assert count_symbol(big, "alpha") == 2**12
     assert big == parse_tree(text, SIG)
 

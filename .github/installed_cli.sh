@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
-# console script on README.md's counter.wta, on a tropical file and on two
-# wide-symbol files, each of those two under a 20 s timeout: stdout and
-# exit codes.
+# console script on README.md's counter.wta, on a tropical file, and on two
+# wide-symbol files, a 2000-state sparse binary file and a file of unused
+# leaves, each of those four under a 20 s timeout: stdout and exit codes.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
 readme="$PWD/README.md"
+tests="$PWD/tests"
 python -m pip install "setuptools>=68" wheel
 python -m pip install -e . --no-build-isolation
 cd "$(mktemp -d)"
@@ -52,4 +53,12 @@ printf 'semifield rational\nrank alpha 0\nrank gamma 1\nrank f 40\ntrans alpha()
 test "$(timeout 20 budwta equiv unused.wta unused.wta)" = "equivalent"
 # the oracle enumerates no context through a symbol that labels no transition
 test "$(timeout 20 budwta congruent unused.wta --mono 1.alpha --mono '2/3.gamma(gamma(alpha))' --oracle-depth 2)" = "congruent"
+# equivalence is one pass over delta: a 2000-state sparse binary automaton
+# against its minimum
+PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.sparse_binary(random.Random(1), budwta.RATIONAL, 2000)), end="")' > sparse.wta
+budwta minimize sparse.wta -o sparse_min.wta > /dev/null
+test "$(timeout 20 budwta equiv sparse.wta sparse_min.wta)" = "equivalent"
+# the oracle builds no side tree from the 20 leaves that label no transition
+{ printf 'semifield rational\nrank sigma 2\nrank alpha 0\n'; printf 'rank b%s 0\n' $(seq 20); printf 'trans alpha() -> p @ 2\ntrans sigma(p,p) -> q @ 3\ntrans sigma(q,p) -> p @ 1/2\nfinal q @ 1\n'; } > leaves.wta
+test "$(timeout 20 budwta congruent leaves.wta --mono 1/3.alpha --mono '1/18.sigma(sigma(alpha,alpha),alpha)' --oracle-depth 3)" = "congruent"
 echo "installed CLI: all checks passed"

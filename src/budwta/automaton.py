@@ -63,10 +63,11 @@ class Wta:
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
     `state_of` to its state.  Only validated input goes in, so a run
-    validates no subtree its memo holds.  ``_derived`` keeps three
+    validates no subtree its memo holds.  ``_derived`` keeps four
     derivations over delta, each computed on first use by `_derivation`:
     `_least_keys` forward and `_least_steps` backward, one entry per
-    state, and `_inverse`, the entries into and the uses of each state.
+    state; `_live`, the unordered set of live states; and `_inverse`, the
+    entries into and the uses of each state.
     All of these belong to the automaton, so they can never go stale and
     die with it.
     """
@@ -337,6 +338,43 @@ def _least_steps(a: Wta) -> Dict[str, Optional[Tuple[str, Value]]]:
         steps.update((p, step) for p, (_, step) in least.items())
         layer = list(least)
     return steps
+
+
+def _live(a: Wta) -> FrozenSet[str]:
+    """The live states: realized by a tree and observable through some
+    context whose side subtrees have runs.  The unordered derivation, for
+    a caller that needs the set and no order.
+
+    Forward, each delta entry counts down its child positions in ``uses``
+    of `_inverse` as their states are realized, and realizes its target at
+    zero.  Backward, a search from the realized final states over ``into``
+    takes only entries whose children are all realized, and reaches their
+    children.  O(|delta| * k).  The live states are those of `slim` that
+    its `dead_states` leaves out; a zero language has none.
+    """
+    into, uses = _derivation(a, _inverse)
+    todo = [q for s in a.alphabet.nullary_symbols() for q, _ in a._succ.get(((), s), ())]
+    realized = set()
+    missing: Dict[TransKey, int] = {}  # child positions not realized yet
+    while todo:
+        q = todo.pop()
+        if q in realized:
+            continue
+        realized.add(q)
+        for key, _ in uses.get(q, ()):
+            n = missing[key] = missing.get(key, len(key[0])) - 1
+            if not n:
+                todo.append(key[2])
+    live = {q for q in a.final if q in realized}
+    todo = list(live)
+    while todo:
+        for (ws, _, _), _ in into.get(todo.pop(), ()):
+            if realized.issuperset(ws):
+                for p in ws:
+                    if p not in live:
+                        live.add(p)
+                        todo.append(p)
+    return frozenset(live)
 
 
 def _derivation(a: Wta, derive):

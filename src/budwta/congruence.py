@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from . import automaton, terms
 from .automaton import DetValue, Wta
 from .scalar import Monomial
-from .semifield import SemifieldError, Value, eq
+from .semifield import SemifieldError, Value, eq, parts
 from .terms import Tree
 
 # A congruence class of a nonzero monomial: live block index plus nonzero
@@ -81,8 +81,10 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     F(q) * mu(q)^-1 and the set of (step, block of t, normalized weight)
     of q's moves, until a round splits nothing; a round that goes on adds
     a block, so at most |live| rounds go on.  Each normalized final weight,
-    and each step with its normalized weight, is hashed once, into a small
-    int that the rounds compare instead.  lam[q] = mu(q) * mu(rep)^-1.
+    and each step with its normalized weight, is coded once, by the weight's
+    integer parts, into a small int that the rounds compare instead: no
+    `Fraction` is hashed.  w * mu(t) is taken once per entry.
+    lam[q] = mu(q) * mu(rep)^-1.
 
     Sound: states p, q proportional with ratio lam have the same nonzero
     abstract paths, as a side state stands for its witness tree, whose
@@ -110,18 +112,18 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
     k = a.kind
     mu = _normalizers(a)
     mu_inv = {q: k.inv(mu[q]) for q in live}
-    codes: Dict[object, int] = {}  # weight, or (step, weight) -> small int
+    codes: Dict[tuple, int] = {}  # parts of a weight, or step and parts -> small int
     final = {
-        q: codes.setdefault(k.times(a.final.get(q, k.zero), mu_inv[q]), len(codes))
+        q: codes.setdefault(parts(k.times(a.final.get(q, k.zero), mu_inv[q])), len(codes))
         for q in live
     }
     into = automaton._derivation(a, automaton._inverse)[0]
     moves: Dict[str, List[Tuple[int, str]]] = {q: [] for q in live}
     for t in live:
         for (ws, sym, _), w in into.get(t, ()):
+            scaled = k.times(w, mu[t])
             for i, p in enumerate(ws):
-                scal = k.times(k.times(w, mu[t]), mu_inv[p])
-                move = ((sym, i, ws[:i] + ws[i + 1 :]), scal)
+                move = (sym, i, ws[:i] + ws[i + 1 :], *parts(k.times(scaled, mu_inv[p])))
                 moves[p].append((codes.setdefault(move, len(codes)), t))
 
     # grouping in declaration order keeps blocks ordered by their first state
@@ -253,10 +255,13 @@ class BoundedContextOracle:
     into the distinct observation pairs per ordered state pair, so that a
     membership query costs only a few weight comparisons per pair.
 
-    The contexts range over the nullary symbols and the symbols that label
-    a transition, in declaration order.  Every other context passes
-    through a symbol with no transition, so it has no run and its row is
-    all zero: that row is counted once, if there is such a context.
+    The contexts range over the symbols that label a transition, in
+    declaration order, and the first nullary symbol if none of those is
+    nullary, as an alphabet needs one.  Every other context passes through
+    a symbol with no transition, so it has no run and its row is all zero:
+    that row is counted once, if there is such a context.  There is one
+    of height 1 when a symbol of arity >= 1 is left out, or a nullary one
+    beside a symbol of arity >= 2 (s(z, leaf)), and none otherwise.
     """
 
     def __init__(self, a: Wta, ctx_height: int):
@@ -265,11 +270,15 @@ class BoundedContextOracle:
         self.ctx_height = ctx_height
         zero = a.kind.zero
         labels = {sym for _ws, sym, _q in a.delta}
+        leaves = a.alphabet.nullary_symbols()
+        if labels.isdisjoint(leaves):
+            labels.add(leaves[0])
         symbols = a.alphabet._arity.items()
-        used = [(s, k) for s, k in symbols if k == 0 or s in labels]
+        used = [(s, k) for s, k in symbols if s in labels]
         rows = set()
         if len(used) < len(symbols):
-            if ctx_height >= 1:
+            wide = any(k >= 2 for _s, k in symbols)
+            if ctx_height >= 1 and any(k or wide for s, k in symbols if s not in labels):
                 rows.add((zero,) * len(a.states))
             a = Wta(terms.RankedAlphabet(used), a.states, a.kind, a.delta, a.final)
         rows.update(

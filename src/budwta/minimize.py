@@ -7,12 +7,19 @@ bu-det automaton is minimal iff its state count equals the basis size.
 
 Equivalence of two bu-det automata is decided exactly by one semi-naive
 pass over the pairs of live states that a common tree reaches, each with
-the ratio of the two run weights.
+the ratio of the two run weights.  The pass joins each new pair on the
+entries of the first automaton that use its state, through the inverse
+view of delta, and reads only the live sets of both automata, from the
+unordered derivation `automaton._live`, not the ordered derivations
+that minimization needs for its witness trees and normalizers.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import itertools
+import math
 from typing import Dict, Iterator, List, Tuple
 
 from . import automaton, congruence, terms
@@ -174,35 +181,30 @@ def minimality(a: Wta) -> Tuple[bool, bool, int]:
 Pair = Tuple[str, str]
 
 
-def _pair_tuples(a: Wta, b: Wta, found: List[Pair]) -> Iterator[Tuple[str, Tuple[Pair, ...]]]:
-    """Each (symbol, tuple of found pairs) once, while ``found`` grows: first
-    the nullary symbols; then, as pair n is taken up, the tuples with pair n
-    at position j, pairs found before n before j, and up to n after j.
-    Only symbols of an entry of ``a`` or ``b`` are looked at: every tuple
-    of another symbol has no target on either side."""
-    used = {sym for _, sym, _ in a.delta}.union(sym for _, sym, _ in b.delta)
-    symbols = [sym for sym in a.alphabet.symbols() if sym in used]
-    yield from ((sym, ()) for sym in symbols if not a.alphabet.arity(sym))
-    n = 0
-    while n < len(found):
-        for sym in symbols:
-            r = a.alphabet.arity(sym)
-            for j in range(r):
-                slots = [found[:n]] * j + [found[n : n + 1]] + [found[: n + 1]] * (r - j - 1)
-                yield from ((sym, combo) for combo in itertools.product(*slots))
-        n += 1
-
-
 def equivalent(a: Wta, b: Wta) -> bool:
     """Exact equality of the two recognized weighted tree languages.
 
     Both automata must be bu-det, over the same alphabet and semifield.
-    One semi-naive pass finds the pairs (p, q) of live states reached by a
-    common tree, each with a ratio rho of the two run weights that no tree
-    may change, and checks rho * F_A(p) = F_B(q).  A tree live on one side
-    only is observed there; trees dead or missing on both sides are never
-    observed, nor are trees above them (live states have live children).
-    At most |live_A| * |live_B| pairs; each pair tuple is looked at once.
+    One semi-naive pass (Bancilhon & Ramakrishnan, SIGMOD 1986) finds the
+    pairs (p, q) of live states reached by a common tree, each with a ratio
+    rho of the two run weights that no tree may change, and checks
+    rho * F_A(p) = F_B(q).  Only the live sets are read, from the unordered
+    derivation `automaton._live`; trees dead or missing on both sides are
+    never observed, nor are trees above them (live states have live
+    children), and a tree live on one side only is a difference.
+
+    The pass joins on ``uses`` of `automaton._inverse` of ``a``: when found
+    pair n = (p, q) is taken up, each entry of ``a`` with p at position j
+    is filled with found pairs of its A-states, of index < n before j and
+    <= n after j, so each tuple of found pairs under an entry of ``a`` is
+    met once, and b's entry is looked up under its B-states.  A tuple that
+    only ``b`` has an entry for is found by a count at the end, not by a
+    second join: a live entry of ``b`` is met at most once per tuple of
+    found pairs with its B-states, so every one is met that often exactly
+    when the totals agree.  One lookup per entry of ``a`` when each of its
+    states pairs with one state of ``b``; at most |live_A| * |live_B|
+    pairs.  Neither automaton is slimmed: found pairs hold live states
+    only, and a live state is realized.
     """
     if a.alphabet != b.alphabet:
         raise PreconditionError("automata use different alphabets")
@@ -210,28 +212,76 @@ def equivalent(a: Wta, b: Wta) -> bool:
         raise PreconditionError("automata use different semifields")
     automaton._require_budet(a)
     automaton._require_budet(b)
-    a, b = automaton.slim(a), automaton.slim(b)
-    dead_a, dead_b = automaton.dead_states(a), automaton.dead_states(b)
+    live_a = automaton._derivation(a, automaton._live)
+    live_b = automaton._derivation(b, automaton._live)
+    succ_b = b._succ
     k = a.kind
+    product, inv, zero = k.product, k.inv, k.zero
     found: List[Pair] = []
-    ratio: Dict[Pair, Value] = {}
-    for sym, combo in _pair_tuples(a, b, found):
-        ha = a.targets(tuple(p for p, _ in combo), sym)
-        hb = b.targets(tuple(q for _, q in combo), sym)
-        live_a = bool(ha) and ha[0][0] not in dead_a
-        if live_a != (bool(hb) and hb[0][0] not in dead_b):
-            return False
-        if not live_a:
-            continue
-        (p, x), (q, y) = ha[0], hb[0]
-        rho = k.times(x, k.inv(y))
-        for pair in combo:
-            rho = k.times(rho, ratio[pair])
-        if (p, q) not in ratio:
-            if not eq(k.times(rho, a.final.get(p, k.zero)), b.final.get(q, k.zero)):
+    rhos: List[Value] = []  # rho of each found pair
+    index: Dict[Pair, int] = {}
+    by_a: Dict[str, List[int]] = {}  # A-state -> indices of its found pairs
+    met = 0  # tuples met under a live entry of b
+    rho_of = rhos.__getitem__
+    for key, w, ws_b, combo in _joined(a, found, by_a):
+        hb = succ_b.get((ws_b, key[1]))
+        if hb is None or hb[0][0] not in live_b:
+            if key[2] in live_a:
                 return False
-            ratio[(p, q)] = rho
-            found.append((p, q))
-        elif not eq(ratio[(p, q)], rho):
+            continue
+        if key[2] not in live_a:
             return False
-    return True
+        met += 1
+        (q, y), p = hb[0], key[2]
+        rho = product([w, inv(y), *map(rho_of, combo)])
+        n = index.get((p, q))
+        if n is None:
+            if not eq(k.times(rho, a.final.get(p, zero)), b.final.get(q, zero)):
+                return False
+            index[(p, q)] = len(found)
+            by_a.setdefault(p, []).append(len(found))
+            found.append((p, q))
+            rhos.append(rho)
+        elif not eq(rhos[n], rho):
+            return False
+    # No live entry of b is met more often than the tuples of found pairs
+    # under it, so all are met that often when the totals agree.
+    by_b = collections.Counter(q for _, q in found)
+    under = by_b.__getitem__  # 0 for a B-state without found pairs
+    expected = sum(
+        math.prod(map(under, ws)) for (ws, _), hb in succ_b.items() if hb[0][0] in live_b
+    )
+    return met == expected
+
+
+def _joined(
+    a: Wta, found: List[Pair], by_a: Dict[str, List[int]]
+) -> Iterator[Tuple[TransKey, Value, Tuple[str, ...], Tuple[int, ...]]]:
+    """Each entry of ``a`` with each tuple of indices of found pairs whose
+    A-states are its child states, once, while ``found`` grows: first the
+    nullary entries; then, as pair n is taken up, the entries with its
+    A-state at position j, with n there, indices < n before j and <= n
+    after j.  Each comes with its weight and the tuple's B-states.
+    ``by_a`` lists the indices of the found pairs of each A-state in
+    increasing order."""
+    succ = a._succ
+    for sym in a.alphabet.nullary_symbols():
+        for t, w in succ.get(((), sym), ()):
+            yield ((), sym, t), w, (), ()
+    uses = automaton._derivation(a, automaton._inverse)[1]
+    delta = a.delta
+    n = 0
+    while n < len(found):
+        for key, j in uses.get(found[n][0], ()):
+            w = delta[key]
+            if len(key[0]) == 1:  # the one tuple (n,), without the slots
+                yield key, w, (found[n][1],), (n,)
+                continue
+            slots = [
+                (n,) if i == j else
+                mine[: (bisect.bisect_left if i < j else bisect.bisect_right)(mine, n)]
+                for i, mine in enumerate(by_a.get(p, ()) for p in key[0])
+            ]
+            for combo in itertools.product(*slots):
+                yield key, w, tuple([found[i][1] for i in combo]), combo
+        n += 1

@@ -197,6 +197,15 @@ def eq(x: Value, y: Value) -> bool:
     return x is y
 
 
+def parts(x: Value) -> tuple:
+    """A key that equal values of one semifield share, as `eq` reads them:
+    a `Fraction`'s two integer parts, any other value itself.  Hashing it
+    takes no modular inverse, as ``hash`` of a `Fraction` does."""
+    if x.__class__ is Fraction:
+        return (x._numerator, x._denominator)
+    return (x,)
+
+
 def _max(x: Fraction, y: Fraction) -> Fraction:
     return y if y._numerator * x._denominator > x._numerator * y._denominator else x
 

@@ -91,6 +91,14 @@ trans gamma(q) -> p @ 1/2
 final q @ 1
 """
 
+# 20 leaves beside sigma/2 label no transition
+UNUSED_LEAVES = (
+    "semifield rational\nrank sigma 2\nrank alpha 0\n"
+    + "".join(f"rank b{i} 0\n" for i in range(20))
+    + "trans alpha() -> p @ 2\ntrans sigma(p,p) -> q @ 3\ntrans sigma(q,p) -> p @ 1/2\n"
+    "final q @ 1\n"
+)
+
 
 @pytest.fixture
 def even_odd():

@@ -386,6 +386,29 @@ def test_dead_states(even_odd, gamma3):
     assert dead_states(a) == frozenset({"d"})
 
 
+def test_live_states_are_slims_states_not_dead():
+    rng = random.Random(354)
+    alphabet = RankedAlphabet([("t", 3), ("s", 2), ("g", 1), ("a", 0), ("b", 0)])
+    automata = [parse_wta(text) for text in (EVEN_ODD, GAMMA3, NON_SLIM, TWO_LEAF)]
+    for _ in range(300):
+        states = tuple(f"r{i}" for i in range(rng.randint(1, 5)))
+        delta = {
+            (ws, sym, rng.choice(states)): sf.RATIONAL.one
+            for sym, k in alphabet._arity.items()
+            for ws in itertools.product(states, repeat=k)
+            if rng.random() < 0.3 / (k + 1)
+        }
+        final = {q: sf.RATIONAL.one for q in states if rng.random() < 0.3}
+        automata.append(Wta(alphabet, states, sf.RATIONAL, delta, final))
+    kinds = set()
+    for a in automata:
+        s = slim(a)
+        live = automaton._live(a)
+        assert live == set(s.states) - dead_states(s), format_wta(a)
+        kinds.add((s is a, len(live) == len(s.states), bool(live)))
+    assert len(kinds) == 6  # slim or not; all live, some dead, or a zero language
+
+
 def test_representative_trees_examples(even_odd, gamma3, non_slim):
     assert representative_trees(gamma3) == {
         "q1": t("alpha", gamma3),

@@ -23,6 +23,7 @@ from conftest import (
     NON_SLIM,
     SYMBOL_C0__A,
     TWO_LEAF,
+    UNUSED_LEAVES,
     UNUSED_WIDE,
     WIDE_NONDET,
     WIDE_NONDET_TREE,
@@ -105,6 +106,21 @@ def test_congruent_oracle_with_an_unused_arity_40_symbol(wta_file, capsys):
     ):
         start = time.perf_counter()
         argv = ["congruent", path, "--mono", "1.alpha", "--mono", m2, "--oracle-depth", "2"]
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == out
+
+
+def test_congruent_oracle_with_20_unused_leaves(wta_file, capsys):
+    # no b_i labels an entry, so no side tree of a context is built from one
+    path = wta_file(UNUSED_LEAVES)
+    for m2, code, out in (
+        ("1/18.sigma(sigma(alpha,alpha),alpha)", 0, "congruent\n"),
+        ("1/6.sigma(alpha,alpha)", 1, "not congruent\n"),
+        ("2/3.alpha", 1, "not congruent\n"),
+    ):
+        start = time.perf_counter()
+        argv = ["congruent", path, "--mono", "1/3.alpha", "--mono", m2, "--oracle-depth", "3"]
         assert main(argv) == code
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().out == out
@@ -517,8 +533,9 @@ def test_check_derives_the_reachable_states_once(wta_file, tmp_path, capsys, mon
         assert len(calls) == 1
         assert f"slim: {slim}\n" in capsys.readouterr().out
 
-    # each derivation over delta runs at most once per automaton object
-    runs = {"_least_keys": [], "_least_steps": [], "_inverse": []}
+    # each derivation over delta runs at most once per automaton object;
+    # equiv reads the inverse view and the live sets, no ordered derivation
+    runs = {"_least_keys": [], "_least_steps": [], "_inverse": [], "_live": []}
 
     def derivation(name):
         derive = getattr(automaton, name)
@@ -532,21 +549,23 @@ def test_check_derives_the_reachable_states_once(wta_file, tmp_path, capsys, mon
     for name in runs:
         monkeypatch.setattr(automaton, name, derivation(name))
     out_path = str(tmp_path / "min.wta")
+    ordered = {"_least_keys", "_least_steps", "_inverse"}
+    unordered = {"_inverse", "_live"}
     for text in (GAMMA3, NON_SLIM, TWO_LEAF):
         path = wta_file(text)
-        for argv, code in (
-            (["check", path], 0),
-            (["minimize", path, "-o", out_path], 0),
-            (["congruent", path, "--mono", "1.alpha", "--mono", "2.alpha"], 1),
-            (["congruent", path, "--mono", "1.alpha", "--mono", "1.alpha", "--oracle-depth", "2"], 0),
-            (["equiv", path, out_path], 0),
-            (["equiv", path, path], 0),
+        for argv, code, derived in (
+            (["check", path], 0, ordered),
+            (["minimize", path, "-o", out_path], 0, ordered),
+            (["congruent", path, "--mono", "1.alpha", "--mono", "2.alpha"], 1, ordered),
+            (["congruent", path, "--mono", "1.alpha", "--mono", "1.alpha", "--oracle-depth", "2"], 0, ordered),
+            (["equiv", path, out_path], 0, unordered),
+            (["equiv", path, path], 0, unordered),
         ):
             for seen in runs.values():
                 seen.clear()
             assert main(argv) == code, argv
+            assert {name for name, seen in runs.items() if seen} == derived, argv
             for name, seen in runs.items():
-                assert seen, (argv, name)
                 assert len({id(a) for a in seen}) == len(seen), (argv, name)
 
 

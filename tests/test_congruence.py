@@ -90,16 +90,17 @@ def test_quotient_matches_reference_refinement(kind):
 
 
 def test_refinement_rounds_hash_no_weight(monkeypatch):
-    """Each normalized weight is hashed once, when the moves are built, not
-    again in each of the chain's 40 Moore rounds."""
-    a = unary_chain(random.Random(5), sf.RATIONAL, 40)
+    """Weights are coded by their integer parts when the moves are built:
+    no `Fraction` is hashed, then or in the chain's 40 Moore rounds."""
     hashed = []
     fraction_hash = Fraction.__hash__
-    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
-    qt = build_syntactic_quotient(a)
-    monkeypatch.undo()
-    assert len(qt.blocks) == 40
-    assert len(hashed) == len(a.states) + len(a.delta) - 1  # finals, then moves
+    for kind in sf.KINDS:
+        a = unary_chain(random.Random(5), kind, 40)
+        monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or fraction_hash(x))
+        qt = build_syntactic_quotient(a)
+        monkeypatch.undo()
+        assert len(qt.blocks) == 40
+        assert hashed == [], kind
 
 
 def test_quotient_gamma3(gamma3):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -42,6 +43,8 @@ from corpus import (
     sparse_binary,
     split_states,
 )
+
+_MINIMIZE = importlib.import_module("budwta.minimize")
 
 
 def rat(x):
@@ -344,6 +347,90 @@ def test_equivalent_ignores_dead_pairs_under_a_binary_symbol(extra):
     assert automaton.dead_states(a) == {"d"}
     assert equivalent(a, b) and equivalent(b, a)
     assert reference_equivalent(a, b) and reference_equivalent(b, a)
+
+
+def _both_ways(a, b, expected):
+    for x, y in ((a, b), (b, a)):
+        assert equivalent(x, y) is expected
+        assert reference_equivalent(x, y) is expected
+
+
+# alpha and beta reach p in `b`, and the proportional p0 and p1 in `a`
+SPLIT_LEAVES = (
+    "semifield rational\nrank alpha 0\nrank beta 0\nrank sigma 2\nrank tau 3\n"
+)
+
+
+@pytest.mark.parametrize("sym, arity", [("sigma", 2), ("tau", 3)])
+def test_equivalent_counts_the_tuples_only_b_has_an_entry_for(sym, arity):
+    # b's one entry sym(p, ..., p) stands for 2^arity tuples of found pairs;
+    # `a` has an entry for each but sym(p1, ..., p1), which only that whole
+    # tuple reaches: the join over a's entries never meets it
+    b = parse_wta(
+        SPLIT_LEAVES + "trans alpha() -> p @ 1\ntrans beta() -> p @ 2\n"
+        f"trans {sym}({','.join(['p'] * arity)}) -> p @ 3\nfinal p @ 1\n"
+    )
+    lines = ["trans alpha() -> p0 @ 1", "trans beta() -> p1 @ 1", "final p0 @ 1", "final p1 @ 2"]
+    for ws in itertools.product(("p0", "p1"), repeat=arity):
+        if ws != ("p1",) * arity:
+            w = Fraction(3 * 2 ** ws.count("p1"))
+            lines.append(f"trans {sym}({','.join(ws)}) -> p0 @ {w}")
+    a = parse_wta(SPLIT_LEAVES + "\n".join(lines) + "\n")
+    _both_ways(a, b, False)
+    full = lines + [f"trans {sym}({','.join(['p1'] * arity)}) -> p0 @ {3 * 2 ** arity}"]
+    _both_ways(parse_wta(SPLIT_LEAVES + "\n".join(full) + "\n"), b, True)
+    # the same entry into a dead state of b is never observed
+    b_dead = parse_wta(format_wta(b).replace("-> p @ 3", "-> d @ 3"))
+    _both_ways(a, b_dead, False)  # a's other sym entries are live
+    _both_ways(parse_wta(SPLIT_LEAVES + "\n".join(lines[:4]) + "\n"), b_dead, True)
+
+
+def test_equivalent_on_unreachable_and_dead_states_on_both_sides():
+    head = "semifield rational\nrank alpha 0\nrank gamma 1\nrank sigma 2\n"
+    # u and v are never reached; d and e are reached and never observed
+    a = parse_wta(
+        head + "trans alpha() -> p @ 2\ntrans gamma(p) -> q @ 3\nfinal q @ 1\n"
+        "trans gamma(u) -> q @ 5\ntrans sigma(u,p) -> u @ 1\nfinal u @ 1\n"
+        "trans sigma(p,q) -> d @ 7\ntrans gamma(d) -> d @ 1\n"
+    )
+    b = parse_wta(
+        head + "trans alpha() -> r @ 1\ntrans gamma(r) -> s @ 6\nfinal s @ 1\n"
+        "trans gamma(v) -> s @ 9\ntrans sigma(v,v) -> v @ 1\nfinal v @ 4\n"
+        "trans sigma(s,r) -> e @ 1\ntrans gamma(e) -> e @ 2\n"
+    )
+    assert automaton.reachable_states(a) == {"p", "q", "d"}
+    assert automaton.reachable_states(b) == {"r", "s", "e"}
+    assert automaton.dead_states(slim(a)) == {"d"} and automaton.dead_states(slim(b)) == {"e"}
+    _both_ways(a, b, True)
+    # observing d or e is a difference
+    _both_ways(parse_wta(format_wta(a) + "final d @ 1\n"), b, False)
+    _both_ways(a, parse_wta(format_wta(b) + "final e @ 1\n"), False)
+
+
+@pytest.mark.parametrize("other", ["", "trans beta() -> d @ 1\n"])
+def test_equivalent_one_sided_live_leaf(other):
+    # beta reaches the live q in `a`, and nothing or the dead d in `b`
+    head = "semifield rational\nrank alpha 0\nrank beta 0\nrank gamma 1\n"
+    a = parse_wta(head + "trans alpha() -> p @ 1\ntrans beta() -> q @ 1\nfinal p @ 1\nfinal q @ 2\n")
+    b = parse_wta(head + "trans alpha() -> p @ 1\nfinal p @ 1\n" + other)
+    _both_ways(a, b, False)
+
+
+def test_equivalent_joins_each_entry_once_on_sparse_binary(monkeypatch):
+    a = sparse_binary(random.Random(1), sf.RATIONAL, 500)
+    b = parse_wta(format_wta(minimize(a)))
+    a = parse_wta(format_wta(a))
+    joined = _MINIMIZE._joined
+    met = []
+
+    def counting(*args):
+        for item in joined(*args):
+            met.append(item)
+            yield item
+
+    monkeypatch.setattr(_MINIMIZE, "_joined", counting)
+    assert equivalent(a, b)
+    assert len(met) <= len(a.delta)
 
 
 TERNARY = terms.RankedAlphabet([("t", 3), ("g", 1), ("a", 0), ("b", 0)])

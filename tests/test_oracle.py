@@ -114,6 +114,28 @@ def test_oracle_matches_per_context_oracle_with_unused_symbols(kind):
             assert {p: set(obs) for p, obs in new.pair_obs.items()} == old.pair_obs
 
 
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_oracle_matches_per_context_oracle_with_unused_leaves(kind):
+    # u/0 labels no transition: a context with a u side tree has an
+    # all-zero row, and a unary alphabet has no such context
+    automata = []
+    for a in small_corpus(kind, 24, seed=2):
+        alphabet = terms.RankedAlphabet([*a.alphabet._arity.items(), ("u", 0)])
+        automata.append(automaton.Wta(alphabet, a.states, kind, a.delta, a.final))
+    # no leaf labels a transition, so the first one is kept; with and
+    # without a symbol that could hold one as a side tree
+    for wide in ("", "rank s 2\n"):
+        automata.append(automaton.parse_wta(
+            f"semifield {kind}\nrank g 1\nrank b 0\nrank a 0\n{wide}"
+            "trans g(p) -> q @ 1\ntrans g(q) -> p @ 1\nfinal p @ 1\n"
+        ))
+    for a in automata:
+        for height in range(3 if "s" in a.alphabet else 4):  # s/2, a, u: 4 637 contexts of height 3
+            new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
+            assert new.col_nonzero == old.col_nonzero
+            assert {p: set(obs) for p, obs in new.pair_obs.items()} == old.pair_obs
+
+
 def test_tables_of_a_context_killed_by_a_side_tree():
     # beta has no transition: every context with a beta side tree has no run
     a = automaton.parse_wta(

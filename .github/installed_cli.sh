@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
-# console script on README.md's counter.wta, on a tropical file, and on two
-# wide-symbol files, a 2000-state sparse binary file and a file of unused
-# leaves, each of those four under a 20 s timeout: stdout and exit codes.
+# console script on README.md's counter.wta, on a tropical file, and on
+# wide-symbol files, a 2000-state sparse binary file, a 1600-state unary
+# chain and a file of unused leaves, each of those under a 10 or 20 s
+# timeout: stdout and exit codes.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -58,6 +59,18 @@ test "$(timeout 20 budwta congruent unused.wta --mono 1.alpha --mono '2/3.gamma(
 PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.sparse_binary(random.Random(1), budwta.RATIONAL, 2000)), end="")' > sparse.wta
 budwta minimize sparse.wta -o sparse_min.wta > /dev/null
 test "$(timeout 20 budwta equiv sparse.wta sparse_min.wta)" = "equivalent"
+# a wide symbol that labels a transition: depth 3 is over the oracle's cap,
+# refused from the count before any context is built
+printf 'semifield rational\nrank a 0\nrank f 12\ntrans a() -> q @ 2\ntrans f(%sq) -> q @ 1/2\nfinal q @ 1\n' "$(printf 'q,%.0s' $(seq 11))" > wide_used.wta
+code=0; timeout 10 budwta congruent wide_used.wta --mono 1.a --mono 2.a --oracle-depth 3 || code=$?
+test "$code" -eq 2
+# the oracle folds only the state pair a question is about: a 1600-state chain
+PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.unary_chain(random.Random(1), budwta.RATIONAL, 1600)), end="")' > chain.wta
+last="$(printf 'g(%.0s' $(seq 1599))a$(printf ')%.0s' $(seq 1599))"
+test "$(timeout 20 budwta congruent chain.wta --mono 1.a --mono 1.a --oracle-depth 3)" = "congruent"
+code=0; out=$(timeout 20 budwta congruent chain.wta --mono "1.$last" --mono "2.$last" --oracle-depth 3) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
 # the oracle builds no side tree from the 20 leaves that label no transition
 { printf 'semifield rational\nrank sigma 2\nrank alpha 0\n'; printf 'rank b%s 0\n' $(seq 20); printf 'trans alpha() -> p @ 2\ntrans sigma(p,p) -> q @ 3\ntrans sigma(q,p) -> p @ 1/2\nfinal q @ 1\n'; } > leaves.wta
 test "$(timeout 20 budwta congruent leaves.wta --mono 1/3.alpha --mono '1/18.sigma(sigma(alpha,alpha),alpha)' --oracle-depth 3)" = "congruent"

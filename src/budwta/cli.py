@@ -27,6 +27,10 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
+# the most contexts `congruent --oracle-depth` enumerates, each a table of one
+# run per state: 56 321 contexts (f/10 at depth 2, one state) take about 1 s
+ORACLE_CONTEXTS = 100_000
+
 
 class _CliInputError(Exception):
     pass
@@ -122,6 +126,15 @@ def _cmd_congruent(args) -> int:
     m1 = scalar.parse_monomial(args.monomials[0], a.alphabet, a.kind)
     m2 = scalar.parse_monomial(args.monomials[1], a.alphabet, a.kind)
     s = automaton.slim(a)
+    if depth is not None:  # counted before any context is built
+        for h, count in enumerate(congruence.oracle_context_counts(s)):
+            if count > ORACLE_CONTEXTS:
+                raise _CliInputError(
+                    f"--oracle-depth {depth} is over the oracle's cap of "
+                    f"{ORACLE_CONTEXTS} contexts: there are {count} of height <= {h}"
+                )
+            if h == depth:
+                break
     qt = congruence.build_syntactic_quotient(s)
     answer = congruence.congruent(qt, m1, m2)
     if depth is not None:

@@ -152,25 +152,25 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
 
 
 def _monomial_run(a: Wta, m: Monomial) -> DetValue:
-    """The run of ``m.tree`` scaled by ``m.weight``; None for a zero weight,
-    whose tree is not looked at.  The weight is checked to be in the
+    """The run of ``m.tree``, not scaled by ``m.weight``; None for a zero
+    weight, whose tree is not looked at.  The weight is checked to be in the
     semifield first; `automaton.h_det` refuses an automaton not bu-det."""
     k = a.kind
     if not k.contains(m.weight):
         raise SemifieldError(f"monomial weight {m.weight!r} is not in the {k} semifield")
     if eq(m.weight, k.zero):
         return None
-    v = automaton._run(a, m.tree) if a.budet else automaton.h_det(a, m.tree)
-    return None if v is None else (v[0], k.times(m.weight, v[1]))
+    return automaton._run(a, m.tree) if a.budet else automaton.h_det(a, m.tree)
 
 
 def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
-    """Congruence class of a monomial; None is the class of the zero language."""
+    """Congruence class of a monomial; None is the class of the zero language.
+    Its factor is the weight, the run weight and lam, as one product."""
     v = _monomial_run(qt.wta, m)
     if v is None or v[0] in qt.dead:
         return None
-    q, w = v
-    return (qt.block_of[q], qt.wta.kind.times(w, qt.lam[q]))
+    q, x = v
+    return (qt.block_of[q], qt.wta.kind.product((m.weight, x, qt.lam[q])))
 
 
 def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
@@ -242,6 +242,24 @@ def _step_table(
     return tuple(out)
 
 
+def _enumerated_symbols(a: Wta) -> List[Tuple[str, int]]:
+    """The symbols `BoundedContextOracle` enumerates contexts over, with
+    their arities: those that label a transition, in declaration order, and
+    the first nullary symbol if none of those is nullary."""
+    labels = {sym for _ws, sym, _q in a.delta}
+    leaves = a.alphabet.nullary_symbols()
+    if labels.isdisjoint(leaves):
+        labels.add(leaves[0])
+    return [(s, k) for s, k in a.alphabet._arity.items() if s in labels]
+
+
+def oracle_context_counts(a: Wta) -> Iterator[int]:
+    """`terms.context_counts` over the symbols `BoundedContextOracle`
+    enumerates: count h is the number of contexts, each one table, that
+    ``BoundedContextOracle(a, h)`` builds.  Nothing is enumerated."""
+    return terms.context_counts(terms.RankedAlphabet(_enumerated_symbols(a)))
+
+
 class BoundedContextOracle:
     """Checks the congruence condition over every context up to a height.
 
@@ -251,9 +269,12 @@ class BoundedContextOracle:
     the literal context's elementary factors one by one, the reference the
     test suite checks the tables against.  Each table gives one observation
     row, the weight of plugging a unit run at each state into the context
-    and reading the final weight.  The distinct rows are kept, then folded
-    into the distinct observation pairs per ordered state pair, so that a
-    membership query costs only a few weight comparisons per pair.
+    and reading the final weight.  Each distinct observation value is coded
+    by its integer parts into a small int, and the distinct rows of codes
+    are kept as one column per state.  A query about states (q1, q2) folds
+    their two columns into the distinct observation pairs once, on the first
+    query about that pair, and keeps them in ``pair_obs``: ints are hashed,
+    no `Fraction`.  A query then costs one product per side per pair.
 
     The contexts range over the symbols that label a transition, in
     declaration order, and the first nullary symbol if none of those is
@@ -269,30 +290,48 @@ class BoundedContextOracle:
         self.wta = a
         self.ctx_height = ctx_height
         zero = a.kind.zero
-        labels = {sym for _ws, sym, _q in a.delta}
-        leaves = a.alphabet.nullary_symbols()
-        if labels.isdisjoint(leaves):
-            labels.add(leaves[0])
+        codes: Dict[tuple, int] = {parts(zero): 0}  # parts of a value -> its code
+        values: List[Value] = [zero]  # code -> value
+
+        def code(x: Value) -> int:
+            key = parts(x)
+            c = codes.get(key)
+            if c is None:
+                c = codes[key] = len(values)
+                values.append(x)
+            return c
+
         symbols = a.alphabet._arity.items()
-        used = [(s, k) for s, k in symbols if s in labels]
+        used = _enumerated_symbols(a)
         rows = set()
         if len(used) < len(symbols):
+            labels = {s for s, _k in used}
             wide = any(k >= 2 for _s, k in symbols)
             if ctx_height >= 1 and any(k or wide for s, k in symbols if s not in labels):
-                rows.add((zero,) * len(a.states))
-            a = Wta(terms.RankedAlphabet(used), a.states, a.kind, a.delta, a.final)
+                rows.add((0,) * len(a.states))
+            a = Wta(terms.RankedAlphabet(used), automaton._NamesChecked(a.states),
+                    a.kind, a.delta, a.final)
         rows.update(
-            tuple(automaton._read_out(a, v) for v in table)
+            tuple(code(automaton._read_out(a, v)) for v in table)
             for _c, table in context_tables(a, ctx_height)
         )
-        states = a.states
+        self._values = values
+        self._columns = dict(zip(a.states, zip(*rows)))
         self.col_nonzero: Dict[str, bool] = {
-            q: any(not eq(row[i], zero) for row in rows) for i, q in enumerate(states)
+            q: any(col) for q, col in self._columns.items()
         }
+        # the distinct observation pairs of each state pair asked so far
         self.pair_obs: Dict[Tuple[str, str], Tuple[Tuple[Value, Value], ...]] = {}
-        for i, q1 in enumerate(states):
-            for j, q2 in enumerate(states):
-                self.pair_obs[(q1, q2)] = tuple({(row[i], row[j]) for row in rows})
+
+    def observations(self, q1: str, q2: str) -> Tuple[Tuple[Value, Value], ...]:
+        """The distinct (observation at q1, observation at q2) over the
+        contexts, folded from the columns on the first call for the pair."""
+        obs = self.pair_obs.get((q1, q2))
+        if obs is None:
+            v, col = self._values, self._columns
+            obs = tuple((v[i], v[j]) for i, j in set(zip(col[q1], col[q2])))
+            self.pair_obs[(q1, q2)] = obs
+        return obs
 
     def congruent(self, m1: Monomial, m2: Monomial) -> bool:
         v1 = _monomial_run(self.wta, m1)
@@ -300,10 +339,10 @@ class BoundedContextOracle:
         if v1 is None or v2 is None:
             v = v1 or v2
             return v is None or not self.col_nonzero[v[0]]
-        (q1, c1), (q2, c2) = v1, v2
-        times = self.wta.kind.times
-        for o1, o2 in self.pair_obs[(q1, q2)]:
-            if not eq(times(c1, o1), times(c2, o2)):
+        (q1, x1), (q2, x2) = v1, v2
+        product, w1, w2 = self.wta.kind.product, m1.weight, m2.weight
+        for o1, o2 in self.observations(q1, q2):
+            if not eq(product((w1, x1, o1)), product((w2, x2, o2))):
                 return False
         return True
 

@@ -23,9 +23,9 @@ class Monomial(NamedTuple):
 
 def parse_monomial(text: str, alphabet: RankedAlphabet, kind: Semifield) -> Monomial:
     """Parse ``WEIGHT.TREE``, e.g. ``1/2.sigma(alpha,alpha)``."""
-    if "." not in text:
+    wtext, dot, ttext = text.partition(".")
+    if not dot:
         raise terms.TermError(f"monomial needs the form WEIGHT.TREE: {text[:60]!r}")
-    wtext, ttext = text.split(".", 1)
     return Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
 
 

@@ -22,13 +22,13 @@ numerator; zero is ``0/1``.  So `eq`, the one equality of weights, compares
 two values of one semifield by their parts (`True`, `False` and `None` by
 identity); a value that broke these rules would differ from an equal one,
 in `eq` and ``hash``, without any error.  `Semifield.product` multiplies
-many weights: the rational kinds multiply all the parts and reduce once.
+many weights: the rational kinds multiply all the parts and reduce once,
+and tropical adds them over one common denominator and reduces once.
 """
 
 from __future__ import annotations
 
 import decimal
-import functools
 import math
 import operator
 import re
@@ -67,7 +67,27 @@ class Semifield:
         return self._inverse(x)
 
     def parse(self, text: str) -> Value:
-        """Weight text: an integer, ``p/q`` with q > 0, or ``inf`` (tropical)."""
+        """Weight text: an integer, ``p/q`` with q > 0, or ``inf`` (tropical).
+
+        Plain ASCII digits, with or without one ``/`` and of up to 640 each,
+        are read by str methods and ``int``; every other text (a sign,
+        whitespace, a zero denominator, a longer number, a malformed one)
+        goes through the grammar, `_parse_spelled`, which gives every error.
+        """
+        num, slash, den = text.partition("/")
+        if (text.isascii() and num.isdigit() and len(num) <= _DIGITS
+                and (not slash or den.isdigit() and len(den) <= _DIGITS)):
+            if not slash:
+                return self.from_fraction(int(num))
+            d = int(den)
+            if d:
+                n = int(num)
+                g = _gcd(n, d)
+                return self.from_fraction(_fraction(n // g, d // g))
+        return self._parse_spelled(text)
+
+    def _parse_spelled(self, text: str) -> Value:
+        """`parse` by the weight text grammar, `_NUM_RE`."""
         text = text.strip()
         match = _NUM_RE.fullmatch(text)
         if match is None:
@@ -166,9 +186,18 @@ def _product(xs: Iterable[Fraction]) -> Fraction:
     return _fraction(n // g, d // g)
 
 
-def _fold(times: Callable[[Value, Value], Value], one: Value):
-    """The product of many weights as a fold of ``times`` from ``one``."""
-    return lambda xs: functools.reduce(times, xs, one)
+def _sum(xs: Iterable[Value]) -> Value:
+    """The tropical product of many weights, their sum: all the fractions
+    over the product of their denominators, reduced once; inf absorbs."""
+    n, d = 0, 1
+    for x in xs:
+        if x is None:
+            return None
+        xd = x._denominator
+        n = n * xd + x._numerator * d
+        d *= xd
+    g = _gcd(n, d)
+    return _fraction(n // g, d // g)
 
 
 def _zero_or_one(x: Union[int, Fraction]) -> bool:
@@ -230,8 +259,7 @@ RATIONAL = Semifield(
 )
 BOOLEAN = Semifield(
     "boolean", False, True, operator.or_, operator.and_, lambda x: x,
-    lambda x: x.__class__ is bool, _zero_or_one,
-    _fold(operator.and_, True),
+    lambda x: x.__class__ is bool, _zero_or_one, all,
 )
 MAXTIMES = Semifield(
     "maxtimes", Fraction(0), Fraction(1), _max, _mul, _reciprocal,
@@ -239,8 +267,7 @@ MAXTIMES = Semifield(
 )
 TROPICAL = Semifield(
     "tropical", None, Fraction(0), _min_plus, _add_finite, _negative,
-    lambda x: x is None or x.__class__ is Fraction, _exact,
-    _fold(_add_finite, Fraction(0)),
+    lambda x: x is None or x.__class__ is Fraction, _exact, _sum,
 )
 
 KINDS = (RATIONAL, BOOLEAN, MAXTIMES, TROPICAL)

@@ -349,3 +349,24 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tr
                         level.append(Tree(s, tuple(kids)))
         yield from level
         ctx_seen.extend(level)
+
+
+def context_counts(alphabet: RankedAlphabet) -> Iterator[int]:
+    """For h = 0, 1, 2, ...: the number of contexts of height <= h, as many
+    as `enumerate_contexts` yields, counted without building one.
+
+    A context of height <= h + 1 is ``z`` or s(t1, ..., c, ..., tk) with c a
+    context and every ti a tree, all of height <= h: ``k * C(h) * T(h)^(k-1)``
+    of them per symbol s of arity k >= 1, with T(h + 1) = the sum over
+    symbols of T(h)^k and T(-1) = 0.  The counts grow at every height, or
+    stay at 1 when ``z`` is the only context (no symbol of arity >= 1 has
+    trees for its other places); then they stop after the first.
+    """
+    arities = list(alphabet._arity.values())
+    trees = sum(0**k for k in arities)  # the leaves
+    contexts, last = 1, None  # z
+    while contexts != last:
+        yield contexts
+        last = contexts
+        contexts = 1 + sum(k * contexts * trees ** (k - 1) for k in arities if k)
+        trees = sum(trees**k for k in arities)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import importlib
 
-from budwta import automaton, congruence, semifield as sf
+from budwta import automaton, cli, congruence, semifield as sf, terms
 from budwta.automaton import WtaError, format_wta, parse_wta
 from budwta.cli import main
 
@@ -124,6 +124,55 @@ def test_congruent_oracle_with_20_unused_leaves(wta_file, capsys):
         assert main(argv) == code
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().out == out
+
+
+WIDE_USED = """\
+semifield rational
+rank a 0
+rank f 12
+trans a() -> q @ 2
+trans f(q,q,q,q,q,q,q,q,q,q,q,q) -> q @ 1/2
+final q @ 1
+"""
+
+
+def test_oracle_depth_over_the_cap_exits_2_before_any_context(wta_file, capsys, monkeypatch):
+    # f/12 labels a transition: 1, 13 and 319 489 contexts of height <= 0, 1, 2
+    path = wta_file(WIDE_USED)
+    argv = ["congruent", path, "--mono", "1.a", "--mono", "2.a"]
+
+    def refused(*args):
+        raise AssertionError("a context was enumerated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(terms, "enumerate_contexts", refused)
+        for depth in ("2", "3", "9" * 30):  # the count stops at the first height over the cap
+            assert main(argv + ["--oracle-depth", depth]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --oracle-depth {depth} is over the oracle's cap of "
+                f"{cli.ORACLE_CONTEXTS} contexts: there are 319489 of height <= 2\n"
+            )
+        # with the cap at 13, depth 1 is within it and depth 2 is not
+        patch.setattr(cli, "ORACLE_CONTEXTS", 13)
+        assert main(argv + ["--oracle-depth", "2"]) == 2
+        assert "there are 319489 of height <= 2" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "ORACLE_CONTEXTS", 13)
+    assert main(argv + ["--oracle-depth", "1"]) == 1
+    assert capsys.readouterr().out == "not congruent\n"
+
+
+def test_oracle_depth_on_a_unary_chain_is_not_capped(wta_file, capsys):
+    # one unary symbol: height h has h + 1 contexts, so a large depth is cheap
+    path = wta_file(UNUSED_WIDE)
+    argv = ["congruent", path, "--mono", "1.alpha", "--mono", "2/3.gamma(gamma(alpha))"]
+    start = time.perf_counter()
+    assert main(argv + ["--oracle-depth", "300"]) == 0
+    assert time.perf_counter() - start < 2
+    assert main(argv + ["--oracle-depth", str(cli.ORACLE_CONTEXTS)]) == 2
+    assert f"there are {cli.ORACLE_CONTEXTS + 1} of height <= {cli.ORACLE_CONTEXTS}" in (
+        capsys.readouterr().err)
 
 
 def test_validate_nondeterministic(wta_file, capsys):

@@ -1,5 +1,6 @@
 """The bounded-context oracle's context tables, against a run per context."""
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from corpus import (
     random_monomial,
     small_corpus,
     split_states,
+    unary_chain,
 )
 
 
@@ -78,14 +80,24 @@ def test_lam_scales_every_literal_context(kind):
     assert rows > 50_000
 
 
+def _assert_same_observations(new, old):
+    """Ask ``new`` about every state pair first, then compare its observation
+    pairs with the per-context reference's, pair by pair."""
+    for q1, q2 in old.pair_obs:
+        new.observations(q1, q2)
+    assert new.col_nonzero == old.col_nonzero
+    assert new.pair_obs.keys() == old.pair_obs.keys()
+    for pair, obs in old.pair_obs.items():
+        assert len(new.pair_obs[pair]) == len(obs) and set(new.pair_obs[pair]) == obs, pair
+
+
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
 def test_oracle_matches_per_context_oracle(kind):
     rng = random.Random(f"oracle:{kind}")
     for a in small_corpus(kind, 12, seed=1):
         height = 2 * len(a.states)
         new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-        assert new.col_nonzero == old.col_nonzero
-        assert {p: set(obs) for p, obs in new.pair_obs.items()} == old.pair_obs
+        _assert_same_observations(new, old)
         trees = list(enumerate_trees(a.alphabet, 3))
         for _ in range(200):
             m1 = random_monomial(rng, kind, trees)
@@ -110,8 +122,7 @@ def test_oracle_matches_per_context_oracle_with_unused_symbols(kind):
     for a in automata:
         for height in range(4):
             new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-            assert new.col_nonzero == old.col_nonzero
-            assert {p: set(obs) for p, obs in new.pair_obs.items()} == old.pair_obs
+            _assert_same_observations(new, old)
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -132,8 +143,51 @@ def test_oracle_matches_per_context_oracle_with_unused_leaves(kind):
     for a in automata:
         for height in range(3 if "s" in a.alphabet else 4):  # s/2, a, u: 4 637 contexts of height 3
             new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-            assert new.col_nonzero == old.col_nonzero
-            assert {p: set(obs) for p, obs in new.pair_obs.items()} == old.pair_obs
+            _assert_same_observations(new, old)
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_a_query_folds_only_the_pair_it_asks(kind):
+    # g^n(a) reaches q_n of the chain
+    a = unary_chain(random.Random(1), kind, 40)
+    oracle = BoundedContextOracle(a, 3)
+    assert oracle.pair_obs == {}
+    m3, m7 = (scalar.parse_monomial("1." + "g(" * n + "a" + ")" * n, a.alphabet, kind)
+              for n in (3, 7))
+    oracle.congruent(m3, m7)
+    assert list(oracle.pair_obs) == [("q3", "q7")]
+    asked = oracle.pair_obs[("q3", "q7")]
+    oracle.congruent(m3._replace(weight=kind.zero), m7)  # a zero monomial asks no pair
+    oracle.congruent(m3, m7)
+    assert list(oracle.pair_obs) == [("q3", "q7")] and oracle.pair_obs[("q3", "q7")] is asked
+    oracle.congruent(m7, m3)
+    assert list(oracle.pair_obs) == [("q3", "q7"), ("q7", "q3")]
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_context_counts_match_the_oracles_enumeration(kind, monkeypatch):
+    # the small corpus, and automata whose alphabets have unused symbols
+    automata = list(small_corpus(kind, 12, seed=3))
+    for ranks in ("rank g 1\nrank f 3\n", "rank s 2\nrank b 0\n"):
+        automata.append(automaton.parse_wta(
+            f"semifield {kind}\nrank g2 1\nrank a 0\n{ranks}"
+            "trans a() -> p @ 1\ntrans g2(p) -> q @ 1\nfinal q @ 1\n"
+        ))
+    enumerated = []
+    enumerate_contexts = terms.enumerate_contexts
+
+    def counted(alphabet, height):
+        for c in enumerate_contexts(alphabet, height):
+            enumerated.append(c)
+            yield c
+
+    monkeypatch.setattr(terms, "enumerate_contexts", counted)
+    for a in automata:
+        counts = list(itertools.islice(congruence.oracle_context_counts(a), 4))
+        for height in range(4):
+            enumerated.clear()
+            BoundedContextOracle(a, height)
+            assert len(enumerated) == counts[min(height, len(counts) - 1)]
 
 
 def test_tables_of_a_context_killed_by_a_side_tree():

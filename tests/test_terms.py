@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
 import re
@@ -207,6 +208,24 @@ def test_enumeration_contexts_distinct():
     assert all(height(c) <= 3 for c in ctxs)
     # K(d) = 1 + 2*K(d-1)*T(<=d-1): 1, 3, 13, 131
     assert len(ctxs) == 131
+
+
+def test_context_counts_match_the_enumeration():
+    alphabets = [SIG, UNARY, RankedAlphabet([("alpha", 0)]),
+                 RankedAlphabet([("f", 3), ("gamma", 1), ("alpha", 0), ("beta", 0)]),
+                 RankedAlphabet([("g", 1), ("g2", 1), ("alpha", 0)]),
+                 RankedAlphabet([("f", 5), ("alpha", 0)])]
+    for alphabet in alphabets:
+        counts = list(itertools.islice(terms.context_counts(alphabet), 4))
+        for h, n in enumerate(counts):
+            if n > 10_000:
+                break
+            assert n == sum(1 for _ in enumerate_contexts(alphabet, h)), (alphabet, h)
+        if len(counts) < 4:  # the counts stop once they stop growing
+            assert counts == [1] and sum(1 for _ in enumerate_contexts(alphabet, 5)) == 1
+    # 1, 13, 319 489 contexts for f/12: counted, not enumerated
+    assert list(itertools.islice(terms.context_counts(
+        RankedAlphabet([("f", 12), ("a", 0)])), 3)) == [1, 13, 319_489]
 
 
 def test_enumeration_is_height_then_declaration_order():

@@ -48,13 +48,6 @@ def _check_state_names(names: Iterable[object], alphabet: RankedAlphabet, where:
             raise WtaError(f"{where}state name collides with symbol {q!r}")
 
 
-class _NamesChecked(tuple):
-    """States whose names were checked against the alphabet they are built
-    with: by `parse_wta` line by line, or taken from an automaton over the
-    same or a larger alphabet.  `Wta` stores them as a plain tuple and does
-    not check them again."""
-
-
 @dataclass(frozen=True, eq=False)
 class Wta:
     """An immutable automaton.
@@ -62,8 +55,7 @@ class Wta:
     ``kind`` is a `semifield.Semifield`; every weight in ``delta`` and
     ``final`` is a nonzero raw value of it, checked once, here.  Every
     state name is one that `parse_wta` reads back from `format_wta`'s
-    text: an identifier, neither ``z`` nor a symbol; states given as
-    `_NamesChecked` were checked before and are not checked again.
+    text: an identifier, neither ``z`` nor a symbol.
     The derived fields are computed once, here: ``_succ`` indexes delta by
     (state tuple, symbol) and ``budet`` records bottom-up determinism; the
     loop that builds ``_succ`` checks each entry and names the first bad one.
@@ -89,7 +81,6 @@ class Wta:
     def __post_init__(self) -> None:
         # a tuple and read-only copies of the caller's states and maps
         _init = object.__setattr__
-        checked = self.states.__class__ is _NamesChecked
         _init(self, "states", tuple(self.states))
         delta = dict(self.delta)
         final = dict(self.final)
@@ -103,8 +94,7 @@ class Wta:
         stateset = set(self.states)
         if len(stateset) != len(self.states):
             raise WtaError("duplicate state names")
-        if not checked:
-            _check_state_names(self.states, self.alphabet)
+        _check_state_names(self.states, self.alphabet)
         arities = self.alphabet._arity
         succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
         for (ws, sym, q), w in delta.items():
@@ -434,7 +424,7 @@ def slim(a: Wta) -> Wta:
     # an entry whose child states are all realized realizes its target
     delta = {key: w for key, w in a.delta.items() if reached.issuperset(key[0])}
     final = {q: w for q, w in a.final.items() if q in reached}
-    return Wta(a.alphabet, _NamesChecked(keep), a.kind, delta, final)
+    return Wta(a.alphabet, keep, a.kind, delta, final)
 
 
 def dead_states(a: Wta) -> FrozenSet[str]:
@@ -507,8 +497,7 @@ def parse_wta(text: str) -> Wta:
     Lines: ``semifield KIND``, ``rank SYM ARITY``,
     ``trans SYM(q1,...,qk) -> q @ w``, ``final q @ w``; ``#`` starts a
     comment.  A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as universal
-    newlines read it.  States are introduced by first use, and each name
-    is checked once, on the line that introduces it.  Duplicate
+    newlines read it.  States are introduced by first use.  Duplicate
     transition keys, duplicate final states and duplicate rank lines are
     errors.  Zero weights are accepted and normalized away.
     """
@@ -622,7 +611,7 @@ def parse_wta(text: str) -> Wta:
         raise WtaError("automaton declares no states (no trans/final lines)")
     delta = {key: w for key, w in entries.items() if w is not _MISS}
     final = {q: w for q, w in finals.items() if w is not _MISS}
-    return Wta(alphabet, _NamesChecked(states), kind, delta, final)
+    return Wta(alphabet, tuple(states), kind, delta, final)
 
 
 def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:

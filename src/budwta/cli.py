@@ -27,9 +27,10 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-# the most contexts `congruent --oracle-depth` enumerates, each a table of one
-# run per state: 56 321 contexts (f/10 at depth 2, one state) take about 1 s
-ORACLE_CONTEXTS = 100_000
+# the most table cells `congruent --oracle-depth` builds: each context is a
+# table of one run per state, so contexts times states; 56 321 contexts
+# (f/10 at depth 2, one state) take about 1 s
+ORACLE_CELLS = 100_000
 
 
 class _CliInputError(Exception):
@@ -128,10 +129,11 @@ def _cmd_congruent(args) -> int:
     s = automaton.slim(a)
     if depth is not None:  # counted before any context is built
         for h, count in enumerate(congruence.oracle_context_counts(s)):
-            if count > ORACLE_CONTEXTS:
+            if count * len(s.states) > ORACLE_CELLS:
                 raise _CliInputError(
                     f"--oracle-depth {depth} is over the oracle's cap of "
-                    f"{ORACLE_CONTEXTS} contexts: there are {count} of height <= {h}"
+                    f"{ORACLE_CELLS} table cells: {count} contexts of height "
+                    f"<= {h} times {len(s.states)} states"
                 )
             if h == depth:
                 break

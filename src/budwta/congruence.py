@@ -309,8 +309,7 @@ class BoundedContextOracle:
             wide = any(k >= 2 for _s, k in symbols)
             if ctx_height >= 1 and any(k or wide for s, k in symbols if s not in labels):
                 rows.add((0,) * len(a.states))
-            a = Wta(terms.RankedAlphabet(used), automaton._NamesChecked(a.states),
-                    a.kind, a.delta, a.final)
+            a = Wta(terms.RankedAlphabet(used), a.states, a.kind, a.delta, a.final)
         rows.update(
             tuple(code(automaton._read_out(a, v)) for v in table)
             for _c, table in context_tables(a, ctx_height)

@@ -67,27 +67,7 @@ class Semifield:
         return self._inverse(x)
 
     def parse(self, text: str) -> Value:
-        """Weight text: an integer, ``p/q`` with q > 0, or ``inf`` (tropical).
-
-        Plain ASCII digits, with or without one ``/`` and of up to 640 each,
-        are read by str methods and ``int``; every other text (a sign,
-        whitespace, a zero denominator, a longer number, a malformed one)
-        goes through the grammar, `_parse_spelled`, which gives every error.
-        """
-        num, slash, den = text.partition("/")
-        if (text.isascii() and num.isdigit() and len(num) <= _DIGITS
-                and (not slash or den.isdigit() and len(den) <= _DIGITS)):
-            if not slash:
-                return self.from_fraction(int(num))
-            d = int(den)
-            if d:
-                n = int(num)
-                g = _gcd(n, d)
-                return self.from_fraction(_fraction(n // g, d // g))
-        return self._parse_spelled(text)
-
-    def _parse_spelled(self, text: str) -> Value:
-        """`parse` by the weight text grammar, `_NUM_RE`."""
+        """Weight text: an integer, ``p/q`` with q > 0, or ``inf`` (tropical)."""
         text = text.strip()
         match = _NUM_RE.fullmatch(text)
         if match is None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from budwta import automaton, congruence, semifield as sf, terms
+from budwta import automaton, semifield as sf, terms
 from budwta.automaton import (
     PreconditionError,
     Wta,
@@ -616,32 +616,6 @@ def test_state_names_that_do_not_parse_back_are_refused():
     again = parse_wta(text)
     assert again.states == names
     assert format_wta(again) == text
-
-
-def test_parse_checks_each_state_name_once(monkeypatch):
-    """`parse_wta` checks a name on the line that introduces it, and the
-    automaton it returns does not check them again; nor do `slim` and the
-    oracle's copy, whose names come from a checked automaton.  A `Wta`
-    built by a caller checks its names."""
-    checked = []
-    check = automaton._check_state_names
-
-    def counted(names, *args):
-        names = tuple(names)
-        checked.extend(names)
-        return check(names, *args)
-
-    monkeypatch.setattr(automaton, "_check_state_names", counted)
-    for text in (EVEN_ODD, NON_SLIM, format_wta(chain(random.Random(1), sf.RATIONAL, 30))):
-        checked.clear()
-        a = parse_wta(text)
-        assert sorted(checked) == sorted(a.states)
-        checked.clear()
-        slim(a)
-        congruence.BoundedContextOracle(slim(a), 1)
-        assert checked == []
-        Wta(a.alphabet, a.states, a.kind, a.delta, a.final)
-        assert checked == list(a.states)
 
 
 def test_zero_weights_normalized_away():

@@ -136,43 +136,67 @@ final q @ 1
 """
 
 
+def _refuse_contexts(*args):
+    raise AssertionError("a context was enumerated")
+
+
 def test_oracle_depth_over_the_cap_exits_2_before_any_context(wta_file, capsys, monkeypatch):
     # f/12 labels a transition: 1, 13 and 319 489 contexts of height <= 0, 1, 2
     path = wta_file(WIDE_USED)
     argv = ["congruent", path, "--mono", "1.a", "--mono", "2.a"]
-
-    def refused(*args):
-        raise AssertionError("a context was enumerated")
-
     with monkeypatch.context() as patch:
-        patch.setattr(terms, "enumerate_contexts", refused)
+        patch.setattr(terms, "enumerate_contexts", _refuse_contexts)
         for depth in ("2", "3", "9" * 30):  # the count stops at the first height over the cap
             assert main(argv + ["--oracle-depth", depth]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == (
                 f"error: --oracle-depth {depth} is over the oracle's cap of "
-                f"{cli.ORACLE_CONTEXTS} contexts: there are 319489 of height <= 2\n"
+                f"{cli.ORACLE_CELLS} table cells: 319489 contexts of height "
+                "<= 2 times 1 states\n"
             )
         # with the cap at 13, depth 1 is within it and depth 2 is not
-        patch.setattr(cli, "ORACLE_CONTEXTS", 13)
+        patch.setattr(cli, "ORACLE_CELLS", 13)
         assert main(argv + ["--oracle-depth", "2"]) == 2
-        assert "there are 319489 of height <= 2" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "ORACLE_CONTEXTS", 13)
+        assert "319489 contexts of height <= 2" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "ORACLE_CELLS", 13)
     assert main(argv + ["--oracle-depth", "1"]) == 1
     assert capsys.readouterr().out == "not congruent\n"
 
 
-def test_oracle_depth_on_a_unary_chain_is_not_capped(wta_file, capsys):
-    # one unary symbol: height h has h + 1 contexts, so a large depth is cheap
+def test_oracle_depth_cap_counts_one_cell_per_context_and_state(wta_file, capsys, monkeypatch):
+    # a 40-state chain with f/5 on q0: 7 and 2 843 contexts of height <= 1
+    # and 2, far under the cap, but 2 843 tables of 40 runs each are over it
+    lines = ["semifield rational", "rank a 0", "rank g 1", "rank f 5", "trans a() -> q0 @ 1"]
+    lines += [f"trans g(q{i}) -> q{i + 1} @ 1" for i in range(39)]
+    lines += ["trans f(q0,q0,q0,q0,q0) -> q0 @ 2", "final q39 @ 1"]
+    path = wta_file("\n".join(lines) + "\n")
+    argv = ["congruent", path, "--mono", "1.a", "--mono", "1.a"]
+    with monkeypatch.context() as patch:
+        patch.setattr(terms, "enumerate_contexts", _refuse_contexts)
+        assert main(argv + ["--oracle-depth", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --oracle-depth 2 is over the oracle's cap of {cli.ORACLE_CELLS} "
+            "table cells: 2843 contexts of height <= 2 times 40 states\n"
+        )
+    assert 2843 < cli.ORACLE_CELLS < 2843 * 40
+    assert main(argv + ["--oracle-depth", "1"]) == 0
+    assert capsys.readouterr().out == "congruent\n"
+
+
+def test_oracle_depth_on_a_unary_chain_is_not_capped(wta_file, capsys, monkeypatch):
+    # one unary symbol: height h has h + 1 contexts, of 2 states, so a large
+    # depth is cheap
     path = wta_file(UNUSED_WIDE)
     argv = ["congruent", path, "--mono", "1.alpha", "--mono", "2/3.gamma(gamma(alpha))"]
     start = time.perf_counter()
     assert main(argv + ["--oracle-depth", "300"]) == 0
     assert time.perf_counter() - start < 2
-    assert main(argv + ["--oracle-depth", str(cli.ORACLE_CONTEXTS)]) == 2
-    assert f"there are {cli.ORACLE_CONTEXTS + 1} of height <= {cli.ORACLE_CONTEXTS}" in (
-        capsys.readouterr().err)
+    capsys.readouterr()
+    monkeypatch.setattr(terms, "enumerate_contexts", _refuse_contexts)
+    half = cli.ORACLE_CELLS // 2
+    assert main(argv + ["--oracle-depth", str(half)]) == 2
+    assert f"{half + 1} contexts of height <= {half} times 2 states" in capsys.readouterr().err
 
 
 def test_validate_nondeterministic(wta_file, capsys):

@@ -2,8 +2,8 @@
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, on a tropical file, and on
 # wide-symbol files, a 2000-state sparse binary file, a 1600-state unary
-# chain and a file of unused leaves, each of those under a 10 or 20 s
-# timeout: stdout and exit codes.
+# chain, a file of unused leaves and a depth-10000 oracle query, each of
+# those under a 10 or 20 s timeout: stdout and exit codes.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -74,4 +74,10 @@ test "$out" = "not congruent"
 # the oracle builds no side tree from the 20 leaves that label no transition
 { printf 'semifield rational\nrank sigma 2\nrank alpha 0\n'; printf 'rank b%s 0\n' $(seq 20); printf 'trans alpha() -> p @ 2\ntrans sigma(p,p) -> q @ 3\ntrans sigma(q,p) -> p @ 1/2\nfinal q @ 1\n'; } > leaves.wta
 test "$(timeout 20 budwta congruent leaves.wta --mono 1/3.alpha --mono '1/18.sigma(sigma(alpha,alpha),alpha)' --oracle-depth 3)" = "congruent"
+# contexts are built height by height from the height below: depth 10000 on
+# a two-state unary file is 10001 contexts, 20002 table cells
+printf 'semifield rational\nrank a 0\nrank g 1\ntrans a() -> p @ 1\ntrans g(p) -> q @ 1\ntrans g(q) -> p @ 1\nfinal q @ 1\n' > two_state.wta
+code=0; out=$(timeout 20 budwta congruent two_state.wta --mono 1.a --mono '1.g(g(a))' --oracle-depth 10000) || code=$?
+test "$code" -eq 0
+test "$out" = "congruent"
 echo "installed CLI: all checks passed"

@@ -3,6 +3,10 @@
 A monomial ``b.xi`` is a tree scaled by a raw weight of the automaton's
 semifield.  All monomials with zero weight denote the same zero element;
 `congruence.class_of` is what identifies them.
+
+Parsing is memoised on the alphabet, as `terms.parse_tree` is: each
+distinct text gives one monomial object per alphabet and semifield, so a
+text asked about again costs one lookup.
 """
 
 from __future__ import annotations
@@ -22,11 +26,20 @@ class Monomial(NamedTuple):
 
 
 def parse_monomial(text: str, alphabet: RankedAlphabet, kind: Semifield) -> Monomial:
-    """Parse ``WEIGHT.TREE``, e.g. ``1/2.sigma(alpha,alpha)``."""
-    wtext, dot, ttext = text.partition(".")
-    if not dot:
-        raise terms.TermError(f"monomial needs the form WEIGHT.TREE: {text[:60]!r}")
-    return Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
+    """Parse ``WEIGHT.TREE``, e.g. ``1/2.sigma(alpha,alpha)``.
+
+    A text parsed again against the same alphabet object and semifield
+    gives back the same monomial object, whose tree is `terms.parse_tree`'s
+    for the tree text.  A text that fails to parse is not remembered.
+    """
+    key = (text, kind)
+    m = alphabet._monomials.get(key)
+    if m is None:
+        wtext, dot, ttext = text.partition(".")
+        if not dot:
+            raise terms.TermError(f"monomial needs the form WEIGHT.TREE: {text[:60]!r}")
+        m = alphabet._monomials[key] = Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
+    return m  # type: ignore[return-value]
 
 
 def format_monomial(m: Monomial) -> str:

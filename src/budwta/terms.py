@@ -97,14 +97,17 @@ Z = Tree(Z_NAME)
 class RankedAlphabet:
     """Finite set of symbols with fixed arities, in declaration order.
 
-    An alphabet is immutable.  It also keeps `parse_tree`'s memo: one tree
-    object per distinct text parsed against it, which can never go stale
-    and dies with the alphabet.
+    An alphabet is immutable.  It also keeps two parse memos, which can
+    never go stale and die with the alphabet: `parse_tree`'s, one tree
+    object per distinct text parsed against it, and
+    `scalar.parse_monomial`'s, one monomial object per distinct text and
+    semifield.
     """
 
     def __init__(self, symbols: Iterable[Tuple[str, int]]):
         self._arity: Dict[str, int] = {}
         self._parsed: Dict[str, Tree] = {}  # text -> tree
+        self._monomials: Dict[Tuple[str, object], object] = {}  # (text, semifield) -> monomial
         for name, k in symbols:
             if not _is_identifier(name):
                 raise TermError(f"bad symbol name: {name!r}")
@@ -311,44 +314,70 @@ def tree_text(t: Tree) -> Iterator[str]:
 
 
 def _trees_of_exact_height(
-    alphabet: RankedAlphabet, h: int, lower: List[Tree]
+    alphabet: RankedAlphabet, h: int, lower: List[Tree], fresh: int
 ) -> Iterator[Tree]:
     """The trees of height ``h`` in order, given ``lower``, every tree of
-    height below ``h`` in order: symbols in declaration order, then child
-    tuples in lexicographic order of their places in ``lower``."""
-    if h == 0:
-        for s in alphabet.nullary_symbols():
-            yield Tree(s)
-        return
-    for s in alphabet.symbols():
-        k = alphabet.arity(s)
-        if k == 0:
-            continue
-        for kids in itertools.product(lower, repeat=k):
-            if max(height(c) for c in kids) == h - 1:
+    height below ``h`` in order, of which those of height h - 1 start at
+    ``fresh``: symbols in declaration order, then child tuples in
+    lexicographic order of their places in ``lower``."""
+    for s, k in alphabet._arity.items():
+        if h == 0:
+            if k == 0:
+                yield Tree(s)
+        elif k:
+            for kids in _fresh_tuples([lower] * k, [fresh] * k):
                 yield Tree(s, kids)
+
+
+def _fresh_tuples(slots: List[List[Tree]], fresh: List[int]) -> Iterator[Tuple[Tree, ...]]:
+    """The tuples of ``itertools.product(*slots)`` with at least one element
+    at or after place ``fresh[i]`` of its ``slots[i]``, in the same
+    lexicographic order, looking at no other tuple.
+
+    Every slot has a fresh element wherever this is used, so an element
+    before ``fresh[0]`` is followed by at least one tuple of the rest with
+    a fresh element, and an element from ``fresh[0]`` on by any tuple of
+    the rest: every tuple built is yielded, and a one-slot tuple costs
+    O(1).
+    """
+    first, rest = slots[0], slots[1:]
+    if not rest:
+        for x in first[fresh[0]:]:
+            yield (x,)
+        return
+    for x in itertools.islice(first, fresh[0]):
+        for tail in _fresh_tuples(rest, fresh[1:]):
+            yield (x,) + tail
+    for x in first[fresh[0]:]:
+        for tail in itertools.product(*rest):
+            yield (x,) + tail
 
 
 def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tree]:
     """All contexts up to height ``max_height``, height-first; same
-    ordering conventions as trees."""
-    trees_seen: List[Tree] = []
-    ctx_seen: List[Tree] = [Z]
+    ordering conventions as trees.
+
+    A context of height h has a child of height h - 1, so each height is
+    built from the child tuples that take one from the height below: a
+    unary symbol costs O(1) per context.
+    """
+    trees: List[Tree] = []  # every tree of height < h, in order
+    contexts: List[Tree] = [Z]  # every context of height < h, in order
+    tree_from = context_from = 0  # where height h - 1 starts in each
     yield Z
     for h in range(1, max_height + 1):
-        trees_seen += list(_trees_of_exact_height(alphabet, h - 1, trees_seen))
+        new_trees = list(_trees_of_exact_height(alphabet, h - 1, trees, tree_from))
+        tree_from = len(trees)
+        trees += new_trees
         level: List[Tree] = []
-        for s in alphabet.symbols():
-            k = alphabet.arity(s)
-            if k == 0:
-                continue
+        for s, k in alphabet._arity.items():
             for hole in range(k):
-                slots = [ctx_seen if i == hole else trees_seen for i in range(k)]
-                for kids in itertools.product(*slots):
-                    if max(height(c) for c in kids) == h - 1:
-                        level.append(Tree(s, tuple(kids)))
+                slots = [contexts if i == hole else trees for i in range(k)]
+                fresh = [context_from if i == hole else tree_from for i in range(k)]
+                level += [Tree(s, kids) for kids in _fresh_tuples(slots, fresh)]
         yield from level
-        ctx_seen.extend(level)
+        context_from = len(contexts)
+        contexts += level
 
 
 def context_counts(alphabet: RankedAlphabet) -> Iterator[int]:

@@ -3,6 +3,8 @@ automata and monomials for the test suite.
 
 `enumerate_trees` lists every tree, height by height; it is the reference
 that `automaton.representative_trees` is checked against.
+`reference_enumerate_contexts` is the enumeration `terms.enumerate_contexts`
+replaced: each height filters every child tuple of what was seen so far.
 `postorder` lists a tree's distinct nodes, children first, the order
 `terms.validate_tree` checks them in; `substitute`, `decompose_elementary`,
 `count_symbol` and `parse_context` work on contexts as literal trees; `equal_alphabet` gives a second parse
@@ -70,14 +72,58 @@ def enumerate_trees(
     With ``max_height=None`` the generator is unbounded.
     """
     seen: List[Tree] = []  # cumulative, in enumeration order
+    fresh = 0  # where height h - 1 starts in seen
     h = 0
     while max_height is None or h <= max_height:
-        level = list(terms._trees_of_exact_height(alphabet, h, seen))
+        level = list(terms._trees_of_exact_height(alphabet, h, seen, fresh))
         if not level:
             return
         yield from level
+        fresh = len(seen)
         seen.extend(level)
         h += 1
+
+
+def reference_trees_of_exact_height(
+    alphabet: RankedAlphabet, h: int, lower: List[Tree]
+) -> Iterator[Tree]:
+    """`terms._trees_of_exact_height` as a filter: every child tuple over
+    ``lower``, kept when its highest child has height h - 1."""
+    if h == 0:
+        for s in alphabet.nullary_symbols():
+            yield Tree(s)
+        return
+    for s in alphabet.symbols():
+        k = alphabet.arity(s)
+        if k == 0:
+            continue
+        for kids in itertools.product(lower, repeat=k):
+            if max(terms.height(c) for c in kids) == h - 1:
+                yield Tree(s, kids)
+
+
+def reference_enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tree]:
+    """`terms.enumerate_contexts` as a filter: each height runs over every
+    child tuple of the contexts and trees seen so far and keeps those with
+    a child of the height below, quadratic in the height over a unary
+    alphabet."""
+    trees_seen: List[Tree] = []
+    ctx_seen: List[Tree] = [Z]
+    yield Z
+    for h in range(1, max_height + 1):
+        trees_seen += list(reference_trees_of_exact_height(alphabet, h - 1, trees_seen))
+        level: List[Tree] = []
+        for s in alphabet.symbols():
+            k = alphabet.arity(s)
+            if k == 0:
+                continue
+            for hole in range(k):
+                slots = [ctx_seen if i == hole else trees_seen for i in range(k)]
+                for kids in itertools.product(*slots):
+                    if max(terms.height(c) for c in kids) == h - 1:
+                        level.append(Tree(s, tuple(kids)))
+        yield from level
+        ctx_seen.extend(level)
 
 
 # --- contexts as literal trees -------------------------------------------
@@ -674,9 +720,9 @@ def reference_parse_wta(text: str) -> Wta:
 
 
 def _reference_parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:
-    if "@" not in rest or "->" not in rest:
+    lhs, wtext = rest.rsplit("@", 1) if "@" in rest else ("", rest)
+    if "->" not in lhs:  # the arrow comes before the last '@'
         raise WtaError(f"line {lineno}: expected 'trans SYM(...) -> q @ w'")
-    lhs, wtext = rest.rsplit("@", 1)
     src, target = lhs.split("->", 1)
     src = src.strip()
     target = target.strip()

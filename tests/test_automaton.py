@@ -780,6 +780,11 @@ def test_parse_wta_matches_the_reference_reader():
         assert got == _outcome(reference_parse_wta, text), repr(text)
         errors += got[0] == "error"
     assert min(errors, 3000 - errors) > 300  # the mutations reach both outcomes
+    # the arrow after the last '@': both readers refuse the line
+    for line in ("trans a() @ 1 -> q", "trans f @ 1 -> q"):
+        text = f"semifield rational\nrank a 0\nrank f 0\n{line}\nfinal q @ 1\n"
+        assert _outcome(parse_wta, text) == _outcome(reference_parse_wta, text) == (
+            "error", "line 4: expected 'trans SYM(...) -> q @ w'")
 
 
 _PIECES = ("@ 1 ->", "-> q @", "/0", "4" * 5000, "\u0661", "@", "->", "(", ")", ",", ".", "#")

@@ -68,10 +68,29 @@ def test_monomial_weight_is_read_before_its_tree(even_odd, decider):
 def test_parse_format_monomial():
     m = parse_monomial("1/2.sigma(alpha,alpha)", SIG, sf.RATIONAL)
     assert m.weight == rat(Fraction(1, 2))
-    assert m.tree == terms.parse_tree("sigma(alpha,alpha)", SIG)
+    assert m.tree is terms.parse_tree("sigma(alpha,alpha)", SIG)
     assert format_monomial(m) == "1/2.sigma(alpha,alpha)"
     with pytest.raises(terms.TermError):
         parse_monomial("sigma(alpha,alpha)", SIG, sf.RATIONAL)
+
+
+def test_parse_memo_keys_the_text_and_the_semifield():
+    alphabet = RankedAlphabet([("alpha", 0), ("sigma", 2)])
+    m = parse_monomial("2.sigma(alpha,alpha)", alphabet, sf.RATIONAL)
+    assert parse_monomial("2.sigma(alpha,alpha)", alphabet, sf.RATIONAL) is m
+    assert m.tree is terms.parse_tree("sigma(alpha,alpha)", alphabet)
+    assert parse_monomial("2.sigma(alpha,alpha)", SIG, sf.RATIONAL) is not m
+    # the same text in another semifield is its own entry: 2 is no boolean
+    errors = []
+    for _ in range(2):
+        with pytest.raises(sf.WeightSyntaxError) as error:
+            parse_monomial("2.sigma(alpha,alpha)", alphabet, sf.BOOLEAN)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
+    one = parse_monomial("2.sigma(alpha,alpha)", alphabet, sf.MAXTIMES)
+    assert one == m and one is not m and one.tree is m.tree
+    assert list(alphabet._monomials) == [("2.sigma(alpha,alpha)", sf.RATIONAL),
+                                         ("2.sigma(alpha,alpha)", sf.MAXTIMES)]
 
 
 def test_equal_cardinality_of_reduced_generating_sets():

@@ -11,6 +11,7 @@ import pytest
 
 from budwta import semifield as sf, terms
 from budwta.automaton import Wta, evaluate, format_wta, parse_wta, slim
+from budwta.scalar import parse_monomial
 from budwta.terms import (
     RankedAlphabet,
     TermError,
@@ -30,6 +31,8 @@ from corpus import (
     equal_alphabet,
     parse_context,
     postorder,
+    reference_enumerate_contexts,
+    reference_trees_of_exact_height,
     substitute,
 )
 
@@ -228,6 +231,59 @@ def test_context_counts_match_the_enumeration():
         RankedAlphabet([("f", 12), ("a", 0)])), 3)) == [1, 13, 319_489]
 
 
+def test_enumeration_matches_the_reference_filter():
+    # each alphabet with the greatest height at which the reference's
+    # filter over every child tuple stays small
+    for alphabet, top in [
+        (SIG, 3), (UNARY, 4), (RankedAlphabet([("alpha", 0)]), 3),
+        (RankedAlphabet([("f", 3), ("gamma", 1), ("alpha", 0), ("beta", 0)]), 2),
+        (RankedAlphabet([("g", 1), ("g2", 1), ("alpha", 0)]), 4),
+        (RankedAlphabet([("beta", 0), ("sigma", 2), ("gamma", 1), ("alpha", 0)]), 3),
+        (RankedAlphabet([("g", 1), ("alpha", 0), ("beta", 0)]), 60),
+    ]:
+        for h in range(top + 1):
+            got = list(enumerate_contexts(alphabet, h))
+            want = list(reference_enumerate_contexts(alphabet, h))
+            assert [format_tree(c) for c in got] == [format_tree(c) for c in want], (alphabet, h)
+        lower = []
+        for h in range(top + 1):
+            lower += list(reference_trees_of_exact_height(alphabet, h, lower))
+        assert [format_tree(t) for t in enumerate_trees(alphabet, top)] == [
+            format_tree(t) for t in lower], alphabet
+
+
+def test_enumeration_builds_each_context_from_one_tuple(monkeypatch):
+    # each context and side tree is built from the one child tuple it has,
+    # and no tuple is looked at and dropped: over a unary alphabet that is
+    # O(1) per context, where filtering every tuple seen so far by the
+    # height of its children was quadratic in the height
+    built = []
+    heights = []
+
+    class Counted(Tree):
+        __slots__ = ()
+
+        def __init__(self, symbol, children=()):
+            built.append(symbol)
+            super().__init__(symbol, children)
+
+    def counted_height(t):
+        heights.append(t)
+        return t._height
+
+    monkeypatch.setattr(terms, "Tree", Counted)
+    monkeypatch.setattr(terms, "height", counted_height)
+    contexts = list(enumerate_contexts(UNARY, 2000))
+    assert len(contexts) == 2001 and height(contexts[-1]) == 2000
+    assert len(built) == 2000 + 2000  # contexts but z, and the trees of height < 2000
+    two = RankedAlphabet([("sigma", 2), ("gamma", 1), ("alpha", 0)])
+    trees = sum(1 for _ in enumerate_trees(two, 2))
+    built.clear()
+    contexts = list(enumerate_contexts(two, 3))
+    assert len(built) == len(contexts) - 1 + trees
+    assert heights == []
+
+
 def test_enumeration_is_height_then_declaration_order():
     trees = list(enumerate_trees(SIG, 2))
     heights = [height(t) for t in trees]
@@ -285,8 +341,10 @@ def test_parse_memo_dies_with_the_automaton():
     a = parse_wta(EVEN_ODD)
     t = parse_tree("sigma(alpha,sigma(alpha,alpha))", a.alphabet)
     evaluate(a, t)
+    m = parse_monomial("2/3.sigma(alpha,alpha)", a.alphabet, a.kind)
+    assert a.alphabet._monomials
     ref = weakref.ref(a.alphabet)
-    del a, t
+    del a, t, m
     gc.collect()
     assert ref() is None
 
@@ -299,7 +357,16 @@ def test_failed_parse_is_not_remembered():
         with pytest.raises(TermError) as second:
             parse_tree(text, alphabet)
         assert str(second.value) == str(first.value)
-    assert alphabet._parsed == {}
+    # a monomial's weight is read before its tree: "2" is no boolean weight
+    for text, kind in (("sigma(alpha)", sf.RATIONAL), ("1.sigma(alpha)", sf.RATIONAL),
+                       ("1/0.alpha", sf.RATIONAL), ("2.alpha", sf.BOOLEAN),
+                       ("2.sigma(alpha)", sf.BOOLEAN), ("-1.alpha", sf.MAXTIMES)):
+        with pytest.raises(ValueError) as first:
+            parse_monomial(text, alphabet, kind)
+        with pytest.raises(ValueError) as second:
+            parse_monomial(text, alphabet, kind)
+        assert (type(second.value), str(second.value)) == (type(first.value), str(first.value))
+    assert alphabet._parsed == {} and alphabet._monomials == {}
 
 
 def test_slim_shares_the_parse_memo():
@@ -308,6 +375,8 @@ def test_slim_shares_the_parse_memo():
     assert s.states != a.states
     text = "sigma(sigma(alpha,alpha),alpha)"
     assert parse_tree(text, s.alphabet) is parse_tree(text, a.alphabet)
+    m = parse_monomial("3." + text, a.alphabet, a.kind)
+    assert parse_monomial("3." + text, s.alphabet, s.kind) is m
 
 
 def test_trees_are_immutable():

@@ -2,8 +2,9 @@
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, on a tropical file, and on
 # wide-symbol files, a 2000-state sparse binary file, a 1600-state unary
-# chain, a file of unused leaves and a depth-10000 oracle query, each of
-# those under a 10 or 20 s timeout: stdout and exit codes.
+# chain, a file of unused leaves, a depth-10000 oracle query and a
+# 40000-deep tropical spine, each of those under a 10 or 20 s timeout:
+# stdout and exit codes.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -80,4 +81,10 @@ printf 'semifield rational\nrank a 0\nrank g 1\ntrans a() -> p @ 1\ntrans g(p) -
 code=0; out=$(timeout 20 budwta congruent two_state.wta --mono 1.a --mono '1.g(g(a))' --oracle-depth 10000) || code=$?
 test "$code" -eq 0
 test "$out" = "congruent"
+# a 40000-deep spine is parsed and run without recursion; its text, 120001
+# characters, is under Linux's 128 KiB limit for one argument
+printf 'semifield tropical\nrank a 0\nrank g 1\ntrans a() -> q @ 1\ntrans g(q) -> q @ 1/2\nfinal q @ 0\n' > spine.wta
+spine="$(printf 'g(%.0s' $(seq 40000))a$(printf ')%.0s' $(seq 40000))"
+test "$(timeout 20 budwta state spine.wta --tree "$spine")" = "q"
+test "$(timeout 20 budwta eval spine.wta --tree "$spine")" = "20001"
 echo "installed CLI: all checks passed"

@@ -23,7 +23,6 @@ from .terms import (
     Z,
     enumerate_contexts,
     format_tree,
-    height,
     parse_tree,
 )
 from .automaton import (
@@ -61,7 +60,6 @@ from .congruence import (
 )
 from .minimize import (
     build_wta_from_basis,
-    candidate_set,
     equivalent,
     is_minimal,
     minimize,

@@ -56,9 +56,11 @@ class Wta:
     ``final`` is a nonzero raw value of it, checked once, here.  Every
     state name is one that `parse_wta` reads back from `format_wta`'s
     text: an identifier, neither ``z`` nor a symbol.
-    The derived fields are computed once, here: ``_succ`` indexes delta by
-    (state tuple, symbol) and ``budet`` records bottom-up determinism; the
-    loop that builds ``_succ`` checks each entry and names the first bad one.
+    The derived fields are computed once, here: ``_succ`` maps each (state
+    tuple, symbol) key of delta to the (target, weight) of its first entry,
+    which for a bu-det automaton is its one step, and ``budet`` records
+    bottom-up determinism, no key with a second entry; the loop that builds
+    ``_succ`` checks each entry and names the first bad one.
     Two memos fill as the automaton is used: ``_runs`` maps the root of
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
@@ -96,7 +98,7 @@ class Wta:
             raise WtaError("duplicate state names")
         _check_state_names(self.states, self.alphabet)
         arities = self.alphabet._arity
-        succ: Dict[SuccKey, List[Tuple[str, Value]]] = {}
+        succ: Dict[SuccKey, Tuple[str, Value]] = {}
         for (ws, sym, q), w in delta.items():
             if len(ws) != arities.get(sym) or q not in stateset or not stateset.issuperset(ws):
                 if sym not in arities:
@@ -105,7 +107,7 @@ class Wta:
                     raise WtaError(f"transition arity mismatch for {sym}")
                 bad = next(p for p in ws + (q,) if p not in stateset)
                 raise WtaError(f"unknown state in transition: {bad}")
-            succ.setdefault((ws, sym), []).append((q, w))
+            succ.setdefault((ws, sym), (q, w))
         if not stateset.issuperset(final):
             bad = next(q for q in final if q not in stateset)
             raise WtaError(f"unknown state in final map: {bad}")
@@ -122,9 +124,6 @@ class Wta:
         _init(self, "_runs", {})
         _init(self, "_states", {})
         _init(self, "_derived", {})
-
-    def targets(self, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
-        return self._succ.get((ws, sym), [])
 
 
 def is_bu_deterministic(a: Wta) -> bool:
@@ -203,16 +202,16 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
         v = None
         if None not in kids:
             if weighed:
-                hits = succ.get((tuple(map(_state, kids)), node.symbol))
-                if hits:
-                    q, w = hits[0]
+                step = succ.get((tuple(map(_state, kids)), node.symbol))
+                if step:
+                    q, w = step
                     for kv in kids:
                         w = times(w, kv[1])
                     v = (q, w)
             else:
-                hits = succ.get((tuple(kids), node.symbol))
-                if hits:
-                    v = hits[0][0]
+                step = succ.get((tuple(kids), node.symbol))
+                if step:
+                    v, _ = step
         vals[id(node)] = v
     v = memo[t] = vals[id(t)]
     return v
@@ -353,7 +352,7 @@ def _live(a: Wta) -> FrozenSet[str]:
     its `dead_states` leaves out; a zero language has none.
     """
     into, uses = _derivation(a, _inverse)
-    todo = [q for s in a.alphabet.nullary_symbols() for q, _ in a._succ.get(((), s), ())]
+    todo = [q for ws, _, q in a.delta if not ws]
     realized = set()
     missing: Dict[TransKey, int] = {}  # child positions not realized yet
     while todo:

@@ -24,6 +24,7 @@ is provided as an independent oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -195,18 +196,22 @@ def context_tables(
     contexts, so its table is the table of c' followed by one elementary
     step: the side trees are run once, then delta is applied once per
     state.  That is O(|Q| + k) per context.  Only a context below
-    ctx_height can be the hole child of a later one, so only those tables
-    are kept; the hole child is the very object yielded before, which a
-    dict lookup finds by identity, and a side tree never matches a key.
+    ctx_height can be the hole child of a later one, and the enumeration is
+    height-first, so only the tables of the first C(ctx_height - 1)
+    contexts are kept, C being `terms.context_counts`; the hole child is
+    the very object yielded before, which a dict lookup finds by identity,
+    and a side tree never matches a key.
     """
     one = a.kind.one
+    counts = list(itertools.islice(terms.context_counts(a.alphabet), ctx_height))
+    keep = counts[-1] if counts else 0  # C(ctx_height - 1), or 1 once the counts stop
     below: Dict[Tree, Tuple[DetValue, ...]] = {}
-    for c in terms.enumerate_contexts(a.alphabet, ctx_height):
+    for i, c in enumerate(terms.enumerate_contexts(a.alphabet, ctx_height)):
         if c.children:
             table = _step_table(a, c, below)
         else:  # z
             table = tuple((q, one) for q in a.states)
-        if terms.height(c) < ctx_height:
+        if i < keep:
             below[c] = table
         yield c, table
 
@@ -233,9 +238,9 @@ def _step_table(
     for v in hole_table:
         if v is not None:
             ws[hole] = v[0]
-            hits = a.targets(tuple(ws), c.symbol)
-            if hits:
-                q, w = hits[0]
+            step = a._succ.get((tuple(ws), c.symbol))
+            if step:
+                q, w = step
                 out.append((q, times(times(v[1], factor), w)))
                 continue
         out.append(None)

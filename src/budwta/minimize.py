@@ -30,27 +30,6 @@ from .semifield import Value, eq
 from .terms import Tree
 
 
-def candidate_set(
-    a: Wta, qt: SyntacticQuotient
-) -> List[Tuple[Tree, ClassRep]]:
-    """One unit monomial class per state, deduplicated keep-first.
-
-    Classes equal to the zero class (dead states) are dropped; they add
-    nothing to the generated algebra.
-    """
-    reps = qt.rep_tree
-    out: List[Tuple[Tree, ClassRep]] = []
-    seen: List[ClassRep] = []
-    for q in a.states:
-        t = reps[q]
-        cls = congruence.class_of(qt, Monomial(a.kind.one, t))
-        if cls is None or any(c[0] == cls[0] and eq(c[1], cls[1]) for c in seen):
-            continue
-        seen.append(cls)
-        out.append((t, cls))
-    return out
-
-
 def scalar_basis(
     a: Wta, qt: SyntacticQuotient
 ) -> List[Tuple[Tree, ClassRep]]:
@@ -215,6 +194,7 @@ def equivalent(a: Wta, b: Wta) -> bool:
     live_a = automaton._derivation(a, automaton._live)
     live_b = automaton._derivation(b, automaton._live)
     succ_b = b._succ
+    no_step = (None, None)  # no target, which no live set holds
     k = a.kind
     product, inv, zero = k.product, k.inv, k.zero
     found: List[Pair] = []
@@ -224,15 +204,15 @@ def equivalent(a: Wta, b: Wta) -> bool:
     met = 0  # tuples met under a live entry of b
     rho_of = rhos.__getitem__
     for key, w, ws_b, combo in _joined(a, found, by_a):
-        hb = succ_b.get((ws_b, key[1]))
-        if hb is None or hb[0][0] not in live_b:
-            if key[2] in live_a:
+        q, y = succ_b.get((ws_b, key[1]), no_step)
+        p = key[2]
+        if q not in live_b:
+            if p in live_a:
                 return False
             continue
-        if key[2] not in live_a:
+        if p not in live_a:
             return False
         met += 1
-        (q, y), p = hb[0], key[2]
         rho = product([w, inv(y), *map(rho_of, combo)])
         n = index.get((p, q))
         if n is None:
@@ -249,7 +229,7 @@ def equivalent(a: Wta, b: Wta) -> bool:
     by_b = collections.Counter(q for _, q in found)
     under = by_b.__getitem__  # 0 for a B-state without found pairs
     expected = sum(
-        math.prod(map(under, ws)) for (ws, _), hb in succ_b.items() if hb[0][0] in live_b
+        math.prod(map(under, ws)) for (ws, _), (q, _) in succ_b.items() if q in live_b
     )
     return met == expected
 
@@ -266,7 +246,8 @@ def _joined(
     increasing order."""
     succ = a._succ
     for sym in a.alphabet.nullary_symbols():
-        for t, w in succ.get(((), sym), ()):
+        if ((), sym) in succ:
+            t, w = succ[((), sym)]
             yield ((), sym, t), w, (), ()
     uses = automaton._derivation(a, automaton._inverse)[1]
     delta = a.delta

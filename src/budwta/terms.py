@@ -38,20 +38,20 @@ _init = object.__setattr__
 class Tree:
     """An immutable term.
 
-    The hash and the height are computed once, at construction, from the
-    children's.  Equality compares hashes first and then walks both trees
-    with an explicit stack, so neither hashing nor comparing recurses, and
-    depth is bounded by memory rather than by the recursion limit.  Equal
-    subtrees may be one shared object (a parsed tree is a DAG).
+    A node is its symbol, its children and its hash, computed once, at
+    construction, from the children's.  Equality compares hashes first and
+    then walks both trees with an explicit stack, so neither hashing nor
+    comparing recurses, and depth is bounded by memory rather than by the
+    recursion limit.  Equal subtrees may be one shared object (a parsed
+    tree is a DAG).
     """
 
-    __slots__ = ("symbol", "children", "_hash", "_height")
+    __slots__ = ("symbol", "children", "_hash")
 
     def __init__(self, symbol: str, children: Tuple["Tree", ...] = ()):
         _init(self, "symbol", symbol)
         _init(self, "children", children)
         _init(self, "_hash", hash((symbol, children)))
-        _init(self, "_height", 1 + max([c._height for c in children]) if children else 0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Tree is immutable: cannot set {name!r}")
@@ -152,7 +152,22 @@ class RankedAlphabet:
 
 
 def height(t: Tree) -> int:
-    return t._height
+    """The number of edges on a longest path from the root of ``t`` down to
+    a leaf: one walk over its distinct nodes, children first, so a shared
+    subtree is measured once.  A node does not carry its height: contexts
+    are enumerated height by height, and nothing else in the package asks."""
+    heights: Dict[int, int] = {}  # id(node) -> its height, once its children are done
+    stack: List[object] = [t]  # a node to visit, or (node,) once its children are done
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            node = node[0]  # type: ignore[index]
+            heights[id(node)] = max([heights[id(c)] + 1 for c in node.children], default=0)
+        elif id(node) not in heights:
+            heights[id(node)] = 0  # seen; set when its children are done
+            stack.append((node,))
+            stack.extend(node.children)  # type: ignore[attr-defined]
+    return heights[id(t)]
 
 
 def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()) -> List[Tree]:

@@ -30,6 +30,10 @@ up every state tuple of every symbol.
 `reference_h_general` is the sum-product semantics `automaton.h_general`
 replaced: each node sweeps all |Q|^k state tuples and looks up the targets
 of each.  It is the differential reference for the walk over delta entries.
+The references look targets up with `targets`, an index of their own over
+``a.delta``, never with the automaton's step map ``Wta._succ``.
+`candidate_set` is one unit monomial class per state, deduplicated: the
+generating set that `minimize.scalar_basis` picks a basis from.
 `reference_parse_wta` is the `.wta` reader `automaton.parse_wta` replaced,
 with lines split by universal newlines: every line goes through
 `str.split`/`str.strip`, and a trans line through `_reference_parse_trans`.
@@ -52,6 +56,7 @@ import io
 import itertools
 import operator
 import random
+import weakref
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -124,6 +129,22 @@ def reference_enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> I
                         level.append(Tree(s, tuple(kids)))
         yield from level
         ctx_seen.extend(level)
+
+
+# --- delta as the references read it --------------------------------------
+
+_TARGETS: "weakref.WeakKeyDictionary[Wta, Dict]" = weakref.WeakKeyDictionary()
+
+
+def targets(a: Wta, ws: Tuple[str, ...], sym: str) -> List[Tuple[str, Value]]:
+    """The (target, weight) of each delta entry on ``(ws, sym)``, in delta
+    order, from an index over ``a.delta`` built once per automaton."""
+    index = _TARGETS.get(a)
+    if index is None:
+        index = _TARGETS[a] = {}
+        for (key_ws, key_sym, q), w in a.delta.items():
+            index.setdefault((key_ws, key_sym), []).append((q, w))
+    return index.get((ws, sym), [])
 
 
 # --- contexts as literal trees -------------------------------------------
@@ -242,7 +263,7 @@ def context_transform(a: Wta, c: Tree, v: DetValue) -> DetValue:
                 return None
             ws.append(hv[0])
             factor = times(factor, hv[1])
-        hits = a.targets(tuple(ws), e.symbol)
+        hits = targets(a, tuple(ws), e.symbol)
         if not hits:
             return None
         q, w = hits[0]
@@ -343,7 +364,7 @@ def _path_observation(a: Wta, steps: Steps, q: str, rep: str) -> Value:
     step = steps[rep]
     while step is not None:
         (sym, i, sides), on_path = step
-        hits = a.targets(sides[:i] + (q,) + sides[i:], sym)
+        hits = targets(a, sides[:i] + (q,) + sides[i:], sym)
         if not hits:
             return k.zero
         q, f = hits[0]
@@ -418,7 +439,7 @@ def reference_quotient(a: Wta) -> SyntacticQuotient:
             lam_q_inv = k.inv(lam[q])
             entries: List[object] = [k.times(lam_q_inv, a.final.get(q, k.zero))]
             for (sym, i, sides) in elementaries:
-                hits = a.targets(sides[:i] + (q,) + sides[i:], sym)
+                hits = targets(a, sides[:i] + (q,) + sides[i:], sym)
                 if not hits or hits[0][0] in dead:
                     entries.append(None)
                     continue
@@ -471,7 +492,7 @@ def reference_equivalent(a: Wta, b: Wta) -> bool:
     def succ(m: Wta, ws: Tuple[Optional[str], ...], sym: str):
         if any(p is None for p in ws):
             return None
-        hits = m.targets(tuple(ws), sym)  # type: ignore[arg-type]
+        hits = targets(m, tuple(ws), sym)  # type: ignore[arg-type]
         return hits[0] if hits else None
 
     def admit(pair: Pair, rho: Value) -> bool:
@@ -543,6 +564,24 @@ def reference_equivalent(a: Wta, b: Wta) -> bool:
 # --- the basis-tuple builder, kept as reference ---------------------------
 
 
+def candidate_set(a: Wta, qt: SyntacticQuotient) -> List[Tuple[Tree, ClassRep]]:
+    """One unit monomial class per state, deduplicated keep-first.
+
+    Classes equal to the zero class (dead states) are dropped; they add
+    nothing to the generated algebra.
+    """
+    out: List[Tuple[Tree, ClassRep]] = []
+    seen: List[ClassRep] = []
+    for q in a.states:
+        t = qt.rep_tree[q]
+        cls = congruence.class_of(qt, Monomial(a.kind.one, t))
+        if cls is None or any(c[0] == cls[0] and sf.eq(c[1], cls[1]) for c in seen):
+            continue
+        seen.append(cls)
+        out.append((t, cls))
+    return out
+
+
 def reference_build(
     a: Wta, qt: SyntacticQuotient, basis: List[Tuple[Tree, ClassRep]]
 ) -> Wta:
@@ -597,7 +636,7 @@ def reference_h_general(a: Wta, t: Tree) -> Dict[str, Value]:
                 factor = k.times(factor, vec[index[p]])
             if factor == k.zero:  # a zero child: semifields have no zero divisors
                 continue
-            for q, w in a.targets(ws, node.symbol):
+            for q, w in targets(a, ws, node.symbol):
                 i = index[q]
                 out[i] = k.plus(out[i], k.times(factor, w))
         vecs[id(node)] = tuple(out)
@@ -609,7 +648,7 @@ def reference_is_total(a: Wta) -> bool:
     checked tuple by tuple."""
     for sym in a.alphabet.symbols():
         for ws in itertools.product(a.states, repeat=a.alphabet.arity(sym)):
-            if not a.targets(ws, sym):
+            if not targets(a, ws, sym):
                 return False
     return True
 

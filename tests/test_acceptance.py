@@ -13,11 +13,17 @@ from budwta import automaton, semifield as sf, terms
 from budwta.automaton import Wta, evaluate, format_wta, parse_wta
 from budwta.cli import main as cli_main
 from budwta.congruence import BoundedContextOracle, build_syntactic_quotient, congruent
-from budwta.minimize import candidate_set, equivalent, is_minimal, minimize
+from budwta.minimize import equivalent, is_minimal, minimize
 from budwta.scalar import Monomial
 
 from conftest import EVEN_ODD, GAMMA3, TWO_LEAF
-from corpus import count_symbol, enumerate_trees, random_monomial, random_slim_budet
+from corpus import (
+    candidate_set,
+    count_symbol,
+    enumerate_trees,
+    random_monomial,
+    random_slim_budet,
+)
 
 
 def _ok(criterion, text):

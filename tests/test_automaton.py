@@ -49,6 +49,7 @@ from corpus import (
     small_corpus,
     sparse_binary,
     substitute,
+    targets,
 )
 
 
@@ -516,15 +517,17 @@ def test_an_entry_waits_on_each_child_position():
     assert dead_states(slim(a)) == {"p", "s"}
 
 
-def test_is_total_matches_enumeration_on_corpus():
-    rng = random.Random(610)
-    seen = set()  # (total, bu-det) pairs met
+def _corpus_variants(seed):
+    """Each small-corpus automaton in all four semifields, then copies of
+    it: made total, total less one entry, and total with a second target
+    on one key, after its first entry, before it, or a new state."""
+    rng = random.Random(seed)
     for kind in sf.KINDS:
-        for a in small_corpus(kind, 12, seed=610):
+        for a in small_corpus(kind, 12, seed=seed):
             full = dict(a.delta)
             for sym in a.alphabet.symbols():
                 for ws in itertools.product(a.states, repeat=a.alphabet.arity(sym)):
-                    if not a.targets(ws, sym):
+                    if not targets(a, ws, sym):
                         full[(ws, sym, rng.choice(a.states))] = kind.one
             keys = list(full)
             drop = rng.choice(keys)
@@ -535,13 +538,32 @@ def test_is_total_matches_enumeration_on_corpus():
                 (a.states, full),
                 (a.states, {key: w for key, w in full.items() if key != drop}),
                 (a.states, {**full, (ws, sym, other): kind.one}),
+                (a.states, {(ws, sym, other): kind.one, **full}),
                 (a.states + ("extra",), {**full, (ws, sym, "extra"): kind.one}),
             ]
             for states, delta in variants:
-                b = Wta(a.alphabet, states, kind, delta, a.final)
-                assert is_total(b) == reference_is_total(b)
-                seen.add((is_total(b), b.budet))
+                yield Wta(a.alphabet, states, kind, delta, a.final)
+
+
+def test_is_total_matches_enumeration_on_corpus():
+    seen = set()  # (total, bu-det) pairs met
+    for b in _corpus_variants(610):
+        assert is_total(b) == reference_is_total(b)
+        seen.add((is_total(b), b.budet))
     assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_step_map_is_the_first_entry_of_each_key():
+    second_first = 0  # keys whose step is not their last entry
+    for b in _corpus_variants(610):
+        keys = [(ws, sym) for ws, sym, _ in b.delta]
+        assert b._succ.keys() == set(keys)
+        for key, step in b._succ.items():
+            entries = targets(b, *key)
+            assert step == entries[0]
+            second_first += step != entries[-1]
+        assert b.budet == (len(set(keys)) == len(keys))
+    assert second_first > 20
 
 
 # --- addition irrelevance -------------------------------------------------

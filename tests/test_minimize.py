@@ -21,7 +21,6 @@ from budwta.minimize import (
     NAME_TEXT_CAP,
     _basis_state_name,
     build_wta_from_basis,
-    candidate_set,
     equivalent,
     is_minimal,
     minimality,
@@ -32,6 +31,7 @@ from budwta.scalar import Monomial
 
 from conftest import SYMBOL_C0__A
 from corpus import (
+    candidate_set,
     chain,
     enumerate_trees,
     layered,

@@ -190,6 +190,44 @@ def test_context_counts_match_the_oracles_enumeration(kind, monkeypatch):
             assert len(enumerated) == counts[min(height, len(counts) - 1)]
 
 
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_tables_kept_at_the_edges_of_the_keep_rule(kind, monkeypatch):
+    # only leaves label a transition: over the leaves alone, and as the
+    # oracle's symbols beside an unused g/1, the counts stop after z
+    leaves = "trans a() -> p @ 1\ntrans b() -> q @ 1\nfinal p @ 1\n"
+    automata = [
+        automaton.parse_wta(f"semifield {kind}\nrank a 0\nrank b 0\n{leaves}"),
+        automaton.parse_wta(f"semifield {kind}\nrank g 1\nrank a 0\nrank b 0\n{leaves}"),
+        *small_corpus(kind, 9, seed=4),
+    ]
+    assert list(terms.context_counts(automata[0].alphabet)) == [1]
+    kept = []  # the map of kept tables that context_tables passes on
+    step_table = congruence._step_table
+
+    def spied(a, c, below):
+        kept.append(below)
+        return step_table(a, c, below)
+
+    monkeypatch.setattr(congruence, "_step_table", spied)
+    rng = random.Random(f"edges:{kind}")
+    for a in automata:
+        trees = list(enumerate_trees(a.alphabet, 2))
+        for height in (0, 1, 2):
+            kept.clear()
+            tables = list(context_tables(a, height))
+            assert [c for c, _ in tables] == list(terms.enumerate_contexts(a.alphabet, height))
+            for c, table in tables:
+                assert table == tuple(context_transform(a, c, (q, kind.one)) for q in a.states)
+            if kept:  # z alone builds no step
+                assert list(kept[-1]) == [c for c, _ in tables if terms.height(c) < height]
+            new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
+            _assert_same_observations(new, old)
+            for _ in range(50):
+                m1 = random_monomial(rng, kind, trees)
+                m2 = random_monomial(rng, kind, trees)
+                assert new.congruent(m1, m2) == old.congruent(m1, m2)
+
+
 def test_tables_of_a_context_killed_by_a_side_tree():
     # beta has no transition: every context with a beta side tree has no run
     a = automaton.parse_wta(

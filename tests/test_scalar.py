@@ -11,11 +11,11 @@ from budwta.congruence import (
     class_of,
     congruent,
 )
-from budwta.minimize import candidate_set, scalar_basis
+from budwta.minimize import scalar_basis
 from budwta.scalar import Monomial, format_monomial, parse_monomial
 from budwta.terms import RankedAlphabet, Tree
 
-from corpus import random_slim_budet
+from corpus import candidate_set, random_slim_budet
 
 SIG = RankedAlphabet([("alpha", 0), ("sigma", 2)])
 

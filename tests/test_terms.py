@@ -269,7 +269,7 @@ def test_enumeration_builds_each_context_from_one_tuple(monkeypatch):
 
     def counted_height(t):
         heights.append(t)
-        return t._height
+        return height(t)
 
     monkeypatch.setattr(terms, "Tree", Counted)
     monkeypatch.setattr(terms, "height", counted_height)

@@ -31,6 +31,11 @@ test "$out" = "not congruent"
 code=0; out=$(budwta congruent counter.wta --mono 1.alpha --mono '1.gamma(alpha)' --oracle-depth 3) || code=$?
 test "$code" -eq 1
 test "$out" = "not congruent"
+# a bounded oracle only refutes: at depth 0 it sees no context that
+# separates these two, and the refinement's "not congruent" stands (exit 1)
+code=0; out=$(budwta congruent counter.wta --mono 1.alpha --mono '2/3.gamma(alpha)' --oracle-depth 0) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
 # zero monomials, spelt apart, are congruent to each other and to no other
 test "$(budwta congruent counter.wta --mono 0/5.alpha --mono '-0.gamma(gamma(alpha))' --oracle-depth 3)" = "congruent"
 code=0; out=$(budwta congruent counter.wta --mono 0.alpha --mono 1.alpha --oracle-depth 3) || code=$?

@@ -54,31 +54,30 @@ def scalar_basis(
 NAME_TEXT_CAP = 64  # characters of tree text that a basis-state name keeps
 
 
-def _basis_state_name(alphabet: terms.RankedAlphabet, index: int, t: Tree) -> str:
-    """``c{index}__`` and the tree's text with each run of ``(``, ``)``,
-    ``,`` and ``_`` written as one ``_``, none at either end, cut after
+def _state_names(alphabet: terms.RankedAlphabet, trees: List[Tree]) -> List[str]:
+    """``c{i}__`` and the text of tree i with each run of ``(``, ``)``, ``,``
+    and ``_`` written as one ``_``, none at either end, cut after
     NAME_TEXT_CAP characters, with ``_`` appended while the name is a
     symbol of the alphabet.
 
-    The text is read piece by piece and no further than the cap: a shared
-    tree of height n can have 2^(n+1) - 1 nodes.
+    The texts come from one post-order walk over the distinct nodes of all
+    the trees: a node's text is its symbol's ``_``-separated words and its
+    children's texts, joined by ``_`` and cut.  A child text that was cut
+    already fills the cap, so cutting it first changes nothing.  A shared
+    tree of height n can have 2^(n+1) - 1 nodes and only n + 1 distinct ones.
     """
-    out: List[str] = []
-    gap = False
-    for ch in itertools.chain.from_iterable(terms.tree_text(t)):
-        if ch in "(),_":
-            gap = bool(out)
-            continue
-        if gap:
-            out.append("_")
-            gap = False
-        out.append(ch)
-        if len(out) > NAME_TEXT_CAP:
-            break
-    name = f"c{index}__" + "".join(out[:NAME_TEXT_CAP])
-    while name in alphabet:
-        name += "_"
-    return name
+    texts: Dict[Tree, str] = {}
+    for t in trees:
+        for node in terms.validate_tree(t, alphabet, known=texts):
+            pieces = node.symbol.split("_") + [texts[c] for c in node.children]
+            texts[node] = "_".join(filter(None, pieces))[:NAME_TEXT_CAP]
+    names = []
+    for i, t in enumerate(trees):
+        name = f"c{i}__{texts[t]}"
+        while name in alphabet:
+            name += "_"
+        names.append(name)
+    return names
 
 
 def build_wta_from_basis(
@@ -100,10 +99,10 @@ def build_wta_from_basis(
     """
     k = a.kind
     if not basis:
-        p = _basis_state_name(a.alphabet, 0, Tree(a.alphabet.nullary_symbols()[0]))
-        return automaton._zero_language(a, p)
+        leaf = Tree(a.alphabet.nullary_symbols()[0])
+        return automaton._zero_language(a, _state_names(a.alphabet, [leaf])[0])
 
-    names = [_basis_state_name(a.alphabet, i, t) for i, (t, _) in enumerate(basis)]
+    names = _state_names(a.alphabet, [t for t, _ in basis])
     child: Dict[str, Tuple[str, Value]] = {}  # s_i -> (its name, wt_i)
     final: Dict[str, Value] = {}
     for name, (t, _) in zip(names, basis):

@@ -298,31 +298,26 @@ def _arity_error(name: str, k: int, got: int) -> TermError:
 
 
 def format_tree(t: Tree) -> str:
-    return "".join(tree_text(t))
-
-
-def tree_text(t: Tree) -> Iterator[str]:
-    """The text of ``format_tree(t)``, piece by piece, left to right.
-
-    A shared subtree is written out at every occurrence, so the whole text
-    can be exponential in the number of distinct nodes; a reader that needs
-    only a prefix stops early.
-    """
+    """``sigma(t1,...,tk)``, with no ``()`` after a nullary symbol, written
+    from an explicit stack, so depth is bounded by memory.  A shared subtree
+    is written at every occurrence: the text can be exponential in the
+    number of distinct nodes."""
+    out: List[str] = []
     stack: List[object] = [t]  # trees still to write, and the text between them
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            yield item
+        if item.__class__ is str:
+            out.append(item)  # type: ignore[arg-type]
             continue
-        yield item.symbol
-        kids = item.children
+        out.append(item.symbol)  # type: ignore[attr-defined]
+        kids = item.children  # type: ignore[attr-defined]
         if kids:
-            yield "("
+            out.append("(")
             stack.append(")")
-            for i in range(len(kids) - 1, 0, -1):
-                stack.append(kids[i])
-                stack.append(",")
+            for kid in kids[:0:-1]:
+                stack += (kid, ",")
             stack.append(kids[0])
+    return "".join(out)
 
 
 # --- deterministic enumeration -------------------------------------------

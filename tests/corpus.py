@@ -32,6 +32,9 @@ replaced: each node sweeps all |Q|^k state tuples and looks up the targets
 of each.  It is the differential reference for the walk over delta entries.
 The references look targets up with `targets`, an index of their own over
 ``a.delta``, never with the automaton's step map ``Wta._succ``.
+`reference_state_name` is the basis-state name `minimize._state_names`
+replaced: it reads the tree's text character by character, through the
+nested generators of `tree_text`, and stops past the cap.
 `candidate_set` is one unit monomial class per state, deduplicated: the
 generating set that `minimize.scalar_basis` picks a basis from.
 `reference_parse_wta` is the `.wta` reader `automaton.parse_wta` replaced,
@@ -63,7 +66,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from budwta import automaton, congruence, semifield as sf, terms
 from budwta.automaton import DetValue, TransKey, Wta, WtaError
 from budwta.congruence import ClassRep, SyntacticQuotient
-from budwta.minimize import _basis_state_name
+from budwta.minimize import NAME_TEXT_CAP
 from budwta.scalar import Monomial
 from budwta.semifield import Semifield, Value
 from budwta.terms import RankedAlphabet, TermError, Tree, Z, Z_NAME
@@ -582,6 +585,53 @@ def candidate_set(a: Wta, qt: SyntacticQuotient) -> List[Tuple[Tree, ClassRep]]:
     return out
 
 
+def tree_text(t: Tree) -> Iterator[str]:
+    """The text of ``terms.format_tree(t)``, piece by piece, left to right:
+    a reader that needs only a prefix stops early."""
+    stack: List[object] = [t]  # trees still to write, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield item
+            continue
+        yield item.symbol
+        kids = item.children
+        if kids:
+            yield "("
+            stack.append(")")
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(",")
+            stack.append(kids[0])
+
+
+def reference_state_name(alphabet: RankedAlphabet, index: int, t: Tree) -> str:
+    """``c{index}__`` and the tree's text with each run of ``(``, ``)``,
+    ``,`` and ``_`` written as one ``_``, none at either end, cut after
+    NAME_TEXT_CAP characters, with ``_`` appended while the name is a
+    symbol of the alphabet.
+
+    The text is read piece by piece and no further than the cap: a shared
+    tree of height n can have 2^(n+1) - 1 nodes.
+    """
+    out: List[str] = []
+    gap = False
+    for ch in itertools.chain.from_iterable(tree_text(t)):
+        if ch in "(),_":
+            gap = bool(out)
+            continue
+        if gap:
+            out.append("_")
+            gap = False
+        out.append(ch)
+        if len(out) > NAME_TEXT_CAP:
+            break
+    name = f"c{index}__" + "".join(out[:NAME_TEXT_CAP])
+    while name in alphabet:
+        name += "_"
+    return name
+
+
 def reference_build(
     a: Wta, qt: SyntacticQuotient, basis: List[Tuple[Tree, ClassRep]]
 ) -> Wta:
@@ -596,12 +646,12 @@ def reference_build(
     alphabet = a.alphabet
     k = a.kind
     if not basis:
-        p = _basis_state_name(alphabet, 0, Tree(alphabet.nullary_symbols()[0]))
+        p = reference_state_name(alphabet, 0, Tree(alphabet.nullary_symbols()[0]))
         zero: Dict[TransKey, Value] = {}
         for sym in alphabet.symbols():
             zero[((p,) * alphabet.arity(sym), sym, p)] = k.one
         return Wta(alphabet, (p,), k, zero, {})
-    names = [_basis_state_name(alphabet, i, t) for i, (t, _) in enumerate(basis)]
+    names = [reference_state_name(alphabet, i, t) for i, (t, _) in enumerate(basis)]
     block_to_index = {cls[0]: i for i, (_, cls) in enumerate(basis)}
     delta: Dict[TransKey, Value] = {}
     for sym in alphabet.symbols():

@@ -359,19 +359,28 @@ def test_congruent_with_oracle_depth(wta_file, capsys):
 
 
 def test_oracle_disagreement_exits_4(wta_file, capsys, monkeypatch):
+    # only a congruence the oracle refutes is a disagreement: a bounded
+    # oracle that finds no separating context has not seen them all
     oracle = congruence.brute_force_congruent
     monkeypatch.setattr(congruence, "brute_force_congruent", lambda *args: not oracle(*args))
-    for text, monomials, answer in (
-        (TWO_LEAF, ["1.alpha", "2.beta"], True),
-        (EVEN_ODD, ["1.alpha", "1.sigma(alpha,alpha)"], False),
-    ):
-        argv = ["congruent", wta_file(text), "--mono", monomials[0], "--mono", monomials[1]]
-        assert main(argv + ["--oracle-depth", "2"]) == 4
-        assert capsys.readouterr() == (
-            "",
-            "internal error: refinement and bounded-context oracle disagree "
-            f"(refinement={answer}, oracle={not answer})\n",
-        )
+    argv = ["congruent", wta_file(TWO_LEAF), "--mono", "1.alpha", "--mono", "2.beta"]
+    assert main(argv + ["--oracle-depth", "2"]) == 4
+    assert capsys.readouterr() == (
+        "",
+        "internal error: refinement and bounded-context oracle disagree "
+        "(refinement=True, oracle=False)\n",
+    )
+    argv = ["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha", "--mono", "1.sigma(alpha,alpha)"]
+    assert main(argv + ["--oracle-depth", "2"]) == 1
+    assert capsys.readouterr() == ("not congruent\n", "")
+
+
+@pytest.mark.parametrize("depth", ["0", "1", "2", "3"])
+def test_shallow_oracle_leaves_not_congruent(wta_file, capsys, depth):
+    # gamma(z) separates the two; depth 0 sees z alone, which does not
+    argv = ["congruent", wta_file(GAMMA3), "--mono", "1.alpha", "--mono", "2/3.gamma(alpha)"]
+    assert main(argv + ["--oracle-depth", depth]) == 1
+    assert capsys.readouterr() == ("not congruent\n", "")
 
 
 def test_congruent_needs_two_monomials(wta_file, capsys):

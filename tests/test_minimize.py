@@ -19,7 +19,7 @@ from budwta.automaton import (
 from budwta.congruence import build_syntactic_quotient, class_of
 from budwta.minimize import (
     NAME_TEXT_CAP,
-    _basis_state_name,
+    _state_names,
     build_wta_from_basis,
     equivalent,
     is_minimal,
@@ -39,9 +39,11 @@ from corpus import (
     random_weight,
     reference_build,
     reference_equivalent,
+    reference_state_name,
     small_corpus,
     sparse_binary,
     split_states,
+    unary_chain,
 )
 
 _MINIMIZE = importlib.import_module("budwta.minimize")
@@ -183,12 +185,112 @@ def _uncapped_name(index, tree):
 
 def test_basis_state_names_are_capped():
     alphabet = terms.RankedAlphabet([("sigma", 2), ("g_", 1), ("_al", 0), ("beta", 0)])
+    trees = list(enumerate_trees(alphabet, 3))
     lengths = set()
-    for tree in enumerate_trees(alphabet, 3):
-        full = _uncapped_name(17, tree)
-        lengths.add(len(full) - len("c17__"))
-        assert _basis_state_name(alphabet, 17, tree) == full[: len("c17__") + NAME_TEXT_CAP]
+    for i, (tree, name) in enumerate(zip(trees, _state_names(alphabet, trees))):
+        full = _uncapped_name(i, tree)
+        lengths.add(len(full) - len(f"c{i}__"))
+        assert name == full[: len(f"c{i}__") + NAME_TEXT_CAP]
     assert {NAME_TEXT_CAP, NAME_TEXT_CAP + 1} < lengths
+
+
+def _assert_names_match_reference(alphabet, trees):
+    names = _state_names(alphabet, trees)
+    assert names == [reference_state_name(alphabet, i, t) for i, t in enumerate(trees)]
+    return names
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_state_names_match_reference_on_corpus(kind):
+    rng = random.Random(f"names:{kind}")
+    automata = list(small_corpus(kind, 24, seed=12))
+    automata += [split_states(rng, a) for a in automata]
+    for a in automata:
+        s = slim(a)
+        qt = build_syntactic_quotient(s)
+        _assert_names_match_reference(s.alphabet, [t for t, _ in scalar_basis(s, qt)])
+        _assert_names_match_reference(s.alphabet, list(qt.rep_tree.values()))
+        leaf = terms.Tree(s.alphabet.nullary_symbols()[0])
+        _assert_names_match_reference(s.alphabet, [leaf])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sparse_binary(random.Random(1), sf.RATIONAL, 2000),
+        lambda: unary_chain(random.Random(1), sf.RATIONAL, 1600),
+        lambda: chain(random.Random(1), sf.BOOLEAN, 64),
+    ],
+    ids=["sparse_binary_2000", "unary_chain_1600", "boolean_chain_64"],
+)
+def test_state_names_match_reference_on_large_witnesses(make):
+    # every witness tree, a superset of any basis; the chain's last tree
+    # has 2^64 - 1 nodes and 64 distinct ones
+    a = make()
+    names = _assert_names_match_reference(a.alphabet, list(automaton.representative_trees(a).values()))
+    assert max(map(len, names)) <= len(f"c{len(names) - 1}__") + NAME_TEXT_CAP
+
+
+def test_state_names_match_reference_on_underscored_symbols():
+    alphabet = terms.RankedAlphabet([("x__y_", 2), ("g_", 1), ("_al", 0), ("__", 0)])
+    trees = list(enumerate_trees(alphabet, 3))
+    assert len(trees) == 5552
+    names = _assert_names_match_reference(alphabet, trees)
+    assert names[:2] == ["c0__al", "c1__"]  # the text of "__" is empty
+    for t in trees[::50]:  # a tree alone, with no texts from the others
+        assert _state_names(alphabet, [t]) == [reference_state_name(alphabet, 0, t)]
+    clash = terms.RankedAlphabet([("g_", 1), ("_al", 0), ("c0__al", 0), ("c0__al_", 0)])
+    names = _assert_names_match_reference(clash, list(enumerate_trees(clash, 1)))
+    assert names[0] == "c0__al__"  # "_" appended while the name is a symbol
+
+
+def _texts_cut_inside_a_child(tree):
+    """Whether the cap falls strictly inside a child's text, and whether a
+    child's own text passes the cap."""
+    before = len("_".join(w for w in tree.symbol.split("_") if w))
+    inside = cut_child = False
+    for kid in tree.children:
+        text = _uncapped_name(0, kid)[len("c0__"):]
+        if not text:
+            continue
+        start = before + 1 if before else 0
+        inside |= start < NAME_TEXT_CAP < start + len(text)
+        cut_child |= len(text) > NAME_TEXT_CAP
+        before = start + len(text)
+    return inside, cut_child
+
+
+def test_state_names_match_reference_when_the_cap_falls_in_a_child():
+    alphabet = terms.RankedAlphabet(
+        [("f_", 2), ("g" * 10, 1), ("_h_i_", 1), ("bb_", 0), ("_" + "c" * 13, 0), ("a", 0)]
+    )
+    trees = list(enumerate_trees(alphabet, 2))
+    rng = random.Random(614)
+    pool = list(trees)  # children: shared subtrees with texts under 150 characters
+    for _ in range(600):
+        sym = rng.choice(["f_", "g" * 10, "_h_i_"])
+        trees.append(terms.Tree(sym, tuple(rng.choices(pool, k=alphabet.arity(sym)))))
+        if len(terms.format_tree(trees[-1])) < 150:
+            pool.append(trees[-1])
+    _assert_names_match_reference(alphabet, trees)
+    cuts = [_texts_cut_inside_a_child(t) for t in trees]
+    assert sum(inside for inside, _ in cuts) > 50
+    assert sum(cut_child for _, cut_child in cuts) > 20
+
+
+def test_minimize_formats_no_tree(monkeypatch):
+    a = sparse_binary(random.Random(1), sf.RATIONAL, 200)
+    calls = []
+    real = terms.format_tree
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(terms, "format_tree", counted)
+    m = minimize(a)
+    assert len(m.states) > 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", [sf.BOOLEAN, sf.TROPICAL], ids=str)

@@ -4,7 +4,7 @@
 # wide-symbol files, a 2000-state sparse binary file, a 1600-state unary
 # chain, a file of unused leaves, a depth-10000 oracle query and a
 # 40000-deep tropical spine, each of those under a 10 or 20 s timeout:
-# stdout and exit codes.
+# stdout, exit codes and the oracle cap's stderr line.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -68,9 +68,11 @@ test "$(timeout 20 budwta equiv sparse.wta sparse_min.wta)" = "equivalent"
 # a wide symbol that labels a transition: depth 3 is over the oracle's cap,
 # refused from the count before any context is built
 printf 'semifield rational\nrank a 0\nrank f 12\ntrans a() -> q @ 2\ntrans f(%sq) -> q @ 1/2\nfinal q @ 1\n' "$(printf 'q,%.0s' $(seq 11))" > wide_used.wta
-code=0; timeout 10 budwta congruent wide_used.wta --mono 1.a --mono 2.a --oracle-depth 3 || code=$?
+code=0; err=$(timeout 10 budwta congruent wide_used.wta --mono 1.a --mono 2.a --oracle-depth 3 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
-# the oracle folds only the state pair a question is about: a 1600-state chain
+test "$err" = "error: --oracle-depth 3 is over the oracle's cap of 100000 table cells: 319489 contexts of height <= 2 times 1 states"
+# the oracle keeps one column per state and scales a row only for the
+# monomials a question is about: a 1600-state chain at depth 3
 PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.unary_chain(random.Random(1), budwta.RATIONAL, 1600)), end="")' > chain.wta
 last="$(printf 'g(%.0s' $(seq 1599))a$(printf ')%.0s' $(seq 1599))"
 test "$(timeout 20 budwta congruent chain.wta --mono 1.a --mono 1.a --oracle-depth 3)" = "congruent"

@@ -4,8 +4,10 @@ Exit codes: 0 success (or query answered yes), 1 query answered no,
 2 input or parse error, 3 precondition violated, 4 internal consistency
 failure (the refinement finds two monomials congruent and the
 bounded-context oracle of ``--oracle-depth`` separates them, or any other
-exception, reported on one ``internal error: ...`` line).  The oracle
-sees contexts up to a height only, so it cannot refute a "not congruent".
+exception, reported on one ``internal error: ...`` line; the first names
+the two monomials and the depth).  The oracle sees contexts up to a height
+only, so it cannot refute a "not congruent"; it is built first all the
+same, so a depth over its cap exits 2 whatever the answer.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
-
-# the most table cells `congruent --oracle-depth` builds: each context is a
-# table of one run per state, so contexts times states; 56 321 contexts
-# (f/10 at depth 2, one state) take about 1 s
-ORACLE_CELLS = 100_000
 
 
 class _CliInputError(Exception):
@@ -129,23 +126,17 @@ def _cmd_congruent(args) -> int:
     m1 = scalar.parse_monomial(args.monomials[0], a.alphabet, a.kind)
     m2 = scalar.parse_monomial(args.monomials[1], a.alphabet, a.kind)
     s = automaton.slim(a)
-    if depth is not None:  # counted before any context is built
-        for h, count in enumerate(congruence.oracle_context_counts(s)):
-            if count * len(s.states) > ORACLE_CELLS:
-                raise _CliInputError(
-                    f"--oracle-depth {depth} is over the oracle's cap of "
-                    f"{ORACLE_CELLS} table cells: {count} contexts of height "
-                    f"<= {h} times {len(s.states)} states"
-                )
-            if h == depth:
-                break
-    qt = congruence.build_syntactic_quotient(s)
-    answer = congruence.congruent(qt, m1, m2)
+    try:  # an oracle over its cap is refused before any context is built
+        refuted = depth is not None and not congruence.brute_force_congruent(s, m1, m2, depth)
+    except congruence.OracleCapError as exc:
+        raise _CliInputError(f"--oracle-depth {depth} is {exc}") from None
+    answer = congruence.congruent(congruence.build_syntactic_quotient(s), m1, m2)
     # a bounded oracle can refute a congruence, never confirm one
-    if answer and depth is not None and not congruence.brute_force_congruent(s, m1, m2, depth):
+    if answer and refuted:
         print(
-            "internal error: refinement and bounded-context oracle "
-            "disagree (refinement=True, oracle=False)",
+            "internal error: refinement and bounded-context oracle disagree "
+            f"(refinement=True, oracle=False) on {scalar.format_monomial(m1)} "
+            f"and {scalar.format_monomial(m2)} at oracle depth {depth}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL

@@ -25,7 +25,7 @@ is provided as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from . import automaton, terms
@@ -38,10 +38,40 @@ from .terms import Tree
 # scaling factor.  None stands for the class of the zero language.
 ClassRep = Optional[Tuple[int, Value]]
 
+# The most monomials each decider keeps the canonical form of.  A
+# congruence-oracle op of the bench asks about a median of 64 distinct ones.
+MEMO_CAP = 4096
+
+# The most table cells a `BoundedContextOracle` builds: each context is a
+# table of one run per state, so contexts times states.  56 321 contexts
+# (f/10 at depth 2, one state) take about 1 s.
+ORACLE_CELLS = 100_000
+
+
+class OracleCapError(ValueError):
+    """A bounded-context oracle over `ORACLE_CELLS` table cells, refused
+    before any context is built."""
+
+
+def _remember(memo: Dict[int, tuple], m: Monomial, form: object) -> tuple:
+    """Keep (m, form) under ``id(m)``, the oldest entry dropped when the
+    memo holds MEMO_CAP.  The entry holds ``m``, so no other object has its
+    id while the entry lives, and no `Fraction` is hashed."""
+    if len(memo) >= MEMO_CAP:
+        del memo[next(iter(memo))]
+    entry = memo[id(m)] = (m, form)
+    return entry
+
 
 @dataclass
 class SyntacticQuotient:
-    """Finite presentation of the syntactic congruence of one automaton."""
+    """Finite presentation of the syntactic congruence of one automaton.
+
+    ``_classes`` keeps the class of each monomial `congruent` was asked
+    about, as the key that equal classes share: None for the zero class,
+    else the block and the factor's integer parts.  It is filled from
+    `class_of`, at most MEMO_CAP entries, by monomial object, as the parse
+    memo returns one object per text."""
 
     wta: Wta
     # live states, grouped; blocks ordered by the declaration rank of their
@@ -51,6 +81,7 @@ class SyntacticQuotient:
     lam: Dict[str, Value]  # scaling witness relative to the block rep
     rep_tree: Dict[str, Tree]  # one witness tree per state
     block_of: Dict[str, int]
+    _classes: Dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
 
 
 # --- building the quotient ------------------------------------------------
@@ -166,7 +197,12 @@ def _monomial_run(a: Wta, m: Monomial) -> DetValue:
 
 def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
     """Congruence class of a monomial; None is the class of the zero language.
-    Its factor is the weight, the run weight and lam, as one product."""
+
+    This is the canonical form: a nonzero class is a scalar multiple of one
+    live block's representative, so two monomials are congruent exactly
+    when their classes are equal.  Its factor is the weight, the run weight
+    and lam, as one product.  Each call runs the monomial; `congruent`
+    keeps the result."""
     v = _monomial_run(qt.wta, m)
     if v is None or v[0] in qt.dead:
         return None
@@ -175,10 +211,19 @@ def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
 
 
 def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
-    c1, c2 = class_of(qt, m1), class_of(qt, m2)
-    if c1 is None or c2 is None:  # the zero class equals only itself
-        return c1 is c2
-    return c1[0] == c2[0] and eq(c1[1], c2[1])
+    """Whether the classes of the two monomials are equal.  Each class is
+    taken by `class_of` once per monomial object and kept on the quotient,
+    so a query asked again is two lookups and one compare; a monomial whose
+    run raises is not kept, and raises again when asked again."""
+    memo = qt._classes
+    c1 = memo.get(id(m1)) or _class_entry(qt, m1)
+    c2 = memo.get(id(m2)) or _class_entry(qt, m2)
+    return c1[1] == c2[1]
+
+
+def _class_entry(qt: SyntacticQuotient, m: Monomial) -> tuple:
+    c = class_of(qt, m)  # the zero class equals only itself
+    return _remember(qt._classes, m, None if c is None else (c[0], *parts(c[1])))
 
 
 # --- brute-force oracle over literally enumerated contexts ----------------
@@ -276,10 +321,11 @@ class BoundedContextOracle:
     row, the weight of plugging a unit run at each state into the context
     and reading the final weight.  Each distinct observation value is coded
     by its integer parts into a small int, and the distinct rows of codes
-    are kept as one column per state.  A query about states (q1, q2) folds
-    their two columns into the distinct observation pairs once, on the first
-    query about that pair, and keeps them in ``pair_obs``: ints are hashed,
-    no `Fraction`.  A query then costs one product per side per pair.
+    are kept as one column per state.
+
+    Before any context is built, the contexts are counted: over
+    `ORACLE_CELLS` table cells, contexts times states, the oracle raises
+    `OracleCapError`.
 
     The contexts range over the symbols that label a transition, in
     declaration order, and the first nullary symbol if none of those is
@@ -288,10 +334,27 @@ class BoundedContextOracle:
     that row is counted once, if there is such a context.  There is one
     of height 1 when a symbol of arity >= 1 is left out, or a nullary one
     beside a symbol of arity >= 2 (s(z, leaf)), and none otherwise.
+
+    A monomial b.xi whose run reaches q with weight x has the scaled row
+    b * x * o over the codes o of q's column, kept as integer parts; a zero
+    monomial, a run into the sink and an all-zero column share the row
+    None.  Two monomials agree on every context exactly when their rows
+    are equal.  ``_rows`` keeps the row of each monomial `congruent` was
+    asked about, at most MEMO_CAP entries, by monomial object: a query
+    asked again is two lookups and one compare.
     """
 
     def __init__(self, a: Wta, ctx_height: int):
         automaton._require_budet(a)
+        n = len(a.states)
+        for h, count in enumerate(oracle_context_counts(a)):
+            if count * n > ORACLE_CELLS:
+                raise OracleCapError(
+                    f"over the oracle's cap of {ORACLE_CELLS} table cells: "
+                    f"{count} contexts of height <= {h} times {n} states"
+                )
+            if h == ctx_height:
+                break
         self.wta = a
         self.ctx_height = ctx_height
         zero = a.kind.zero
@@ -313,7 +376,7 @@ class BoundedContextOracle:
             labels = {s for s, _k in used}
             wide = any(k >= 2 for _s, k in symbols)
             if ctx_height >= 1 and any(k or wide for s, k in symbols if s not in labels):
-                rows.add((0,) * len(a.states))
+                rows.add((0,) * n)
             a = Wta(terms.RankedAlphabet(used), a.states, a.kind, a.delta, a.final)
         rows.update(
             tuple(code(automaton._read_out(a, v)) for v in table)
@@ -321,34 +384,25 @@ class BoundedContextOracle:
         )
         self._values = values
         self._columns = dict(zip(a.states, zip(*rows)))
-        self.col_nonzero: Dict[str, bool] = {
-            q: any(col) for q, col in self._columns.items()
-        }
-        # the distinct observation pairs of each state pair asked so far
-        self.pair_obs: Dict[Tuple[str, str], Tuple[Tuple[Value, Value], ...]] = {}
-
-    def observations(self, q1: str, q2: str) -> Tuple[Tuple[Value, Value], ...]:
-        """The distinct (observation at q1, observation at q2) over the
-        contexts, folded from the columns on the first call for the pair."""
-        obs = self.pair_obs.get((q1, q2))
-        if obs is None:
-            v, col = self._values, self._columns
-            obs = tuple((v[i], v[j]) for i, j in set(zip(col[q1], col[q2])))
-            self.pair_obs[(q1, q2)] = obs
-        return obs
+        self._rows: Dict[int, tuple] = {}
 
     def congruent(self, m1: Monomial, m2: Monomial) -> bool:
-        v1 = _monomial_run(self.wta, m1)
-        v2 = _monomial_run(self.wta, m2)
-        if v1 is None or v2 is None:
-            v = v1 or v2
-            return v is None or not self.col_nonzero[v[0]]
-        (q1, x1), (q2, x2) = v1, v2
-        product, w1, w2 = self.wta.kind.product, m1.weight, m2.weight
-        for o1, o2 in self.observations(q1, q2):
-            if not eq(product((w1, x1, o1)), product((w2, x2, o2))):
-                return False
-        return True
+        rows = self._rows
+        r1 = rows.get(id(m1)) or self._row(m1)
+        r2 = rows.get(id(m2)) or self._row(m2)
+        return r1[1] == r2[1]
+
+    def _row(self, m: Monomial) -> tuple:
+        """The memo entry of ``m``'s scaled row, one product per distinct
+        code of its state's column."""
+        v = _monomial_run(self.wta, m)
+        col = () if v is None else self._columns[v[0]]
+        row = None
+        if any(col):
+            product, values = self.wta.kind.product, self._values
+            scaled = {o: parts(product((m.weight, v[1], values[o]))) for o in set(col)}
+            row = tuple(map(scaled.__getitem__, col))
+        return _remember(self._rows, m, row)
 
 
 def brute_force_congruent(
@@ -357,6 +411,7 @@ def brute_force_congruent(
     """Congruence restricted to contexts of height <= ctx_height.
 
     Exhaustive over the literal context enumeration; used as an oracle
-    against the refinement-based decision procedure.
+    against the refinement-based decision procedure.  Over `ORACLE_CELLS`
+    table cells it raises `OracleCapError` before any context is built.
     """
     return BoundedContextOracle(a, ctx_height).congruent(m1, m2)

@@ -14,6 +14,11 @@ splitting it into its elementary factors and running each side tree, and
 oracle that observes every context on every state that way.  They are the
 reference that `congruence.context_tables` and
 `congruence.BoundedContextOracle` are checked against.
+`observation_pairs` folds two of the oracle's columns into their distinct
+observation pairs, and `folded_congruent` decides a pair from them, one
+product per side per pair; `reference_congruent` compares two
+`congruence.class_of` results.  They are the two deciders without their
+monomial memos.
 `reference_quotient` is the refinement `congruence.build_syntactic_quotient`
 replaced: each round re-anchors every state on its block representative's
 observation path and compares signatures over all abstract elementary
@@ -49,7 +54,8 @@ three or more states use unary-spine alphabets so that literal context
 enumeration at height 2*|Q| stays small; binary-symbol automata are capped
 at two states.  `layered` and `chain` build minimal automata whose states
 need high trees.  `split_states` gives an automaton proportional copies
-of its states.  `sparse_binary` gives large slim automata with |delta| = 3n,
+of its states; `rescale_pad_shuffle` rescales every state, adds an
+unreachable and a dead state, and shuffles delta, keeping the language.  `sparse_binary` gives large slim automata with |delta| = 3n,
 on which a builder that loops over basis tuples is quadratic.
 """
 
@@ -317,6 +323,42 @@ class ObserveOracle:
             return not self.col_nonzero[q1]
         times = self.wta.kind.times
         return all(times(c1, o1) == times(c2, o2) for o1, o2 in self.pair_obs[(q1, q2)])
+
+
+def observation_pairs(
+    oracle: congruence.BoundedContextOracle, q1: str, q2: str
+) -> Set[Tuple[Value, Value]]:
+    """The distinct (observation at q1, observation at q2) over the oracle's
+    context rows, folded from its columns."""
+    v, col = oracle._values, oracle._columns
+    return {(v[i], v[j]) for i, j in zip(col[q1], col[q2])}
+
+
+def folded_congruent(oracle: congruence.BoundedContextOracle, m1: Monomial, m2: Monomial) -> bool:
+    """`congruence.BoundedContextOracle.congruent` without its monomial
+    memo: both monomials run, then one product per side per observation
+    pair of their two states."""
+    a = oracle.wta
+    v1 = congruence._monomial_run(a, m1)
+    v2 = congruence._monomial_run(a, m2)
+    if v1 is None or v2 is None:
+        v = v1 or v2
+        return v is None or not any(oracle._columns[v[0]])
+    (q1, x1), (q2, x2) = v1, v2
+    product = a.kind.product
+    return all(
+        sf.eq(product((m1.weight, x1, o1)), product((m2.weight, x2, o2)))
+        for o1, o2 in observation_pairs(oracle, q1, q2)
+    )
+
+
+def reference_congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
+    """`congruence.congruent` without its class memo: both classes from
+    `congruence.class_of`, compared."""
+    c1, c2 = congruence.class_of(qt, m1), congruence.class_of(qt, m2)
+    if c1 is None or c2 is None:  # the zero class equals only itself
+        return c1 is c2
+    return c1[0] == c2[0] and sf.eq(c1[1], c2[1])
 
 
 # --- the re-anchored refinement, kept as reference -----------------------
@@ -944,6 +986,50 @@ def split_states(rng: random.Random, a: Wta) -> Wta:
     final = {f"{q}_{j}": k.times(f, lam[(q, j)]) for q, f in a.final.items() for j in (0, 1)}
     states = tuple(f"{q}_{j}" for q in a.states for j in (0, 1))
     return automaton.slim(Wta(a.alphabet, states, k, delta, final))
+
+
+def _fresh_name(stem: str, taken) -> str:
+    while stem in taken:
+        stem += "_"
+    return stem
+
+
+def rescale_pad_shuffle(rng: random.Random, a: Wta) -> Tuple[Wta, bool]:
+    """``a`` with every state rescaled by a random nonzero lam, one
+    unreachable and one dead state appended, and delta shuffled; and
+    whether the dead state is realized.  The language is a's.
+
+    Entry (ws, sym, q) @ w becomes lam(q) * w * prod lam(p)^-1 and F(q)
+    becomes F(q) * lam(q)^-1, so a tree that reached q with weight x
+    reaches it with lam(q) * x.  The unreachable state has a final weight
+    and, for each symbol of arity k >= 1, an entry from k copies of itself
+    into a random state; no entry leads into it.  The dead state has no
+    final weight and, for each such symbol, an entry from k copies of
+    itself into itself; it is realized when one of the first 10 000 keys
+    over a's states is free, by an entry from that key.
+    """
+    k = a.kind
+    taken = {*a.states, *a.alphabet.symbols(), Z_NAME}
+    u = _fresh_name("pad_unreachable", taken)
+    d = _fresh_name("pad_dead", taken)
+    lam = {q: random_weight(rng, k) for q in a.states}
+    entries = [
+        ((ws, sym, q), k.product([lam[q], w, *(k.inv(lam[p]) for p in ws)]))
+        for (ws, sym, q), w in a.delta.items()
+    ]
+    final = {q: k.times(f, k.inv(lam[q])) for q, f in a.final.items()}
+    final[u] = random_weight(rng, k)
+    wide = [(sym, n) for sym, n in a.alphabet._arity.items() if n]
+    for sym, n in wide:
+        entries.append((((u,) * n, sym, rng.choice(a.states)), random_weight(rng, k)))
+        entries.append((((d,) * n, sym, d), random_weight(rng, k)))
+    keys = ((ws, sym) for sym, n in a.alphabet._arity.items()
+            for ws in itertools.product(a.states, repeat=n))
+    free = next((key for key in itertools.islice(keys, 10_000) if key not in a._succ), None)
+    if free is not None:
+        entries.append(((*free, d), random_weight(rng, k)))
+    rng.shuffle(entries)
+    return Wta(a.alphabet, a.states + (u, d), k, dict(entries), final), free is not None
 
 
 def random_monomial(

@@ -152,14 +152,14 @@ def test_oracle_depth_over_the_cap_exits_2_before_any_context(wta_file, capsys, 
             assert captured.out == ""
             assert captured.err == (
                 f"error: --oracle-depth {depth} is over the oracle's cap of "
-                f"{cli.ORACLE_CELLS} table cells: 319489 contexts of height "
+                f"{congruence.ORACLE_CELLS} table cells: 319489 contexts of height "
                 "<= 2 times 1 states\n"
             )
         # with the cap at 13, depth 1 is within it and depth 2 is not
-        patch.setattr(cli, "ORACLE_CELLS", 13)
+        patch.setattr(congruence, "ORACLE_CELLS", 13)
         assert main(argv + ["--oracle-depth", "2"]) == 2
         assert "319489 contexts of height <= 2" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "ORACLE_CELLS", 13)
+    monkeypatch.setattr(congruence, "ORACLE_CELLS", 13)
     assert main(argv + ["--oracle-depth", "1"]) == 1
     assert capsys.readouterr().out == "not congruent\n"
 
@@ -176,10 +176,10 @@ def test_oracle_depth_cap_counts_one_cell_per_context_and_state(wta_file, capsys
         patch.setattr(terms, "enumerate_contexts", _refuse_contexts)
         assert main(argv + ["--oracle-depth", "2"]) == 2
         assert capsys.readouterr().err == (
-            f"error: --oracle-depth 2 is over the oracle's cap of {cli.ORACLE_CELLS} "
+            f"error: --oracle-depth 2 is over the oracle's cap of {congruence.ORACLE_CELLS} "
             "table cells: 2843 contexts of height <= 2 times 40 states\n"
         )
-    assert 2843 < cli.ORACLE_CELLS < 2843 * 40
+    assert 2843 < congruence.ORACLE_CELLS < 2843 * 40
     assert main(argv + ["--oracle-depth", "1"]) == 0
     assert capsys.readouterr().out == "congruent\n"
 
@@ -194,7 +194,7 @@ def test_oracle_depth_on_a_unary_chain_is_not_capped(wta_file, capsys, monkeypat
     assert time.perf_counter() - start < 2
     capsys.readouterr()
     monkeypatch.setattr(terms, "enumerate_contexts", _refuse_contexts)
-    half = cli.ORACLE_CELLS // 2
+    half = congruence.ORACLE_CELLS // 2
     assert main(argv + ["--oracle-depth", str(half)]) == 2
     assert f"{half + 1} contexts of height <= {half} times 2 states" in capsys.readouterr().err
 
@@ -368,7 +368,7 @@ def test_oracle_disagreement_exits_4(wta_file, capsys, monkeypatch):
     assert capsys.readouterr() == (
         "",
         "internal error: refinement and bounded-context oracle disagree "
-        "(refinement=True, oracle=False)\n",
+        "(refinement=True, oracle=False) on 1.alpha and 2.beta at oracle depth 2\n",
     )
     argv = ["congruent", wta_file(EVEN_ODD), "--mono", "1.alpha", "--mono", "1.sigma(alpha,alpha)"]
     assert main(argv + ["--oracle-depth", "2"]) == 1

@@ -40,6 +40,7 @@ from corpus import (
     reference_build,
     reference_equivalent,
     reference_state_name,
+    rescale_pad_shuffle,
     small_corpus,
     sparse_binary,
     split_states,
@@ -329,6 +330,38 @@ def test_minimize_idempotent(even_odd, gamma3, two_leaf):
         m2 = minimize(m)
         assert len(m2.states) == len(m.states)
         assert equivalent(m, m2)
+
+
+# The minimal automaton is unique up to renaming and rescaling its states,
+# and minimize picks names and weights from data the language fixes: the
+# witness trees, whose order depends on neither the order of delta nor the
+# states' scales, and the classes over the basis.  Only the block order
+# follows the declaration order, which these changes keep.
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_minimize_is_fixed_under_rescale_pad_and_shuffle(kind):
+    rng = random.Random(f"fixed:{kind}")
+    automata = list(small_corpus(kind, 60))
+    realized = 0
+    for a in automata:
+        b, dead_realized = rescale_pad_shuffle(rng, a)
+        realized += dead_realized
+        assert not is_slim(b)
+        assert format_wta(minimize(b)) == format_wta(minimize(a)), format_wta(a)
+    assert realized > len(automata) // 2
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(sparse_binary, 2000), (unary_chain, 400), (chain, 16)],
+    ids=["sparse_binary_2000", "unary_chain_400", "weighted_chain_16"],
+)
+def test_minimize_is_fixed_under_rescale_pad_and_shuffle_at_scale(make, n):
+    a = make(random.Random(1), sf.RATIONAL, n)
+    b, dead_realized = rescale_pad_shuffle(random.Random(f"fixed:{n}"), a)
+    assert dead_realized and not is_slim(b)
+    assert format_wta(minimize(b)) == format_wta(minimize(a))
 
 
 def test_minimize_requires_budet():

@@ -19,6 +19,8 @@ from corpus import (
     context_transform,
     enumerate_trees,
     equal_alphabet,
+    folded_congruent,
+    observation_pairs,
     observe,
     parse_context,
     random_monomial,
@@ -81,14 +83,12 @@ def test_lam_scales_every_literal_context(kind):
 
 
 def _assert_same_observations(new, old):
-    """Ask ``new`` about every state pair first, then compare its observation
-    pairs with the per-context reference's, pair by pair."""
-    for q1, q2 in old.pair_obs:
-        new.observations(q1, q2)
-    assert new.col_nonzero == old.col_nonzero
-    assert new.pair_obs.keys() == old.pair_obs.keys()
-    for pair, obs in old.pair_obs.items():
-        assert len(new.pair_obs[pair]) == len(obs) and set(new.pair_obs[pair]) == obs, pair
+    """Fold ``new``'s columns for every state pair, and compare the
+    observation pairs with the per-context reference's, pair by pair."""
+    assert new._columns.keys() == old.col_nonzero.keys()
+    assert {q: any(col) for q, col in new._columns.items()} == old.col_nonzero
+    for (q1, q2), obs in old.pair_obs.items():
+        assert observation_pairs(new, q1, q2) == obs, (q1, q2)
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -148,20 +148,34 @@ def test_oracle_matches_per_context_oracle_with_unused_leaves(kind):
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
 def test_a_query_folds_only_the_pair_it_asks(kind):
-    # g^n(a) reaches q_n of the chain
-    a = unary_chain(random.Random(1), kind, 40)
+    # a query folds the weight of each monomial of its pair into that
+    # monomial's column, once; g^n(a) reaches q_n of the chain, and at
+    # depth 3 only q6..q9 observe a nonzero weight
+    a = unary_chain(random.Random(1), kind, 10)
     oracle = BoundedContextOracle(a, 3)
-    assert oracle.pair_obs == {}
-    m3, m7 = (scalar.parse_monomial("1." + "g(" * n + "a" + ")" * n, a.alphabet, kind)
-              for n in (3, 7))
-    oracle.congruent(m3, m7)
-    assert list(oracle.pair_obs) == [("q3", "q7")]
-    asked = oracle.pair_obs[("q3", "q7")]
-    oracle.congruent(m3._replace(weight=kind.zero), m7)  # a zero monomial asks no pair
-    oracle.congruent(m3, m7)
-    assert list(oracle.pair_obs) == [("q3", "q7")] and oracle.pair_obs[("q3", "q7")] is asked
-    oracle.congruent(m7, m3)
-    assert list(oracle.pair_obs) == [("q3", "q7"), ("q7", "q3")]
+    assert oracle._rows == {}
+    m3, m7, m9 = (scalar.parse_monomial("1." + "g(" * n + "a" + ")" * n, a.alphabet, kind)
+                  for n in (3, 7, 9))
+    oracle.congruent(m7, m9)
+    assert [m for m, _row in oracle._rows.values()] == [m7, m9]
+    asked = dict(oracle._rows)
+    for m, q in ((m7, "q7"), (m9, "q9")):  # one scaled row per context row
+        x = automaton.h_det(a, m.tree)[1]
+        assert asked[id(m)][1] == tuple(
+            sf.parts(kind.product((m.weight, x, oracle._values[o]))) for o in oracle._columns[q]
+        )
+    # a zero monomial and an all-zero column are kept with the row None
+    zero = m7._replace(weight=kind.zero)
+    assert not oracle.congruent(zero, m9)
+    assert oracle.congruent(zero, m3)
+    assert list(oracle._rows) == [id(m7), id(m9), id(zero), id(m3)]
+    assert oracle._rows[id(zero)][1] is None and oracle._rows[id(m3)][1] is None
+    oracle.congruent(m7, m9)
+    oracle.congruent(m9, m7)
+    assert len(oracle._rows) == 4
+    assert all(oracle._rows[key] is entry for key, entry in asked.items())
+    for m1, m2 in itertools.product((m3, m7, m9, zero), repeat=2):
+        assert oracle.congruent(m1, m2) == folded_congruent(oracle, m1, m2)
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)

@@ -2,8 +2,9 @@
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, on a tropical file, and on
 # wide-symbol files, a 2000-state sparse binary file, a 1600-state unary
-# chain, a file of unused leaves, a depth-10000 oracle query and a
-# 40000-deep tropical spine, each of those under a 10 or 20 s timeout:
+# chain, a file of unused leaves, a depth-10000 oracle query, an oracle
+# depth past sys.maxsize over leaves alone and a 40000-deep tropical
+# spine, each of those under a 10 or 20 s timeout:
 # stdout, exit codes and the oracle cap's stderr line.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
@@ -71,8 +72,8 @@ printf 'semifield rational\nrank a 0\nrank f 12\ntrans a() -> q @ 2\ntrans f(%sq
 code=0; err=$(timeout 10 budwta congruent wide_used.wta --mono 1.a --mono 2.a --oracle-depth 3 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$err" = "error: --oracle-depth 3 is over the oracle's cap of 100000 table cells: 319489 contexts of height <= 2 times 1 states"
-# the oracle keeps one column per state and scales a row only for the
-# monomials a question is about: a 1600-state chain at depth 3
+# the oracle groups states by their observation columns up to scale, one
+# pass over each column: a 1600-state chain at depth 3
 PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.unary_chain(random.Random(1), budwta.RATIONAL, 1600)), end="")' > chain.wta
 last="$(printf 'g(%.0s' $(seq 1599))a$(printf ')%.0s' $(seq 1599))"
 test "$(timeout 20 budwta congruent chain.wta --mono 1.a --mono 1.a --oracle-depth 3)" = "congruent"
@@ -86,6 +87,12 @@ test "$(timeout 20 budwta congruent leaves.wta --mono 1/3.alpha --mono '1/18.sig
 # a two-state unary file is 10001 contexts, 20002 table cells
 printf 'semifield rational\nrank a 0\nrank g 1\ntrans a() -> p @ 1\ntrans g(p) -> q @ 1\ntrans g(q) -> p @ 1\nfinal q @ 1\n' > two_state.wta
 code=0; out=$(timeout 20 budwta congruent two_state.wta --mono 1.a --mono '1.g(g(a))' --oracle-depth 10000) || code=$?
+test "$code" -eq 0
+test "$out" = "congruent"
+# only leaves label a transition, so z is the only context: a depth past
+# sys.maxsize is cut to height 0
+printf 'semifield rational\nrank a 0\nrank b 0\ntrans a() -> p @ 1\ntrans b() -> q @ 1\nfinal p @ 1\n' > leaves_only.wta
+code=0; out=$(timeout 10 budwta congruent leaves_only.wta --mono 1.a --mono 1.a --oracle-depth 99999999999999999999) || code=$?
 test "$code" -eq 0
 test "$out" = "congruent"
 # a 40000-deep spine is parsed and run without recursion; its text, 120001

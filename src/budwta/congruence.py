@@ -19,7 +19,9 @@ out.
 
 Because the refinement is the only nontrivial algorithm in the package,
 a brute-force check over literally enumerated contexts of bounded height
-is provided as an independent oracle.
+is provided as an independent oracle.  It groups the states by their
+observation columns up to scale into the same presentation, so both
+deciders read a monomial's class with `class_of`.
 """
 
 from __future__ import annotations
@@ -53,25 +55,12 @@ class OracleCapError(ValueError):
     before any context is built."""
 
 
-def _remember(memo: Dict[int, tuple], m: Monomial, form: object) -> tuple:
-    """Keep (m, form) under ``id(m)``, the oldest entry dropped when the
-    memo holds MEMO_CAP.  The entry holds ``m``, so no other object has its
-    id while the entry lives, and no `Fraction` is hashed."""
-    if len(memo) >= MEMO_CAP:
-        del memo[next(iter(memo))]
-    entry = memo[id(m)] = (m, form)
-    return entry
-
-
 @dataclass
 class SyntacticQuotient:
     """Finite presentation of the syntactic congruence of one automaton.
 
-    ``_classes`` keeps the class of each monomial `congruent` was asked
-    about, as the key that equal classes share: None for the zero class,
-    else the block and the factor's integer parts.  It is filled from
-    `class_of`, at most MEMO_CAP entries, by monomial object, as the parse
-    memo returns one object per text."""
+    ``_classes`` is `congruent`'s memo of monomial classes, as on a
+    `BoundedContextOracle`, which has the same fields `class_of` reads."""
 
     wta: Wta
     # live states, grouped; blocks ordered by the declaration rank of their
@@ -195,14 +184,15 @@ def _monomial_run(a: Wta, m: Monomial) -> DetValue:
     return automaton._run(a, m.tree) if a.budet else automaton.h_det(a, m.tree)
 
 
-def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
+def class_of(qt: SyntacticQuotient | BoundedContextOracle, m: Monomial) -> ClassRep:
     """Congruence class of a monomial; None is the class of the zero language.
 
     This is the canonical form: a nonzero class is a scalar multiple of one
     live block's representative, so two monomials are congruent exactly
     when their classes are equal.  Its factor is the weight, the run weight
-    and lam, as one product.  Each call runs the monomial; `congruent`
-    keeps the result."""
+    and lam, as one product.  It reads ``wta``, ``dead``, ``block_of`` and
+    ``lam``, which a quotient and a bounded-context oracle both have.  Each
+    call runs the monomial; `congruent` keeps the result."""
     v = _monomial_run(qt.wta, m)
     if v is None or v[0] in qt.dead:
         return None
@@ -210,20 +200,30 @@ def class_of(qt: SyntacticQuotient, m: Monomial) -> ClassRep:
     return (qt.block_of[q], qt.wta.kind.product((m.weight, x, qt.lam[q])))
 
 
-def congruent(qt: SyntacticQuotient, m1: Monomial, m2: Monomial) -> bool:
-    """Whether the classes of the two monomials are equal.  Each class is
-    taken by `class_of` once per monomial object and kept on the quotient,
-    so a query asked again is two lookups and one compare; a monomial whose
-    run raises is not kept, and raises again when asked again."""
+def congruent(qt: SyntacticQuotient | BoundedContextOracle, m1: Monomial, m2: Monomial) -> bool:
+    """Whether the classes of the two monomials are equal.
+
+    Each class is taken by `class_of` once per monomial object and kept in
+    ``qt._classes`` as the key that equal classes share: None for the zero
+    class, else the block and the factor's integer parts.  A query asked
+    again is two lookups and one compare.  The memo is keyed by ``id(m)``
+    and each entry holds ``m``, so no other object has its id while the
+    entry lives, and no `Fraction` is hashed; it keeps at most MEMO_CAP
+    entries, the oldest dropped first.  A monomial whose run raises is not
+    kept, and raises again when asked again."""
     memo = qt._classes
     c1 = memo.get(id(m1)) or _class_entry(qt, m1)
     c2 = memo.get(id(m2)) or _class_entry(qt, m2)
     return c1[1] == c2[1]
 
 
-def _class_entry(qt: SyntacticQuotient, m: Monomial) -> tuple:
+def _class_entry(qt: SyntacticQuotient | BoundedContextOracle, m: Monomial) -> tuple:
     c = class_of(qt, m)  # the zero class equals only itself
-    return _remember(qt._classes, m, None if c is None else (c[0], *parts(c[1])))
+    memo = qt._classes
+    if len(memo) >= MEMO_CAP:
+        del memo[next(iter(memo))]
+    entry = memo[id(m)] = (m, None if c is None else (c[0], *parts(c[1])))
+    return entry
 
 
 # --- brute-force oracle over literally enumerated contexts ----------------
@@ -319,29 +319,25 @@ class BoundedContextOracle:
     the literal context's elementary factors one by one, the reference the
     test suite checks the tables against.  Each table gives one observation
     row, the weight of plugging a unit run at each state into the context
-    and reading the final weight.  Each distinct observation value is coded
-    by its integer parts into a small int, and the distinct rows of codes
-    are kept as one column per state.
+    and reading the final weight, each value coded by its integer parts.
 
     Before any context is built, the contexts are counted: over
     `ORACLE_CELLS` table cells, contexts times states, the oracle raises
-    `OracleCapError`.
+    `OracleCapError`.  The counts stop only when ``z`` is the only context,
+    so the height is cut to the last count.  The contexts range over the
+    symbols that label a transition, and the first nullary symbol if none
+    of those is nullary.  Any other context has no run: its all-zero row
+    would separate no states.
 
-    The contexts range over the symbols that label a transition, in
-    declaration order, and the first nullary symbol if none of those is
-    nullary, as an alphabet needs one.  Every other context passes through
-    a symbol with no transition, so it has no run and its row is all zero:
-    that row is counted once, if there is such a context.  There is one
-    of height 1 when a symbol of arity >= 1 is left out, or a nullary one
-    beside a symbol of arity >= 2 (s(z, leaf)), and none otherwise.
-
-    A monomial b.xi whose run reaches q with weight x has the scaled row
-    b * x * o over the codes o of q's column, kept as integer parts; a zero
-    monomial, a run into the sink and an all-zero column share the row
-    None.  Two monomials agree on every context exactly when their rows
-    are equal.  ``_rows`` keeps the row of each monomial `congruent` was
-    asked about, at most MEMO_CAP entries, by monomial object: a query
-    asked again is two lookups and one compare.
+    The distinct rows give each state its observation column, read as a
+    quotient's fields: an all-zero column puts q in ``dead``; any other
+    gives ``lam[q]``, its first nonzero entry, and ``block_of[q]``, the
+    block of the column divided by ``lam[q]``.  Monomials b1.xi1 and b2.xi2
+    reaching q1 and q2 with weights x1 and x2 agree on every context exactly
+    when b1 * x1 * col(q1) = b2 * x2 * col(q2): in a semifield, both are
+    zero, or q1 and q2 share a block and b1 * x1 * lam[q1] =
+    b2 * x2 * lam[q2].  That is `class_of`, so `congruent` is
+    `congruence.congruent`, with its ``_classes`` memo.
     """
 
     def __init__(self, a: Wta, ctx_height: int):
@@ -356,10 +352,9 @@ class BoundedContextOracle:
             if h == ctx_height:
                 break
         self.wta = a
-        self.ctx_height = ctx_height
-        zero = a.kind.zero
-        codes: Dict[tuple, int] = {parts(zero): 0}  # parts of a value -> its code
-        values: List[Value] = [zero]  # code -> value
+        k = a.kind
+        codes: Dict[tuple, int] = {parts(k.zero): 0}  # parts of a value -> its code
+        values: List[Value] = [k.zero]  # code -> value
 
         def code(x: Value) -> int:
             key = parts(x)
@@ -369,40 +364,31 @@ class BoundedContextOracle:
                 values.append(x)
             return c
 
-        symbols = a.alphabet._arity.items()
         used = _enumerated_symbols(a)
-        rows = set()
-        if len(used) < len(symbols):
-            labels = {s for s, _k in used}
-            wide = any(k >= 2 for _s, k in symbols)
-            if ctx_height >= 1 and any(k or wide for s, k in symbols if s not in labels):
-                rows.add((0,) * n)
-            a = Wta(terms.RankedAlphabet(used), a.states, a.kind, a.delta, a.final)
-        rows.update(
+        if len(used) < len(a.alphabet._arity):
+            a = Wta(terms.RankedAlphabet(used), a.states, k, a.delta, a.final)
+        rows = dict.fromkeys(
             tuple(code(automaton._read_out(a, v)) for v in table)
-            for _c, table in context_tables(a, ctx_height)
+            for _c, table in context_tables(a, h)  # h < ctx_height if the counts stopped
         )
-        self._values = values
-        self._columns = dict(zip(a.states, zip(*rows)))
-        self._rows: Dict[int, tuple] = {}
+        dead = set()
+        self.lam: Dict[str, Value] = {}
+        self.block_of: Dict[str, int] = {}
+        blocks: Dict[tuple, int] = {}  # a column divided by its lam -> block
+        for q, col in zip(a.states, zip(*rows)):
+            first = next((o for o in col if o), 0)
+            if not first:
+                dead.add(q)
+                continue
+            lam = self.lam[q] = values[first]
+            inv = k.inv(lam)
+            scaled = {o: parts(k.times(values[o], inv)) for o in set(col)}
+            self.block_of[q] = blocks.setdefault(tuple(map(scaled.__getitem__, col)), len(blocks))
+        self.dead = frozenset(dead)
+        self._classes: Dict[int, tuple] = {}
 
     def congruent(self, m1: Monomial, m2: Monomial) -> bool:
-        rows = self._rows
-        r1 = rows.get(id(m1)) or self._row(m1)
-        r2 = rows.get(id(m2)) or self._row(m2)
-        return r1[1] == r2[1]
-
-    def _row(self, m: Monomial) -> tuple:
-        """The memo entry of ``m``'s scaled row, one product per distinct
-        code of its state's column."""
-        v = _monomial_run(self.wta, m)
-        col = () if v is None else self._columns[v[0]]
-        row = None
-        if any(col):
-            product, values = self.wta.kind.product, self._values
-            scaled = {o: parts(product((m.weight, v[1], values[o]))) for o in set(col)}
-            row = tuple(map(scaled.__getitem__, col))
-        return _remember(self._rows, m, row)
+        return congruent(self, m1, m2)
 
 
 def brute_force_congruent(

@@ -14,11 +14,11 @@ splitting it into its elementary factors and running each side tree, and
 oracle that observes every context on every state that way.  They are the
 reference that `congruence.context_tables` and
 `congruence.BoundedContextOracle` are checked against.
-`observation_pairs` folds two of the oracle's columns into their distinct
-observation pairs, and `folded_congruent` decides a pair from them, one
-product per side per pair; `reference_congruent` compares two
-`congruence.class_of` results.  They are the two deciders without their
-monomial memos.
+`observation_pairs` reads the distinct observation pairs of every state
+pair from `congruence.context_tables` over the whole alphabet, and
+`folded_congruent` decides a monomial pair from them, one product per side
+per pair; `reference_congruent` compares two `congruence.class_of`
+results.  They are the two deciders without their monomial memos.
 `reference_quotient` is the refinement `congruence.build_syntactic_quotient`
 replaced: each round re-anchors every state on its block representative's
 observation path and compares signatures over all abstract elementary
@@ -55,8 +55,11 @@ enumeration at height 2*|Q| stays small; binary-symbol automata are capped
 at two states.  `layered` and `chain` build minimal automata whose states
 need high trees.  `split_states` gives an automaton proportional copies
 of its states; `rescale_pad_shuffle` rescales every state, adds an
-unreachable and a dead state, and shuffles delta, keeping the language.  `sparse_binary` gives large slim automata with |delta| = 3n,
-on which a builder that loops over basis tuples is quadratic.
+unreachable and a dead state, and shuffles delta, keeping the language.
+`scaling_isomorphism` checks that two automata are one up to renaming
+and rescaling states, as two minimal automata of one language are.
+`sparse_binary` gives large slim automata with |delta| = 3n, on which a
+builder that loops over basis tuples is quadratic.
 """
 
 from __future__ import annotations
@@ -325,30 +328,37 @@ class ObserveOracle:
         return all(times(c1, o1) == times(c2, o2) for o1, o2 in self.pair_obs[(q1, q2)])
 
 
-def observation_pairs(
-    oracle: congruence.BoundedContextOracle, q1: str, q2: str
-) -> Set[Tuple[Value, Value]]:
-    """The distinct (observation at q1, observation at q2) over the oracle's
-    context rows, folded from its columns."""
-    v, col = oracle._values, oracle._columns
-    return {(v[i], v[j]) for i, j in zip(col[q1], col[q2])}
+def observation_pairs(a: Wta, ctx_height: int) -> Dict[Tuple[str, str], Set[Tuple[Value, Value]]]:
+    """For every state pair (q1, q2): the distinct (observation at q1,
+    observation at q2) over the contexts of height <= ctx_height, read from
+    `congruence.context_tables` over the whole alphabet."""
+    rows = {
+        tuple(automaton._read_out(a, v) for v in table)
+        for _c, table in congruence.context_tables(a, ctx_height)
+    }
+    return {
+        (q1, q2): {(row[i], row[j]) for row in rows}
+        for i, q1 in enumerate(a.states)
+        for j, q2 in enumerate(a.states)
+    }
 
 
-def folded_congruent(oracle: congruence.BoundedContextOracle, m1: Monomial, m2: Monomial) -> bool:
-    """`congruence.BoundedContextOracle.congruent` without its monomial
-    memo: both monomials run, then one product per side per observation
-    pair of their two states."""
-    a = oracle.wta
+def folded_congruent(
+    a: Wta, pairs: Dict[Tuple[str, str], Set[Tuple[Value, Value]]], m1: Monomial, m2: Monomial
+) -> bool:
+    """The bounded-context congruence without a memo or a partition: both
+    monomials run, then one product per side per observation pair of their
+    two states, ``pairs`` being `observation_pairs`."""
     v1 = congruence._monomial_run(a, m1)
     v2 = congruence._monomial_run(a, m2)
     if v1 is None or v2 is None:
         v = v1 or v2
-        return v is None or not any(oracle._columns[v[0]])
+        return v is None or all(sf.eq(o, a.kind.zero) for o, _ in pairs[(v[0], v[0])])
     (q1, x1), (q2, x2) = v1, v2
     product = a.kind.product
     return all(
         sf.eq(product((m1.weight, x1, o1)), product((m2.weight, x2, o2)))
-        for o1, o2 in observation_pairs(oracle, q1, q2)
+        for o1, o2 in pairs[(q1, q2)]
     )
 
 
@@ -1030,6 +1040,47 @@ def rescale_pad_shuffle(rng: random.Random, a: Wta) -> Tuple[Wta, bool]:
         entries.append(((*free, d), random_weight(rng, k)))
     rng.shuffle(entries)
     return Wta(a.alphabet, a.states + (u, d), k, dict(entries), final), free is not None
+
+
+def scaling_isomorphism(m1: Wta, m2: Wta) -> Dict[str, Tuple[str, Value]]:
+    """Each state q of the slim bu-det ``m1`` mapped to (the state its
+    witness tree reaches in ``m2``, s(q)), checked to be a scaling
+    isomorphism onto ``m2``: an AssertionError names the first state, entry
+    or final weight where it is not.
+
+    s(q) is the witness tree's run weight in m2 over its run weight in m1,
+    so that, if the languages are equal, a run reaching q with weight x
+    reaches q's image with x * s(q).  The check: the map is one to one onto
+    m2's states; each entry (ws, sym) -> q @ w of m1 is an entry of m2 over
+    the images, at weight s(q) * w * prod s(p)^-1, and m2 has no other;
+    F1(q) = s(q) * F2(image of q).  The witness trees share their
+    subtrees, so each is run from its children's runs, once in each
+    automaton, through `targets`.
+    """
+    k = m1.kind
+    assert m2.kind is k
+    runs: Dict[int, Tuple[str, Value, str, Value]] = {}  # id of a tree -> q1, x1, q2, x2
+    to: Dict[str, Tuple[str, Value]] = {}
+    for q, t in automaton.representative_trees(m1).items():
+        kids = [runs[id(c)] for c in t.children]
+        ((q1, w1),) = targets(m1, tuple(r[0] for r in kids), t.symbol)
+        hits = targets(m2, tuple(r[2] for r in kids), t.symbol)
+        assert q1 == q and len(hits) == 1, (q, hits)
+        ((q2, w2),) = hits
+        x1 = k.product([w1, *(r[1] for r in kids)])
+        x2 = k.product([w2, *(r[3] for r in kids)])
+        runs[id(t)] = (q, x1, q2, x2)
+        to[q] = (q2, k.times(x2, k.inv(x1)))
+    images = {q2 for q2, _s in to.values()}
+    assert len(images) == len(m1.states) and images == set(m2.states), (to, m2.states)
+    for (ws, sym, q), w in m1.delta.items():
+        hits = targets(m2, tuple(to[p][0] for p in ws), sym)
+        want = k.product([to[q][1], w, *(k.inv(to[p][1]) for p in ws)])
+        assert len(hits) == 1 and hits[0][0] == to[q][0] and sf.eq(hits[0][1], want), (ws, sym, q)
+    assert len(m1.delta) == len(m2.delta)
+    for q, (q2, s) in to.items():
+        assert sf.eq(m1.final.get(q, k.zero), k.times(s, m2.final.get(q2, k.zero))), q
+    return to
 
 
 def random_monomial(

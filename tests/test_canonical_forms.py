@@ -1,7 +1,7 @@
-"""Both congruence deciders keep each monomial's canonical form: the
-quotient its class, the bounded-context oracle its scaled observation row.
-The kept answers are checked against the deciders without their memos,
-`corpus.reference_congruent` and `corpus.folded_congruent`."""
+"""Both congruence deciders keep each monomial's canonical form, its class
+over the quotient's or the bounded-context oracle's partition, in
+``_classes``.  The kept answers are checked against the deciders without
+their memos, `corpus.reference_congruent` and `corpus.folded_congruent`."""
 
 import itertools
 import random
@@ -19,6 +19,7 @@ from conftest import EVEN_ODD
 from corpus import (
     enumerate_trees,
     folded_congruent,
+    observation_pairs,
     random_monomial,
     reference_congruent,
     rescale_pad_shuffle,
@@ -50,7 +51,8 @@ def test_kept_answers_match_the_deciders_without_memos(kind):
     seen = {"zero": 0, "sink": 0, "zero column": 0, "nonzero row": 0}
     for a in small_corpus(kind, 24, seed=7):
         for b in (a, split_states(rng, a), rescale_pad_shuffle(rng, a)[0]):
-            oracle = BoundedContextOracle(b, rng.randrange(4))
+            height = rng.randrange(4)
+            oracle, obs = BoundedContextOracle(b, height), observation_pairs(b, height)
             qt = build_syntactic_quotient(b) if automaton.is_slim(b) else None
             trees = list(enumerate_trees(b.alphabet, 3))
             ms = [random_monomial(rng, kind, trees, zero_prob=0.15) for _ in range(30)]
@@ -62,11 +64,11 @@ def test_kept_answers_match_the_deciders_without_memos(kind):
                 elif v is None:
                     seen["sink"] += 1
                 else:
-                    seen["nonzero row" if any(oracle._columns[v[0]]) else "zero column"] += 1
+                    seen["zero column" if v[0] in oracle.dead else "nonzero row"] += 1
             pairs = list(itertools.product(ms + twins, repeat=2))
             for _ in range(3):  # later rounds read the memos more
                 for m1, m2 in rng.sample(pairs, 200):
-                    assert oracle.congruent(m1, m2) == folded_congruent(oracle, m1, m2)
+                    assert oracle.congruent(m1, m2) == folded_congruent(b, obs, m1, m2)
                     if qt is not None:
                         assert congruent(qt, m1, m2) == reference_congruent(qt, m1, m2)
             for m, twin in zip(ms, twins):
@@ -111,7 +113,7 @@ def test_a_foreign_weight_raises_on_every_call(kind, foreign):
         with pytest.raises(SemifieldError):
             oracle.congruent(bad, good)
     # the quotient kept the monomial it ran before the foreign one
-    assert list(qt._classes) == [id(good)] and oracle._rows == {}
+    assert list(qt._classes) == [id(good)] and oracle._classes == {}
 
 
 def test_distinct_monomials_leave_each_memo_at_its_cap():
@@ -128,6 +130,6 @@ def test_distinct_monomials_leave_each_memo_at_its_cap():
         if i >= 10**4 - MEMO_CAP // 2:
             kept += [m1, m2]
     assert 1000 <= MEMO_CAP <= 10**4
-    for memo in (qt._classes, oracle._rows):
+    for memo in (qt._classes, oracle._classes):
         assert len(memo) == MEMO_CAP
         assert [m for m, _form in memo.values()] == kept  # the newest, in order

@@ -199,6 +199,21 @@ def test_oracle_depth_on_a_unary_chain_is_not_capped(wta_file, capsys, monkeypat
     assert f"{half + 1} contexts of height <= {half} times 2 states" in capsys.readouterr().err
 
 
+def test_oracle_depth_past_sys_maxsize_over_leaves_alone(wta_file, capsys):
+    # only leaves label a transition: z is the only context at every height
+    path = wta_file(
+        "semifield rational\nrank a 0\nrank b 0\n"
+        "trans a() -> p @ 1\ntrans b() -> q @ 1\nfinal p @ 1\n"
+    )
+    argv = ["congruent", path, "--mono", "1.a", "--mono"]
+    start = time.perf_counter()
+    assert main(argv + ["1.a", "--oracle-depth", "99999999999999999999"]) == 0
+    assert capsys.readouterr() == ("congruent\n", "")
+    assert main(argv + ["2.a", "--oracle-depth", "99999999999999999999"]) == 1
+    assert capsys.readouterr() == ("not congruent\n", "")
+    assert time.perf_counter() - start < 2
+
+
 def test_validate_nondeterministic(wta_file, capsys):
     assert main(["validate", wta_file(NONDET)]) == 0
     out = capsys.readouterr().out

@@ -41,6 +41,7 @@ from corpus import (
     reference_equivalent,
     reference_state_name,
     rescale_pad_shuffle,
+    scaling_isomorphism,
     small_corpus,
     sparse_binary,
     split_states,
@@ -362,6 +363,60 @@ def test_minimize_is_fixed_under_rescale_pad_and_shuffle_at_scale(make, n):
     b, dead_realized = rescale_pad_shuffle(random.Random(f"fixed:{n}"), a)
     assert dead_realized and not is_slim(b)
     assert format_wta(minimize(b)) == format_wta(minimize(a))
+
+
+def _permuted(rng, a):
+    """``a`` with its states declared and its entries listed in a random
+    order."""
+    states, entries = list(a.states), list(a.delta.items())
+    rng.shuffle(states)
+    rng.shuffle(entries)
+    return Wta(a.alphabet, tuple(states), a.kind, dict(entries), a.final)
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_scaling_isomorphism_finds_the_rescaling_and_refuses_a_change(kind):
+    # each state q rescaled by lam(q): a run reaching q with weight x
+    # reaches it with lam(q) * x, and the checker finds s(q) = lam(q)
+    rng = random.Random(f"isomorphism:{kind}")
+    k, changed = kind, 0
+    for a in small_corpus(kind, 60):
+        lam = {q: random_weight(rng, k) for q in a.states}
+        delta = {(ws, sym, q): k.product([lam[q], w, *(k.inv(lam[p]) for p in ws)])
+                 for (ws, sym, q), w in a.delta.items()}
+        final = {q: k.times(f, k.inv(lam[q])) for q, f in a.final.items()}
+        b = _permuted(rng, Wta(a.alphabet, a.states, k, delta, final))
+        to = scaling_isomorphism(a, b)
+        assert all(q2 == q and sf.eq(s, lam[q]) for q, (q2, s) in to.items())
+        for q in a.final:  # one final weight dropped, or doubled
+            changed_final = dict(final)
+            if k is sf.BOOLEAN:
+                del changed_final[q]
+            else:
+                changed_final[q] = k.times(final[q], k.from_fraction(2))
+            with pytest.raises(AssertionError):
+                scaling_isomorphism(a, Wta(b.alphabet, b.states, k, b.delta, changed_final))
+            changed += 1
+    assert changed > 30
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_minimize_is_unique_up_to_scaling(kind):
+    """minimize of a permuted copy, of a copy with split states and of the
+    minimum itself is the minimum up to renaming and rescaling states."""
+    rng = random.Random(f"unique:{kind}")
+    for a in small_corpus(kind, 60):
+        m = minimize(a)
+        for b in (_permuted(rng, a), split_states(rng, a), m):
+            scaling_isomorphism(minimize(b), m)
+
+
+def test_minimize_is_unique_up_to_scaling_at_scale():
+    a = sparse_binary(random.Random(1), sf.RATIONAL, 2000)
+    rng = random.Random("unique:sparse_binary_2000")
+    m = minimize(a)
+    for b in (_permuted(rng, a), split_states(rng, a), m):
+        scaling_isomorphism(minimize(b), m)
 
 
 def test_minimize_requires_budet():

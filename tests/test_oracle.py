@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -82,13 +83,36 @@ def test_lam_scales_every_literal_context(kind):
     assert rows > 50_000
 
 
-def _assert_same_observations(new, old):
-    """Fold ``new``'s columns for every state pair, and compare the
-    observation pairs with the per-context reference's, pair by pair."""
-    assert new._columns.keys() == old.col_nonzero.keys()
-    assert {q: any(col) for q, col in new._columns.items()} == old.col_nonzero
-    for (q1, q2), obs in old.pair_obs.items():
-        assert observation_pairs(new, q1, q2) == obs, (q1, q2)
+def _assert_same_partition(new, old):
+    """``new``'s partition against the per-context reference's
+    observations: q is dead exactly when every observation at q is zero;
+    lam[q] is an observation at q; q1 and q2 share a block exactly when
+    lam[q2] * obs(q1, c) = lam[q1] * obs(q2, c) on every context c."""
+    times = old.wta.kind.times
+    assert new.dead == {q for q, nonzero in old.col_nonzero.items() if not nonzero}
+    live = [q for q in old.wta.states if q not in new.dead]
+    assert list(new.lam) == list(new.block_of) == live
+    for q in live:
+        assert any(sf.eq(o, new.lam[q]) for o, _ in old.pair_obs[(q, q)]), q
+    for q1, q2 in itertools.product(live, repeat=2):
+        l1, l2 = new.lam[q1], new.lam[q2]
+        proportional = all(
+            sf.eq(times(l2, o1), times(l1, o2)) for o1, o2 in old.pair_obs[(q1, q2)]
+        )
+        assert (new.block_of[q1] == new.block_of[q2]) == proportional, (q1, q2)
+
+
+def _assert_same_answers(rng, new, old, trees, answers):
+    """Both oracles agree on 50 random monomial pairs, every other one
+    with both weights equal; each answer is counted in ``answers``."""
+    for i in range(50):
+        m1 = random_monomial(rng, old.wta.kind, trees)
+        m2 = random_monomial(rng, old.wta.kind, trees)
+        if i % 2:
+            m2 = m2._replace(weight=m1.weight)
+        answer = old.congruent(m1, m2)
+        assert new.congruent(m1, m2) == answer, (automaton.format_wta(old.wta), m1, m2)
+        answers[answer] += 1
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -97,7 +121,7 @@ def test_oracle_matches_per_context_oracle(kind):
     for a in small_corpus(kind, 12, seed=1):
         height = 2 * len(a.states)
         new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-        _assert_same_observations(new, old)
+        _assert_same_partition(new, old)
         trees = list(enumerate_trees(a.alphabet, 3))
         for _ in range(200):
             m1 = random_monomial(rng, kind, trees)
@@ -119,10 +143,14 @@ def test_oracle_matches_per_context_oracle_with_unused_symbols(kind):
         if any(k and s not in labels for s, k in a.alphabet._arity.items()):
             automata.append(a)
     assert len(automata) > 1
+    rng, answers = random.Random(f"unused-symbols:{kind}"), Counter()
     for a in automata:
+        trees = list(enumerate_trees(a.alphabet, 2))
         for height in range(4):
             new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-            _assert_same_observations(new, old)
+            _assert_same_partition(new, old)
+            _assert_same_answers(rng, new, old, trees, answers)
+    assert min(answers[True], answers[False]) > 100, answers
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -140,42 +168,68 @@ def test_oracle_matches_per_context_oracle_with_unused_leaves(kind):
             f"semifield {kind}\nrank g 1\nrank b 0\nrank a 0\n{wide}"
             "trans g(p) -> q @ 1\ntrans g(q) -> p @ 1\nfinal p @ 1\n"
         ))
+    rng, answers = random.Random(f"unused-leaves:{kind}"), Counter()
     for a in automata:
+        trees = list(enumerate_trees(a.alphabet, 2))
         for height in range(3 if "s" in a.alphabet else 4):  # s/2, a, u: 4 637 contexts of height 3
             new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-            _assert_same_observations(new, old)
+            _assert_same_partition(new, old)
+            _assert_same_answers(rng, new, old, trees, answers)
+    assert min(answers[True], answers[False]) > 100, answers
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
 def test_a_query_folds_only_the_pair_it_asks(kind):
     # a query folds the weight of each monomial of its pair into that
-    # monomial's column, once; g^n(a) reaches q_n of the chain, and at
+    # monomial's class, once; g^n(a) reaches q_n of the chain, and at
     # depth 3 only q6..q9 observe a nonzero weight
     a = unary_chain(random.Random(1), kind, 10)
     oracle = BoundedContextOracle(a, 3)
-    assert oracle._rows == {}
+    assert oracle._classes == {}
+    assert oracle.dead == {f"q{i}" for i in range(6)}
+    assert sorted(oracle.lam) == sorted(oracle.block_of) == ["q6", "q7", "q8", "q9"]
     m3, m7, m9 = (scalar.parse_monomial("1." + "g(" * n + "a" + ")" * n, a.alphabet, kind)
                   for n in (3, 7, 9))
     oracle.congruent(m7, m9)
-    assert [m for m, _row in oracle._rows.values()] == [m7, m9]
-    asked = dict(oracle._rows)
-    for m, q in ((m7, "q7"), (m9, "q9")):  # one scaled row per context row
+    assert [m for m, _key in oracle._classes.values()] == [m7, m9]
+    asked = dict(oracle._classes)
+    for m, q in ((m7, "q7"), (m9, "q9")):  # the block and the scaled lam
         x = automaton.h_det(a, m.tree)[1]
-        assert asked[id(m)][1] == tuple(
-            sf.parts(kind.product((m.weight, x, oracle._values[o]))) for o in oracle._columns[q]
-        )
-    # a zero monomial and an all-zero column are kept with the row None
+        factor = kind.product((m.weight, x, oracle.lam[q]))
+        assert asked[id(m)][1] == (oracle.block_of[q], *sf.parts(factor))
+    # a zero monomial and a dead state are kept with the key None
     zero = m7._replace(weight=kind.zero)
     assert not oracle.congruent(zero, m9)
     assert oracle.congruent(zero, m3)
-    assert list(oracle._rows) == [id(m7), id(m9), id(zero), id(m3)]
-    assert oracle._rows[id(zero)][1] is None and oracle._rows[id(m3)][1] is None
+    assert list(oracle._classes) == [id(m7), id(m9), id(zero), id(m3)]
+    assert oracle._classes[id(zero)][1] is None and oracle._classes[id(m3)][1] is None
     oracle.congruent(m7, m9)
     oracle.congruent(m9, m7)
-    assert len(oracle._rows) == 4
-    assert all(oracle._rows[key] is entry for key, entry in asked.items())
+    assert len(oracle._classes) == 4
+    assert all(oracle._classes[key] is entry for key, entry in asked.items())
+    obs = observation_pairs(a, 3)
     for m1, m2 in itertools.product((m3, m7, m9, zero), repeat=2):
-        assert oracle.congruent(m1, m2) == folded_congruent(oracle, m1, m2)
+        assert oracle.congruent(m1, m2) == folded_congruent(a, obs, m1, m2)
+
+
+def test_a_depth_past_the_last_context_is_cut(monkeypatch):
+    # only leaves label a transition, so z is the only context: the counts
+    # stop after height 0, and a depth past sys.maxsize enumerates height 0
+    a = automaton.parse_wta(
+        "semifield rational\nrank a 0\nrank b 0\n"
+        "trans a() -> p @ 1\ntrans b() -> q @ 1\nfinal p @ 1\n"
+    )
+    heights = []
+    enumerate_contexts = terms.enumerate_contexts
+    monkeypatch.setattr(
+        terms, "enumerate_contexts", lambda al, h: heights.append(h) or enumerate_contexts(al, h)
+    )
+    oracle = BoundedContextOracle(a, 10**20)
+    assert heights == [0]
+    assert oracle.dead == {"q"} and oracle.lam == {"p": sf.RATIONAL.one}
+    ma, mb = (scalar.parse_monomial(f"1.{s}", a.alphabet, a.kind) for s in "ab")
+    assert oracle.congruent(ma, ma) and not oracle.congruent(ma, mb)
+    assert oracle.congruent(mb, mb._replace(weight=sf.RATIONAL.zero))
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
@@ -235,7 +289,7 @@ def test_tables_kept_at_the_edges_of_the_keep_rule(kind, monkeypatch):
             if kept:  # z alone builds no step
                 assert list(kept[-1]) == [c for c, _ in tables if terms.height(c) < height]
             new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
-            _assert_same_observations(new, old)
+            _assert_same_partition(new, old)
             for _ in range(50):
                 m1 = random_monomial(rng, kind, trees)
                 m2 = random_monomial(rng, kind, trees)

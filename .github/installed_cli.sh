@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
-# console script on README.md's counter.wta, on a tropical file, and on
-# wide-symbol files, a 2000-state sparse binary file, a 1600-state unary
-# chain, a file of unused leaves, a depth-10000 oracle query, an oracle
-# depth past sys.maxsize over leaves alone and a 40000-deep tropical
-# spine, each of those under a 10 or 20 s timeout:
-# stdout, exit codes and the oracle cap's stderr line.
+# console script on README.md's counter.wta, its tree texts spaced apart
+# or broken, on a tropical file, and on wide-symbol files, a 2000-state
+# sparse binary file, a 1600-state unary chain, a file of unused leaves, a
+# depth-10000 oracle query, an oracle depth past sys.maxsize over leaves
+# alone and a 40000-deep tropical spine, each of those under a 10 or 20 s
+# timeout: stdout, exit codes and the stderr lines of tree errors and of
+# the oracle cap.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -21,6 +22,14 @@ test "$(budwta check counter.wta)" = "$(printf 'bu-deterministic: yes\ntotal: ye
 test "$(budwta check counter_min.wta)" = "$(printf 'bu-deterministic: yes\ntotal: yes\nslim: yes\nminimal: yes\nstates: 2\ndegree: 2')"
 test "$(budwta eval counter.wta --tree 'gamma(alpha)')" = "3"
 test "$(budwta state counter.wta --tree 'gamma(gamma(alpha))')" = "q3"
+# whitespace may stand between tree tokens; an error names the token at fault
+test "$(budwta eval counter.wta --tree $'gamma ( alpha\t) ')" = "3"
+code=0; err=$(budwta eval counter.wta --tree 'gamma(alpha,)' 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$err" = "error: expected a symbol, got ')' at offset 12, near 'gamma(alpha,)'"
+code=0; err=$(budwta eval counter.wta --tree 'gamma(alpha))' 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$err" = "error: trailing input ')' at offset 12, near 'gamma(alpha))'"
 # a 'z' in a tree is an input error: exit 2
 code=0; budwta eval counter.wta --tree 'gamma(z)' || code=$?
 test "$code" -eq 2

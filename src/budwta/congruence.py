@@ -26,7 +26,6 @@ deciders read a monomial's class with `class_of`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -242,21 +241,24 @@ def context_tables(
     step: the side trees are run once, then delta is applied once per
     state.  That is O(|Q| + k) per context.  Only a context below
     ctx_height can be the hole child of a later one, and the enumeration is
-    height-first, so only the tables of the first C(ctx_height - 1)
-    contexts are kept, C being `terms.context_counts`; the hole child is
-    the very object yielded before, which a dict lookup finds by identity,
-    and a side tree never matches a key.
+    height-first, so `terms.context_counts`, walked in step with it, tells
+    the height of each context, and a table is kept while that height is
+    below ctx_height; the hole child is the very object yielded before,
+    which a dict lookup finds by identity, and a side tree never matches a
+    key.
     """
     one = a.kind.one
-    counts = list(itertools.islice(terms.context_counts(a.alphabet), ctx_height))
-    keep = counts[-1] if counts else 0  # C(ctx_height - 1), or 1 once the counts stop
+    counts = terms.context_counts(a.alphabet)
+    end, h = 0, -1  # the contexts before place ``end`` have height <= h
     below: Dict[Tree, Tuple[DetValue, ...]] = {}
     for i, c in enumerate(terms.enumerate_contexts(a.alphabet, ctx_height)):
         if c.children:
             table = _step_table(a, c, below)
         else:  # z
             table = tuple((q, one) for q in a.states)
-        if i < keep:
+        if i == end:  # every height up to ctx_height has a context, or z is the only one
+            end, h = next(counts), h + 1
+        if h < ctx_height:
             below[c] = table
         yield c, table
 

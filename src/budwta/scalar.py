@@ -5,8 +5,9 @@ semifield.  All monomials with zero weight denote the same zero element;
 `congruence.class_of` is what identifies them.
 
 Parsing is memoised on the alphabet, as `terms.parse_tree` is: each
-distinct text gives one monomial object per alphabet and semifield, so a
-text asked about again costs one lookup.
+distinct text gives one monomial object per alphabet and semifield while
+it is among the `terms.PARSE_MEMO_CAP` newest, so a text asked about again
+costs one lookup.
 """
 
 from __future__ import annotations
@@ -29,16 +30,22 @@ def parse_monomial(text: str, alphabet: RankedAlphabet, kind: Semifield) -> Mono
     """Parse ``WEIGHT.TREE``, e.g. ``1/2.sigma(alpha,alpha)``.
 
     A text parsed again against the same alphabet object and semifield
-    gives back the same monomial object, whose tree is `terms.parse_tree`'s
-    for the tree text.  A text that fails to parse is not remembered.
+    gives back the same monomial object while the text is in the memo,
+    which keeps the `terms.PARSE_MEMO_CAP` newest (text, semifield) pairs;
+    its tree is `terms.parse_tree`'s for the tree text.  A text that fails
+    to parse is not remembered.
     """
     key = (text, kind)
-    m = alphabet._monomials.get(key)
+    memo = alphabet._monomials
+    m = memo.get(key)
     if m is None:
         wtext, dot, ttext = text.partition(".")
         if not dot:
             raise terms.TermError(f"monomial needs the form WEIGHT.TREE: {text[:60]!r}")
-        m = alphabet._monomials[key] = Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
+        m = Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
+        if len(memo) >= terms.PARSE_MEMO_CAP:
+            del memo[next(iter(memo))]
+        memo[key] = m
     return m  # type: ignore[return-value]
 
 

@@ -4,8 +4,11 @@ A tree is a finite term over a ranked alphabet.  A context is a tree over
 the alphabet extended with the reserved nullary symbol ``z``, containing
 exactly one occurrence of ``z``.  This module parses, validates and prints
 trees, and enumerates contexts: a context is built, never read from text
-or validated.  Parsing is memoised on the alphabet: each distinct text
-gives one tree object per alphabet.  Plugging a tree into a context and
+or validated.  A tree text is split into words on whitespace and around
+``(``, ``,`` and ``)``; the token regex reads a text again only to word
+its error.  Parsing is memoised on the alphabet: each distinct text gives
+one tree object per alphabet while it is among the alphabet's
+PARSE_MEMO_CAP newest texts.  Plugging a tree into a context and
 splitting a context into elementary ones are not needed by the package:
 the test suite keeps them as its reference.
 
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Container, Dict, Iterable, Iterator, List, Set, Tuple
+from functools import partial
+from typing import Callable, Container, Dict, Iterable, Iterator, List, Set, Tuple
 
 Z_NAME = "z"
 
@@ -101,7 +105,8 @@ class RankedAlphabet:
     never go stale and die with the alphabet: `parse_tree`'s, one tree
     object per distinct text parsed against it, and
     `scalar.parse_monomial`'s, one monomial object per distinct text and
-    semifield.
+    semifield.  Each keeps at most PARSE_MEMO_CAP entries and drops its
+    oldest entry when full.
     """
 
     def __init__(self, symbols: Iterable[Tuple[str, int]]):
@@ -207,9 +212,23 @@ def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]|\S")
 
+# The most texts each of an alphabet's two parse memos keeps.  An
+# eval-trees op of the bench parses one tree text per alphabet, and a
+# congruence-oracle op reads a median of 64 distinct monomial texts.
+PARSE_MEMO_CAP = 4096
+
 
 def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     """Parse ``sigma(t1,...,tk)``; nullary symbols may omit the parentheses.
+    Whitespace may stand between any two tokens.
+
+    The tokens are the words left when ``(``, ``,`` and ``)`` are spaced
+    out and the text is split on whitespace.  On a text that parses, every
+    word is a symbol, an ASCII identifier, and these are the tokens
+    `_TOKEN_RE` finds, since ``str.split`` and ``re``'s ``\\s`` split on the
+    same characters.  A text that does not parse is read again with
+    `_TOKEN_RE`'s tokens, whose numbers the error message reads, so the
+    first pass words no error.
 
     The parser keeps its own stack of open nodes, so nesting depth is
     bounded by memory, and checks each node's arity as it closes.  Equal
@@ -217,15 +236,34 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     with one node per distinct subtree.
 
     A text parsed again against the same alphabet object gives back the
-    same tree object, so a run memo finds it by identity.  A text that
-    fails to parse is not remembered.
+    same tree object while the text is in the alphabet's memo, so a run
+    memo finds it by identity; the memo keeps the PARSE_MEMO_CAP newest
+    texts.  A text that fails to parse is not remembered.
     """
-    node = alphabet._parsed.get(text)
+    memo = alphabet._parsed
+    node = memo.get(text)
     if node is not None:
         return node
-    tokens = _TOKEN_RE.findall(text)
-    tokens.append("")  # end of input
     arities = alphabet._arity
+    if text.__class__ is str:  # findall reads a str subclass and refuses a non-str
+        spaced = text.replace("(", " ( ").replace(",", " , ").replace(")", " ) ")
+        node = _read(spaced.split(), arities, text)
+    if node.__class__ is not Tree:
+        node = _read(_TOKEN_RE.findall(text), arities, text)
+        if node.__class__ is not Tree:
+            raise node()
+    if len(memo) >= PARSE_MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[text] = node
+    return node
+
+
+def _read(
+    tokens: List[str], arities: Dict[str, int], text: str
+) -> Tree | Callable[[], TermError]:
+    """The tree that ``tokens`` of ``text`` spell, or, if they spell none, a
+    function that words the error at the first token that fails."""
+    tokens.append("")  # end of input
     # node by symbol (leaves) or by (symbol, children); the children are
     # shared already, so comparing keys compares them by identity
     shared: Dict[object, Tree] = {}
@@ -235,7 +273,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
         name = tokens[pos]
         k = arities.get(name)
         if k is None:
-            raise _unlisted_symbol(name, text, pos)
+            return partial(_unlisted_symbol, name, text, pos)
         pos += 1
         if tokens[pos] == "(":
             if tokens[pos + 1] != ")":
@@ -244,7 +282,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
                 continue
             pos += 2
         if k:
-            raise _arity_error(name, k, 0)
+            return partial(_arity_error, name, k, 0)
         node = shared.get(name)
         if node is None:
             node = shared[name] = Tree(name)
@@ -256,32 +294,35 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
             if tok == ",":
                 break
             if tok != ")":
-                if not tok:
-                    raise TermError(f"missing ')' {_at(text, pos - 1)}")
-                raise TermError(f"expected ',' or ')', got {_at(text, pos - 1)}")
+                form = "expected ',' or ')', got {}" if tok else "missing ')' {}"
+                return partial(_error, form, text, pos - 1)
             open_nodes.pop()
             if len(kids) != k:
-                raise _arity_error(name, k, len(kids))
+                return partial(_arity_error, name, k, len(kids))
             key = (name, tuple(kids))
             node = shared.get(key)
             if node is None:
                 node = shared[key] = Tree(*key)
         else:
             if tokens[pos]:
-                raise TermError(f"trailing input {_at(text, pos)}")
-            alphabet._parsed[text] = node
+                return partial(_error, "trailing input {}", text, pos)
             return node
 
 
 def _unlisted_symbol(name: str, text: str, pos: int) -> TermError:
     """The error for token ``pos``, where a symbol of the alphabet should be."""
     if not name:
-        return TermError(f"unexpected end of term {_at(text, pos)}")
+        return _error("unexpected end of term {}", text, pos)
     if not _is_identifier(name):
-        return TermError(f"expected a symbol, got {_at(text, pos)}")
+        return _error("expected a symbol, got {}", text, pos)
     if name == Z_NAME:
         return TermError(f"{Z_NAME!r} is not allowed in a plain tree")
-    return TermError(f"unknown symbol {_at(text, pos)}")
+    return _error("unknown symbol {}", text, pos)
+
+
+def _error(form: str, text: str, pos: int) -> TermError:
+    """``form`` with `_at`'s words for token ``pos`` of ``text`` in its ``{}``."""
+    return TermError(form.format(_at(text, pos)))
 
 
 def _at(text: str, pos: int) -> str:
@@ -369,7 +410,9 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tr
 
     A context of height h has a child of height h - 1, so each height is
     built from the child tuples that take one from the height below: a
-    unary symbol costs O(1) per context.
+    unary symbol costs O(1) per context.  Every height has a context unless
+    no symbol has arity >= 1; then ``z`` is the only one, and the
+    enumeration stops after it.
     """
     trees: List[Tree] = []  # every tree of height < h, in order
     contexts: List[Tree] = [Z]  # every context of height < h, in order
@@ -385,6 +428,8 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tr
                 slots = [contexts if i == hole else trees for i in range(k)]
                 fresh = [context_from if i == hole else tree_from for i in range(k)]
                 level += [Tree(s, kids) for kids in _fresh_tuples(slots, fresh)]
+        if not level:
+            return
         yield from level
         context_from = len(contexts)
         contexts += level

@@ -46,6 +46,9 @@ generating set that `minimize.scalar_basis` picks a basis from.
 with lines split by universal newlines: every line goes through
 `str.split`/`str.strip`, and a trans line through `_reference_parse_trans`.
 It is the differential reference for the one-match read of a trans line.
+`reference_parse_tree` is the tree reader `terms.parse_tree` replaced: one
+pass over the `terms._TOKEN_RE` tokens of the text, with no memo.  It is
+the differential reference for the tokens split on whitespace.
 
 Automata from `random_slim_budet` are slim and bu-deterministic by
 construction: a spanning set of transitions realizes every state, and
@@ -753,6 +756,62 @@ def reference_is_total(a: Wta) -> bool:
             if not targets(a, ws, sym):
                 return False
     return True
+
+
+def reference_parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
+    """``sigma(t1,...,tk)`` read over the `terms._TOKEN_RE` tokens, equal
+    subtrees shared, each error raised where it is found."""
+    tokens = terms._TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
+    arities = alphabet._arity
+    shared: Dict[object, Tree] = {}
+    open_nodes: List[Tuple[str, int, List[Tree]]] = []  # symbol, arity, children
+    pos = 0
+    while True:
+        name = tokens[pos]
+        k = arities.get(name)
+        if k is None:
+            if not name:
+                raise TermError(f"unexpected end of term {terms._at(text, pos)}")
+            if not terms._is_identifier(name):
+                raise TermError(f"expected a symbol, got {terms._at(text, pos)}")
+            if name == Z_NAME:
+                raise TermError(f"{Z_NAME!r} is not allowed in a plain tree")
+            raise TermError(f"unknown symbol {terms._at(text, pos)}")
+        pos += 1
+        if tokens[pos] == "(":
+            if tokens[pos + 1] != ")":
+                pos += 1
+                open_nodes.append((name, k, []))
+                continue
+            pos += 2
+        if k:
+            raise terms._arity_error(name, k, 0)
+        node = shared.get(name)
+        if node is None:
+            node = shared[name] = Tree(name)
+        while open_nodes:
+            name, k, kids = open_nodes[-1]
+            kids.append(node)
+            tok = tokens[pos]
+            pos += 1
+            if tok == ",":
+                break
+            if tok != ")":
+                if not tok:
+                    raise TermError(f"missing ')' {terms._at(text, pos - 1)}")
+                raise TermError(f"expected ',' or ')', got {terms._at(text, pos - 1)}")
+            open_nodes.pop()
+            if len(kids) != k:
+                raise terms._arity_error(name, k, len(kids))
+            key = (name, tuple(kids))
+            node = shared.get(key)
+            if node is None:
+                node = shared[key] = Tree(*key)
+        else:
+            if tokens[pos]:
+                raise TermError(f"trailing input {terms._at(text, pos)}")
+            return node
 
 
 def reference_parse_wta(text: str) -> Wta:

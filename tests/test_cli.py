@@ -458,6 +458,15 @@ def test_bad_tree_exits_2(wta_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_tree_tokens_may_stand_apart_and_an_error_names_its_token(wta_file, capsys):
+    path = wta_file(GAMMA3)
+    assert main(["eval", path, "--tree", "gamma ( alpha\t) "]) == 0
+    assert capsys.readouterr() == ("3\n", "")
+    for tree, what in (("gamma(alpha,)", "expected a symbol, got"), ("gamma(alpha))", "trailing input")):
+        assert main(["eval", path, "--tree", tree]) == 2
+        assert capsys.readouterr() == ("", f"error: {what} ')' at offset 12, near {tree!r}\n")
+
+
 def test_bad_monomial_exits_2(wta_file, capsys):
     code = main(
         ["congruent", wta_file(EVEN_ODD), "--mono", "alpha", "--mono", "1.alpha"]

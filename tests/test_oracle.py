@@ -296,6 +296,20 @@ def test_tables_kept_at_the_edges_of_the_keep_rule(kind, monkeypatch):
                 assert new.congruent(m1, m2) == old.congruent(m1, m2)
 
 
+def test_tables_past_sys_maxsize_stay_lazy():
+    a = automaton.parse_wta(
+        "semifield rational\nrank g 1\nrank a 0\n"
+        "trans a() -> q @ 1\ntrans g(q) -> q @ 2\nfinal q @ 1\n"
+    )
+    first = list(itertools.islice(context_tables(a, 10**20), 50))
+    assert first == list(context_tables(a, 49))
+    # over leaves alone z is the only context, at any height
+    leaves = automaton.parse_wta(
+        "semifield rational\nrank a 0\nrank b 0\ntrans a() -> p @ 1\nfinal p @ 1\n"
+    )
+    assert [c for c, _table in context_tables(leaves, 10**20)] == [terms.Z]
+
+
 def test_tables_of_a_context_killed_by_a_side_tree():
     # beta has no transition: every context with a beta side tree has no run
     a = automaton.parse_wta(

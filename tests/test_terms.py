@@ -4,13 +4,14 @@ import itertools
 import pickle
 import random
 import re
+import sys
 import weakref
 from functools import reduce
 
 import pytest
 
 from budwta import semifield as sf, terms
-from budwta.automaton import Wta, evaluate, format_wta, parse_wta, slim
+from budwta.automaton import Wta, evaluate, format_wta, parse_wta, slim, state_of
 from budwta.scalar import parse_monomial
 from budwta.terms import (
     RankedAlphabet,
@@ -32,7 +33,9 @@ from corpus import (
     parse_context,
     postorder,
     reference_enumerate_contexts,
+    reference_parse_tree,
     reference_trees_of_exact_height,
+    small_corpus,
     substitute,
 )
 
@@ -395,3 +398,103 @@ def test_parse_error_kinds():
             parse_tree(text, SIG)
     with pytest.raises(TermError, match="^symbol z has arity 0, got 1 children$"):
         parse_context("sigma(z(alpha),alpha)", SIG)
+
+
+def test_split_and_the_token_regex_see_the_same_whitespace():
+    # parse_tree's tokens are str.split's words; _TOKEN_RE's \S reads
+    # every other character, so both must skip exactly the same ones
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.sub(r"\s", "", chars) == "".join(chars.split())
+    assert len(re.findall(r"\s", chars)) == 29
+
+
+def _read_outcome(read, text, alphabet):
+    try:
+        t = read(text, alphabet)
+    except Exception as error:
+        return "error", type(error), str(error)
+    return "tree", t, format_tree(t)
+
+
+_SPACES = (" ", "\t", "\n", "\x1c", "\u2028", "\xa0", "\u3000", "")
+
+
+def _respell(rng, text, leaves):
+    """``text`` with whitespace around its tokens and ``()`` after some of
+    its ``leaves``."""
+    words = re.split(r"([(),])", text)
+    out = []
+    for word in words:
+        if word in leaves and rng.random() < 0.3:
+            word += rng.choice(("()", " ( )", "(\t)"))
+        out += (rng.choice(_SPACES), word)
+    return "".join(out) + rng.choice(_SPACES)
+
+
+def _tree_texts():
+    """The text of small trees over the small corpus' alphabets, with each
+    alphabet, in all four semifields."""
+    texts = []
+    for kind in sf.KINDS:
+        for a in small_corpus(kind, 9, seed=3401):
+            texts += [(format_tree(t), a.alphabet) for t in enumerate_trees(a.alphabet, 2)][:40]
+    return texts
+
+
+def test_respelled_trees_read_as_the_token_regex_reads_them():
+    rng = random.Random(3401)
+    for text, alphabet in _tree_texts():
+        tree = reference_parse_tree(text, alphabet)
+        for _ in range(3):
+            respelled = _respell(rng, text, alphabet.nullary_symbols())
+            got = _read_outcome(parse_tree, respelled, alphabet)
+            assert got == _read_outcome(reference_parse_tree, respelled, alphabet)
+            assert got == ("tree", tree, text), repr(respelled)
+
+
+_TREE_PIECES = ("\u00e4", "\u00e9", "z", ";", "9a", "()", ",,", "(", ")", ",", " ", "\xa0", "\x1c")
+
+
+def test_mangled_trees_fail_as_the_token_regex_fails():
+    rng = random.Random(3402)
+    texts = _tree_texts()
+    outcomes = []
+    for _ in range(12000):
+        text, alphabet = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            pieces = "".join(rng.choices(_TREE_PIECES, k=rng.randint(1, 2)))
+            text = text[:i] + pieces + text[i + rng.randrange(3) :]
+        got = _read_outcome(parse_tree, text, alphabet)
+        assert got == _read_outcome(reference_parse_tree, text, alphabet), repr(text)
+        outcomes.append(got[0])
+    assert min(outcomes.count("tree"), outcomes.count("error")) > 300  # both outcomes
+    for text in (b"alpha", 5, None, ["alpha"]):
+        with pytest.raises(TypeError):
+            parse_tree(text, SIG)
+
+
+def test_distinct_texts_leave_each_parse_memo_at_its_cap():
+    a = parse_wta(EVEN_ODD)
+    alphabet = a.alphabet
+    cap = terms.PARSE_MEMO_CAP
+    assert 1000 <= cap <= 10**4
+    # 677 trees of height <= 4, each text behind 0-14 spaces: 10 155 texts
+    texts = [" " * j + format_tree(t) for j in range(15) for t in enumerate_trees(alphabet, 4)]
+    assert len(set(texts)) >= 10**4
+    first = parse_tree(texts[0], alphabet)
+    first_m = parse_monomial("1." + texts[0], alphabet, a.kind)
+    for i, text in enumerate(texts):
+        parse_tree(text, alphabet)
+        parse_monomial(f"{i + 1}.{text}", alphabet, a.kind)
+    assert len(alphabet._parsed) == cap
+    assert list(alphabet._parsed) == texts[-cap:]  # the newest, in order
+    assert len(alphabet._monomials) == cap
+    assert texts[0] not in alphabet._parsed
+    again = parse_tree(texts[0], alphabet)
+    assert again is not first and again == first
+    assert state_of(a, again) == state_of(a, first)
+    assert evaluate(a, again) == evaluate(a, first)
+    m = parse_monomial("1." + texts[0], alphabet, a.kind)
+    assert m is not first_m and m == first_m
+    assert len(alphabet._parsed) == len(alphabet._monomials) == cap

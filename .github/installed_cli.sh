@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, its tree texts spaced apart
-# or broken, on a tropical file, and on wide-symbol files, a 2000-state
-# sparse binary file, a 1600-state unary chain, a file of unused leaves, a
+# or broken, on a tropical file, and on wide-symbol files, the largest
+# one-state f/10 oracle under the cap among them, a 2000-state sparse
+# binary file, a 1600-state unary chain, a file of unused leaves, a
 # depth-10000 oracle query, an oracle depth past sys.maxsize over leaves
 # alone and a 40000-deep tropical spine, each of those under a 10 or 20 s
 # timeout: stdout, exit codes and the stderr lines of tree errors and of
@@ -81,6 +82,10 @@ printf 'semifield rational\nrank a 0\nrank f 12\ntrans a() -> q @ 2\ntrans f(%sq
 code=0; err=$(timeout 10 budwta congruent wide_used.wta --mono 1.a --mono 2.a --oracle-depth 3 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$err" = "error: --oracle-depth 3 is over the oracle's cap of 100000 table cells: 319489 contexts of height <= 2 times 1 states"
+# the largest one-state f/10 oracle under the cap: 56321 contexts of
+# height <= 2, one table cell each
+printf 'semifield rational\nrank a 0\nrank f 10\ntrans a() -> q @ 2\ntrans f(%sq) -> q @ 1/2\nfinal q @ 1\n' "$(printf 'q,%.0s' $(seq 9))" > f10.wta
+test "$(timeout 10 budwta congruent f10.wta --mono 1.a --mono '1/256.f(a,a,a,a,a,a,a,a,a,a)' --oracle-depth 2)" = "congruent"
 # the oracle groups states by their observation columns up to scale, one
 # pass over each column: a 1600-state chain at depth 3
 PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.unary_chain(random.Random(1), budwta.RATIONAL, 1600)), end="")' > chain.wta

@@ -27,6 +27,7 @@ deciders read a monomial's class with `class_of`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from . import automaton, terms
@@ -45,7 +46,8 @@ MEMO_CAP = 4096
 
 # The most table cells a `BoundedContextOracle` builds: each context is a
 # table of one run per state, so contexts times states.  56 321 contexts
-# (f/10 at depth 2, one state) take about 1 s.
+# (f/10 at depth 2, one state) take about 0.7-1 s to build in process and
+# 1.3 s end to end through the CLI, on a 2-vCPU VM.
 ORACLE_CELLS = 100_000
 
 
@@ -233,62 +235,79 @@ def context_tables(
 ) -> Iterator[Tuple[Tree, Tuple[DetValue, ...]]]:
     """Every context of height <= ctx_height, in enumeration order, with its
     table: entry i is the run of the context on a unit value at state i.
+    Below height 0 there is none.
 
     The table of ``z`` is the identity.  Every other context the
     enumeration builds is s(t1, ..., c', ..., tk) around a context c' it
     yielded earlier, and a context decomposes uniquely into elementary
     contexts, so its table is the table of c' followed by one elementary
-    step: the side trees are run once, then delta is applied once per
-    state.  That is O(|Q| + k) per context.  Only a context below
-    ctx_height can be the hole child of a later one, and the enumeration is
-    height-first, so `terms.context_counts`, walked in step with it, tells
-    the height of each context, and a table is kept while that height is
-    below ctx_height; the hole child is the very object yielded before,
-    which a dict lookup finds by identity, and a side tree never matches a
-    key.
+    step: the side trees' weights are multiplied together, then delta is
+    applied once per state.  That is O(|Q| + k) per context.  When a side
+    tree has no run, or the hole child's table has none at any state, the
+    table is all None, built with no step per state.
+
+    The enumeration shares its side tree objects between contexts, and
+    `automaton.h_det` runs each distinct one once per call.  Only a
+    context below ctx_height can be the hole child of a later one, and the
+    enumeration is height-first, so `terms.context_counts`, walked in step
+    with it, tells the height of each context, and a table is kept while
+    that height is below ctx_height; the hole child is the very object
+    yielded before.  Both maps are keyed by ``id`` and each entry holds
+    its tree, so no other object has that id while the entry lives, and
+    no tree is hashed; a side tree is never a kept context.
     """
-    one = a.kind.one
     counts = terms.context_counts(a.alphabet)
     end, h = 0, -1  # the contexts before place ``end`` have height <= h
-    below: Dict[Tree, Tuple[DetValue, ...]] = {}
+    kept: Dict[int, Tuple[Tree, Tuple[DetValue, ...]]] = {}  # id(context) -> (it, table)
+    runs: Dict[int, Tuple[Tree, DetValue]] = {}  # id(side tree) -> (it, run)
     for i, c in enumerate(terms.enumerate_contexts(a.alphabet, ctx_height)):
         if c.children:
-            table = _step_table(a, c, below)
+            table = _step_table(a, c, kept, runs)
         else:  # z
-            table = tuple((q, one) for q in a.states)
+            table = tuple((q, a.kind.one) for q in a.states)
         if i == end:  # every height up to ctx_height has a context, or z is the only one
             end, h = next(counts), h + 1
         if h < ctx_height:
-            below[c] = table
+            kept[id(c)] = (c, table)
         yield c, table
 
 
 def _step_table(
-    a: Wta, c: Tree, below: Dict[Tree, Tuple[DetValue, ...]]
+    a: Wta,
+    c: Tree,
+    kept: Dict[int, Tuple[Tree, Tuple[DetValue, ...]]],
+    runs: Dict[int, Tuple[Tree, DetValue]],
 ) -> Tuple[DetValue, ...]:
     """The table of ``c``: its hole child's table, then c's elementary step."""
-    times = a.kind.times
     ws: List[str] = []  # child states; the hole's is filled in per state
-    factor = a.kind.one  # the product of the side trees' weights
+    side: List[Value] = []  # the side trees' weights
     for i, kid in enumerate(c.children):
-        inner = below.get(kid)
-        if inner is not None:
-            hole, hole_table = i, inner
+        entry = kept.get(id(kid))
+        if entry is not None:
+            hole, hole_table = i, entry[1]
             ws.append("")
             continue
-        v = automaton.h_det(a, kid)
+        entry = runs.get(id(kid))
+        if entry is None:
+            entry = runs[id(kid)] = (kid, automaton.h_det(a, kid))
+        v = entry[1]
         if v is None:  # a side tree without a run kills every state
             return (None,) * len(a.states)
         ws.append(v[0])
-        factor = times(factor, v[1])
+        side.append(v[1])
+    if not any(hole_table):
+        return hole_table
+    times = a.kind.times
+    succ = a._succ
+    factor = reduce(times, side) if side else None  # None: no side tree, nothing to multiply
     out: List[DetValue] = []
     for v in hole_table:
         if v is not None:
             ws[hole] = v[0]
-            step = a._succ.get((tuple(ws), c.symbol))
+            step = succ.get((tuple(ws), c.symbol))
             if step:
-                q, w = step
-                out.append((q, times(times(v[1], factor), w)))
+                x = v[1] if factor is None else times(v[1], factor)
+                out.append((step[0], times(x, step[1])))
                 continue
         out.append(None)
     return tuple(out)
@@ -323,13 +342,13 @@ class BoundedContextOracle:
     row, the weight of plugging a unit run at each state into the context
     and reading the final weight, each value coded by its integer parts.
 
-    Before any context is built, the contexts are counted: over
-    `ORACLE_CELLS` table cells, contexts times states, the oracle raises
-    `OracleCapError`.  The counts stop only when ``z`` is the only context,
-    so the height is cut to the last count.  The contexts range over the
-    symbols that label a transition, and the first nullary symbol if none
-    of those is nullary.  Any other context has no run: its all-zero row
-    would separate no states.
+    A height below 0 raises ValueError.  Before any context is built, the
+    contexts are counted: over `ORACLE_CELLS` table cells, contexts times
+    states, the oracle raises `OracleCapError`.  The counts stop only when
+    ``z`` is the only context, so the height is cut to the last count.  The
+    contexts range over the symbols that label a transition, and the first
+    nullary symbol if none of those is nullary.  Any other context has no
+    run: its all-zero row would separate no states.
 
     The distinct rows give each state its observation column, read as a
     quotient's fields: an all-zero column puts q in ``dead``; any other
@@ -343,6 +362,8 @@ class BoundedContextOracle:
     """
 
     def __init__(self, a: Wta, ctx_height: int):
+        if ctx_height < 0:
+            raise ValueError(f"oracle height must be >= 0, got {ctx_height}")
         automaton._require_budet(a)
         n = len(a.states)
         for h, count in enumerate(oracle_context_counts(a)):
@@ -355,24 +376,35 @@ class BoundedContextOracle:
                 break
         self.wta = a
         k = a.kind
-        codes: Dict[tuple, int] = {parts(k.zero): 0}  # parts of a value -> its code
-        values: List[Value] = [k.zero]  # code -> value
-
-        def code(x: Value) -> int:
-            key = parts(x)
-            c = codes.get(key)
-            if c is None:
-                c = codes[key] = len(values)
-                values.append(x)
-            return c
-
         used = _enumerated_symbols(a)
         if len(used) < len(a.alphabet._arity):
             a = Wta(terms.RankedAlphabet(used), a.states, k, a.delta, a.final)
-        rows = dict.fromkeys(
-            tuple(code(automaton._read_out(a, v)) for v in table)
-            for _c, table in context_tables(a, h)  # h < ctx_height if the counts stopped
-        )
+        # each row coded in one pass: a cell without a run or at a state with
+        # no final weight is 0; any other value is coded by its parts.  The
+        # final weights are copied out of their mapping proxy, whose get
+        # costs more than a dict's.
+        times, final = k.times, dict(a.final)
+        zeros = (0,) * n
+        codes: Dict[tuple, int] = {parts(k.zero): 0}  # parts of a value -> its code
+        values: List[Value] = [k.zero]  # code -> value
+        rows: Dict[Tuple[int, ...], None] = {}  # the distinct rows, in order
+        for _c, table in context_tables(a, h):  # h < ctx_height if the counts stopped
+            if not any(table):
+                rows[zeros] = None
+                continue
+            row = []
+            for v in table:
+                f = None if v is None else final.get(v[0])
+                if f is None:
+                    row.append(0)
+                    continue
+                x = times(v[1], f)
+                code = codes.get(parts(x))
+                if code is None:
+                    code = codes[parts(x)] = len(values)
+                    values.append(x)
+                row.append(code)
+            rows[tuple(row)] = None
         dead = set()
         self.lam: Dict[str, Value] = {}
         self.block_of: Dict[str, int] = {}
@@ -399,7 +431,8 @@ def brute_force_congruent(
     """Congruence restricted to contexts of height <= ctx_height.
 
     Exhaustive over the literal context enumeration; used as an oracle
-    against the refinement-based decision procedure.  Over `ORACLE_CELLS`
-    table cells it raises `OracleCapError` before any context is built.
+    against the refinement-based decision procedure.  A height below 0
+    raises ValueError, and over `ORACLE_CELLS` table cells it raises
+    `OracleCapError`, both before any context is built.
     """
     return BoundedContextOracle(a, ctx_height).congruent(m1, m2)

@@ -19,9 +19,9 @@ the side trees of each height enumerated in the same order.
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import partial
+from itertools import chain, islice, product, repeat, starmap
 from typing import Callable, Container, Dict, Iterable, Iterator, List, Set, Tuple
 
 Z_NAME = "z"
@@ -34,9 +34,6 @@ def _is_identifier(name: object) -> bool:
 
 class TermError(ValueError):
     """Malformed alphabet, tree or context."""
-
-
-_init = object.__setattr__
 
 
 class Tree:
@@ -53,9 +50,9 @@ class Tree:
     __slots__ = ("symbol", "children", "_hash")
 
     def __init__(self, symbol: str, children: Tuple["Tree", ...] = ()):
-        _init(self, "symbol", symbol)
-        _init(self, "children", children)
-        _init(self, "_hash", hash((symbol, children)))
+        _set_symbol(self, symbol)  # the slots' own setters: __setattr__ refuses
+        _set_children(self, children)
+        _set_hash(self, hash((symbol, children)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Tree is immutable: cannot set {name!r}")
@@ -94,6 +91,10 @@ class Tree:
     def __str__(self) -> str:
         return format_tree(self)
 
+
+_set_symbol = Tree.symbol.__set__  # type: ignore[attr-defined]
+_set_children = Tree.children.__set__  # type: ignore[attr-defined]
+_set_hash = Tree._hash.__set__  # type: ignore[attr-defined]
 
 Z = Tree(Z_NAME)
 
@@ -328,7 +329,7 @@ def _error(form: str, text: str, pos: int) -> TermError:
 def _at(text: str, pos: int) -> str:
     """Token number ``pos`` of ``text``, its offset and up to 60 characters
     around it: a message stays short however long the text is."""
-    tok = next(itertools.islice(_TOKEN_RE.finditer(text), pos, None), None)
+    tok = next(islice(_TOKEN_RE.finditer(text), pos, None), None)
     i = len(text) if tok is None else tok.start()
     where = f"at offset {i}, near {text[max(0, i - 30):i + 30]!r}"
     return where if tok is None else f"{tok.group()[:30]!r} {where}"
@@ -366,18 +367,18 @@ def format_tree(t: Tree) -> str:
 
 def _trees_of_exact_height(
     alphabet: RankedAlphabet, h: int, lower: List[Tree], fresh: int
-) -> Iterator[Tree]:
+) -> Iterable[Tree]:
     """The trees of height ``h`` in order, given ``lower``, every tree of
     height below ``h`` in order, of which those of height h - 1 start at
     ``fresh``: symbols in declaration order, then child tuples in
     lexicographic order of their places in ``lower``."""
-    for s, k in alphabet._arity.items():
-        if h == 0:
-            if k == 0:
-                yield Tree(s)
-        elif k:
-            for kids in _fresh_tuples([lower] * k, [fresh] * k):
-                yield Tree(s, kids)
+    if h == 0:
+        return [Tree(s) for s, k in alphabet._arity.items() if not k]
+    return chain.from_iterable(
+        map(Tree, repeat(s), _fresh_tuples([lower] * k, [fresh] * k))
+        for s, k in alphabet._arity.items()
+        if k
+    )
 
 
 def _fresh_tuples(slots: List[List[Tree]], fresh: List[int]) -> Iterator[Tuple[Tree, ...]]:
@@ -385,35 +386,52 @@ def _fresh_tuples(slots: List[List[Tree]], fresh: List[int]) -> Iterator[Tuple[T
     at or after place ``fresh[i]`` of its ``slots[i]``, in the same
     lexicographic order, looking at no other tuple.
 
-    Every slot has a fresh element wherever this is used, so an element
-    before ``fresh[0]`` is followed by at least one tuple of the rest with
-    a fresh element, and an element from ``fresh[0]`` on by any tuple of
-    the rest: every tuple built is yielded, and a one-slot tuple costs
-    O(1).
+    Call the elements before ``fresh[i]`` old and the others new.  For
+    one prefix of i old elements, the tuples that go on with a new element
+    at place i, then any elements, are one `itertools.product`, and in
+    lexicographic order they follow every tuple that goes on with an old
+    element at place i.  So the products are chained in that order, from
+    an explicit stack of old prefixes; the last two places take their old
+    elements at once, as ``product(old, new)``.  Over one or two slots the
+    Python-level work is O(1) per product, not per tuple, and no arity
+    recurses.
     """
-    first, rest = slots[0], slots[1:]
-    if not rest:
-        for x in first[fresh[0]:]:
-            yield (x,)
-        return
-    for x in itertools.islice(first, fresh[0]):
-        for tail in _fresh_tuples(rest, fresh[1:]):
-            yield (x,) + tail
-    for x in first[fresh[0]:]:
-        for tail in itertools.product(*rest):
-            yield (x,) + tail
+    k = len(slots)
+    new = [s[f:] for s, f in zip(slots, fresh)]
+    if k == 1:
+        return product(new[0])
+    old = [s[:f] for s, f in zip(slots[:-1], fresh)]  # the last place takes only new ones
+    products: List[tuple] = []  # the argument tuples of the products, in order
+    # an old prefix, as 1-tuples, and whether its extensions by an old
+    # element are out already
+    stack: List[Tuple[tuple, bool]] = [((), False)]
+    while stack:
+        prefix, extended = stack.pop()
+        i = len(prefix)
+        if not extended:
+            if i < k - 2:
+                stack.append((prefix, True))
+                stack.extend(((*prefix, (x,)), False) for x in reversed(old[i]))
+                continue
+            products.append((*prefix, old[i], new[i + 1]))
+        products.append((*prefix, new[i], *slots[i + 1 :]))
+    return chain.from_iterable(starmap(product, products))
 
 
 def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tree]:
     """All contexts up to height ``max_height``, height-first; same
-    ordering conventions as trees.
+    ordering conventions as trees.  Below height 0 there is none.
 
     A context of height h has a child of height h - 1, so each height is
-    built from the child tuples that take one from the height below: a
-    unary symbol costs O(1) per context.  Every height has a context unless
-    no symbol has arity >= 1; then ``z`` is the only one, and the
-    enumeration stops after it.
+    built from the child tuples that take one from the height below, as
+    `itertools.product`s over slices of the lower heights (see
+    `_fresh_tuples`), each mapped to its trees by ``map(Tree, ...)``: a
+    context costs no Python-level step beyond its ``Tree``.  Every height
+    has a context unless no symbol has arity >= 1; then ``z`` is the only
+    one, and the enumeration stops after it.
     """
+    if max_height < 0:
+        return
     trees: List[Tree] = []  # every tree of height < h, in order
     contexts: List[Tree] = [Z]  # every context of height < h, in order
     tree_from = context_from = 0  # where height h - 1 starts in each
@@ -427,7 +445,7 @@ def enumerate_contexts(alphabet: RankedAlphabet, max_height: int) -> Iterator[Tr
             for hole in range(k):
                 slots = [contexts if i == hole else trees for i in range(k)]
                 fresh = [context_from if i == hole else tree_from for i in range(k)]
-                level += [Tree(s, kids) for kids in _fresh_tuples(slots, fresh)]
+                level += map(Tree, repeat(s), _fresh_tuples(slots, fresh))
         if not level:
             return
         yield from level

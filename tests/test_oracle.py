@@ -25,6 +25,7 @@ from corpus import (
     observe,
     parse_context,
     random_monomial,
+    random_slim_budet,
     small_corpus,
     split_states,
     unary_chain,
@@ -272,9 +273,9 @@ def test_tables_kept_at_the_edges_of_the_keep_rule(kind, monkeypatch):
     kept = []  # the map of kept tables that context_tables passes on
     step_table = congruence._step_table
 
-    def spied(a, c, below):
+    def spied(a, c, below, runs):
         kept.append(below)
-        return step_table(a, c, below)
+        return step_table(a, c, below, runs)
 
     monkeypatch.setattr(congruence, "_step_table", spied)
     rng = random.Random(f"edges:{kind}")
@@ -287,7 +288,10 @@ def test_tables_kept_at_the_edges_of_the_keep_rule(kind, monkeypatch):
             for c, table in tables:
                 assert table == tuple(context_transform(a, c, (q, kind.one)) for q in a.states)
             if kept:  # z alone builds no step
-                assert list(kept[-1]) == [c for c, _ in tables if terms.height(c) < height]
+                assert list(kept[-1].values()) == [
+                    (c, table) for c, table in tables if terms.height(c) < height
+                ]
+                assert list(kept[-1]) == [id(c) for c, _table in kept[-1].values()]
             new, old = BoundedContextOracle(a, height), ObserveOracle(a, height)
             _assert_same_partition(new, old)
             for _ in range(50):
@@ -350,3 +354,70 @@ def test_monomial_tree_walked_once_per_decision(monkeypatch):
             patch.setattr(terms.Tree, "__eq__", counted)
             assert congruent(qt, m1, m2) == oracle.congruent(m1, m2)
         assert len(walks) == expected
+
+
+def test_a_negative_height_is_refused_before_any_count(monkeypatch):
+    # two unary states: counting up to the cap would take 50 001 heights
+    a = automaton.parse_wta(
+        "semifield rational\nrank g 1\nrank a 0\n"
+        "trans a() -> p @ 1\ntrans g(p) -> q @ 1\ntrans g(q) -> p @ 1\nfinal q @ 1\n"
+    )
+    m = scalar.parse_monomial("1.a", a.alphabet, a.kind)
+
+    def refused(_a):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(congruence, "oracle_context_counts", refused)
+    for height in (-1, -2, -(10**20)):
+        with pytest.raises(ValueError, match=f"got {height}$") as refusal:
+            BoundedContextOracle(a, height)
+        assert refusal.type is ValueError
+        with pytest.raises(ValueError, match=f"got {height}$") as refusal:
+            congruence.brute_force_congruent(a, m, m, height)
+        assert refusal.type is ValueError
+        assert list(context_tables(a, height)) == []
+        assert list(terms.enumerate_contexts(a.alphabet, height)) == []
+    assert [c for c, _table in context_tables(a, 0)] == [terms.Z]
+
+
+def _partial_binary(kind, count):
+    """``count`` 2-state automata over s/2 and a/0, the bench's binary
+    shape, each with at least one s entry missing: a -> q0 and
+    s(q0,q0) -> q1 reach both states, and each other s entry is there with
+    probability 0.6."""
+    rng = random.Random(f"partial-binary:{kind}")
+    automata = []
+    while len(automata) < count:
+        a = random_slim_budet(rng, kind, 2, binary=True)
+        if len(a.delta) < 5:
+            automata.append(a)
+    return automata
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_tables_and_partition_on_partial_binary_automata(kind):
+    """Side trees and hole tables die on a partial delta, where the tables
+    take their all-None shortcuts: every table at depth 3, and every 41st
+    one at depth 4, against `context_transform`; the partition and 50
+    answers at depth 3 against `ObserveOracle`."""
+    rng, answers = random.Random(f"partial-binary-answers:{kind}"), Counter()
+    dead_side = dead_hole = 0  # all-None tables by the shortcut that gives them
+    for a in _partial_binary(kind, 4):
+        tables = dict(context_tables(a, 3))
+        sample = itertools.islice(context_tables(a, 4), 0, None, 41)
+        for c, table in [*tables.items(), *sample]:
+            assert table == tuple(
+                context_transform(a, c, (q, kind.one)) for q in a.states
+            ), (automaton.format_wta(a), c)
+        for c, table in tables.items():
+            if c.children and not any(table):
+                (hole,) = (kid for kid in c.children if kid in tables)
+                if not any(tables[hole]):
+                    dead_hole += 1
+                elif any(automaton.h_det(a, t) is None for t in c.children if t is not hole):
+                    dead_side += 1
+        new, old = BoundedContextOracle(a, 3), ObserveOracle(a, 3)
+        _assert_same_partition(new, old)
+        _assert_same_answers(rng, new, old, list(enumerate_trees(a.alphabet, 2)), answers)
+    assert dead_side and dead_hole
+    assert min(answers[True], answers[False]) > 20, answers

@@ -281,7 +281,7 @@ def _least_keys(a: Wta) -> Dict[str, SuccKey]:
     bucket item, so a non-bu-det automaton reaches every target too.
     O(|delta| * k), and an order is built only for a state not found yet.
     """
-    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
+    sym_index = a.alphabet._index
     uses = _derivation(a, _inverse)[1]
     missing = {key: len(key[0]) for key in a.delta}  # child positions not found yet
     bucket = [key for key, n in missing.items() if not n]
@@ -319,7 +319,7 @@ def _least_steps(a: Wta) -> Dict[str, Optional[Tuple[str, Value]]]:
     transition is looked at once per child, O(|delta| * k), and an order is
     built only for a state not found yet.
     """
-    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
+    sym_index = a.alphabet._index
     rank = {q: i for i, q in enumerate(a.states)}
     into = _derivation(a, _inverse)[0]
     steps = dict.fromkeys(a.final)  # state -> (target, weight) of its least step
@@ -639,14 +639,13 @@ def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str
 
 def format_wta(a: Wta) -> str:
     """Canonical serialization: declaration order everywhere, sorted delta."""
-    sym_index = {s: i for i, s in enumerate(a.alphabet.symbols())}
     state_index = {q: i for i, q in enumerate(a.states)}
     lines = [f"semifield {a.kind}"]
     for s in a.alphabet.symbols():
         lines.append(f"rank {s} {a.alphabet.arity(s)}")
     def trans_key(item: Tuple[TransKey, Value]):
         (ws, sym, q), _ = item
-        return (sym_index[sym], tuple(state_index[p] for p in ws), state_index[q])
+        return (a.alphabet._index[sym], tuple(state_index[p] for p in ws), state_index[q])
     for (ws, sym, q), w in sorted(a.delta.items(), key=trans_key):
         args = ",".join(ws)
         lines.append(f"trans {sym}({args}) -> {q} @ {semifield.format_weight(w)}")

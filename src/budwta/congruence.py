@@ -34,15 +34,11 @@ from . import automaton, terms
 from .automaton import DetValue, Wta
 from .scalar import Monomial
 from .semifield import SemifieldError, Value, eq, parts
-from .terms import Tree
+from .terms import RankedAlphabet, Tree, _remember
 
 # A congruence class of a nonzero monomial: live block index plus nonzero
 # scaling factor.  None stands for the class of the zero language.
 ClassRep = Optional[Tuple[int, Value]]
-
-# The most monomials each decider keeps the canonical form of.  A
-# congruence-oracle op of the bench asks about a median of 64 distinct ones.
-MEMO_CAP = 4096
 
 # The most table cells a `BoundedContextOracle` builds: each context is a
 # table of one run per state, so contexts times states.  56 321 contexts
@@ -60,8 +56,9 @@ class OracleCapError(ValueError):
 class SyntacticQuotient:
     """Finite presentation of the syntactic congruence of one automaton.
 
-    ``_classes`` is `congruent`'s memo of monomial classes, as on a
-    `BoundedContextOracle`, which has the same fields `class_of` reads."""
+    ``_classes`` is `congruent`'s memo of monomial classes, capped at
+    `terms.MEMO_CAP`, as on a `BoundedContextOracle`, which has the same
+    fields `class_of` reads."""
 
     wta: Wta
     # live states, grouped; blocks ordered by the declaration rank of their
@@ -209,9 +206,9 @@ def congruent(qt: SyntacticQuotient | BoundedContextOracle, m1: Monomial, m2: Mo
     class, else the block and the factor's integer parts.  A query asked
     again is two lookups and one compare.  The memo is keyed by ``id(m)``
     and each entry holds ``m``, so no other object has its id while the
-    entry lives, and no `Fraction` is hashed; it keeps at most MEMO_CAP
-    entries, the oldest dropped first.  A monomial whose run raises is not
-    kept, and raises again when asked again."""
+    entry lives, and no `Fraction` is hashed; `terms._remember` keeps at
+    most `terms.MEMO_CAP` entries, the oldest dropped first.  A monomial
+    whose run raises is not kept, and raises again when asked again."""
     memo = qt._classes
     c1 = memo.get(id(m1)) or _class_entry(qt, m1)
     c2 = memo.get(id(m2)) or _class_entry(qt, m2)
@@ -220,22 +217,21 @@ def congruent(qt: SyntacticQuotient | BoundedContextOracle, m1: Monomial, m2: Mo
 
 def _class_entry(qt: SyntacticQuotient | BoundedContextOracle, m: Monomial) -> tuple:
     c = class_of(qt, m)  # the zero class equals only itself
-    memo = qt._classes
-    if len(memo) >= MEMO_CAP:
-        del memo[next(iter(memo))]
-    entry = memo[id(m)] = (m, None if c is None else (c[0], *parts(c[1])))
-    return entry
+    return _remember(qt._classes, id(m), (m, None if c is None else (c[0], *parts(c[1]))))
 
 
 # --- brute-force oracle over literally enumerated contexts ----------------
 
 
 def context_tables(
-    a: Wta, ctx_height: int
+    a: Wta, ctx_height: int, alphabet: RankedAlphabet
 ) -> Iterator[Tuple[Tree, Tuple[DetValue, ...]]]:
-    """Every context of height <= ctx_height, in enumeration order, with its
-    table: entry i is the run of the context on a unit value at state i.
-    Below height 0 there is none.
+    """Every context over ``alphabet`` of height <= ctx_height, in
+    enumeration order, with its table: entry i is the run of the context on
+    a unit value at state i.  Below height 0 there is none.  Each symbol of
+    ``alphabet`` must be one of ``a``'s, with the same arity: ``a.alphabet``
+    gives every context, and `BoundedContextOracle` passes the symbols it
+    enumerates.
 
     The table of ``z`` is the identity.  Every other context the
     enumeration builds is s(t1, ..., c', ..., tk) around a context c' it
@@ -256,11 +252,11 @@ def context_tables(
     its tree, so no other object has that id while the entry lives, and
     no tree is hashed; a side tree is never a kept context.
     """
-    counts = terms.context_counts(a.alphabet)
+    counts = terms.context_counts(alphabet)
     end, h = 0, -1  # the contexts before place ``end`` have height <= h
     kept: Dict[int, Tuple[Tree, Tuple[DetValue, ...]]] = {}  # id(context) -> (it, table)
     runs: Dict[int, Tuple[Tree, DetValue]] = {}  # id(side tree) -> (it, run)
-    for i, c in enumerate(terms.enumerate_contexts(a.alphabet, ctx_height)):
+    for i, c in enumerate(terms.enumerate_contexts(alphabet, ctx_height)):
         if c.children:
             table = _step_table(a, c, kept, runs)
         else:  # z
@@ -324,13 +320,6 @@ def _enumerated_symbols(a: Wta) -> List[Tuple[str, int]]:
     return [(s, k) for s, k in a.alphabet._arity.items() if s in labels]
 
 
-def oracle_context_counts(a: Wta) -> Iterator[int]:
-    """`terms.context_counts` over the symbols `BoundedContextOracle`
-    enumerates: count h is the number of contexts, each one table, that
-    ``BoundedContextOracle(a, h)`` builds.  Nothing is enumerated."""
-    return terms.context_counts(terms.RankedAlphabet(_enumerated_symbols(a)))
-
-
 class BoundedContextOracle:
     """Checks the congruence condition over every context up to a height.
 
@@ -342,13 +331,15 @@ class BoundedContextOracle:
     row, the weight of plugging a unit run at each state into the context
     and reading the final weight, each value coded by its integer parts.
 
-    A height below 0 raises ValueError.  Before any context is built, the
-    contexts are counted: over `ORACLE_CELLS` table cells, contexts times
-    states, the oracle raises `OracleCapError`.  The counts stop only when
-    ``z`` is the only context, so the height is cut to the last count.  The
-    contexts range over the symbols that label a transition, and the first
-    nullary symbol if none of those is nullary.  Any other context has no
-    run: its all-zero row would separate no states.
+    The contexts range over the symbols that label a transition, and the
+    first nullary symbol if none of those is nullary: one alphabet of them
+    is built, and both the counts and the enumeration read it.  Any other
+    context has no run: its all-zero row would separate no states.  The
+    contexts run on the automaton itself, which is not copied.  A height
+    below 0 raises ValueError.  Before any context is built, the contexts
+    are counted: over `ORACLE_CELLS` table cells, contexts times states,
+    the oracle raises `OracleCapError`.  The counts stop only when ``z`` is
+    the only context, so the height is cut to the last count.
 
     The distinct rows give each state its observation column, read as a
     quotient's fields: an all-zero column puts q in ``dead``; any other
@@ -366,7 +357,8 @@ class BoundedContextOracle:
             raise ValueError(f"oracle height must be >= 0, got {ctx_height}")
         automaton._require_budet(a)
         n = len(a.states)
-        for h, count in enumerate(oracle_context_counts(a)):
+        sigma = RankedAlphabet(_enumerated_symbols(a))
+        for h, count in enumerate(terms.context_counts(sigma)):
             if count * n > ORACLE_CELLS:
                 raise OracleCapError(
                     f"over the oracle's cap of {ORACLE_CELLS} table cells: "
@@ -376,9 +368,6 @@ class BoundedContextOracle:
                 break
         self.wta = a
         k = a.kind
-        used = _enumerated_symbols(a)
-        if len(used) < len(a.alphabet._arity):
-            a = Wta(terms.RankedAlphabet(used), a.states, k, a.delta, a.final)
         # each row coded in one pass: a cell without a run or at a state with
         # no final weight is 0; any other value is coded by its parts.  The
         # final weights are copied out of their mapping proxy, whose get
@@ -388,7 +377,7 @@ class BoundedContextOracle:
         codes: Dict[tuple, int] = {parts(k.zero): 0}  # parts of a value -> its code
         values: List[Value] = [k.zero]  # code -> value
         rows: Dict[Tuple[int, ...], None] = {}  # the distinct rows, in order
-        for _c, table in context_tables(a, h):  # h < ctx_height if the counts stopped
+        for _c, table in context_tables(a, h, sigma):  # h < ctx_height if the counts stopped
             if not any(table):
                 rows[zeros] = None
                 continue

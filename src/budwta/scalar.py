@@ -6,8 +6,8 @@ semifield.  All monomials with zero weight denote the same zero element;
 
 Parsing is memoised on the alphabet, as `terms.parse_tree` is: each
 distinct text gives one monomial object per alphabet and semifield while
-it is among the `terms.PARSE_MEMO_CAP` newest, so a text asked about again
-costs one lookup.
+it is among the `terms.MEMO_CAP` newest, so a text asked about again costs
+one lookup.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def parse_monomial(text: str, alphabet: RankedAlphabet, kind: Semifield) -> Mono
 
     A text parsed again against the same alphabet object and semifield
     gives back the same monomial object while the text is in the memo,
-    which keeps the `terms.PARSE_MEMO_CAP` newest (text, semifield) pairs;
+    which keeps the `terms.MEMO_CAP` newest (text, semifield) pairs;
     its tree is `terms.parse_tree`'s for the tree text.  A text that fails
     to parse is not remembered.
     """
@@ -42,10 +42,9 @@ def parse_monomial(text: str, alphabet: RankedAlphabet, kind: Semifield) -> Mono
         wtext, dot, ttext = text.partition(".")
         if not dot:
             raise terms.TermError(f"monomial needs the form WEIGHT.TREE: {text[:60]!r}")
-        m = Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
-        if len(memo) >= terms.PARSE_MEMO_CAP:
-            del memo[next(iter(memo))]
-        memo[key] = m
+        m = terms._remember(
+            memo, key, Monomial(kind.parse(wtext), terms.parse_tree(ttext, alphabet))
+        )
     return m  # type: ignore[return-value]
 
 

@@ -7,10 +7,10 @@ trees, and enumerates contexts: a context is built, never read from text
 or validated.  A tree text is split into words on whitespace and around
 ``(``, ``,`` and ``)``; the token regex reads a text again only to word
 its error.  Parsing is memoised on the alphabet: each distinct text gives
-one tree object per alphabet while it is among the alphabet's
-PARSE_MEMO_CAP newest texts.  Plugging a tree into a context and
-splitting a context into elementary ones are not needed by the package:
-the test suite keeps them as its reference.
+one tree object per alphabet while it is among the alphabet's MEMO_CAP
+newest texts.  Plugging a tree into a context and splitting a context into
+elementary ones are not needed by the package: the test suite keeps them as
+its reference.
 
 Enumeration of contexts is deterministic: by height first, then
 lexicographically following the declaration order of the alphabet, with
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from functools import partial
 from itertools import chain, islice, product, repeat, starmap
-from typing import Callable, Container, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Any, Callable, Container, Dict, Iterable, Iterator, List, Set, Tuple
 
 Z_NAME = "z"
 
@@ -102,12 +102,13 @@ Z = Tree(Z_NAME)
 class RankedAlphabet:
     """Finite set of symbols with fixed arities, in declaration order.
 
-    An alphabet is immutable.  It also keeps two parse memos, which can
-    never go stale and die with the alphabet: `parse_tree`'s, one tree
-    object per distinct text parsed against it, and
-    `scalar.parse_monomial`'s, one monomial object per distinct text and
-    semifield.  Each keeps at most PARSE_MEMO_CAP entries and drops its
-    oldest entry when full.
+    An alphabet is immutable.  ``_index`` maps each symbol to its
+    declaration index, the one symbol order that the derivations over delta
+    and `automaton.format_wta` read.  An alphabet also keeps two parse
+    memos, which can never go stale and die with the alphabet:
+    `parse_tree`'s, one tree object per distinct text parsed against it,
+    and `scalar.parse_monomial`'s, one monomial object per distinct text
+    and semifield.  Each keeps at most MEMO_CAP entries, by `_remember`.
     """
 
     def __init__(self, symbols: Iterable[Tuple[str, int]]):
@@ -124,6 +125,7 @@ class RankedAlphabet:
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise TermError(f"bad arity for {name}: {k!r}")
             self._arity[name] = k
+        self._index: Dict[str, int] = {s: i for i, s in enumerate(self._arity)}
         if not self._arity:
             raise TermError("alphabet must not be empty")
         if not self.nullary_symbols():
@@ -213,10 +215,22 @@ def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]|\S")
 
-# The most texts each of an alphabet's two parse memos keeps.  An
-# eval-trees op of the bench parses one tree text per alphabet, and a
-# congruence-oracle op reads a median of 64 distinct monomial texts.
-PARSE_MEMO_CAP = 4096
+# The most entries each capped memo keeps: an alphabet's two parse memos
+# and each congruence decider's memo of monomial classes.  The bench's
+# working sets are far below it: an eval-trees op parses one tree text per
+# alphabet, and a congruence-oracle op reads and asks about a median of 64
+# distinct monomials.
+MEMO_CAP = 4096
+
+
+def _remember(memo: Dict[Any, Any], key: object, value: Any) -> Any:
+    """Store ``value`` under ``key`` and return it, first dropping the
+    oldest entry of ``memo`` if it holds MEMO_CAP: the one rule of every
+    capped memo."""
+    if len(memo) >= MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
@@ -238,8 +252,8 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
 
     A text parsed again against the same alphabet object gives back the
     same tree object while the text is in the alphabet's memo, so a run
-    memo finds it by identity; the memo keeps the PARSE_MEMO_CAP newest
-    texts.  A text that fails to parse is not remembered.
+    memo finds it by identity; the memo keeps the MEMO_CAP newest texts.
+    A text that fails to parse is not remembered.
     """
     memo = alphabet._parsed
     node = memo.get(text)
@@ -253,10 +267,7 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
         node = _read(_TOKEN_RE.findall(text), arities, text)
         if node.__class__ is not Tree:
             raise node()
-    if len(memo) >= PARSE_MEMO_CAP:
-        del memo[next(iter(memo))]
-    memo[text] = node
-    return node
+    return _remember(memo, text, node)
 
 
 def _read(

@@ -337,7 +337,7 @@ def observation_pairs(a: Wta, ctx_height: int) -> Dict[Tuple[str, str], Set[Tupl
     `congruence.context_tables` over the whole alphabet."""
     rows = {
         tuple(automaton._read_out(a, v) for v in table)
-        for _c, table in congruence.context_tables(a, ctx_height)
+        for _c, table in congruence.context_tables(a, ctx_height, a.alphabet)
     }
     return {
         (q1, q2): {(row[i], row[j]) for row in rows}

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from budwta import automaton, congruence, semifield as sf, terms
-from budwta.congruence import MEMO_CAP, BoundedContextOracle, build_syntactic_quotient, congruent
+from budwta import automaton, congruence, scalar, semifield as sf, terms
+from budwta.congruence import BoundedContextOracle, build_syntactic_quotient, congruent
 from budwta.scalar import Monomial
 from budwta.semifield import SemifieldError
 from budwta.terms import Tree
@@ -127,9 +127,31 @@ def test_distinct_monomials_leave_each_memo_at_its_cap():
         m2 = Monomial(k.from_fraction(i % 89 + 1), alpha)
         # a monomial dies when its entry is dropped, so its id can come back
         assert congruent(qt, m1, m2) == oracle.congruent(m1, m2) == (i % 97 == i % 89)
-        if i >= 10**4 - MEMO_CAP // 2:
+        if i >= 10**4 - terms.MEMO_CAP // 2:
             kept += [m1, m2]
-    assert 1000 <= MEMO_CAP <= 10**4
+    assert 1000 <= terms.MEMO_CAP <= 10**4
     for memo in (qt._classes, oracle._classes):
-        assert len(memo) == MEMO_CAP
+        assert len(memo) == terms.MEMO_CAP
         assert [m for m, _form in memo.values()] == kept  # the newest, in order
+
+
+def test_every_capped_memo_keeps_the_one_cap(monkeypatch):
+    """The two parse memos and the two decider memos all stop at
+    `terms.MEMO_CAP`, each keeping its newest entries in order."""
+    monkeypatch.setattr(terms, "MEMO_CAP", 5)
+    a = automaton.parse_wta(EVEN_ODD)
+    qt, oracle = build_syntactic_quotient(a), BoundedContextOracle(a, 2)
+    texts = [terms.format_tree(t) for t in enumerate_trees(a.alphabet, 3)][:12]
+    assert len(texts) == 12
+    monomials = []
+    for i, text in enumerate(texts):
+        terms.parse_tree(text, a.alphabet)
+        m = scalar.parse_monomial(f"{i + 1}.{text}", a.alphabet, a.kind)
+        monomials.append(m)
+        congruent(qt, m, m)
+        oracle.congruent(m, m)
+    assert list(a.alphabet._parsed) == texts[-5:]
+    keys = [(f"{i + 1}.{text}", a.kind) for i, text in enumerate(texts)]
+    assert list(a.alphabet._monomials) == keys[-5:]
+    for memo in (qt._classes, oracle._classes):
+        assert [m for m, _form in memo.values()] == monomials[-5:]

@@ -36,7 +36,7 @@ from corpus import (
 def test_tables_match_context_transform_on_small_corpus(kind):
     for a in small_corpus(kind, 24):
         contexts = 0
-        for c, table in context_tables(a, 2):
+        for c, table in context_tables(a, 2, a.alphabet):
             contexts += 1
             assert table == tuple(
                 context_transform(a, c, (q, kind.one)) for q in a.states
@@ -54,7 +54,7 @@ def _check_lam_rows(a, qt) -> int:
     zero, times = a.kind.zero, a.kind.times
     index = {q: i for i, q in enumerate(a.states)}
     rows = 0
-    for c, table in context_tables(a, 2 * len(a.states)):
+    for c, table in context_tables(a, 2 * len(a.states), a.alphabet):
         rows += 1
         row = [automaton._read_out(a, v) for v in table]
         for q in a.states:
@@ -180,6 +180,41 @@ def test_oracle_matches_per_context_oracle_with_unused_leaves(kind):
 
 
 @pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_oracle_over_unused_symbols_builds_no_automaton(kind, monkeypatch):
+    """u/0 and w/3 label no transition: the oracle counts and enumerates
+    over the symbols it uses and runs its contexts on the automaton itself,
+    with no `Wta` built.  Its partition is the one of an oracle over an
+    automaton whose alphabet has the used symbols alone, and matches the
+    per-context reference over the whole alphabet."""
+    built = []
+    post_init = automaton.Wta.__post_init__
+
+    def spied(self):
+        built.append(self)
+        post_init(self)
+
+    for a in small_corpus(kind, 12, seed=6):
+        alphabet = terms.RankedAlphabet([*a.alphabet._arity.items(), ("u", 0), ("w", 3)])
+        a = automaton.Wta(alphabet, a.states, kind, a.delta, a.final)
+        used = terms.RankedAlphabet(congruence._enumerated_symbols(a))
+        assert "u" not in used and "w" not in used
+        alone = automaton.Wta(used, a.states, kind, a.delta, a.final)
+        for height in range(2 * len(a.states) + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(automaton.Wta, "__post_init__", spied)
+                new = BoundedContextOracle(a, height)
+                assert built == []
+                automaton.Wta(used, a.states, kind, a.delta, a.final)  # the spy sees a build
+                assert len(built) == 1
+            built.clear()
+            assert new.wta is a
+            ref = BoundedContextOracle(alone, height)
+            assert (new.dead, new.lam, new.block_of) == (ref.dead, ref.lam, ref.block_of)
+            if height < 2:  # with w/3, up to about 10^5 contexts of height 2
+                _assert_same_partition(new, ObserveOracle(a, height))
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
 def test_a_query_folds_only_the_pair_it_asks(kind):
     # a query folds the weight of each monomial of its pair into that
     # monomial's class, once; g^n(a) reaches q_n of the chain, and at
@@ -252,7 +287,8 @@ def test_context_counts_match_the_oracles_enumeration(kind, monkeypatch):
 
     monkeypatch.setattr(terms, "enumerate_contexts", counted)
     for a in automata:
-        counts = list(itertools.islice(congruence.oracle_context_counts(a), 4))
+        sigma = terms.RankedAlphabet(congruence._enumerated_symbols(a))
+        counts = list(itertools.islice(terms.context_counts(sigma), 4))
         for height in range(4):
             enumerated.clear()
             BoundedContextOracle(a, height)
@@ -283,7 +319,7 @@ def test_tables_kept_at_the_edges_of_the_keep_rule(kind, monkeypatch):
         trees = list(enumerate_trees(a.alphabet, 2))
         for height in (0, 1, 2):
             kept.clear()
-            tables = list(context_tables(a, height))
+            tables = list(context_tables(a, height, a.alphabet))
             assert [c for c, _ in tables] == list(terms.enumerate_contexts(a.alphabet, height))
             for c, table in tables:
                 assert table == tuple(context_transform(a, c, (q, kind.one)) for q in a.states)
@@ -305,13 +341,13 @@ def test_tables_past_sys_maxsize_stay_lazy():
         "semifield rational\nrank g 1\nrank a 0\n"
         "trans a() -> q @ 1\ntrans g(q) -> q @ 2\nfinal q @ 1\n"
     )
-    first = list(itertools.islice(context_tables(a, 10**20), 50))
-    assert first == list(context_tables(a, 49))
+    first = list(itertools.islice(context_tables(a, 10**20, a.alphabet), 50))
+    assert first == list(context_tables(a, 49, a.alphabet))
     # over leaves alone z is the only context, at any height
     leaves = automaton.parse_wta(
         "semifield rational\nrank a 0\nrank b 0\ntrans a() -> p @ 1\nfinal p @ 1\n"
     )
-    assert [c for c, _table in context_tables(leaves, 10**20)] == [terms.Z]
+    assert [c for c, _table in context_tables(leaves, 10**20, leaves.alphabet)] == [terms.Z]
 
 
 def test_tables_of_a_context_killed_by_a_side_tree():
@@ -320,7 +356,7 @@ def test_tables_of_a_context_killed_by_a_side_tree():
         "semifield rational\nrank sigma 2\nrank alpha 0\nrank beta 0\n"
         "trans alpha() -> q @ 2\ntrans sigma(q,q) -> q @ 3\nfinal q @ 1\n"
     )
-    tables = dict(context_tables(a, 2))
+    tables = dict(context_tables(a, 2, a.alphabet))
     ctx = parse_context
     assert tables[ctx("sigma(z,beta)", a.alphabet)] == (None,)
     assert tables[ctx("sigma(sigma(z,alpha),beta)", a.alphabet)] == (None,)
@@ -364,10 +400,11 @@ def test_a_negative_height_is_refused_before_any_count(monkeypatch):
     )
     m = scalar.parse_monomial("1.a", a.alphabet, a.kind)
 
-    def refused(_a):
+    def refused(_alphabet):  # context_tables may make the generator, not walk it
         raise AssertionError("counted")
+        yield
 
-    monkeypatch.setattr(congruence, "oracle_context_counts", refused)
+    monkeypatch.setattr(terms, "context_counts", refused)
     for height in (-1, -2, -(10**20)):
         with pytest.raises(ValueError, match=f"got {height}$") as refusal:
             BoundedContextOracle(a, height)
@@ -375,9 +412,10 @@ def test_a_negative_height_is_refused_before_any_count(monkeypatch):
         with pytest.raises(ValueError, match=f"got {height}$") as refusal:
             congruence.brute_force_congruent(a, m, m, height)
         assert refusal.type is ValueError
-        assert list(context_tables(a, height)) == []
+        assert list(context_tables(a, height, a.alphabet)) == []
         assert list(terms.enumerate_contexts(a.alphabet, height)) == []
-    assert [c for c, _table in context_tables(a, 0)] == [terms.Z]
+    monkeypatch.undo()  # height 0 walks the counts
+    assert [c for c, _table in context_tables(a, 0, a.alphabet)] == [terms.Z]
 
 
 def _partial_binary(kind, count):
@@ -403,8 +441,8 @@ def test_tables_and_partition_on_partial_binary_automata(kind):
     rng, answers = random.Random(f"partial-binary-answers:{kind}"), Counter()
     dead_side = dead_hole = 0  # all-None tables by the shortcut that gives them
     for a in _partial_binary(kind, 4):
-        tables = dict(context_tables(a, 3))
-        sample = itertools.islice(context_tables(a, 4), 0, None, 41)
+        tables = dict(context_tables(a, 3, a.alphabet))
+        sample = itertools.islice(context_tables(a, 4, a.alphabet), 0, None, 41)
         for c, table in [*tables.items(), *sample]:
             assert table == tuple(
                 context_transform(a, c, (q, kind.one)) for q in a.states

@@ -391,6 +391,24 @@ def test_trees_are_immutable():
     assert pickle.loads(pickle.dumps(t)) == t
 
 
+def test_trees_and_alphabets_print_compare_and_hash_as_values():
+    t = parse_tree("sigma(alpha,sigma(alpha,alpha))", SIG)
+    assert str(t) == format_tree(t) == "sigma(alpha,sigma(alpha,alpha))"
+    assert repr(t) == "Tree('sigma(alpha,sigma(alpha,alpha))')"
+    again = equal_alphabet(SIG)
+    assert again is not SIG and again == SIG and hash(again) == hash(SIG)
+    assert len({SIG, again}) == 1 and again in {SIG} and {again: 1}[SIG] == 1
+    assert repr(SIG) == "RankedAlphabet(alpha:0, sigma:2)"
+    assert SIG._index == {"alpha": 0, "sigma": 1}
+    swapped = RankedAlphabet([("sigma", 2), ("alpha", 0)])  # declaration order counts
+    assert swapped != SIG and swapped._index == {"sigma": 0, "alpha": 1}
+    for other in (format_tree(t), ("sigma", t.children), [("alpha", 0), ("sigma", 2)], None, 5):
+        assert not t == other and t != other
+        assert not SIG == other and SIG != other
+    assert Tree.__eq__(t, format_tree(t)) is NotImplemented
+    assert RankedAlphabet.__eq__(SIG, list(SIG._arity.items())) is NotImplemented
+
+
 def test_parse_error_kinds():
     for text in ("", "(", "sigma(alpha,", "sigma(alpha alpha)", "sigma()",
                  "alpha(alpha)", "alpha)", "1", "sigma(alpha,alpha))"):
@@ -477,7 +495,7 @@ def test_mangled_trees_fail_as_the_token_regex_fails():
 def test_distinct_texts_leave_each_parse_memo_at_its_cap():
     a = parse_wta(EVEN_ODD)
     alphabet = a.alphabet
-    cap = terms.PARSE_MEMO_CAP
+    cap = terms.MEMO_CAP
     assert 1000 <= cap <= 10**4
     # 677 trees of height <= 4, each text behind 0-14 spaces: 10 155 texts
     texts = [" " * j + format_tree(t) for j in range(15) for t in enumerate_trees(alphabet, 4)]

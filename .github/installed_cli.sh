@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
-# console script on README.md's counter.wta, its tree texts spaced apart
-# or broken, on a tropical file, and on wide-symbol files, the largest
-# one-state f/10 oracle under the cap among them, a 2000-state sparse
-# binary file, a 1600-state unary chain, a file of unused leaves, a
-# depth-10000 oracle query, an oracle depth past sys.maxsize over leaves
-# alone and a 40000-deep tropical spine, each of those under a 10 or 20 s
-# timeout: stdout, exit codes and the stderr lines of tree errors and of
-# the oracle cap.
+# console script on README.md's counter.wta, the file respelled or with a
+# duplicated line, its tree texts spaced apart or broken, on a tropical
+# file, and on wide-symbol files, the largest one-state f/10 oracle under
+# the cap among them, a 2000-state sparse binary file, a 1600-state unary
+# chain, a file of unused leaves, a depth-10000 oracle query, an oracle
+# depth past sys.maxsize over leaves alone and a 40000-deep tropical spine,
+# each of those under a 10 or 20 s timeout: stdout, exit codes and the
+# stderr lines of file errors, of tree errors and of the oracle cap.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -23,6 +23,20 @@ test "$(budwta check counter.wta)" = "$(printf 'bu-deterministic: yes\ntotal: ye
 test "$(budwta check counter_min.wta)" = "$(printf 'bu-deterministic: yes\ntotal: yes\nslim: yes\nminimal: yes\nstates: 2\ndegree: 2')"
 test "$(budwta eval counter.wta --tree 'gamma(alpha)')" = "3"
 test "$(budwta state counter.wta --tree 'gamma(gamma(alpha))')" = "q3"
+# counter.wta respelled (CRLF line ends, a comment inside the trans block,
+# one trans line spaced apart) is read line by line into the same
+# automaton; a duplicated trans line is an input error that names its line
+python -c 'import sys; lines = open("counter.wta").read().splitlines(); i = lines.index("trans gamma(q1) -> q2 @ 1"); lines[i:i + 1] = ["# the counter", "trans gamma( q1 )->q2 @1"]; sys.stdout.write("\r\n".join(lines) + "\r\n")' > respelled.wta
+for command in check minimize; do
+  code=0; want=$(budwta $command counter.wta) || code=$?
+  got_code=0; got=$(budwta $command respelled.wta) || got_code=$?
+  test "$got" = "$want"
+  test "$got_code" -eq "$code"
+done
+awk '{ print } NR == 5 { print }' counter.wta > duplicated.wta
+code=0; err=$(budwta check duplicated.wta 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$err" = "error: duplicated.wta: line 6: duplicate transition for gamma('q1',)"
 # whitespace may stand between tree tokens; an error names the token at fault
 test "$(budwta eval counter.wta --tree $'gamma ( alpha\t) ')" = "3"
 code=0; err=$(budwta eval counter.wta --tree 'gamma(alpha,)' 2>&1 >/dev/null) || code=$?

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -55,7 +56,8 @@ class Wta:
     ``kind`` is a `semifield.Semifield`; every weight in ``delta`` and
     ``final`` is a nonzero raw value of it, checked once, here.  Every
     state name is one that `parse_wta` reads back from `format_wta`'s
-    text: an identifier, neither ``z`` nor a symbol.
+    text: an identifier, neither ``z`` nor a symbol, the names checked on
+    sets, so each name once.
     The derived fields are computed once, here: ``_succ`` maps each (state
     tuple, symbol) key of delta to the (target, weight) of its first entry,
     which for a bu-det automaton is its one step, and ``budet`` records
@@ -68,8 +70,9 @@ class Wta:
     validates no subtree its memo holds.  ``_derived`` keeps four
     derivations over delta, each computed on first use by `_derivation`:
     `_least_keys` forward and `_least_steps` backward, one entry per
-    state; `_live`, the unordered set of live states; and `_inverse`, the
-    entries into and the uses of each state.
+    state; `_live`, the unordered set of live states; and `_inverse`,
+    delta's entries numbered in delta order, the entries into each state
+    and the (entry index, position) uses of each state.
     All of these belong to the automaton, so they can never go stale and
     die with it.
     """
@@ -96,8 +99,15 @@ class Wta:
         stateset = set(self.states)
         if len(stateset) != len(self.states):
             raise WtaError("duplicate state names")
-        _check_state_names(self.states, self.alphabet)
+        # names checked on sets; the loop over the names runs only to name
+        # the first bad one
         arities = self.alphabet._arity
+        if (
+            not all(map(terms._is_identifier, self.states))
+            or terms.Z_NAME in stateset
+            or not stateset.isdisjoint(arities)
+        ):
+            _check_state_names(self.states, self.alphabet)
         succ: Dict[SuccKey, Tuple[str, Value]] = {}
         for (ws, sym, q), w in delta.items():
             if len(ws) != arities.get(sym) or q not in stateset or not stateset.issuperset(ws):
@@ -170,6 +180,7 @@ def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
 
 _MISS = object()
 _state = operator.itemgetter(0)
+_children = operator.itemgetter(0)  # of a transition key
 
 
 def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
@@ -253,18 +264,26 @@ def evaluate(a: Wta, t: Tree) -> Value:
 # --- reachability, slimming, observability --------------------------------
 
 
-def _inverse(a: Wta) -> Tuple[Dict[str, list], Dict[str, list]]:
-    """delta read backwards, in delta order: ``into[q]``, the entries (key,
-    weight) with target q, and ``uses[p]``, the (entry key, position) pairs
-    with p at that position.  The one inverse of delta: every pass that
-    walks delta from a state to its entries reads it."""
-    into: Dict[str, list] = {}  # target -> (key, weight)
-    uses: Dict[str, list] = {}  # child state -> (key, position)
-    for entry in a.delta.items():
-        into.setdefault(entry[0][2], []).append(entry)
-        for i, p in enumerate(entry[0][0]):
-            uses.setdefault(p, []).append((entry[0], i))
-    return into, uses
+def _inverse(a: Wta) -> Tuple[List[Tuple[TransKey, Value]], Dict[str, list], Dict[str, list]]:
+    """delta read backwards, its entries numbered in delta order:
+    ``entries``, the (key, weight) pairs of delta as a list; ``into[q]``,
+    the entries with target q; and ``uses[p]``, the (entry index, position)
+    pairs with p at that position, both in delta order, and both with a
+    list for every state.  The one inverse of delta: every pass that walks
+    delta from a state to its entries reads it, and a pass that counts
+    down the child positions of each entry keeps the counts in a list by
+    entry index."""
+    entries = list(a.delta.items())
+    into: Dict[str, list] = {q: [] for q in a.states}  # target -> (key, weight)
+    uses: Dict[str, list] = {q: [] for q in a.states}  # child -> (entry index, position)
+    for e, entry in enumerate(entries):
+        ws, _, q = entry[0]
+        into[q].append(entry)
+        i = 0  # counted by hand: an enumerate per entry costs a third more
+        for p in ws:
+            uses[p].append((e, i))
+            i += 1
+    return entries, into, uses
 
 
 def _least_keys(a: Wta) -> Dict[str, SuccKey]:
@@ -282,9 +301,9 @@ def _least_keys(a: Wta) -> Dict[str, SuccKey]:
     O(|delta| * k), and an order is built only for a state not found yet.
     """
     sym_index = a.alphabet._index
-    uses = _derivation(a, _inverse)[1]
-    missing = {key: len(key[0]) for key in a.delta}  # child positions not found yet
-    bucket = [key for key, n in missing.items() if not n]
+    entries, _, uses = _derivation(a, _inverse)
+    missing = list(map(len, map(_children, a.delta)))  # child positions not found yet
+    bucket = [key for key in a.delta if not key[0]]
     rank: Dict[str, int] = {}
     keys: Dict[str, SuccKey] = {}
     while bucket:
@@ -298,10 +317,10 @@ def _least_keys(a: Wta) -> Dict[str, SuccKey]:
         for q in sorted(least, key=least.get):
             rank[q] = len(rank)
             keys[q] = least[q][1]
-            for key, _ in uses.get(q, ()):
-                missing[key] -= 1
-                if not missing[key]:
-                    bucket.append(key)
+            for e, _ in uses[q]:
+                missing[e] -= 1
+                if not missing[e]:
+                    bucket.append(entries[e][0])
     return keys
 
 
@@ -321,13 +340,13 @@ def _least_steps(a: Wta) -> Dict[str, Optional[Tuple[str, Value]]]:
     """
     sym_index = a.alphabet._index
     rank = {q: i for i, q in enumerate(a.states)}
-    into = _derivation(a, _inverse)[0]
+    into = _derivation(a, _inverse)[1]
     steps = dict.fromkeys(a.final)  # state -> (target, weight) of its least step
     layer = list(steps)
     while layer:
         least: Dict[str, tuple] = {}  # state -> (order, step) of its least step
         for q in layer:
-            for (ws, sym, _), w in into.get(q, ()):
+            for (ws, sym, _), w in into[q]:
                 for i, p in enumerate(ws):
                     if p in steps:
                         continue
@@ -351,23 +370,23 @@ def _live(a: Wta) -> FrozenSet[str]:
     children.  O(|delta| * k).  The live states are those of `slim` that
     its `dead_states` leaves out; a zero language has none.
     """
-    into, uses = _derivation(a, _inverse)
+    entries, into, uses = _derivation(a, _inverse)
     todo = [q for ws, _, q in a.delta if not ws]
     realized = set()
-    missing: Dict[TransKey, int] = {}  # child positions not realized yet
+    missing = list(map(len, map(_children, a.delta)))  # child positions not realized yet
     while todo:
         q = todo.pop()
         if q in realized:
             continue
         realized.add(q)
-        for key, _ in uses.get(q, ()):
-            n = missing[key] = missing.get(key, len(key[0])) - 1
-            if not n:
-                todo.append(key[2])
+        for e, _ in uses[q]:
+            missing[e] -= 1
+            if not missing[e]:
+                todo.append(entries[e][0][2])
     live = {q for q in a.final if q in realized}
     todo = list(live)
     while todo:
-        for (ws, _, _), _ in into.get(todo.pop(), ()):
+        for (ws, _, _), _ in into[todo.pop()]:
             if realized.issuperset(ws):
                 for p in ws:
                     if p not in live:
@@ -470,15 +489,15 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
 # --- the .wta text format -------------------------------------------------
 
 
-# a trans line as format_wta writes it, read with one match: ASCII words
-# for the symbol and the states, no space but one on each side of "->" and
-# "@", no comment.  Its fields are the ones the general path below reads
-# from the same line, which takes every other spelling; names and weights
-# are checked later on either path.
-_TRANS_LINE = re.compile(
-    r"trans (\w+)\(((?:\w+(?:,\w+)*)?)\) -> (\w+) @ ([^\s#@]+)",
-    re.ASCII,
-).fullmatch
+# the trans lines of a text in format_wta's spelling, each read whole by one
+# split: ASCII words for the symbol and the states, one space on each side
+# of "->" and "@", no comment.  Each match gives its four fields, and the
+# pieces between the matches hold every other line.  Names and weights are
+# checked later.
+_TRANS_LINES = re.compile(
+    r"^trans (\w+)\(((?:\w+(?:,\w+)*)?)\) -> (\w+) @ ([^\s#@]+)$\n?",
+    re.ASCII | re.MULTILINE,
+).split
 
 
 def _ascii_natural(text: str) -> Optional[int]:
@@ -499,20 +518,34 @@ def parse_wta(text: str) -> Wta:
     newlines read it.  States are introduced by first use.  Duplicate
     transition keys, duplicate final states and duplicate rank lines are
     errors.  Zero weights are accepted and normalized away.
+
+    A text whose trans lines are all spelled as `format_wta` writes them is
+    read in one block pass, `_read_block`: one split of the text gives the
+    fields of every trans line, delta is built with one ``dict(zip(...))``,
+    and the `Wta` built from them checks its entries and state names on
+    sets.  Any other text, and any text that fails a check, is read line by
+    line by `_read_lines`, which alone words an error.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        a = _read_block(text)
+    except ValueError:  # the line reader words the error
+        a = None
+    return _read_lines(text) if a is None else a
+
+
+def _read_directives(text: str) -> Tuple[Semifield, RankedAlphabet, list, list]:
+    """The semifield, the alphabet and the trans and final lines of a text
+    whose lines end at ``\\n``, each line read with string methods: trans
+    lines as (line, symbol, child states, target, weight text), final
+    lines as (line, state, weight text).  Every error of a line's syntax is
+    raised here, in line order."""
     kind: Optional[Semifield] = None
     ranks: Dict[str, int] = {}  # symbol -> arity, in declaration order
     raw_trans: List[Tuple[int, str, Tuple[str, ...], str, str]] = []
     raw_final: List[Tuple[int, str, str]] = []
-
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        m = _TRANS_LINE(raw)
-        if m is not None:
-            sym, args, target, wtext = m.groups()
-            raw_trans.append((lineno, sym, tuple(args.split(",")) if args else (), target, wtext))
-            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -537,8 +570,7 @@ def parse_wta(text: str) -> Wta:
                 raise WtaError(f"line {lineno}: duplicate rank line for {name}")
             ranks[name] = arity
         elif head == "trans":
-            m = _parse_trans(rest, lineno)
-            raw_trans.append((lineno,) + m)
+            raw_trans.append((lineno,) + _parse_trans(rest, lineno))
         elif head == "final":
             fields = [f.strip() for f in rest.split("@")]
             if len(fields) != 2:
@@ -553,13 +585,59 @@ def parse_wta(text: str) -> Wta:
         alphabet = RankedAlphabet(ranks.items())
     except terms.TermError as exc:
         raise WtaError(str(exc)) from None
+    return kind, alphabet, raw_trans, raw_final
 
-    # states in order of first appearance
-    states: Dict[str, None] = {}
 
-    def add_state(q: str, lineno: int) -> None:
-        _check_state_names((q,), alphabet, f"line {lineno}: ")
-        states[q] = None
+def _read_block(text: str) -> Optional[Wta]:
+    """The automaton of ``text`` when `_TRANS_LINES` reads all its trans
+    lines, else None; the `ValueError` of the first check that fails.
+
+    The other lines are read by `_read_directives`, so a trans line among
+    them is one in another spelling.  States come in order of first use,
+    trans lines first, as `_read_lines` introduces them.  A repeated key or
+    final state gives None, and the `Wta` refuses a zero weight, an unknown
+    symbol, an arity or a state name: each goes to the line reader, which
+    names its line or drops the zero weight."""
+    parts = _TRANS_LINES(text)
+    kind, alphabet, spelled_otherwise, raw_final = _read_directives("".join(parts[::5]))
+    if spelled_otherwise:
+        return None
+    args, targets, wtexts = parts[2::5], parts[3::5], parts[4::5]
+    # the pattern's names are nonempty words, so str.split reads "p,q" as
+    # "p q" and "" as (): one child tuple per entry, split at C speed
+    children = map(tuple, map(str.split, map(str.replace, args, repeat(","), repeat(" "))))
+    keys = list(zip(children, parts[1::5], targets))
+    # a nullary entry leaves an empty name, dropped
+    states = dict.fromkeys(",".join(chain.from_iterable(zip(args, targets))).split(","))
+    states.pop("", None)
+    states.update((q, None) for _, q, _ in raw_final)
+    weights = {w: kind.parse(w) for w in {*wtexts, *(w for _, _, w in raw_final)}}
+    delta = dict(zip(keys, map(weights.__getitem__, wtexts)))
+    final = {q: weights[w] for _, q, w in raw_final}
+    if len(delta) < len(keys) or len(final) < len(raw_final):
+        return None
+    return Wta(alphabet, tuple(states), kind, delta, final)
+
+
+def _read_lines(text: str) -> Wta:
+    """`parse_wta` line by line, each trans line read by `_parse_trans`,
+    each error raised at its line.
+
+    State names are not checked here: the `Wta` built at the end checks
+    each once.  Each state keeps the line of its first use, and before any
+    error is raised, and when the `Wta` refuses a name, the first bad name
+    among the states so far is named at that line instead, as a check at
+    first use would have done."""
+    kind, alphabet, raw_trans, raw_final = _read_directives(text)
+    states: Dict[str, int] = {}  # state -> line of its first use, in that order
+
+    def check_names() -> None:
+        for q, lineno in states.items():
+            _check_state_names((q,), alphabet, f"line {lineno}: ")
+
+    def error(lineno: int, message: str) -> WtaError:
+        check_names()
+        return WtaError(f"line {lineno}: {message}")
 
     # an automaton uses few distinct weight texts: each is parsed once into
     # ``weights``, a zero weight as _MISS; no nonzero weight is None (the
@@ -567,11 +645,13 @@ def parse_wta(text: str) -> Wta:
     weights: Dict[str, object] = {}
 
     def weight(wtext: str, lineno: int) -> object:
-        try:
-            w = kind.parse(wtext)
-        except semifield.WeightSyntaxError as exc:
-            raise WtaError(f"line {lineno}: {exc}") from None
-        weights[wtext] = w = _MISS if semifield.eq(w, kind.zero) else w
+        w = weights.get(wtext)
+        if w is None:
+            try:
+                w = kind.parse(wtext)
+            except semifield.WeightSyntaxError as exc:
+                raise error(lineno, str(exc)) from None
+            weights[wtext] = w = _MISS if semifield.eq(w, kind.zero) else w
         return w
 
     # one map per line kind, in line order, a zero weight kept as _MISS:
@@ -581,36 +661,32 @@ def parse_wta(text: str) -> Wta:
     for lineno, sym, args, target, wtext in raw_trans:
         k = arities.get(sym)
         if k is None:
-            raise WtaError(f"line {lineno}: undeclared symbol {sym!r}")
+            raise error(lineno, f"undeclared symbol {sym!r}")
         if len(args) != k:
-            raise WtaError(
-                f"line {lineno}: {sym} has arity {k}, got {len(args)} arguments"
-            )
-        for q in args:
-            if q not in states:
-                add_state(q, lineno)
-        if target not in states:
-            add_state(target, lineno)
+            raise error(lineno, f"{sym} has arity {k}, got {len(args)} arguments")
+        for q in args + (target,):
+            states.setdefault(q, lineno)
         key = (args, sym, target)
         if key in entries:
-            raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
-        w = weights.get(wtext)
-        entries[key] = weight(wtext, lineno) if w is None else w
+            raise error(lineno, f"duplicate transition for {sym}{args}")
+        entries[key] = weight(wtext, lineno)
 
     finals: Dict[str, object] = {}
     for lineno, q, wtext in raw_final:
-        if q not in states:
-            add_state(q, lineno)
+        states.setdefault(q, lineno)
         if q in finals:
-            raise WtaError(f"line {lineno}: duplicate final line for {q}")
-        w = weights.get(wtext)
-        finals[q] = weight(wtext, lineno) if w is None else w
+            raise error(lineno, f"duplicate final line for {q}")
+        finals[q] = weight(wtext, lineno)
 
     if not states:
         raise WtaError("automaton declares no states (no trans/final lines)")
     delta = {key: w for key, w in entries.items() if w is not _MISS}
     final = {q: w for q, w in finals.items() if w is not _MISS}
-    return Wta(alphabet, tuple(states), kind, delta, final)
+    try:
+        return Wta(alphabet, tuple(states), kind, delta, final)
+    except WtaError:  # a bad state name
+        check_names()
+        raise
 
 
 def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:

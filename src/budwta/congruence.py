@@ -136,10 +136,10 @@ def build_syntactic_quotient(a: Wta) -> SyntacticQuotient:
         q: codes.setdefault(parts(k.times(a.final.get(q, k.zero), mu_inv[q])), len(codes))
         for q in live
     }
-    into = automaton._derivation(a, automaton._inverse)[0]
+    into = automaton._derivation(a, automaton._inverse)[1]
     moves: Dict[str, List[Tuple[int, str]]] = {q: [] for q in live}
     for t in live:
-        for (ws, sym, _), w in into.get(t, ()):
+        for (ws, sym, _), w in into[t]:
             scaled = k.times(w, mu[t])
             for i, p in enumerate(ws):
                 move = (sym, i, ws[:i] + ws[i + 1 :], *parts(k.times(scaled, mu_inv[p])))

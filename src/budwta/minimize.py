@@ -240,7 +240,8 @@ def _joined(
     A-states are its child states, once, while ``found`` grows: first the
     nullary entries; then, as pair n is taken up, the entries with its
     A-state at position j, with n there, indices < n before j and <= n
-    after j.  Each comes with its weight and the tuple's B-states.
+    after j.  Each comes with its weight, read with its key from the
+    numbered entries of `automaton._inverse`, and the tuple's B-states.
     ``by_a`` lists the indices of the found pairs of each A-state in
     increasing order."""
     succ = a._succ
@@ -248,12 +249,11 @@ def _joined(
         if ((), sym) in succ:
             t, w = succ[((), sym)]
             yield ((), sym, t), w, (), ()
-    uses = automaton._derivation(a, automaton._inverse)[1]
-    delta = a.delta
+    entries, _, uses = automaton._derivation(a, automaton._inverse)
     n = 0
     while n < len(found):
-        for key, j in uses.get(found[n][0], ()):
-            w = delta[key]
+        for e, j in uses[found[n][0]]:
+            key, w = entries[e]
             if len(key[0]) == 1:  # the one tuple (n,), without the slots
                 yield key, w, (found[n][1],), (n,)
                 continue

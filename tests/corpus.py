@@ -44,8 +44,14 @@ nested generators of `tree_text`, and stops past the cap.
 generating set that `minimize.scalar_basis` picks a basis from.
 `reference_parse_wta` is the `.wta` reader `automaton.parse_wta` replaced,
 with lines split by universal newlines: every line goes through
-`str.split`/`str.strip`, and a trans line through `_reference_parse_trans`.
-It is the differential reference for the one-match read of a trans line.
+`str.split`/`str.strip`, a trans line through `_reference_parse_trans`,
+and each state name is checked at its first use.  It is the differential
+reference for both readers of `automaton.parse_wta`: the block read of a
+text whose trans lines are all in `format_wta`'s spelling, and the line
+reader that takes every other text and words every error.
+`reference_inverse` is the numbered inverse view of delta that
+`automaton._inverse` builds, read off ``a.delta`` by sorting its
+(state, entry index, position) triples.
 `reference_parse_tree` is the tree reader `terms.parse_tree` replaced: one
 pass over the `terms._TOKEN_RE` tokens of the text, with no memo.  It is
 the differential reference for the tokens split on whitespace.
@@ -941,6 +947,22 @@ def _reference_parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...]
         if not piece:
             raise WtaError(f"line {lineno}: malformed transition {rest!r}")
     return (sym, args, target, wtext)
+
+
+def reference_inverse(a: Wta) -> Tuple[list, Dict[str, list], Dict[str, list]]:
+    """The entries of ``a.delta`` as a list, and for each state q the
+    entries with target q and the (entry index, position) pairs with q at
+    that position, each sorted into delta order."""
+    entries = list(a.delta.items())
+    rank = {q: i for i, q in enumerate(a.states)}
+    into: Dict[str, list] = {q: [] for q in a.states}
+    for _, e in sorted((rank[key[2]], e) for e, (key, _) in enumerate(entries)):
+        into[entries[e][0][2]].append(entries[e])
+    uses: Dict[str, list] = {q: [] for q in a.states}
+    triples = [(rank[p], e, i) for e, (key, _) in enumerate(entries) for i, p in enumerate(key[0])]
+    for r, e, i in sorted(triples):
+        uses[a.states[r]].append((e, i))
+    return entries, into, uses
 
 
 def first_trees(a: Wta) -> Dict[str, Tree]:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -45,9 +46,11 @@ from corpus import (
     random_slim_budet,
     reference_h_general,
     reference_is_total,
+    reference_inverse,
     reference_parse_wta,
     small_corpus,
     sparse_binary,
+    split_states,
     substitute,
     targets,
 )
@@ -517,6 +520,20 @@ def test_an_entry_waits_on_each_child_position():
     assert dead_states(slim(a)) == {"p", "s"}
 
 
+def test_inverse_view_numbers_the_entries_in_delta_order():
+    rng = random.Random(611)
+    automata = [a for kind in sf.KINDS for a in small_corpus(kind, 12, seed=611)]
+    automata += [split_states(rng, a) for a in automata]
+    automata.append(sparse_binary(random.Random(1), sf.RATIONAL, 2000))
+    for a in automata:
+        entries, into, uses = automaton._inverse(a)
+        assert (entries, into, uses) == reference_inverse(a)
+        # every (entry, position) is used once
+        met = sorted(use for q in a.states for use in uses[q])
+        assert met == [(e, i) for e, (ws, _, _) in enumerate(a.delta) for i in range(len(ws))]
+        assert all(entries[e][0][0][i] == p for p in a.states for e, i in uses[p])
+
+
 def _corpus_variants(seed):
     """Each small-corpus automaton in all four semifields, then copies of
     it: made total, total less one entry, and total with a second target
@@ -809,6 +826,82 @@ def test_parse_wta_matches_the_reference_reader():
             "error", "line 4: expected 'trans SYM(...) -> q @ w'")
 
 
+_BLOCK_TEXT = (
+    "semifield rational\nrank a 0\nrank g 1\nrank f 2\n"
+    "trans a() -> p @ 1\ntrans g(p) -> q @ 2\ntrans f(p,q) -> q @ 1/2\ntrans f(q,q) -> p @ 3\n"
+    "final p @ 1\nfinal q @ 2\n"
+)
+_BLOCK_LINES = _BLOCK_TEXT.splitlines(keepends=True)
+
+
+def _with_line(n, text):
+    """`_BLOCK_TEXT` with ``text`` in place of its line ``n``."""
+    return "".join(_BLOCK_LINES[: n - 1]) + text + "".join(_BLOCK_LINES[n:])
+
+
+# (name, text, the reader that answers, the error or None)
+_BLOCK_CASES = [
+    ("blank-line-in-block", _with_line(6, "trans g(p) -> q @ 2\n\n"), "block", None),
+    ("comment-line-in-block", _with_line(6, "trans g(p) -> q @ 2\n# note\n"), "block", None),
+    ("indented-trans-comment", _with_line(6, "trans g(p) -> q @ 2\n  # trans a() -> q @ 1\n"),
+     "block", None),
+    ("trans-comment-after-a-trans-line", _with_line(6, "trans g(p) -> q @ 2 # trans a() -> q @ 1\n"),
+     "lines", None),
+    ("crlf", _BLOCK_TEXT.replace("\n", "\r\n"), "block", None),
+    ("cr", _BLOCK_TEXT.replace("\n", "\r"), "block", None),
+    ("spaced-trans-line", _with_line(7, "trans f( p , q ) -> q @ 1/2\n"), "lines", None),
+    ("nullary-without-parens", _with_line(5, "trans a -> p @ 1\n"), "lines", None),
+    ("duplicate-trans-line", _with_line(8, "trans f(q,q) -> p @ 3\ntrans g(p) -> q @ 2\n"), "lines",
+     "line 9: duplicate transition for g('p',)"),
+    ("undeclared-symbol", _with_line(6, "trans h(p) -> q @ 2\n"), "lines",
+     "line 6: undeclared symbol 'h'"),
+    ("arity-mismatch", _with_line(7, "trans f(p) -> q @ 1/2\n"), "lines",
+     "line 7: f has arity 2, got 1 arguments"),
+    ("empty-argument", _with_line(7, "trans f(,q) -> q @ 1/2\n"), "lines",
+     "line 7: malformed transition 'f(,q) -> q @ 1/2'"),
+    ("state-z", _with_line(6, "trans g(p) -> z @ 2\n"), "lines", "line 6: bad state name 'z'"),
+    ("state-symbol", _with_line(6, "trans g(p) -> g @ 2\n"), "lines",
+     "line 6: state name collides with symbol 'g'"),
+    ("state-digit-first", _with_line(6, "trans g(p) -> 0q @ 2\n"), "lines",
+     "line 6: bad state name '0q'"),
+    # a bad name comes first, though the reader finds the duplicate first
+    ("bad-name-before-duplicate", _with_line(8, "trans g(z) -> p @ 3\ntrans g(p) -> q @ 2\n"),
+     "lines", "line 8: bad state name 'z'"),
+    ("bad-name-on-a-final-line", _BLOCK_TEXT + "final 0r @ 1\n", "lines",
+     "line 11: bad state name '0r'"),
+    ("zero-trans-weight", _with_line(8, "trans f(q,q) -> p @ 0\n"), "lines", None),
+    ("zero-final-weight", _with_line(10, "final q @ 0\n"), "lines", None),
+    ("tropical-inf", _with_line(10, "final q @ inf\n").replace("rational", "tropical")
+     .replace("-> p @ 3", "-> p @ inf"), "lines", None),
+    ("rank-line-after-block", _with_line(8, "trans f(q,q) -> p @ 3\nrank g 1\n").replace(
+        "rank g 1\n", "", 1), "block", None),
+    ("trans-line-after-final", _BLOCK_TEXT.replace(_BLOCK_LINES[7], "") + _BLOCK_LINES[7],
+     "block", None),
+    ("second-semifield-line", _with_line(9, "semifield rational\nfinal p @ 1\n"), "lines",
+     "line 9: duplicate semifield line"),
+]
+
+
+@pytest.mark.parametrize("text, reader, error", [case[1:] for case in _BLOCK_CASES],
+                         ids=[case[0] for case in _BLOCK_CASES])
+def test_block_reader_and_its_fallback(monkeypatch, text, reader, error):
+    assert format_wta(parse_wta(_BLOCK_TEXT)) == _BLOCK_TEXT
+    fallbacks = []
+    line_reader = automaton._read_lines
+
+    def counted(text):
+        fallbacks.append(text)
+        return line_reader(text)
+
+    monkeypatch.setattr(automaton, "_read_lines", counted)
+    got = _outcome(parse_wta, text)
+    assert got == _outcome(reference_parse_wta, text)
+    assert got[0] == ("error" if error else ("p", "q"))
+    if error:
+        assert got[1] == error
+    assert len(fallbacks) == (reader == "lines")
+
+
 _PIECES = ("@ 1 ->", "-> q @", "/0", "4" * 5000, "\u0661", "@", "->", "(", ")", ",", ".", "#")
 
 
@@ -881,6 +974,21 @@ def test_format_wta_text_takes_the_one_match_path(monkeypatch):
     assert not calls
     parse_wta(texts[0].replace(" -> ", "  -> "))  # another spelling takes the general path
     assert calls
+
+
+def test_a_canonical_parse_checks_each_state_name_once(monkeypatch):
+    checked = collections.Counter()
+    is_identifier = terms._is_identifier
+
+    def counted(name):
+        checked[name] += 1
+        return is_identifier(name)
+
+    monkeypatch.setattr(terms, "_is_identifier", counted)
+    for text in _corpus_texts():
+        checked.clear()
+        a = parse_wta(text)
+        assert [checked[q] for q in a.states] == [1] * len(a.states)
 
 
 def spine(a, depth, leaf="alpha"):

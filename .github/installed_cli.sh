@@ -5,9 +5,10 @@
 # file, and on wide-symbol files, the largest one-state f/10 oracle under
 # the cap among them, a 2000-state sparse binary file, a 1600-state unary
 # chain, a file of unused leaves, a depth-10000 oracle query, an oracle
-# depth past sys.maxsize over leaves alone and a 40000-deep tropical spine,
-# each of those under a 10 or 20 s timeout: stdout, exit codes and the
-# stderr lines of file errors, of tree errors and of the oracle cap.
+# depth past sys.maxsize over leaves alone, a 40000-deep tropical spine and
+# a 100000-deep rational spine, each of those under a 10 or 20 s timeout:
+# stdout, exit codes and the stderr lines of file errors, of tree errors
+# and of the oracle cap.
 #
 #     bash .github/installed_cli.sh    # from the root of a checkout
 set -euo pipefail
@@ -129,4 +130,20 @@ printf 'semifield tropical\nrank a 0\nrank g 1\ntrans a() -> q @ 1\ntrans g(q) -
 spine="$(printf 'g(%.0s' $(seq 40000))a$(printf ')%.0s' $(seq 40000))"
 test "$(timeout 20 budwta state spine.wta --tree "$spine")" = "q"
 test "$(timeout 20 budwta eval spine.wta --tree "$spine")" = "20001"
+# a 100000-deep rational spine folds its weights once per distinct weight:
+# (2/3)^100000, a fraction of 77 816 digits.  Its text, 300001 characters, is over that
+# limit, so `budwta eval` runs through the installed package's cli.main in
+# process, and the answer is compared with format_weight's text, with no
+# int -> str conversion
+printf 'semifield rational\nrank a 0\nrank g 1\ntrans a() -> q @ 1\ntrans g(q) -> q @ 2/3\nfinal q @ 1\n' > rational_spine.wta
+timeout 20 python -c '
+import contextlib, io, sys
+from fractions import Fraction
+from budwta import cli, semifield
+n = 10**5
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["eval", "rational_spine.wta", "--tree", "g(" * n + "a" + ")" * n])
+sys.exit(code != 0 or out.getvalue() != semifield.format_weight(Fraction(2, 3) ** n) + "\n")
+'
 echo "installed CLI: all checks passed"

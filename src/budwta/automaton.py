@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType
@@ -162,18 +163,31 @@ def _require_budet(a: Wta) -> None:
 
 def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
     """Sum-product vector semantics; works for any automaton.  Each node
-    sums over the delta entries of its symbol, read from ``a.delta`` alone."""
+    sums over the delta entries of its symbol, read from ``a.delta`` alone.
+
+    A child's vector is kept until its last parent is done, counted over
+    the node list first, so a spine holds O(1) vectors at a time and only
+    the root's is left at the end."""
     k = a.kind
     entries: Dict[str, list] = {}  # symbol -> (child states, target, weight)
     for (ws, sym, q), w in a.delta.items():
         entries.setdefault(sym, []).append((ws, q, w))
+    order = terms.validate_tree(t, a.alphabet)
+    # id(node) -> the child places of it not yet done
+    waiting = Counter(id(c) for node in order for c in node.children)
     vecs: Dict[int, Dict[str, Value]] = {}
-    for node in terms.validate_tree(t, a.alphabet):
+    for node in order:
+        kids = [vecs[id(c)] for c in node.children]
         out = dict.fromkeys(a.states, k.zero)
         for ws, q, w in entries.get(node.symbol, ()):
-            for p, c in zip(ws, node.children):
-                w = k.times(w, vecs[id(c)][p])
+            for p, vec in zip(ws, kids):
+                w = k.times(w, vec[p])
             out[q] = k.plus(out[q], w)
+        for c in node.children:
+            i = id(c)
+            waiting[i] -= 1
+            if not waiting[i]:
+                del vecs[i]
         vecs[id(node)] = out
     return vecs[id(t)]
 
@@ -186,16 +200,21 @@ _children = operator.itemgetter(0)  # of a transition key
 def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
     """Deterministic run of ``t``, memoised at the root: with ``weighed``,
     its `DetValue` in ``a._runs``; without, its state alone (or None) in
-    ``a._states``, and no weight is multiplied.
+    ``a._states``.
 
     A hit is stored again under ``t`` itself: a tree equal to the key but
     built apart (by ``Tree``, or parsed against an equal but separate
     alphabet) costs one comparison walk, and the next lookup of the same
-    object is an identity hit.  On a miss the run steps over the one walk
+    object is an identity hit.  On a miss the run steps over the node list
     of `terms.validate_tree` with the memo as ``known``: the distinct nodes
-    not under an earlier root, checked, children before parents.  So a
-    tree whose children are earlier roots costs one step.  The two kinds of
-    run differ only in the step at each node.
+    not under an earlier root, checked, children before parents, which a
+    fresh parse hands over without a walk.  So a tree whose children are
+    earlier roots costs one step.  Each node's step is a state step, as
+    `state_of` takes it: the weighted run keeps the (target, weight) step
+    of each node and multiplies no weight on the way up.  When the root
+    has a state, `_fold` gives its weight; a walk of the root alone, over
+    earlier roots, multiplies its step weight by its children's stored
+    weights, the same factors with no count to take.
     """
     memo = a._runs if weighed else a._states
     v = memo.pop(t, _MISS)
@@ -203,33 +222,70 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
         memo[t] = v
         return v
     succ = a._succ
-    times = a.kind.times
-    vals: Dict[int, object] = {}  # id(node) -> its value in this walk
-    for node in terms.validate_tree(t, a.alphabet, known=memo):
+    order = terms.validate_tree(t, a.alphabet, known=memo)
+    # id(node) -> its step (target, weight) or, without weights, its
+    # state; None for the sink; and a child the memo holds, its value
+    vals: Dict[int, object] = {}
+    for node in order:
         try:
             kids = [vals[id(c)] for c in node.children]
-        except KeyError:  # a child the memo holds
-            kids = [vals[id(c)] if id(c) in vals else memo[c] for c in node.children]
-        v = None
-        if None not in kids:
-            if weighed:
-                step = succ.get((tuple(map(_state, kids)), node.symbol))
-                if step:
-                    q, w = step
-                    for kv in kids:
-                        w = times(w, kv[1])
-                    v = (q, w)
-            else:
-                step = succ.get((tuple(kids), node.symbol))
-                if step:
-                    v, _ = step
-        vals[id(node)] = v
-    v = memo[t] = vals[id(t)]
+        except KeyError:  # a child the memo holds: its value joins the walk's
+            for c in node.children:
+                if id(c) not in vals:
+                    vals[id(c)] = memo[c]
+            kids = [vals[id(c)] for c in node.children]
+        if None in kids:
+            vals[id(node)] = None
+        elif weighed:
+            vals[id(node)] = succ.get((tuple(map(_state, kids)), node.symbol))
+        else:
+            step = succ.get((tuple(kids), node.symbol))
+            vals[id(node)] = step and step[0]
+    v = vals[id(t)]
+    if weighed and v is not None:
+        if len(order) > 1:
+            v = (v[0], _fold(a.kind, t, order, vals))
+        else:  # one step over earlier roots: one factor per child, no count
+            q, w = v
+            for c in t.children:
+                w = a.kind.times(w, vals[id(c)][1])  # type: ignore[index]
+            v = (q, w)
+    memo[t] = v
     return v
 
 
+def _fold(k: Semifield, t: Tree, order: List[Tree], vals: Dict[int, object]) -> Value:
+    """The weight of the run of ``t`` whose walk is ``order`` and whose
+    values are ``vals``: the product of the weight of each distinct node,
+    its step weight or, for a memo root, its stored weight, raised to its
+    multiplicity, the number of paths from the root to it, folded with one
+    `Semifield.power_product` over the distinct weight objects.
+
+    Multiplicities are counted top-down, the node list read backwards: a
+    node's parents all come after it in ``order``, so its count is complete
+    when it is reached and passed on to its children.  A memo root is a
+    child that is not walked, so it counts but passes nothing on.
+    """
+    paths = {id(t): 1}  # id(node) -> the number of paths from the root to it
+    for node in reversed(order):
+        m = paths[id(node)]
+        for c in node.children:
+            paths[id(c)] = paths.get(id(c), 0) + m
+    counts: Dict[int, list] = {}  # id(weight) -> [weight, its count]
+    for i, m in paths.items():
+        w = vals[i][1]  # type: ignore[index]
+        got = counts.get(id(w))
+        if got is None:
+            counts[id(w)] = [w, m]
+        else:
+            got[1] += m
+    return k.power_product(counts.values())
+
+
 def h_det(a: Wta, t: Tree) -> DetValue:
-    """Product-only run of a bottom-up deterministic automaton."""
+    """Product-only run of a bottom-up deterministic automaton: the state
+    of ``t`` and the product of the step weights of its nodes, each node
+    counted once per occurrence, folded per distinct weight (see `_run`)."""
     _require_budet(a)
     return _run(a, t)
 
@@ -251,7 +307,9 @@ def _read_out(a: Wta, v: DetValue) -> Value:
 
 
 def evaluate(a: Wta, t: Tree) -> Value:
-    """The weight the automaton assigns to a tree."""
+    """The weight the automaton assigns to a tree: for a bu-det automaton,
+    the weight of its `_run` times the final weight of its state, one
+    ⊗ after the fold; for any other, `h_general`'s vector read out."""
     k = a.kind
     if is_bu_deterministic(a):
         return _read_out(a, _run(a, t))

@@ -24,6 +24,10 @@ identity); a value that broke these rules would differ from an equal one,
 in `eq` and ``hash``, without any error.  `Semifield.product` multiplies
 many weights: the rational kinds multiply all the parts and reduce once,
 and tropical adds them over one common denominator and reduces once.
+`Semifield.power_product` multiplies weights each raised to a count, the
+weight of a run folded per distinct weight: the rational kinds raise the
+parts apart, and tropical scales each weight by its count, before the one
+reduction.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Value = Union[Fraction, bool, None]
 
@@ -49,7 +53,12 @@ class WeightSyntaxError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Semifield:
-    """A commutative semifield over raw values; ``str()`` is its name."""
+    """A commutative semifield over raw values; ``str()`` is its name.
+
+    ``product`` is the ⊗ of many weights, and ``power_product`` the ⊗ of
+    each weight of (weight, count) pairs raised to its count, a count of 0
+    giving `one`; each gives the value that folding ``times`` over the same
+    factors gives, built with one reduction."""
 
     name: str
     zero: Value
@@ -60,6 +69,7 @@ class Semifield:
     contains: Callable[[object], bool]  # is the value a weight of this semifield
     from_fraction: Callable[[Union[int, Fraction]], Value]
     product: Callable[[Iterable[Value]], Value]  # ⊗ of all the weights; `one` if none
+    power_product: Callable[[Iterable[Sequence]], Value]  # ⊗ of w^c over the (w, c) pairs
 
     def inv(self, x: Value) -> Value:
         if eq(x, self.zero):
@@ -166,6 +176,49 @@ def _product(xs: Iterable[Fraction]) -> Fraction:
     return _fraction(n // g, d // g)
 
 
+def _power_product(pairs: Iterable[Sequence]) -> Fraction:
+    """The product of each numerator raised to its count over that of each
+    denominator raised to its count, reduced once.  The parts of each
+    weight are coprime, so a prime that divides both products divides the
+    product of the numerators and that of the denominators of the weights
+    themselves; when these two small products are coprime, the powers are,
+    and the gcd of the large ones is not taken."""
+    n = d = base_n = base_d = 1
+    for x, c in pairs:
+        xn, xd = x._numerator, x._denominator
+        n *= xn**c
+        d *= xd**c
+        base_n *= xn
+        base_d *= xd
+    if _gcd(base_n, base_d) == 1:
+        return _fraction(n, d)
+    g = _gcd(n, d)
+    return _fraction(n // g, d // g)
+
+
+def _scaled_sum(pairs: Iterable[Sequence]) -> Value:
+    """The tropical power product, the sum of each weight times its count:
+    all of them over the product of their denominators, reduced once; inf
+    with a nonzero count absorbs."""
+    n, d = 0, 1
+    for x, c in pairs:
+        if x is None:
+            if c:
+                return None
+            continue
+        xd = x._denominator
+        n = n * xd + c * x._numerator * d
+        d *= xd
+    g = _gcd(n, d)
+    return _fraction(n // g, d // g)
+
+
+def _all_raised(pairs: Iterable[Sequence]) -> bool:
+    """The boolean power product: false when a false weight has a nonzero
+    count."""
+    return all(x or not c for x, c in pairs)
+
+
 def _sum(xs: Iterable[Value]) -> Value:
     """The tropical product of many weights, their sum: all the fractions
     over the product of their denominators, reduced once; inf absorbs."""
@@ -235,19 +288,20 @@ def _add_finite(x: Value, y: Value) -> Value:  # inf absorbs
 
 RATIONAL = Semifield(
     "rational", Fraction(0), Fraction(1), _add, _mul, _reciprocal,
-    lambda x: x.__class__ is Fraction, _exact, _product,
+    lambda x: x.__class__ is Fraction, _exact, _product, _power_product,
 )
 BOOLEAN = Semifield(
     "boolean", False, True, operator.or_, operator.and_, lambda x: x,
-    lambda x: x.__class__ is bool, _zero_or_one, all,
+    lambda x: x.__class__ is bool, _zero_or_one, all, _all_raised,
 )
 MAXTIMES = Semifield(
     "maxtimes", Fraction(0), Fraction(1), _max, _mul, _reciprocal,
     lambda x: x.__class__ is Fraction and x._numerator >= 0, _non_negative, _product,
+    _power_product,
 )
 TROPICAL = Semifield(
     "tropical", None, Fraction(0), _min_plus, _add_finite, _negative,
-    lambda x: x is None or x.__class__ is Fraction, _exact, _sum,
+    lambda x: x is None or x.__class__ is Fraction, _exact, _sum, _scaled_sum,
 )
 
 KINDS = (RATIONAL, BOOLEAN, MAXTIMES, TROPICAL)

@@ -8,9 +8,10 @@ or validated.  A tree text is split into words on whitespace and around
 ``(``, ``,`` and ``)``; the token regex reads a text again only to word
 its error.  Parsing is memoised on the alphabet: each distinct text gives
 one tree object per alphabet while it is among the alphabet's MEMO_CAP
-newest texts.  Plugging a tree into a context and splitting a context into
-elementary ones are not needed by the package: the test suite keeps them as
-its reference.
+newest texts, and validating that tree against that alphabet returns the
+parse's own node list instead of walking it again.  Plugging a tree into a
+context and splitting a context into elementary ones are not needed by the
+package: the test suite keeps them as its reference.
 
 Enumeration of contexts is deterministic: by height first, then
 lexicographically following the declaration order of the alphabet, with
@@ -109,11 +110,17 @@ class RankedAlphabet:
     `parse_tree`'s, one tree object per distinct text parsed against it,
     and `scalar.parse_monomial`'s, one monomial object per distinct text
     and semifield.  Each keeps at most MEMO_CAP entries, by `_remember`.
+    Beside the tree memo, ``_nodes`` keeps each of its trees' distinct
+    nodes, children first, as the parse built them, keyed by the tree's
+    id; it gains and drops an entry whenever the tree memo does, so it
+    holds the same trees, and `validate_tree` returns such a list instead
+    of walking the tree.
     """
 
     def __init__(self, symbols: Iterable[Tuple[str, int]]):
         self._arity: Dict[str, int] = {}
         self._parsed: Dict[str, Tree] = {}  # text -> tree
+        self._nodes: Dict[int, List[Tree]] = {}  # id(tree) -> its nodes; the list holds the tree
         self._monomials: Dict[Tuple[str, object], object] = {}  # (text, semifield) -> monomial
         for name, k in symbols:
             if not _is_identifier(name):
@@ -182,15 +189,23 @@ def validate_tree(t: Tree, alphabet: RankedAlphabet, known: Container[Tree] = ()
     """Check that ``t`` is a tree over ``alphabet`` and return the nodes
     checked: each distinct node object of ``t`` once, children before
     parents, leaving out every subtree that ``known`` holds (an equal tree
-    built apart is found too) and every node under it.
+    built apart is found too) and every node under it.  The caller must not
+    change the list.
 
-    This is the one walk over a tree: a node is checked as it is appended,
-    after its children, so the first bad node in post-order is the one
-    named.  A subtree that ``known`` holds is taken as checked: a run memo
-    holds only trees that were validated on their way in, and a tree equal
-    to a valid one is valid.
+    With ``known`` empty, a tree that `parse_tree` built against this
+    alphabet object and still remembers is not walked: the parse checked
+    every arity and listed its distinct nodes children first, and that list,
+    kept in ``alphabet._nodes``, is returned.  Any other tree is walked:
+    a node is checked as it is appended, after its children, so the first
+    bad node in post-order is the one named.  A subtree that ``known``
+    holds is taken as checked: a run memo holds only trees that were
+    validated on their way in, and a tree equal to a valid one is valid.
     """
-    known = known or ()  # an empty memo: no node is hashed
+    if not known:  # an empty memo: no node is hashed
+        nodes = alphabet._nodes.get(id(t))
+        if nodes is not None:  # the list holds t, so no other object has its id
+            return nodes
+        known = ()
     arities = alphabet._arity
     order: List[Tree] = []
     seen: Set[int] = set()
@@ -253,28 +268,38 @@ def parse_tree(text: str, alphabet: RankedAlphabet) -> Tree:
     A text parsed again against the same alphabet object gives back the
     same tree object while the text is in the alphabet's memo, so a run
     memo finds it by identity; the memo keeps the MEMO_CAP newest texts.
-    A text that fails to parse is not remembered.
+    With each tree it keeps the parse's list of distinct nodes, children
+    first, in ``alphabet._nodes``, which `validate_tree` returns, so a
+    fresh run does not walk the tree again.  A text that fails to parse is
+    not remembered.
     """
     memo = alphabet._parsed
-    node = memo.get(text)
-    if node is not None:
-        return node
+    tree = memo.get(text)
+    if tree is not None:
+        return tree
     arities = alphabet._arity
+    nodes = None
     if text.__class__ is str:  # findall reads a str subclass and refuses a non-str
         spaced = text.replace("(", " ( ").replace(",", " , ").replace(")", " ) ")
-        node = _read(spaced.split(), arities, text)
-    if node.__class__ is not Tree:
-        node = _read(_TOKEN_RE.findall(text), arities, text)
-        if node.__class__ is not Tree:
-            raise node()
-    return _remember(memo, text, node)
+        nodes = _read(spaced.split(), arities, text)
+    if nodes.__class__ is not list:
+        nodes = _read(_TOKEN_RE.findall(text), arities, text)
+        if nodes.__class__ is not list:
+            raise nodes()  # type: ignore[operator]
+    # the two memos gain an entry together, so `_remember` drops their
+    # oldest entries together: a text and its tree's node list
+    _remember(alphabet._nodes, id(nodes[-1]), nodes)
+    return _remember(memo, text, nodes[-1])
 
 
 def _read(
     tokens: List[str], arities: Dict[str, int], text: str
-) -> Tree | Callable[[], TermError]:
-    """The tree that ``tokens`` of ``text`` spell, or, if they spell none, a
-    function that words the error at the first token that fails."""
+) -> List[Tree] | Callable[[], TermError]:
+    """The distinct nodes of the tree that ``tokens`` of ``text`` spell,
+    children first and the root last, or, if they spell none, a function
+    that words the error at the first token that fails.  A node is listed
+    when it is first closed, after its children, so the list is the order
+    of ``shared``."""
     tokens.append("")  # end of input
     # node by symbol (leaves) or by (symbol, children); the children are
     # shared already, so comparing keys compares them by identity
@@ -318,7 +343,7 @@ def _read(
         else:
             if tokens[pos]:
                 return partial(_error, "trailing input {}", text, pos)
-            return node
+            return list(shared.values())
 
 
 def _unlisted_symbol(name: str, text: str, pos: int) -> TermError:

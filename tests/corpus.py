@@ -32,6 +32,10 @@ tuple of basis trees.  It is the differential reference for the pass over
 delta.
 `reference_is_total` is the check `automaton.is_total` replaced: it looks
 up every state tuple of every symbol.
+`reference_run` is the weighted run `automaton._run` replaced: each
+distinct node multiplies its step weight by its children's weights, with
+no memo.  It is the differential reference for the fold per distinct
+weight.
 `reference_h_general` is the sum-product semantics `automaton.h_general`
 replaced: each node sweeps all |Q|^k state tuples and looks up the targets
 of each.  It is the differential reference for the walk over delta entries.
@@ -752,6 +756,27 @@ def reference_h_general(a: Wta, t: Tree) -> Dict[str, Value]:
                 out[i] = k.plus(out[i], k.times(factor, w))
         vecs[id(node)] = tuple(out)
     return dict(zip(a.states, vecs[id(t)]))
+
+
+def reference_run(a: Wta, t: Tree) -> DetValue:
+    """The bu-det run of ``t``, node by node: each distinct node, children
+    first, takes the target of its one delta entry and multiplies its
+    weight by each child's, in child order; None for the sink.  No memo is
+    read or written."""
+    k = a.kind
+    vals: Dict[int, DetValue] = {}
+    for node in postorder(t):
+        kids = [vals[id(c)] for c in node.children]
+        v = None
+        if None not in kids:
+            found = targets(a, tuple(kv[0] for kv in kids), node.symbol)
+            if found:
+                q, w = found[0]
+                for kv in kids:
+                    w = k.times(w, kv[1])
+                v = (q, w)
+        vals[id(node)] = v
+    return vals[id(t)]
 
 
 def reference_is_total(a: Wta) -> bool:

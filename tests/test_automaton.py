@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from corpus import (
     reference_is_total,
     reference_inverse,
     reference_parse_wta,
+    reference_run,
     small_corpus,
     sparse_binary,
     split_states,
@@ -165,12 +167,15 @@ def test_state_of_matches_h_det_on_corpus():
     assert sinks > 0
 
 
-def _no_times(x, y):
+def _no_times(x, y=None):
     raise AssertionError("a states-only run multiplied two weights")
 
 
 def test_state_of_and_witness_trees_multiply_no_weights():
-    kind = dataclasses.replace(sf.RATIONAL, name="no-times", times=_no_times)
+    # a weighted run multiplies through power_product, so both refuse
+    kind = dataclasses.replace(
+        sf.RATIONAL, name="no-times", times=_no_times, power_product=_no_times
+    )
     for a in (chain(random.Random(1501), sf.RATIONAL, 40), parse_wta(EVEN_ODD), parse_wta(GAMMA3)):
         b = _copy(a, kind)
         reps = representative_trees(b)
@@ -1083,6 +1088,145 @@ def test_h_general_matches_h_det_on_deep_spine(gamma3):
     vec = h_general(gamma3, tree)
     assert vec[q] == w
     assert all(v == sf.RATIONAL.zero for p, v in vec.items() if p != q)
+
+
+def _random_dag(rng, alphabet, n):
+    """A tree of n + 1 built nodes or fewer: each new node takes its
+    children from all the nodes built so far, so subtrees are shared."""
+    pool = [Tree(s) for s in alphabet.nullary_symbols()]
+    inner = [s for s in alphabet.symbols() if alphabet.arity(s)]
+    for _ in range(n if inner else 0):
+        s = rng.choice(inner)
+        pool.append(Tree(s, tuple(rng.choice(pool) for _ in range(alphabet.arity(s)))))
+    return pool[-1]
+
+
+def _shapes(rng, alphabet):
+    """Random DAGs, a spine and balanced DAGs over the first symbol of
+    arity >= 1, the leaf at the bottom of each place: a balanced DAG of
+    height h reaches its leaf by k^h paths."""
+    leaf = Tree(alphabet.nullary_symbols()[0])
+    f = next((s for s in alphabet.symbols() if alphabet.arity(s)), None)
+    shapes = [_random_dag(rng, alphabet, n) for n in (1, 4, 12, 40)]
+    if f is not None:
+        k = alphabet.arity(f)
+        x = y = leaf
+        for depth in range(300):
+            x = Tree(f, (x,) + (leaf,) * (k - 1))
+            if depth < 10:
+                y = Tree(f, (y,) * k)
+                shapes.append(y)
+        shapes.append(x)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_fold_matches_the_per_node_run(kind):
+    """The weighted run, folded per distinct weight, against
+    `corpus.reference_run`'s product per node: on trees built by ``Tree``
+    (walked) and on their parses (the parse's node list), each on a copy
+    with an empty memo, and on the same trees over memo roots."""
+    rng = random.Random(3801)
+    automata = list(small_corpus(kind, 12, seed=3801)) + [chain(rng, kind, 6)]
+    weighed = 0
+    for a in automata:
+        for x in _shapes(rng, a.alphabet):
+            want = reference_run(a, x)
+            parsed = terms.parse_tree(terms.format_tree(x), a.alphabet)
+            assert terms.validate_tree(parsed, a.alphabet) is a.alphabet._nodes[id(parsed)]
+            for tree in (x, parsed):
+                got = h_det(_copy(a), tree)
+                assert got == want and (got is None or sf.eq(got[1], want[1]))
+            weighed += want is not None
+            # the same tree over earlier roots: some of its nodes run first
+            b = _copy(a)
+            nodes = postorder(x)
+            for node in rng.sample(nodes, len(nodes) // 3):
+                assert h_det(b, node) == reference_run(a, node)
+            got = h_det(b, x)
+            assert got == want and (got is None or sf.eq(got[1], want[1]))
+    assert weighed >= 50
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_fold_counts_a_memo_root_once_per_path(kind):
+    """A memo root under k paths is k factors of its stored weight, the
+    root of the run included once: s(x, x) over a run x, and a balanced
+    DAG whose middle level is a memo root."""
+    for a in small_corpus(kind, 12, seed=3802):
+        binary = [s for s in a.alphabet.symbols() if a.alphabet.arity(s) == 2]
+        f = (binary or [s for s in a.alphabet.symbols() if a.alphabet.arity(s)])[0]
+        k = a.alphabet.arity(f)
+        x = Tree(a.alphabet.nullary_symbols()[0])
+        for _ in range(4):
+            x = Tree(f, (x,) * k)
+        b = _copy(a)
+        mid = x.children[0].children[0]
+        assert h_det(b, mid) == reference_run(a, mid)
+        for tree in (x, Tree(f, (x,) * k), Tree(f, (mid,) * k)):
+            got, want = h_det(b, tree), reference_run(a, tree)
+            assert got == want and (got is None or sf.eq(got[1], want[1]))
+            assert evaluate(b, tree) == evaluate(_copy(a), tree)
+
+
+def test_a_rational_spine_folds_each_distinct_weight_once():
+    """Counted, not timed: a 10^4-node spine, parsed or built by ``Tree``,
+    costs one `power_product` over its two distinct weights and one
+    ``times`` for the final weight, not a product per node."""
+    calls = collections.Counter()
+
+    def counting(name, op):
+        def counted(*args):
+            calls[name] += 1
+            if name == "power_product":
+                args = (list(args[0]),)
+                calls["factors"] += len(args[0])
+            return op(*args)
+        return counted
+
+    k = sf.RATIONAL
+    kind = dataclasses.replace(k, name="counted", times=counting("times", k.times),
+                               product=counting("product", k.product),
+                               power_product=counting("power_product", k.power_product))
+    text = "semifield rational\nrank a 0\nrank g 1\ntrans a() -> q @ 5/7\ntrans g(q) -> q @ 2/3\nfinal q @ 3\n"
+    n = 10**4
+    for parsed in (True, False):
+        a = _copy(parse_wta(text), kind)
+        tree = t("g(" * n + "a" + ")" * n, a) if parsed else Tree("a")
+        for _ in range(0 if parsed else n):
+            tree = Tree("g", (tree,))
+        calls.clear()
+        assert evaluate(a, tree) == Fraction(2, 3) ** n * Fraction(15, 7)
+        assert calls == {"times": 1, "power_product": 1, "factors": 2}
+
+
+def test_h_general_frees_each_vector_after_its_last_parent():
+    """`h_general` keeps a child's vector only until its last parent is
+    done: on a 10^5-node spine of a 16-state automaton, one vector per node
+    would hold over 60 MB; a DAG of shared nodes gives the tuple sweep's
+    answer."""
+    states = [f"q{i}" for i in range(16)]
+    text = "semifield boolean\nrank a 0\nrank g 1\nrank s 2\n"
+    text += "trans a() -> q0 @ 1\ntrans a() -> q1 @ 1\ntrans g(q0) -> q0 @ 1\ntrans g(q1) -> q1 @ 1\n"
+    text += "trans s(q0,q1) -> q0 @ 1\ntrans s(q1,q1) -> q1 @ 1\n"
+    text += "".join(f"final {q} @ 1\n" for q in states)
+    a = parse_wta(text)
+    assert not a.budet and len(a.states) == 16
+    n = 10**5
+    tree = terms.parse_tree("g(" * n + "a" + ")" * n, a.alphabet)
+    tracemalloc.start()
+    try:
+        vec = h_general(a, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec == {q: q in ("q0", "q1") for q in states}
+    assert peak < 20 * 2**20, peak
+    x = Tree("a")
+    for _ in range(6):
+        x = Tree("s", (x, Tree("g", (x,))))
+    for tree in (x, terms.parse_tree(terms.format_tree(x), a.alphabet)):
+        assert h_general(a, tree) == reference_h_general(a, tree)
 
 
 def test_run_cache_dies_with_the_automaton():

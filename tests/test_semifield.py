@@ -316,6 +316,39 @@ def test_product_is_the_fold_of_times(kind, big):
             assert got is want
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_power_product_is_the_fold_of_times(kind):
+    """Each weight raised to its count, a count of 0 giving `one`, as the
+    fold of ``times`` over the repeated weights gives it: in lowest terms,
+    whether or not the weights' parts share a prime (2 and 1/2, 6/35 and
+    49/10), zero and inf included."""
+    pool = PRODUCT_POOLS[kind.name]
+    rng = random.Random(2103)
+    cases = [[], [(kind.one, 0)], [(kind.zero, 0)], [(kind.zero, 3)]]
+    cases += [[(x, c)] for x in pool for c in (0, 1, 2, 5)]
+    cases += [[(rng.choice(pool), rng.randint(0, 9)) for _ in range(rng.randint(2, 5))]
+              for _ in range(300)]
+    for pairs in cases:
+        repeated = [x for x, c in pairs for _ in range(c)]
+        got = kind.power_product([list(pair) for pair in pairs])  # lists, as the fold passes them
+        want = functools.reduce(kind.times, repeated, kind.one)
+        if want.__class__ is Fraction:
+            _same(got, want)
+        else:
+            assert got is want, pairs
+
+
+def test_power_product_of_large_counts():
+    """A count is a plain exponent, however large: the answer of a spine of
+    10^5 nodes, and tropical counts past 2^64."""
+    x, y = F(2, 3), F(5, 7)
+    got = sf.RATIONAL.power_product([(x, 10**5), (y, 3)])
+    _same(got, F(2**10**5 * 5**3, 3**10**5 * 7**3))
+    _same(sf.MAXTIMES.power_product([(F(3, 2), 10**4), (F(2), 10**4)]), F(3**10**4))
+    _same(sf.TROPICAL.power_product([(F(-1, 2), 2**70), (F(1, 3), 3)]), F(-(2**69) + 1))
+    assert sf.TROPICAL.power_product([(F(1), 2**70), (None, 1)]) is None
+
+
 # --- equality and order by parts ----------------------------------------
 
 # zeros, units and equal values spelt apart; a text a semifield refuses is

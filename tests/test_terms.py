@@ -190,6 +190,46 @@ def test_validate_tree_returns_the_nodes_it_checks():
     assert terms.validate_tree(t, SIG, known={t: None}) == []
 
 
+def test_a_parsed_tree_is_not_walked_again(monkeypatch):
+    """`validate_tree` with no known subtree returns the parse's own node
+    list for a tree that `parse_tree` built against this alphabet object
+    and still remembers, and walks every other tree as before: one built
+    by ``Tree``, one parsed against another alphabet object, any tree with
+    a nonempty ``known``, and a parse dropped from the memo."""
+    text = "sigma(sigma(alpha,sigma(alpha,alpha)),sigma(alpha,alpha))"
+    alphabet = RankedAlphabet([("sigma", 2), ("alpha", 0)])
+    t = parse_tree(text, alphabet)
+    record = alphabet._nodes[id(t)]
+    assert terms.validate_tree(t, alphabet) is record
+    assert terms.validate_tree(t, alphabet, known={}) is record
+    assert [id(n) for n in record] == [id(n) for n in postorder(t)]
+
+    built = reduce(lambda x, _: Tree("sigma", (x, x)), range(2), Tree("alpha"))
+    other = parse_tree(text, equal_alphabet(alphabet))
+    sub = t.children[1]
+    walked = [
+        (built, alphabet, (), postorder(built)),
+        (other, alphabet, (), postorder(other)),
+        (t, alphabet, {sub: None}, [n for n in postorder(t) if n is not sub]),
+    ]
+    for tree, sigma, known, want in walked:
+        nodes = terms.validate_tree(tree, sigma, known)
+        assert [id(n) for n in nodes] == [id(n) for n in want]
+        assert all(nodes is not r for r in alphabet._nodes.values())
+
+    # a tree dropped from the memo is walked; the two memos stay in step
+    monkeypatch.setattr(terms, "MEMO_CAP", 3)
+    texts = ["alpha", "sigma(alpha,alpha)", "sigma(alpha,sigma(alpha,alpha))"]
+    trees = [parse_tree(x, alphabet) for x in texts]
+    assert t not in alphabet._parsed.values() and id(t) not in alphabet._nodes
+    assert list(alphabet._nodes) == [id(x) for x in alphabet._parsed.values()]
+    assert list(alphabet._parsed.values()) == trees
+    nodes = terms.validate_tree(t, alphabet)
+    assert nodes is not record and [id(n) for n in nodes] == [id(n) for n in record]
+    for x in trees:
+        assert terms.validate_tree(x, alphabet) is alphabet._nodes[id(x)]
+
+
 def test_validate_tree_refuses_bad_nodes():
     alpha = Tree("alpha")
     with pytest.raises(TermError, match="arity 2, got 1"):

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, the file respelled or with a
-# duplicated line, its tree texts spaced apart or broken, on a tropical
-# file, and on wide-symbol files, the largest one-state f/10 oracle under
+# duplicated line, one final line respelled, commented or duplicated, its
+# tree texts spaced apart or broken, on a tropical file, and on wide-symbol
+# files, the largest one-state f/10 oracle under
 # the cap among them, a 2000-state sparse binary file, a 1600-state unary
 # chain, a file of unused leaves, a depth-10000 oracle query, an oracle
 # depth past sys.maxsize over leaves alone, a 40000-deep tropical spine and
@@ -38,6 +39,24 @@ awk '{ print } NR == 5 { print }' counter.wta > duplicated.wta
 code=0; err=$(budwta check duplicated.wta 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$err" = "error: duplicated.wta: line 6: duplicate transition for gamma('q1',)"
+# a final line spaced apart or with a comment is read line by line into the
+# same automaton; a duplicated final line is an input error that names its line
+sed 's/^final q2 @ 3$/final  q2 @3/' counter.wta > final_spaced.wta
+sed 's/^final q3 @ 2$/final q3 @ 2 # the last state/' counter.wta > final_commented.wta
+grep -q '^final  q2 @3$' final_spaced.wta
+grep -q '^final q3 @ 2 # the last state$' final_commented.wta
+for file in final_spaced.wta final_commented.wta; do
+  for command in check minimize; do
+    code=0; want=$(budwta $command counter.wta) || code=$?
+    got_code=0; got=$(budwta $command $file) || got_code=$?
+    test "$got" = "$want"
+    test "$got_code" -eq "$code"
+  done
+done
+awk '{ print } NR == 9 { print }' counter.wta > duplicated_final.wta
+code=0; err=$(budwta check duplicated_final.wta 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$err" = "error: duplicated_final.wta: line 10: duplicate final line for q2"
 # whitespace may stand between tree tokens; an error names the token at fault
 test "$(budwta eval counter.wta --tree $'gamma ( alpha\t) ')" = "3"
 code=0; err=$(budwta eval counter.wta --tree 'gamma(alpha,)' 2>&1 >/dev/null) || code=$?

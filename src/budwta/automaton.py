@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType
@@ -165,16 +164,28 @@ def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
     """Sum-product vector semantics; works for any automaton.  Each node
     sums over the delta entries of its symbol, read from ``a.delta`` alone.
 
-    A child's vector is kept until its last parent is done, counted over
-    the node list first, so a spine holds O(1) vectors at a time and only
-    the root's is left at the end."""
+    A child's vector is kept until its last parent is done.  The parent
+    places of each node are counted first, over the node list backwards,
+    parents first: a node's count is complete when it is reached, and is
+    kept only if it is two or more.  So a spine holds O(1) vectors and
+    O(1) counts at a time, and only the root's vector is left at the end.
+    """
     k = a.kind
     entries: Dict[str, list] = {}  # symbol -> (child states, target, weight)
     for (ws, sym, q), w in a.delta.items():
         entries.setdefault(sym, []).append((ws, q, w))
     order = terms.validate_tree(t, a.alphabet)
-    # id(node) -> the child places of it not yet done
-    waiting = Counter(id(c) for node in order for c in node.children)
+    # id(node) -> the child places of it not yet done, for a node with two
+    # or more; ``counted`` holds the places seen so far of the nodes above
+    # the backward pass, which drops each as it reaches it
+    waiting: Dict[int, int] = {}
+    counted: Dict[int, int] = {}
+    for node in reversed(order):
+        m = counted.pop(id(node), 0)
+        if m > 1:
+            waiting[id(node)] = m
+        for c in node.children:
+            counted[id(c)] = counted.get(id(c), 0) + 1
     vecs: Dict[int, Dict[str, Value]] = {}
     for node in order:
         kids = [vecs[id(c)] for c in node.children]
@@ -184,10 +195,11 @@ def h_general(a: Wta, t: Tree) -> Dict[str, Value]:
                 w = k.times(w, vec[p])
             out[q] = k.plus(out[q], w)
         for c in node.children:
-            i = id(c)
-            waiting[i] -= 1
-            if not waiting[i]:
-                del vecs[i]
+            m = waiting.pop(id(c), 1) - 1
+            if m:
+                waiting[id(c)] = m
+            else:
+                del vecs[id(c)]
         vecs[id(node)] = out
     return vecs[id(t)]
 
@@ -205,16 +217,19 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
     A hit is stored again under ``t`` itself: a tree equal to the key but
     built apart (by ``Tree``, or parsed against an equal but separate
     alphabet) costs one comparison walk, and the next lookup of the same
-    object is an identity hit.  On a miss the run steps over the node list
-    of `terms.validate_tree` with the memo as ``known``: the distinct nodes
-    not under an earlier root, checked, children before parents, which a
-    fresh parse hands over without a walk.  So a tree whose children are
-    earlier roots costs one step.  Each node's step is a state step, as
-    `state_of` takes it: the weighted run keeps the (target, weight) step
-    of each node and multiplies no weight on the way up.  When the root
-    has a state, `_fold` gives its weight; a walk of the root alone, over
-    earlier roots, multiplies its step weight by its children's stored
-    weights, the same factors with no count to take.
+    object is an identity hit.  On a miss, a leaf of a declared nullary
+    symbol, or a node of its symbol's arity whose children the memo holds
+    (found by value, so a child built apart counts), is one step, with no
+    walk: its children are valid, since only validated trees go in, so
+    the node is.  The weighted step multiplies its weight by the stored
+    weights of its children, one factor per child place; a sink child
+    gives the sink.  Any other tree, and every bad one, is run over the
+    node list of `terms.validate_tree` with the memo as ``known``: the
+    distinct nodes not under an earlier root, checked, children before
+    parents, which a fresh parse hands over without a walk.  Each node's
+    step is a state step, as `state_of` takes it: the weighted run keeps
+    the (target, weight) step of each node and multiplies no weight on the
+    way up, and when the root has a state, `_fold` gives its weight.
     """
     memo = a._runs if weighed else a._states
     v = memo.pop(t, _MISS)
@@ -222,6 +237,24 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
         memo[t] = v
         return v
     succ = a._succ
+    kids = t.children
+    if (memo or not kids) and a.alphabet._arity.get(t.symbol) == len(kids):
+        got = [memo.get(c, _MISS) for c in kids]
+        if _MISS not in got:  # one step over earlier roots
+            if None in got:
+                v = None
+            elif weighed:
+                v = succ.get((tuple(map(_state, got)), t.symbol))
+                if v is not None:
+                    q, w = v
+                    for _, x in got:
+                        w = a.kind.times(w, x)
+                    v = (q, w)
+            else:
+                v = succ.get((tuple(got), t.symbol))
+                v = v and v[0]
+            memo[t] = v
+            return v
     order = terms.validate_tree(t, a.alphabet, known=memo)
     # id(node) -> its step (target, weight) or, without weights, its
     # state; None for the sink; and a child the memo holds, its value
@@ -243,13 +276,7 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
             vals[id(node)] = step and step[0]
     v = vals[id(t)]
     if weighed and v is not None:
-        if len(order) > 1:
-            v = (v[0], _fold(a.kind, t, order, vals))
-        else:  # one step over earlier roots: one factor per child, no count
-            q, w = v
-            for c in t.children:
-                w = a.kind.times(w, vals[id(c)][1])  # type: ignore[index]
-            v = (q, w)
+        v = (v[0], _fold(a.kind, t, order, vals))
     memo[t] = v
     return v
 
@@ -557,6 +584,10 @@ _TRANS_LINES = re.compile(
     re.ASCII | re.MULTILINE,
 ).split
 
+# the final lines of the other pieces in format_wta's spelling, read by a
+# second split in the same way: each match gives the state and the weight
+_FINAL_LINES = re.compile(r"^final (\w+) @ ([^\s#@]+)$\n?", re.ASCII | re.MULTILINE).split
+
 
 def _ascii_natural(text: str) -> Optional[int]:
     """The number ``text`` spells in ASCII digits, no more than int()
@@ -577,12 +608,14 @@ def parse_wta(text: str) -> Wta:
     transition keys, duplicate final states and duplicate rank lines are
     errors.  Zero weights are accepted and normalized away.
 
-    A text whose trans lines are all spelled as `format_wta` writes them is
-    read in one block pass, `_read_block`: one split of the text gives the
-    fields of every trans line, delta is built with one ``dict(zip(...))``,
-    and the `Wta` built from them checks its entries and state names on
-    sets.  Any other text, and any text that fails a check, is read line by
-    line by `_read_lines`, which alone words an error.
+    A text whose trans and final lines are all spelled as `format_wta`
+    writes them is read in one block pass, `_read_block`: one split of the
+    text gives the fields of every trans line and a second split of the
+    rest those of every final line, delta and the final map are each built
+    with one ``dict(zip(...))``, and the `Wta` built from them checks its
+    entries and state names on sets.  Any other text, and any text that
+    fails a check, is read line by line by `_read_lines`, which alone words
+    an error.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -648,31 +681,35 @@ def _read_directives(text: str) -> Tuple[Semifield, RankedAlphabet, list, list]:
 
 def _read_block(text: str) -> Optional[Wta]:
     """The automaton of ``text`` when `_TRANS_LINES` reads all its trans
-    lines, else None; the `ValueError` of the first check that fails.
+    lines and `_FINAL_LINES` all its final lines, else None; the
+    `ValueError` of the first check that fails.
 
-    The other lines are read by `_read_directives`, so a trans line among
-    them is one in another spelling.  States come in order of first use,
-    trans lines first, as `_read_lines` introduces them.  A repeated key or
-    final state gives None, and the `Wta` refuses a zero weight, an unknown
-    symbol, an arity or a state name: each goes to the line reader, which
-    names its line or drops the zero weight."""
+    The pieces between the trans lines are split again at the final
+    lines, and what is left is read by `_read_directives`, so a trans or
+    final line among it is one in another spelling.  States come in order
+    of first use, trans lines first, then final lines, as `_read_lines`
+    introduces them.  A repeated key or final state gives None, and the
+    `Wta` refuses a zero weight, an unknown symbol, an arity or a state
+    name: each goes to the line reader, which names its line or drops the
+    zero weight."""
     parts = _TRANS_LINES(text)
-    kind, alphabet, spelled_otherwise, raw_final = _read_directives("".join(parts[::5]))
-    if spelled_otherwise:
+    rest = _FINAL_LINES("".join(parts[::5]))
+    kind, alphabet, trans_otherwise, final_otherwise = _read_directives("".join(rest[::3]))
+    if trans_otherwise or final_otherwise:
         return None
-    args, targets, wtexts = parts[2::5], parts[3::5], parts[4::5]
+    targets, wtexts = parts[3::5], parts[4::5]
+    fstates, fwtexts = rest[1::3], rest[2::3]
     # the pattern's names are nonempty words, so str.split reads "p,q" as
     # "p q" and "" as (): one child tuple per entry, split at C speed
-    children = map(tuple, map(str.split, map(str.replace, args, repeat(","), repeat(" "))))
+    args = map(str.replace, parts[2::5], repeat(","), repeat(" "))
+    children = list(map(tuple, map(str.split, args)))
     keys = list(zip(children, parts[1::5], targets))
-    # a nullary entry leaves an empty name, dropped
-    states = dict.fromkeys(",".join(chain.from_iterable(zip(args, targets))).split(","))
-    states.pop("", None)
-    states.update((q, None) for _, q, _ in raw_final)
-    weights = {w: kind.parse(w) for w in {*wtexts, *(w for _, _, w in raw_final)}}
+    used = chain.from_iterable(map(operator.add, children, zip(targets)))
+    states = dict.fromkeys(chain(used, fstates))
+    weights = {w: kind.parse(w) for w in {*wtexts, *fwtexts}}
     delta = dict(zip(keys, map(weights.__getitem__, wtexts)))
-    final = {q: weights[w] for _, q, w in raw_final}
-    if len(delta) < len(keys) or len(final) < len(raw_final):
+    final = dict(zip(fstates, map(weights.__getitem__, fwtexts)))
+    if len(delta) < len(keys) or len(final) < len(fstates):
         return None
     return Wta(alphabet, tuple(states), kind, delta, final)
 

@@ -884,6 +884,19 @@ _BLOCK_CASES = [
      "block", None),
     ("second-semifield-line", _with_line(9, "semifield rational\nfinal p @ 1\n"), "lines",
      "line 9: duplicate semifield line"),
+    ("canonical-final-lines", _BLOCK_TEXT, "block", None),
+    ("final-lines-before-trans", "".join(_BLOCK_LINES[:4] + _BLOCK_LINES[8:] + _BLOCK_LINES[4:8]),
+     "block", None),
+    ("final-comment-line", _with_line(10, "final q @ 2\n# final q @ 2\n"), "block", None),
+    ("spaced-final-line", _with_line(10, "final  q @ 2\n"), "lines", None),
+    ("spaced-final-weight", _with_line(10, "final q @2\n"), "lines", None),
+    ("indented-final-line", _with_line(10, " final q @ 2\n"), "lines", None),
+    ("final-comment", _with_line(10, "final q @ 2 # note\n"), "lines", None),
+    ("duplicate-final-line", _with_line(10, "final q @ 2\nfinal p @ 3\n"), "lines",
+     "line 11: duplicate final line for p"),
+    ("duplicate-final-line-spelled-apart", _with_line(10, "final q @ 2\nfinal p @3\n"), "lines",
+     "line 11: duplicate final line for p"),
+    ("zero-final-weight-first", _with_line(9, "final p @ 0\n"), "lines", None),
 ]
 
 
@@ -905,6 +918,21 @@ def test_block_reader_and_its_fallback(monkeypatch, text, reader, error):
     if error:
         assert got[1] == error
     assert len(fallbacks) == (reader == "lines")
+
+
+def test_block_reader_splits_canonical_final_lines(monkeypatch):
+    """The block reader hands `_read_directives` no final line in
+    `format_wta`'s spelling: the second split reads them all."""
+    read = []
+    directives = automaton._read_directives
+
+    def recording(text):
+        read.append(text)
+        return directives(text)
+
+    monkeypatch.setattr(automaton, "_read_directives", recording)
+    assert format_wta(parse_wta(_BLOCK_TEXT)) == _BLOCK_TEXT
+    assert read == ["semifield rational\nrank a 0\nrank g 1\nrank f 2\n"]
 
 
 _PIECES = ("@ 1 ->", "-> q @", "/0", "4" * 5000, "\u0661", "@", "->", "(", ")", ",", ".", "#")
@@ -1044,14 +1072,37 @@ def _walked(monkeypatch):
     return walked
 
 
+class _CountingSucc(dict):
+    """A `Wta._succ` that counts the keys looked up with ``get``."""
+
+    def __init__(self, succ):
+        super().__init__(succ)
+        self.looked_up = collections.Counter()
+
+    def get(self, key, default=None):
+        self.looked_up[key] += 1
+        return super().get(key, default)
+
+
+def _counting_succ(a):
+    succ = _CountingSucc(a._succ)
+    object.__setattr__(a, "_succ", succ)
+    return succ
+
+
 def test_witness_checks_validate_each_node_once(monkeypatch):
     # each derived witness tree has earlier roots as children, so its
-    # check validates one node: O(n) in all, not the n^2 / 2 of whole trees
+    # check is one step and validates no node: one transition lookup per
+    # witness root, O(n) in all, not the n^2 / 2 of whole trees
     walked = _walked(monkeypatch)
     for n in (100, 400):
         walked.clear()
-        assert minimality(chain(random.Random(1502), sf.RATIONAL, n)) == (True, True, n)
-        assert n <= sum(map(len, walked)) <= 2 * n
+        a = chain(random.Random(1502), sf.RATIONAL, n)
+        succ = _counting_succ(a)
+        assert minimality(a) == (True, True, n)
+        assert sum(map(len, walked)) <= 2 * n
+        keys = automaton._derivation(a, automaton._least_keys).values()
+        assert len(keys) == n and succ.looked_up == collections.Counter(keys)
 
 
 def test_bad_node_over_or_beside_a_memo_root_is_refused(even_odd):
@@ -1079,7 +1130,7 @@ def test_subtree_equal_to_a_memo_root_ends_the_walk(gamma3, monkeypatch):
     state_of(gamma3, x)
     walked = _walked(monkeypatch)
     assert (h_det(gamma3, top), state_of(gamma3, top)) == want
-    assert [[node is top for node in nodes] for nodes in walked] == [[True], [True]]
+    assert walked == []  # one step over the memo root: no walk at all
 
 
 def test_h_general_matches_h_det_on_deep_spine(gamma3):
@@ -1169,6 +1220,48 @@ def test_fold_counts_a_memo_root_once_per_path(kind):
             assert evaluate(b, tree) == evaluate(_copy(a), tree)
 
 
+def _apart(x):
+    """A tree equal to ``x`` whose nodes are all new objects, shared as
+    in ``x``."""
+    new = {}
+    for node in postorder(x):
+        new[id(node)] = Tree(node.symbol, tuple(new[id(c)] for c in node.children))
+    return new[id(x)]
+
+
+@pytest.mark.parametrize("kind", sf.KINDS, ids=str)
+def test_one_step_over_memo_roots(kind, monkeypatch):
+    """A node of its symbol's arity whose children the memo holds is one
+    step, with no walk: random DAGs, spines and balanced DAGs whose
+    children are run first, some children rebuilt apart, against
+    `corpus.reference_run` and against a fresh automaton, which walks."""
+    rng = random.Random(3901)
+    automata = list(small_corpus(kind, 12, seed=3901)) + [chain(rng, kind, 6)]
+    walked = _walked(monkeypatch)
+    steps = sinks = weighed = 0
+    for a in automata:
+        for x in _shapes(rng, a.alphabet):
+            want = reference_run(a, x)
+            b = _copy(a)
+            for c in x.children:
+                assert h_det(b, c) == reference_run(a, c)
+                state_of(b, c)
+            top = Tree(x.symbol, tuple(_apart(c) if rng.random() < 0.5 else c for c in x.children))
+            fresh = _copy(a)
+            walked.clear()
+            got = h_det(b, top)
+            assert got == want and (got is None or sf.eq(got[1], want[1]))
+            assert state_of(b, top) == (want and want[0])
+            assert walked == []
+            assert evaluate(b, top) == evaluate(fresh, top)
+            assert (h_det(fresh, top), state_of(fresh, top)) == (got, want and want[0])
+            assert b._runs[top] == got and b._states[top] == (want and want[0])
+            steps += 1
+            sinks += any(b._runs[c] is None for c in x.children)
+            weighed += want is not None
+    assert steps >= 100 and sinks >= 5 and weighed >= 50
+
+
 def test_a_rational_spine_folds_each_distinct_weight_once():
     """Counted, not timed: a 10^4-node spine, parsed or built by ``Tree``,
     costs one `power_product` over its two distinct weights and one
@@ -1202,9 +1295,10 @@ def test_a_rational_spine_folds_each_distinct_weight_once():
 
 def test_h_general_frees_each_vector_after_its_last_parent():
     """`h_general` keeps a child's vector only until its last parent is
-    done: on a 10^5-node spine of a 16-state automaton, one vector per node
-    would hold over 60 MB; a DAG of shared nodes gives the tuple sweep's
-    answer."""
+    done, and no count for a node with one parent place: on a 10^5-node
+    spine of a 16-state automaton, one vector per node would hold over
+    60 MB and one count per node 10 MB; a DAG of shared nodes gives the
+    tuple sweep's answer."""
     states = [f"q{i}" for i in range(16)]
     text = "semifield boolean\nrank a 0\nrank g 1\nrank s 2\n"
     text += "trans a() -> q0 @ 1\ntrans a() -> q1 @ 1\ntrans g(q0) -> q0 @ 1\ntrans g(q1) -> q1 @ 1\n"
@@ -1221,12 +1315,34 @@ def test_h_general_frees_each_vector_after_its_last_parent():
     finally:
         tracemalloc.stop()
     assert vec == {q: q in ("q0", "q1") for q in states}
-    assert peak < 20 * 2**20, peak
+    assert peak < 2**20, peak
     x = Tree("a")
     for _ in range(6):
         x = Tree("s", (x, Tree("g", (x,))))
     for tree in (x, terms.parse_tree(terms.format_tree(x), a.alphabet)):
         assert h_general(a, tree) == reference_h_general(a, tree)
+
+
+def test_h_general_counts_only_shared_nodes():
+    """`h_general` keeps a parent count only for a node with two or more
+    parent places: on a binary spine whose leaf is shared by every level,
+    it holds one count and O(1) vectors, where a count per node would
+    hold about 3 MB."""
+    text = "semifield boolean\nrank a 0\nrank s 2\n"
+    text += "trans a() -> p @ 1\ntrans a() -> q @ 1\n"
+    text += "trans s(p,q) -> p @ 1\ntrans s(q,q) -> q @ 1\nfinal p @ 1\n"
+    a = parse_wta(text)
+    assert not a.budet
+    n = 3 * 10**4
+    tree = terms.parse_tree("s(" * n + "a" + ",a)" * n, a.alphabet)
+    tracemalloc.start()
+    try:
+        vec = h_general(a, tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec == {"p": True, "q": True}
+    assert peak < 2**18, peak
 
 
 def test_run_cache_dies_with_the_automaton():

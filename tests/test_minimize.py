@@ -1,6 +1,8 @@
+import collections
 import importlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -293,6 +295,23 @@ def test_minimize_formats_no_tree(monkeypatch):
     m = minimize(a)
     assert len(m.states) > 1
     assert calls == []
+
+
+def test_minimize_validates_trees_only_to_name_states(monkeypatch):
+    """Every run of a witness tree is one step over earlier roots, so on
+    sparse binary 2000 only `_state_names` calls `terms.validate_tree`."""
+    a = sparse_binary(random.Random(1), sf.RATIONAL, 2000)
+    callers = collections.Counter()
+    real = terms.validate_tree
+
+    def counted(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(terms, "validate_tree", counted)
+    m = minimize(a)
+    assert set(callers) == {"_state_names"}
+    assert len(m.states) == callers["_state_names"] > 1
 
 
 @pytest.mark.parametrize("kind", [sf.BOOLEAN, sf.TROPICAL], ids=str)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, the file respelled or with a
-# duplicated line, one final line respelled, commented or duplicated, its
+# duplicated line, one final line respelled, commented, duplicated or
+# naming the state z, its
 # tree texts spaced apart or broken, on a tropical file, and on wide-symbol
 # files, the largest one-state f/10 oracle under
 # the cap among them, a 2000-state sparse binary file, a 1600-state unary
@@ -57,6 +58,13 @@ awk '{ print } NR == 9 { print }' counter.wta > duplicated_final.wta
 code=0; err=$(budwta check duplicated_final.wta 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$err" = "error: duplicated_final.wta: line 10: duplicate final line for q2"
+# a bad state name is named at the line where it is first used, here a
+# final line spelled apart
+sed 's/^final q2 @ 3$/final z @3/' counter.wta > final_z.wta
+grep -q '^final z @3$' final_z.wta
+code=0; err=$(budwta check final_z.wta 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$err" = "error: final_z.wta: line 9: bad state name 'z'"
 # whitespace may stand between tree tokens; an error names the token at fault
 test "$(budwta eval counter.wta --tree $'gamma ( alpha\t) ')" = "3"
 code=0; err=$(budwta eval counter.wta --tree 'gamma(alpha,)' 2>&1 >/dev/null) || code=$?

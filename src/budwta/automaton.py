@@ -57,7 +57,8 @@ class Wta:
     ``final`` is a nonzero raw value of it, checked once, here.  Every
     state name is one that `parse_wta` reads back from `format_wta`'s
     text: an identifier, neither ``z`` nor a symbol, the names checked on
-    sets, so each name once.
+    sets, so each name once.  A bad name is refused here without a line;
+    `parse_wta` names the line where the state is first used.
     The derived fields are computed once, here: ``_succ`` maps each (state
     tuple, symbol) key of delta to the (target, weight) of its first entry,
     which for a bu-det automaton is its one step, and ``budet`` records
@@ -613,17 +614,20 @@ def parse_wta(text: str) -> Wta:
     text gives the fields of every trans line and a second split of the
     rest those of every final line, delta and the final map are each built
     with one ``dict(zip(...))``, and the `Wta` built from them checks its
-    entries and state names on sets.  Any other text, and any text that
-    fails a check, is read line by line by `_read_lines`, which alone words
-    an error.
+    entries and state names on sets.  The block reader refuses a text one
+    way, with a `ValueError`; any other text, and any text that fails a
+    check, is then read line by line by `_read_lines`, which alone words
+    an error.  It checks each state name where the state is first used, so
+    a bad name is named at that line, and the error it raises is the only
+    one: no other exception is chained to it.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        a = _read_block(text)
-    except ValueError:  # the line reader words the error
-        a = None
-    return _read_lines(text) if a is None else a
+        return _read_block(text)
+    except ValueError:  # the line reader words the error, with no context
+        pass
+    return _read_lines(text)
 
 
 def _read_directives(text: str) -> Tuple[Semifield, RankedAlphabet, list, list]:
@@ -679,24 +683,25 @@ def _read_directives(text: str) -> Tuple[Semifield, RankedAlphabet, list, list]:
     return kind, alphabet, raw_trans, raw_final
 
 
-def _read_block(text: str) -> Optional[Wta]:
+def _read_block(text: str) -> Wta:
     """The automaton of ``text`` when `_TRANS_LINES` reads all its trans
-    lines and `_FINAL_LINES` all its final lines, else None; the
-    `ValueError` of the first check that fails.
+    lines and `_FINAL_LINES` all its final lines; else a `ValueError`, the
+    one way this reader refuses a text.
 
     The pieces between the trans lines are split again at the final
     lines, and what is left is read by `_read_directives`, so a trans or
     final line among it is one in another spelling.  States come in order
     of first use, trans lines first, then final lines, as `_read_lines`
-    introduces them.  A repeated key or final state gives None, and the
-    `Wta` refuses a zero weight, an unknown symbol, an arity or a state
-    name: each goes to the line reader, which names its line or drops the
-    zero weight."""
+    introduces them.  A line in another spelling, a repeated key or final
+    state, a weight that does not parse and each check the `Wta` makes (a
+    zero weight, an unknown symbol, an arity, a state name) raise a
+    `ValueError`; `parse_wta` then hands the text to the line reader,
+    which names the line or drops the zero weight."""
     parts = _TRANS_LINES(text)
     rest = _FINAL_LINES("".join(parts[::5]))
     kind, alphabet, trans_otherwise, final_otherwise = _read_directives("".join(rest[::3]))
     if trans_otherwise or final_otherwise:
-        return None
+        raise ValueError("a trans or final line in another spelling")
     targets, wtexts = parts[3::5], parts[4::5]
     fstates, fwtexts = rest[1::3], rest[2::3]
     # the pattern's names are nonempty words, so str.split reads "p,q" as
@@ -710,29 +715,19 @@ def _read_block(text: str) -> Optional[Wta]:
     delta = dict(zip(keys, map(weights.__getitem__, wtexts)))
     final = dict(zip(fstates, map(weights.__getitem__, fwtexts)))
     if len(delta) < len(keys) or len(final) < len(fstates):
-        return None
+        raise ValueError("a repeated transition key or final state")
     return Wta(alphabet, tuple(states), kind, delta, final)
 
 
 def _read_lines(text: str) -> Wta:
     """`parse_wta` line by line, each trans line read by `_parse_trans`,
-    each error raised at its line.
+    each error raised at its line as the only error.
 
-    State names are not checked here: the `Wta` built at the end checks
-    each once.  Each state keeps the line of its first use, and before any
-    error is raised, and when the `Wta` refuses a name, the first bad name
-    among the states so far is named at that line instead, as a check at
-    first use would have done."""
+    Each state name is checked where the state is first used, trans lines
+    first, then final lines: after the symbol and arity checks of its
+    line and before the duplicate and weight checks."""
     kind, alphabet, raw_trans, raw_final = _read_directives(text)
-    states: Dict[str, int] = {}  # state -> line of its first use, in that order
-
-    def check_names() -> None:
-        for q, lineno in states.items():
-            _check_state_names((q,), alphabet, f"line {lineno}: ")
-
-    def error(lineno: int, message: str) -> WtaError:
-        check_names()
-        return WtaError(f"line {lineno}: {message}")
+    states: Dict[str, None] = {}  # in order of first use
 
     # an automaton uses few distinct weight texts: each is parsed once into
     # ``weights``, a zero weight as _MISS; no nonzero weight is None (the
@@ -745,7 +740,7 @@ def _read_lines(text: str) -> Wta:
             try:
                 w = kind.parse(wtext)
             except semifield.WeightSyntaxError as exc:
-                raise error(lineno, str(exc)) from None
+                raise WtaError(f"line {lineno}: {exc}") from None
             weights[wtext] = w = _MISS if semifield.eq(w, kind.zero) else w
         return w
 
@@ -756,32 +751,32 @@ def _read_lines(text: str) -> Wta:
     for lineno, sym, args, target, wtext in raw_trans:
         k = arities.get(sym)
         if k is None:
-            raise error(lineno, f"undeclared symbol {sym!r}")
+            raise WtaError(f"line {lineno}: undeclared symbol {sym!r}")
         if len(args) != k:
-            raise error(lineno, f"{sym} has arity {k}, got {len(args)} arguments")
+            raise WtaError(f"line {lineno}: {sym} has arity {k}, got {len(args)} arguments")
         for q in args + (target,):
-            states.setdefault(q, lineno)
+            if q not in states:
+                _check_state_names((q,), alphabet, f"line {lineno}: ")
+                states[q] = None
         key = (args, sym, target)
         if key in entries:
-            raise error(lineno, f"duplicate transition for {sym}{args}")
+            raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
         entries[key] = weight(wtext, lineno)
 
     finals: Dict[str, object] = {}
     for lineno, q, wtext in raw_final:
-        states.setdefault(q, lineno)
+        if q not in states:
+            _check_state_names((q,), alphabet, f"line {lineno}: ")
+            states[q] = None
         if q in finals:
-            raise error(lineno, f"duplicate final line for {q}")
+            raise WtaError(f"line {lineno}: duplicate final line for {q}")
         finals[q] = weight(wtext, lineno)
 
     if not states:
         raise WtaError("automaton declares no states (no trans/final lines)")
     delta = {key: w for key, w in entries.items() if w is not _MISS}
     final = {q: w for q, w in finals.items() if w is not _MISS}
-    try:
-        return Wta(alphabet, tuple(states), kind, delta, final)
-    except WtaError:  # a bad state name
-        check_names()
-        raise
+    return Wta(alphabet, tuple(states), kind, delta, final)
 
 
 def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -897,6 +898,21 @@ _BLOCK_CASES = [
     ("duplicate-final-line-spelled-apart", _with_line(10, "final q @ 2\nfinal p @3\n"), "lines",
      "line 11: duplicate final line for p"),
     ("zero-final-weight-first", _with_line(9, "final p @ 0\n"), "lines", None),
+    # a state name is checked at its first use, trans lines before final
+    # lines, after the symbol and arity of its line and before its weight
+    ("bad-name-on-a-final-line-before-the-trans-lines",
+     "".join(_BLOCK_LINES[:4]) + "final 0r @ 1\n" + "".join(_BLOCK_LINES[4:]), "lines",
+     "line 5: bad state name '0r'"),
+    ("bad-name-on-a-respelled-trans-line", _with_line(8, "trans f( q,q ) -> z @ 3\n"), "lines",
+     "line 8: bad state name 'z'"),
+    ("bad-name-before-a-malformed-weight", _with_line(6, "trans g(p) -> z @ 2x\n"), "lines",
+     "line 6: bad state name 'z'"),
+    # every line's syntax is read before any state name is checked
+    ("syntax-error-after-a-bad-name",
+     _with_line(7, "trans f(p,q -> q @ 1/2\n").replace("trans a() -> p", "trans a() -> z"), "lines",
+     "line 7: malformed transition source 'f(p,q'"),
+    ("state-symbol-on-a-final-line", _with_line(10, "final q @ 2\nfinal g @ 1\n"), "lines",
+     "line 11: state name collides with symbol 'g'"),
 ]
 
 
@@ -918,6 +934,29 @@ def test_block_reader_and_its_fallback(monkeypatch, text, reader, error):
     if error:
         assert got[1] == error
     assert len(fallbacks) == (reader == "lines")
+
+
+def test_a_parse_error_has_no_other_error_chained_to_it(monkeypatch):
+    """Each error `parse_wta` raises on the texts of `test_parse_errors`
+    and of the block cases is the text's one error: neither the block
+    reader's refusal nor a check made before it is its context."""
+    raised = []
+
+    def recording(text):
+        try:
+            return automaton.parse_wta(text)
+        except WtaError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setitem(globals(), "parse_wta", recording)
+    test_parse_errors()
+    for case in _BLOCK_CASES:
+        with contextlib.suppress(WtaError):
+            recording(case[1])
+    # one error per pytest.raises block of test_parse_errors, one per error case
+    assert len(raised) == 8 + sum(case[3] is not None for case in _BLOCK_CASES)
+    assert [exc for exc in raised if exc.__context__ is not None and not exc.__suppress_context__] == []
 
 
 def test_block_reader_splits_canonical_final_lines(monkeypatch):

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Installs budwta into the running Python and checks the installed `budwta`
 # console script on README.md's counter.wta, the file respelled or with a
-# duplicated line, one final line respelled, commented, duplicated or
-# naming the state z, its
+# duplicated line (a canonical copy after a respelled line among them), one
+# final line respelled, commented, duplicated or naming the state z, its
 # tree texts spaced apart or broken, on a tropical file, and on wide-symbol
 # files, the largest one-state f/10 oracle under
 # the cap among them, a 2000-state sparse binary file, a 1600-state unary
@@ -10,15 +10,32 @@
 # depth past sys.maxsize over leaves alone, a 40000-deep tropical spine and
 # a 100000-deep rational spine, each of those under a 10 or 20 s timeout:
 # stdout, exit codes and the stderr lines of file errors, of tree errors
-# and of the oracle cap.
+# and of the oracle cap.  The .wta files are read in one pass: canonical
+# trans and final lines by two splits, every other line with string
+# methods and its true line number, one build, and on an error one ordered
+# pass that names the first bad line.
 #
-#     bash .github/installed_cli.sh    # from the root of a checkout
+# With BUDWTA_FROM_SRC=1 nothing is installed and no network is used: the
+# checkout's src/ goes first on PYTHONPATH, and `budwta` runs
+# `python -m budwta.cli`.
+#
+#     bash .github/installed_cli.sh                     # from the root of a checkout
+#     BUDWTA_FROM_SRC=1 bash .github/installed_cli.sh   # the same, offline
 set -euo pipefail
 readme="$PWD/README.md"
 tests="$PWD/tests"
-python -m pip install "setuptools>=68" wheel
-python -m pip install -e . --no-build-isolation
-cd "$(mktemp -d)"
+work="$(mktemp -d)"
+if [ -n "${BUDWTA_FROM_SRC:-}" ]; then
+  export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+  mkdir "$work/bin"
+  printf '#!/bin/sh\nexec python -m budwta.cli "$@"\n' > "$work/bin/budwta"
+  chmod +x "$work/bin/budwta"
+  PATH="$work/bin:$PATH"
+else
+  python -m pip install "setuptools>=68" wheel
+  python -m pip install -e . --no-build-isolation
+fi
+cd "$work"
 python -c 'import re, sys; text = open(sys.argv[1]).read(); start = text.index("saved as `counter.wta`:"); print(re.search(r"^```\n(.*?)^```$", text[start:], re.M | re.S)[1], end="")' "$readme" > counter.wta
 test "$(budwta minimize counter.wta -o counter_min.wta)" = "states: 3 -> 2"
 test "$(budwta equiv counter.wta counter_min.wta)" = "equivalent"
@@ -40,6 +57,11 @@ awk '{ print } NR == 5 { print }' counter.wta > duplicated.wta
 code=0; err=$(budwta check duplicated.wta 2>&1 >/dev/null) || code=$?
 test "$code" -eq 2
 test "$err" = "error: duplicated.wta: line 6: duplicate transition for gamma('q1',)"
+# a canonical copy of the respelled line is named at its own line
+awk '{ print } NR == 6 { print "trans gamma(q1) -> q2 @ 1\r" }' respelled.wta > respelled_duplicated.wta
+code=0; err=$(budwta check respelled_duplicated.wta 2>&1 >/dev/null) || code=$?
+test "$code" -eq 2
+test "$err" = "error: respelled_duplicated.wta: line 7: duplicate transition for gamma('q1',)"
 # a final line spaced apart or with a comment is read line by line into the
 # same automaton; a duplicated final line is an input error that names its line
 sed 's/^final q2 @ 3$/final  q2 @3/' counter.wta > final_spaced.wta
@@ -115,7 +137,7 @@ test "$(timeout 20 budwta equiv unused.wta unused.wta)" = "equivalent"
 test "$(timeout 20 budwta congruent unused.wta --mono 1.alpha --mono '2/3.gamma(gamma(alpha))' --oracle-depth 2)" = "congruent"
 # equivalence is one pass over delta: a 2000-state sparse binary automaton
 # against its minimum
-PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.sparse_binary(random.Random(1), budwta.RATIONAL, 2000)), end="")' > sparse.wta
+PYTHONPATH="$tests${PYTHONPATH:+:$PYTHONPATH}" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.sparse_binary(random.Random(1), budwta.RATIONAL, 2000)), end="")' > sparse.wta
 budwta minimize sparse.wta -o sparse_min.wta > /dev/null
 test "$(timeout 20 budwta equiv sparse.wta sparse_min.wta)" = "equivalent"
 # a wide symbol that labels a transition: depth 3 is over the oracle's cap,
@@ -130,7 +152,7 @@ printf 'semifield rational\nrank a 0\nrank f 10\ntrans a() -> q @ 2\ntrans f(%sq
 test "$(timeout 10 budwta congruent f10.wta --mono 1.a --mono '1/256.f(a,a,a,a,a,a,a,a,a,a)' --oracle-depth 2)" = "congruent"
 # the oracle groups states by their observation columns up to scale, one
 # pass over each column: a 1600-state chain at depth 3
-PYTHONPATH="$tests" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.unary_chain(random.Random(1), budwta.RATIONAL, 1600)), end="")' > chain.wta
+PYTHONPATH="$tests${PYTHONPATH:+:$PYTHONPATH}" python -c 'import random, budwta, corpus; print(budwta.format_wta(corpus.unary_chain(random.Random(1), budwta.RATIONAL, 1600)), end="")' > chain.wta
 last="$(printf 'g(%.0s' $(seq 1599))a$(printf ')%.0s' $(seq 1599))"
 test "$(timeout 20 budwta congruent chain.wta --mono 1.a --mono 1.a --oracle-depth 3)" = "congruent"
 code=0; out=$(timeout 20 budwta congruent chain.wta --mono "1.$last" --mono "2.$last" --oracle-depth 3) || code=$?

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -577,17 +577,22 @@ def representative_trees(a: Wta) -> Dict[str, Tree]:
 
 # the trans lines of a text in format_wta's spelling, each read whole by one
 # split: ASCII words for the symbol and the states, one space on each side
-# of "->" and "@", no comment.  Each match gives its four fields, and the
-# pieces between the matches hold every other line.  Names and weights are
-# checked later.
+# of "->" and "@", no comment.  Each match gives its four fields and leaves
+# its line's "\n" to the pieces between the matches, which so keep every
+# other line at its place.  Names and weights are checked later.
 _TRANS_LINES = re.compile(
-    r"^trans (\w+)\(((?:\w+(?:,\w+)*)?)\) -> (\w+) @ ([^\s#@]+)$\n?",
+    r"^trans (\w+)\(((?:\w+(?:,\w+)*)?)\) -> (\w+) @ ([^\s#@]+)$",
     re.ASCII | re.MULTILINE,
 ).split
 
 # the final lines of the other pieces in format_wta's spelling, read by a
 # second split in the same way: each match gives the state and the weight
-_FINAL_LINES = re.compile(r"^final (\w+) @ ([^\s#@]+)$\n?", re.ASCII | re.MULTILINE).split
+_FINAL_LINES = re.compile(r"^final (\w+) @ ([^\s#@]+)$", re.ASCII | re.MULTILINE).split
+
+# a text split at each run of line ends, the runs kept: between the lines
+# that are not empty, the runs whose lengths number them.  The run is
+# spelled "\n\n*", not "\n+", so that the search looks for a plain "\n"
+_LINE_ENDS = re.compile(r"(\n\n*)").split
 
 
 def _ascii_natural(text: str) -> Optional[int]:
@@ -609,38 +614,56 @@ def parse_wta(text: str) -> Wta:
     transition keys, duplicate final states and duplicate rank lines are
     errors.  Zero weights are accepted and normalized away.
 
-    A text whose trans and final lines are all spelled as `format_wta`
-    writes them is read in one block pass, `_read_block`: one split of the
-    text gives the fields of every trans line and a second split of the
-    rest those of every final line, delta and the final map are each built
-    with one ``dict(zip(...))``, and the `Wta` built from them checks its
-    entries and state names on sets.  The block reader refuses a text one
-    way, with a `ValueError`; any other text, and any text that fails a
-    check, is then read line by line by `_read_lines`, which alone words
-    an error.  It checks each state name where the state is first used, so
-    a bad name is named at that line, and the error it raises is the only
-    one: no other exception is chained to it.
+    Each line is read once.  One split of the text, `_TRANS_LINES`, reads
+    the trans lines in `format_wta`'s spelling and a second split of the
+    rest, `_FINAL_LINES`, the final lines so spelled; every other line
+    keeps its place, and `_read_directives` reads it with string methods
+    and its true number.  Only when trans or final lines come in another
+    spelling are the split's lines numbered, from the newlines between
+    them, and merged with those in line order.  One set-wise build,
+    `_build`, makes the automaton of every valid text; if it refuses the
+    text, `_first_error` goes over the same numbered lines in order and
+    raises the first error, with its line, as the only one: no other
+    exception is chained to it.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    parts = _TRANS_LINES(text)
+    rest = _FINAL_LINES("".join(parts[::5]))
+    kind, alphabet, other_trans, other_final = _read_directives("".join(rest[::3]))
+    # the pattern's names are nonempty words, so str.split reads "p,q" as
+    # "p q" and "" as (): one child tuple per entry, split at C speed
+    args = map(str.replace, parts[2::5], repeat(","), repeat(" "))
+    trans = split_trans = (parts[1::5], list(map(tuple, map(str.split, args))),
+                           parts[3::5], parts[4::5])
+    final = split_final = (rest[1::3], rest[2::3])
+    if other_trans or other_final:
+        trans = _numbered(parts[::5], split_trans, other_trans)
+        final = _numbered(rest[::3], split_final, other_final)
+        trans, final = (list(zip(*trans))[1:] or [()] * 4), (list(zip(*final))[1:] or [()] * 2)
     try:
-        return _read_block(text)
-    except ValueError:  # the line reader words the error, with no context
-        pass
-    return _read_lines(text)
+        return _build(kind, alphabet, *trans, *final)
+    except ValueError as exc:  # _first_error words it, with no context
+        error = exc
+    _first_error(kind, alphabet, _numbered(parts[::5], split_trans, other_trans),
+                 _numbered(rest[::3], split_final, other_final))
+    raise error  # no line is at fault: the build's own error
 
 
 def _read_directives(text: str) -> Tuple[Semifield, RankedAlphabet, list, list]:
     """The semifield, the alphabet and the trans and final lines of a text
     whose lines end at ``\\n``, each line read with string methods: trans
     lines as (line, symbol, child states, target, weight text), final
-    lines as (line, state, weight text).  Every error of a line's syntax is
+    lines as (line, state, weight text).  A run of empty lines is one
+    piece of one split, `_LINE_ENDS`, so the lines the splits of
+    `parse_wta` read cost no step here.  Every error of a line's syntax is
     raised here, in line order."""
     kind: Optional[Semifield] = None
     ranks: Dict[str, int] = {}  # symbol -> arity, in declaration order
     raw_trans: List[Tuple[int, str, Tuple[str, ...], str, str]] = []
     raw_final: List[Tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    pieces = _LINE_ENDS(text)
+    for lineno, raw in zip(accumulate(map(len, pieces[1::2]), initial=1), pieces[::2]):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -683,32 +706,23 @@ def _read_directives(text: str) -> Tuple[Semifield, RankedAlphabet, list, list]:
     return kind, alphabet, raw_trans, raw_final
 
 
-def _read_block(text: str) -> Wta:
-    """The automaton of ``text`` when `_TRANS_LINES` reads all its trans
-    lines and `_FINAL_LINES` all its final lines; else a `ValueError`, the
-    one way this reader refuses a text.
+def _numbered(pieces: List[str], columns: tuple, other: list) -> list:
+    """The rows (line, *fields) of a split's matches, whose fields are
+    ``columns`` and whose pieces between them are ``pieces``, in line order
+    with the rows ``other`` that `_read_directives` gave: a match's line is
+    one past the newlines of the pieces before it."""
+    lines = map(operator.add, accumulate(map(str.count, pieces, repeat("\n"))), repeat(1))
+    return sorted(chain(zip(lines, *columns), other))
 
-    The pieces between the trans lines are split again at the final
-    lines, and what is left is read by `_read_directives`, so a trans or
-    final line among it is one in another spelling.  States come in order
-    of first use, trans lines first, then final lines, as `_read_lines`
-    introduces them.  A line in another spelling, a repeated key or final
-    state, a weight that does not parse and each check the `Wta` makes (a
-    zero weight, an unknown symbol, an arity, a state name) raise a
-    `ValueError`; `parse_wta` then hands the text to the line reader,
-    which names the line or drops the zero weight."""
-    parts = _TRANS_LINES(text)
-    rest = _FINAL_LINES("".join(parts[::5]))
-    kind, alphabet, trans_otherwise, final_otherwise = _read_directives("".join(rest[::3]))
-    if trans_otherwise or final_otherwise:
-        raise ValueError("a trans or final line in another spelling")
-    targets, wtexts = parts[3::5], parts[4::5]
-    fstates, fwtexts = rest[1::3], rest[2::3]
-    # the pattern's names are nonempty words, so str.split reads "p,q" as
-    # "p q" and "" as (): one child tuple per entry, split at C speed
-    args = map(str.replace, parts[2::5], repeat(","), repeat(" "))
-    children = list(map(tuple, map(str.split, args)))
-    keys = list(zip(children, parts[1::5], targets))
+
+def _build(kind: Semifield, alphabet: RankedAlphabet, syms: List[str], children: List[tuple],
+           targets: List[str], wtexts: List[str], fstates: List[str], fwtexts: List[str]) -> Wta:
+    """The automaton of the trans and final lines given by their fields, in
+    line order, built on sets, zero weights dropped; a `ValueError` for a
+    repeated key or final state, a weight that does not parse, and each
+    check the `Wta` makes.  States come in order of first use, trans lines
+    first, then final lines."""
+    keys = list(zip(children, syms, targets))
     used = chain.from_iterable(map(operator.add, children, zip(targets)))
     states = dict.fromkeys(chain(used, fstates))
     weights = {w: kind.parse(w) for w in {*wtexts, *fwtexts}}
@@ -716,39 +730,28 @@ def _read_block(text: str) -> Wta:
     final = dict(zip(fstates, map(weights.__getitem__, fwtexts)))
     if len(delta) < len(keys) or len(final) < len(fstates):
         raise ValueError("a repeated transition key or final state")
+    if any(semifield.eq(w, kind.zero) for w in weights.values()):
+        # the `Wta` checks the entries it keeps: a dropped one's symbol and
+        # arity are checked here
+        if not all(map(operator.eq, map(alphabet._arity.get, syms), map(len, children))):
+            raise ValueError("an unknown symbol or a wrong arity")
+        delta = {key: w for key, w in delta.items() if not semifield.eq(w, kind.zero)}
+        final = {q: w for q, w in final.items() if not semifield.eq(w, kind.zero)}
     return Wta(alphabet, tuple(states), kind, delta, final)
 
 
-def _read_lines(text: str) -> Wta:
-    """`parse_wta` line by line, each trans line read by `_parse_trans`,
-    each error raised at its line as the only error.
-
-    Each state name is checked where the state is first used, trans lines
-    first, then final lines: after the symbol and arity checks of its
-    line and before the duplicate and weight checks."""
-    kind, alphabet, raw_trans, raw_final = _read_directives(text)
+def _first_error(kind: Semifield, alphabet: RankedAlphabet, trans: list, final: list) -> None:
+    """Raise the first error of the numbered trans and final lines of a
+    text that `_build` refused, in the order a line-by-line reader meets
+    it: trans lines first, then final lines, and on each line its symbol,
+    its arity, each state name at its first use, a duplicate, then its
+    weight."""
+    arities = {**alphabet._arity, None: 0}  # a final line's symbol is None
     states: Dict[str, None] = {}  # in order of first use
-
-    # an automaton uses few distinct weight texts: each is parsed once into
-    # ``weights``, a zero weight as _MISS; no nonzero weight is None (the
-    # tropical None is its zero)
-    weights: Dict[str, object] = {}
-
-    def weight(wtext: str, lineno: int) -> object:
-        w = weights.get(wtext)
-        if w is None:
-            try:
-                w = kind.parse(wtext)
-            except semifield.WeightSyntaxError as exc:
-                raise WtaError(f"line {lineno}: {exc}") from None
-            weights[wtext] = w = _MISS if semifield.eq(w, kind.zero) else w
-        return w
-
-    # one map per line kind, in line order, a zero weight kept as _MISS:
-    # a duplicate is looked up there, and the zeros are dropped at the end
-    arities = alphabet._arity
-    entries: Dict[TransKey, object] = {}
-    for lineno, sym, args, target, wtext in raw_trans:
+    keys: set = set()  # (child states, symbol, target) of the lines seen
+    parsed: set = set()  # the weight texts that parse
+    lines = chain(trans, ((n, None, (), q, w) for n, q, w in final))
+    for lineno, sym, args, target, wtext in lines:
         k = arities.get(sym)
         if k is None:
             raise WtaError(f"line {lineno}: undeclared symbol {sym!r}")
@@ -758,25 +761,18 @@ def _read_lines(text: str) -> Wta:
             if q not in states:
                 _check_state_names((q,), alphabet, f"line {lineno}: ")
                 states[q] = None
-        key = (args, sym, target)
-        if key in entries:
-            raise WtaError(f"line {lineno}: duplicate transition for {sym}{args}")
-        entries[key] = weight(wtext, lineno)
-
-    finals: Dict[str, object] = {}
-    for lineno, q, wtext in raw_final:
-        if q not in states:
-            _check_state_names((q,), alphabet, f"line {lineno}: ")
-            states[q] = None
-        if q in finals:
-            raise WtaError(f"line {lineno}: duplicate final line for {q}")
-        finals[q] = weight(wtext, lineno)
-
+        if (args, sym, target) in keys:
+            what = f"transition for {sym}{args}" if sym else f"final line for {target}"
+            raise WtaError(f"line {lineno}: duplicate {what}")
+        keys.add((args, sym, target))
+        if wtext not in parsed:
+            try:
+                kind.parse(wtext)
+            except semifield.WeightSyntaxError as exc:
+                raise WtaError(f"line {lineno}: {exc}") from None
+            parsed.add(wtext)
     if not states:
         raise WtaError("automaton declares no states (no trans/final lines)")
-    delta = {key: w for key, w in entries.items() if w is not _MISS}
-    final = {q: w for q, w in finals.items() if w is not _MISS}
-    return Wta(alphabet, tuple(states), kind, delta, final)
 
 
 def _parse_trans(rest: str, lineno: int) -> Tuple[str, Tuple[str, ...], str, str]:

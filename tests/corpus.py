@@ -50,9 +50,10 @@ generating set that `minimize.scalar_basis` picks a basis from.
 with lines split by universal newlines: every line goes through
 `str.split`/`str.strip`, a trans line through `_reference_parse_trans`,
 and each state name is checked at its first use.  It is the differential
-reference for both readers of `automaton.parse_wta`: the block read of a
-text whose trans lines are all in `format_wta`'s spelling, and the line
-reader that takes every other text and words every error.
+reference for `automaton.parse_wta`'s one pass: the trans and final lines
+in `format_wta`'s spelling read by two splits, every other line read with
+string methods at its true line number, one build, and the ordered pass
+that words the first error of a text the build refuses.
 `reference_inverse` is the numbered inverse view of delta that
 `automaton._inverse` builds, read off ``a.delta`` by sorting its
 (state, entry index, position) triples.

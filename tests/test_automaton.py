@@ -845,95 +845,116 @@ def _with_line(n, text):
     return "".join(_BLOCK_LINES[: n - 1]) + text + "".join(_BLOCK_LINES[n:])
 
 
-# (name, text, the reader that answers, the error or None)
+# (name, text, the error or None)
 _BLOCK_CASES = [
-    ("blank-line-in-block", _with_line(6, "trans g(p) -> q @ 2\n\n"), "block", None),
-    ("comment-line-in-block", _with_line(6, "trans g(p) -> q @ 2\n# note\n"), "block", None),
+    ("blank-line-in-block", _with_line(6, "trans g(p) -> q @ 2\n\n"), None),
+    ("comment-line-in-block", _with_line(6, "trans g(p) -> q @ 2\n# note\n"), None),
     ("indented-trans-comment", _with_line(6, "trans g(p) -> q @ 2\n  # trans a() -> q @ 1\n"),
-     "block", None),
+     None),
     ("trans-comment-after-a-trans-line", _with_line(6, "trans g(p) -> q @ 2 # trans a() -> q @ 1\n"),
-     "lines", None),
-    ("crlf", _BLOCK_TEXT.replace("\n", "\r\n"), "block", None),
-    ("cr", _BLOCK_TEXT.replace("\n", "\r"), "block", None),
-    ("spaced-trans-line", _with_line(7, "trans f( p , q ) -> q @ 1/2\n"), "lines", None),
-    ("nullary-without-parens", _with_line(5, "trans a -> p @ 1\n"), "lines", None),
-    ("duplicate-trans-line", _with_line(8, "trans f(q,q) -> p @ 3\ntrans g(p) -> q @ 2\n"), "lines",
+     None),
+    ("crlf", _BLOCK_TEXT.replace("\n", "\r\n"), None),
+    ("cr", _BLOCK_TEXT.replace("\n", "\r"), None),
+    ("spaced-trans-line", _with_line(7, "trans f( p , q ) -> q @ 1/2\n"), None),
+    ("nullary-without-parens", _with_line(5, "trans a -> p @ 1\n"), None),
+    ("duplicate-trans-line", _with_line(8, "trans f(q,q) -> p @ 3\ntrans g(p) -> q @ 2\n"),
      "line 9: duplicate transition for g('p',)"),
-    ("undeclared-symbol", _with_line(6, "trans h(p) -> q @ 2\n"), "lines",
-     "line 6: undeclared symbol 'h'"),
-    ("arity-mismatch", _with_line(7, "trans f(p) -> q @ 1/2\n"), "lines",
+    ("undeclared-symbol", _with_line(6, "trans h(p) -> q @ 2\n"), "line 6: undeclared symbol 'h'"),
+    ("arity-mismatch", _with_line(7, "trans f(p) -> q @ 1/2\n"),
      "line 7: f has arity 2, got 1 arguments"),
-    ("empty-argument", _with_line(7, "trans f(,q) -> q @ 1/2\n"), "lines",
+    ("empty-argument", _with_line(7, "trans f(,q) -> q @ 1/2\n"),
      "line 7: malformed transition 'f(,q) -> q @ 1/2'"),
-    ("state-z", _with_line(6, "trans g(p) -> z @ 2\n"), "lines", "line 6: bad state name 'z'"),
-    ("state-symbol", _with_line(6, "trans g(p) -> g @ 2\n"), "lines",
+    ("state-z", _with_line(6, "trans g(p) -> z @ 2\n"), "line 6: bad state name 'z'"),
+    ("state-symbol", _with_line(6, "trans g(p) -> g @ 2\n"),
      "line 6: state name collides with symbol 'g'"),
-    ("state-digit-first", _with_line(6, "trans g(p) -> 0q @ 2\n"), "lines",
-     "line 6: bad state name '0q'"),
-    # a bad name comes first, though the reader finds the duplicate first
+    ("state-digit-first", _with_line(6, "trans g(p) -> 0q @ 2\n"), "line 6: bad state name '0q'"),
+    # a bad name comes first, though the build finds the duplicate first
     ("bad-name-before-duplicate", _with_line(8, "trans g(z) -> p @ 3\ntrans g(p) -> q @ 2\n"),
-     "lines", "line 8: bad state name 'z'"),
-    ("bad-name-on-a-final-line", _BLOCK_TEXT + "final 0r @ 1\n", "lines",
-     "line 11: bad state name '0r'"),
-    ("zero-trans-weight", _with_line(8, "trans f(q,q) -> p @ 0\n"), "lines", None),
-    ("zero-final-weight", _with_line(10, "final q @ 0\n"), "lines", None),
+     "line 8: bad state name 'z'"),
+    ("bad-name-on-a-final-line", _BLOCK_TEXT + "final 0r @ 1\n", "line 11: bad state name '0r'"),
+    ("zero-trans-weight", _with_line(8, "trans f(q,q) -> p @ 0\n"), None),
+    ("zero-final-weight", _with_line(10, "final q @ 0\n"), None),
     ("tropical-inf", _with_line(10, "final q @ inf\n").replace("rational", "tropical")
-     .replace("-> p @ 3", "-> p @ inf"), "lines", None),
+     .replace("-> p @ 3", "-> p @ inf"), None),
     ("rank-line-after-block", _with_line(8, "trans f(q,q) -> p @ 3\nrank g 1\n").replace(
-        "rank g 1\n", "", 1), "block", None),
-    ("trans-line-after-final", _BLOCK_TEXT.replace(_BLOCK_LINES[7], "") + _BLOCK_LINES[7],
-     "block", None),
-    ("second-semifield-line", _with_line(9, "semifield rational\nfinal p @ 1\n"), "lines",
+        "rank g 1\n", "", 1), None),
+    ("trans-line-after-final", _BLOCK_TEXT.replace(_BLOCK_LINES[7], "") + _BLOCK_LINES[7], None),
+    ("second-semifield-line", _with_line(9, "semifield rational\nfinal p @ 1\n"),
      "line 9: duplicate semifield line"),
-    ("canonical-final-lines", _BLOCK_TEXT, "block", None),
+    ("canonical-final-lines", _BLOCK_TEXT, None),
     ("final-lines-before-trans", "".join(_BLOCK_LINES[:4] + _BLOCK_LINES[8:] + _BLOCK_LINES[4:8]),
-     "block", None),
-    ("final-comment-line", _with_line(10, "final q @ 2\n# final q @ 2\n"), "block", None),
-    ("spaced-final-line", _with_line(10, "final  q @ 2\n"), "lines", None),
-    ("spaced-final-weight", _with_line(10, "final q @2\n"), "lines", None),
-    ("indented-final-line", _with_line(10, " final q @ 2\n"), "lines", None),
-    ("final-comment", _with_line(10, "final q @ 2 # note\n"), "lines", None),
-    ("duplicate-final-line", _with_line(10, "final q @ 2\nfinal p @ 3\n"), "lines",
+     None),
+    ("final-comment-line", _with_line(10, "final q @ 2\n# final q @ 2\n"), None),
+    ("spaced-final-line", _with_line(10, "final  q @ 2\n"), None),
+    ("spaced-final-weight", _with_line(10, "final q @2\n"), None),
+    ("indented-final-line", _with_line(10, " final q @ 2\n"), None),
+    ("final-comment", _with_line(10, "final q @ 2 # note\n"), None),
+    ("duplicate-final-line", _with_line(10, "final q @ 2\nfinal p @ 3\n"),
      "line 11: duplicate final line for p"),
-    ("duplicate-final-line-spelled-apart", _with_line(10, "final q @ 2\nfinal p @3\n"), "lines",
+    ("duplicate-final-line-spelled-apart", _with_line(10, "final q @ 2\nfinal p @3\n"),
      "line 11: duplicate final line for p"),
-    ("zero-final-weight-first", _with_line(9, "final p @ 0\n"), "lines", None),
+    ("zero-final-weight-first", _with_line(9, "final p @ 0\n"), None),
     # a state name is checked at its first use, trans lines before final
     # lines, after the symbol and arity of its line and before its weight
     ("bad-name-on-a-final-line-before-the-trans-lines",
-     "".join(_BLOCK_LINES[:4]) + "final 0r @ 1\n" + "".join(_BLOCK_LINES[4:]), "lines",
+     "".join(_BLOCK_LINES[:4]) + "final 0r @ 1\n" + "".join(_BLOCK_LINES[4:]),
      "line 5: bad state name '0r'"),
-    ("bad-name-on-a-respelled-trans-line", _with_line(8, "trans f( q,q ) -> z @ 3\n"), "lines",
+    ("bad-name-on-a-respelled-trans-line", _with_line(8, "trans f( q,q ) -> z @ 3\n"),
      "line 8: bad state name 'z'"),
-    ("bad-name-before-a-malformed-weight", _with_line(6, "trans g(p) -> z @ 2x\n"), "lines",
+    ("bad-name-before-a-malformed-weight", _with_line(6, "trans g(p) -> z @ 2x\n"),
      "line 6: bad state name 'z'"),
     # every line's syntax is read before any state name is checked
     ("syntax-error-after-a-bad-name",
-     _with_line(7, "trans f(p,q -> q @ 1/2\n").replace("trans a() -> p", "trans a() -> z"), "lines",
+     _with_line(7, "trans f(p,q -> q @ 1/2\n").replace("trans a() -> p", "trans a() -> z"),
      "line 7: malformed transition source 'f(p,q'"),
-    ("state-symbol-on-a-final-line", _with_line(10, "final q @ 2\nfinal g @ 1\n"), "lines",
+    ("state-symbol-on-a-final-line", _with_line(10, "final q @ 2\nfinal g @ 1\n"),
      "line 11: state name collides with symbol 'g'"),
+    # lines the splits read and lines read one by one are merged in line
+    # order: a duplicate is named at its second copy, whichever is respelled
+    ("respelled-then-canonical-duplicate",
+     _with_line(6, "trans g( p ) -> q @ 2\n") + "trans g(p) -> q @ 2\n",
+     "line 11: duplicate transition for g('p',)"),
+    ("canonical-then-respelled-duplicate",
+     _with_line(8, "trans f(q,q) -> p @ 3\ntrans g(p)->q @ 2\n"),
+     "line 9: duplicate transition for g('p',)"),
+    ("respelled-line-then-syntax-error",
+     _with_line(6, "trans g( p ) -> q @ 2\n").replace("trans f(p,q) ->", "trans f(p,q ->"),
+     "line 7: malformed transition source 'f(p,q'"),
+    ("zero-weight-on-a-respelled-line", _with_line(8, "trans f( q,q ) -> p @ 0\n"), None),
+    # a line with a zero weight is checked as any other
+    ("zero-weight-undeclared-symbol",
+     _with_line(8, "trans f(q,q) -> p @ 3\ntrans h(q) -> p @ 0\n"),
+     "line 9: undeclared symbol 'h'"),
+    ("zero-weight-arity-mismatch", _with_line(8, "trans f(q) -> p @ 0\n"),
+     "line 8: f has arity 2, got 1 arguments"),
+    # trans lines introduce their states before final lines do
+    ("respelled-final-lines-before-trans",
+     "".join(_BLOCK_LINES[:4]) + "final  q @ 2\nfinal p @1\n" + "".join(_BLOCK_LINES[4:8]), None),
 ]
 
 
-@pytest.mark.parametrize("text, reader, error", [case[1:] for case in _BLOCK_CASES],
+@pytest.mark.parametrize("text, error", [case[1:] for case in _BLOCK_CASES],
                          ids=[case[0] for case in _BLOCK_CASES])
-def test_block_reader_and_its_fallback(monkeypatch, text, reader, error):
+def test_block_reader_and_its_fallback(monkeypatch, text, error):
+    """Each text is split once by each pattern and its leftover read once,
+    whatever its spelling and whether or not it has an error, and it reads
+    as the reference reader reads it."""
     assert format_wta(parse_wta(_BLOCK_TEXT)) == _BLOCK_TEXT
-    fallbacks = []
-    line_reader = automaton._read_lines
+    calls = collections.Counter()
+    names = ("_TRANS_LINES", "_FINAL_LINES", "_read_directives")
+    for name in names:
 
-    def counted(text):
-        fallbacks.append(text)
-        return line_reader(text)
+        def counted(text, name=name, read=getattr(automaton, name)):
+            calls[name] += 1
+            return read(text)
 
-    monkeypatch.setattr(automaton, "_read_lines", counted)
+        monkeypatch.setattr(automaton, name, counted)
     got = _outcome(parse_wta, text)
     assert got == _outcome(reference_parse_wta, text)
     assert got[0] == ("error" if error else ("p", "q"))
     if error:
         assert got[1] == error
-    assert len(fallbacks) == (reader == "lines")
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_a_parse_error_has_no_other_error_chained_to_it(monkeypatch):
@@ -955,13 +976,14 @@ def test_a_parse_error_has_no_other_error_chained_to_it(monkeypatch):
         with contextlib.suppress(WtaError):
             recording(case[1])
     # one error per pytest.raises block of test_parse_errors, one per error case
-    assert len(raised) == 8 + sum(case[3] is not None for case in _BLOCK_CASES)
+    assert len(raised) == 8 + sum(case[2] is not None for case in _BLOCK_CASES)
     assert [exc for exc in raised if exc.__context__ is not None and not exc.__suppress_context__] == []
 
 
 def test_block_reader_splits_canonical_final_lines(monkeypatch):
-    """The block reader hands `_read_directives` no final line in
-    `format_wta`'s spelling: the second split reads them all."""
+    """No trans or final line in `format_wta`'s spelling reaches
+    `_read_directives`: the two splits read them all, and leave each of
+    their lines blank, so every other line keeps its number."""
     read = []
     directives = automaton._read_directives
 
@@ -970,8 +992,13 @@ def test_block_reader_splits_canonical_final_lines(monkeypatch):
         return directives(text)
 
     monkeypatch.setattr(automaton, "_read_directives", recording)
-    assert format_wta(parse_wta(_BLOCK_TEXT)) == _BLOCK_TEXT
-    assert read == ["semifield rational\nrank a 0\nrank g 1\nrank f 2\n"]
+    for text in [_BLOCK_TEXT] + _corpus_texts():
+        read.clear()
+        parse_wta(text)
+        left = read[0].split("\n")
+        assert len(left) == len(text.split("\n"))
+        assert [line for line in left if line] == [
+            line for line in text.split("\n") if line.startswith(("semifield ", "rank "))]
 
 
 _PIECES = ("@ 1 ->", "-> q @", "/0", "4" * 5000, "\u0661", "@", "->", "(", ")", ",", ".", "#")

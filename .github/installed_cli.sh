@@ -25,6 +25,7 @@ set -euo pipefail
 readme="$PWD/README.md"
 tests="$PWD/tests"
 work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
 if [ -n "${BUDWTA_FROM_SRC:-}" ]; then
   export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
   mkdir "$work/bin"

@@ -2,11 +2,13 @@
 
 An automaton stores a sparse transition map (zero-weight entries are never
 kept) and a sparse final weight map, both read-only.  Bottom-up
-determinism, checked once when the automaton is built, means every
-(state tuple, symbol) pair has at most one nonzero target; for such
-automata each tree reaches at most one state with a single product weight,
-which is what all the minimization machinery relies on.  The general
-sum-product semantics is kept alongside as a slow reference oracle.
+determinism, checked once when the automaton is built, means every symbol
+and tuple of child states have at most one nonzero target: delta_sigma,
+one per symbol, is a partial map from child states to a (state, weight)
+pair, the automaton's step map.  For such automata each tree reaches at
+most one state with a single product weight, which is what all the
+minimization machinery relies on.  The general sum-product semantics is
+kept alongside as a slow reference oracle.
 """
 
 from __future__ import annotations
@@ -59,11 +61,13 @@ class Wta:
     text: an identifier, neither ``z`` nor a symbol, the names checked on
     sets, so each name once.  A bad name is refused here without a line;
     `parse_wta` names the line where the state is first used.
-    The derived fields are computed once, here: ``_succ`` maps each (state
-    tuple, symbol) key of delta to the (target, weight) of its first entry,
-    which for a bu-det automaton is its one step, and ``budet`` records
-    bottom-up determinism, no key with a second entry; the loop that builds
-    ``_succ`` checks each entry and names the first bad one.
+    The derived fields are computed once, here: ``_succ``, the step map,
+    maps each symbol, in declaration order, to a map from the child states
+    of its delta entries to the (target, weight) of the first such entry,
+    its one step if bu-det, so a run step builds no (child states, symbol)
+    pair; ``budet`` records bottom-up determinism, no symbol and child
+    states with a second entry.  The loop that builds ``_succ`` checks each
+    entry and names the first bad one.
     Two memos fill as the automaton is used: ``_runs`` maps the root of
     each tree run with weights so far, not its interior nodes, to its
     deterministic value, and ``_states`` maps the root of each tree run by
@@ -109,7 +113,8 @@ class Wta:
             or not stateset.isdisjoint(arities)
         ):
             _check_state_names(self.states, self.alphabet)
-        succ: Dict[SuccKey, Tuple[str, Value]] = {}
+        # symbol -> child states -> (target, weight)
+        succ: Dict[str, Dict[Tuple[str, ...], Tuple[str, Value]]] = {s: {} for s in arities}
         for (ws, sym, q), w in delta.items():
             if len(ws) != arities.get(sym) or q not in stateset or not stateset.issuperset(ws):
                 if sym not in arities:
@@ -118,7 +123,7 @@ class Wta:
                     raise WtaError(f"transition arity mismatch for {sym}")
                 bad = next(p for p in ws + (q,) if p not in stateset)
                 raise WtaError(f"unknown state in transition: {bad}")
-            succ.setdefault((ws, sym), (q, w))
+            succ[sym].setdefault(ws, (q, w))
         if not stateset.issuperset(final):
             bad = next(q for q in final if q not in stateset)
             raise WtaError(f"unknown state in final map: {bad}")
@@ -131,7 +136,7 @@ class Wta:
             if semifield.eq(w, k.zero):
                 raise WtaError("zero weights must not be stored")
         _init(self, "_succ", succ)
-        _init(self, "budet", len(succ) == len(delta))
+        _init(self, "budet", sum(map(len, succ.values())) == len(delta))
         _init(self, "_runs", {})
         _init(self, "_states", {})
         _init(self, "_derived", {})
@@ -142,15 +147,18 @@ def is_bu_deterministic(a: Wta) -> bool:
 
 
 def is_total(a: Wta) -> bool:
-    """Every (state tuple, symbol) pair has at least one nonzero target:
-    ``_succ`` has a key for each of the |Q|^k tuples of each symbol.
+    """Every symbol and tuple of child states have at least one nonzero
+    target: the step map of each symbol of arity k has a key for each of
+    the |Q|^k tuples.
 
-    With two states or more, a symbol of arity k >= the bit length of
-    |_succ| has 2^k > |_succ| tuples, so the answer is no and no power is
+    With two states or more, an arity k >= the bit length of the symbol's
+    m keys gives 2^k > m tuples, so the answer is no and no power is
     built: a huge arity costs nothing."""
-    n, bound = len(a.states), len(a._succ).bit_length()
-    arities = a.alphabet._arity.values()
-    return all(n == 1 or k < bound for k in arities) and len(a._succ) == sum(n**k for k in arities)
+    n = len(a.states)
+    return all(
+        (n == 1 or k < len(steps).bit_length()) and len(steps) == n**k
+        for steps, k in zip(a._succ.values(), a.alphabet._arity.values())
+    )
 
 
 def _require_budet(a: Wta) -> None:
@@ -245,14 +253,14 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
             if None in got:
                 v = None
             elif weighed:
-                v = succ.get((tuple(map(_state, got)), t.symbol))
+                v = succ[t.symbol].get(tuple(map(_state, got)))
                 if v is not None:
                     q, w = v
                     for _, x in got:
                         w = a.kind.times(w, x)
                     v = (q, w)
             else:
-                v = succ.get((tuple(got), t.symbol))
+                v = succ[t.symbol].get(tuple(got))
                 v = v and v[0]
             memo[t] = v
             return v
@@ -271,9 +279,9 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
         if None in kids:
             vals[id(node)] = None
         elif weighed:
-            vals[id(node)] = succ.get((tuple(map(_state, kids)), node.symbol))
+            vals[id(node)] = succ[node.symbol].get(tuple(map(_state, kids)))
         else:
-            step = succ.get((tuple(kids), node.symbol))
+            step = succ[node.symbol].get(tuple(kids))
             vals[id(node)] = step and step[0]
     v = vals[id(t)]
     if weighed and v is not None:

@@ -294,13 +294,13 @@ def _step_table(
     if not any(hole_table):
         return hole_table
     times = a.kind.times
-    succ = a._succ
+    steps = a._succ[c.symbol]
     factor = reduce(times, side) if side else None  # None: no side tree, nothing to multiply
     out: List[DetValue] = []
     for v in hole_table:
         if v is not None:
             ws[hole] = v[0]
-            step = succ.get((tuple(ws), c.symbol))
+            step = steps.get(tuple(ws))
             if step:
                 x = v[1] if factor is None else times(v[1], factor)
                 out.append((step[0], times(x, step[1])))

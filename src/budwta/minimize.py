@@ -203,7 +203,7 @@ def equivalent(a: Wta, b: Wta) -> bool:
     met = 0  # tuples met under a live entry of b
     rho_of = rhos.__getitem__
     for key, w, ws_b, combo in _joined(a, found, by_a):
-        q, y = succ_b.get((ws_b, key[1]), no_step)
+        q, y = succ_b[key[1]].get(ws_b, no_step)
         p = key[2]
         if q not in live_b:
             if p in live_a:
@@ -228,7 +228,8 @@ def equivalent(a: Wta, b: Wta) -> bool:
     by_b = collections.Counter(q for _, q in found)
     under = by_b.__getitem__  # 0 for a B-state without found pairs
     expected = sum(
-        math.prod(map(under, ws)) for (ws, _), (q, _) in succ_b.items() if q in live_b
+        math.prod(map(under, ws))
+        for steps in succ_b.values() for ws, (q, _) in steps.items() if q in live_b
     )
     return met == expected
 
@@ -246,9 +247,9 @@ def _joined(
     increasing order."""
     succ = a._succ
     for sym in a.alphabet.nullary_symbols():
-        if ((), sym) in succ:
-            t, w = succ[((), sym)]
-            yield ((), sym, t), w, (), ()
+        step = succ[sym].get(())
+        if step:
+            yield ((), sym, step[0]), step[1], (), ()
     entries, _, uses = automaton._derivation(a, automaton._inverse)
     n = 0
     while n < len(found):

@@ -298,12 +298,16 @@ def _read(
     """The distinct nodes of the tree that ``tokens`` of ``text`` spell,
     children first and the root last, or, if they spell none, a function
     that words the error at the first token that fails.  A node is listed
-    when it is first closed, after its children, so the list is the order
-    of ``shared``."""
+    when it is made, which is when it is first closed, after its children.
+    Equal subtrees are one node, found in tables that die with this parse:
+    a leaf by its symbol, an inner node by its own children tuple in its
+    symbol's table, so no key is built beside the node."""
     tokens.append("")  # end of input
-    # node by symbol (leaves) or by (symbol, children); the children are
-    # shared already, so comparing keys compares them by identity
-    shared: Dict[object, Tree] = {}
+    nodes: List[Tree] = []
+    leaves: Dict[str, Tree] = {}  # symbol -> its leaf
+    # symbol -> children -> node: the children are shared already, so
+    # comparing keys compares them by identity
+    tables: Dict[str, Dict[Tuple[Tree, ...], Tree]] = {}
     open_nodes: List[Tuple[str, int, List[Tree]]] = []  # symbol, arity, children
     pos = 0
     while True:
@@ -320,9 +324,10 @@ def _read(
             pos += 2
         if k:
             return partial(_arity_error, name, k, 0)
-        node = shared.get(name)
+        node = leaves.get(name)
         if node is None:
-            node = shared[name] = Tree(name)
+            node = leaves[name] = Tree(name)
+            nodes.append(node)
         while open_nodes:
             name, k, kids = open_nodes[-1]
             kids.append(node)
@@ -336,14 +341,18 @@ def _read(
             open_nodes.pop()
             if len(kids) != k:
                 return partial(_arity_error, name, k, len(kids))
-            key = (name, tuple(kids))
-            node = shared.get(key)
+            table = tables.get(name)
+            if table is None:
+                table = tables[name] = {}
+            kids = tuple(kids)
+            node = table.get(kids)
             if node is None:
-                node = shared[key] = Tree(*key)
+                node = table[kids] = Tree(name, kids)
+                nodes.append(node)
         else:
             if tokens[pos]:
                 return partial(_error, "trailing input {}", text, pos)
-            return list(shared.values())
+            return nodes
 
 
 def _unlisted_symbol(name: str, text: str, pos: int) -> TermError:

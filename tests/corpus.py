@@ -1142,7 +1142,7 @@ def rescale_pad_shuffle(rng: random.Random, a: Wta) -> Tuple[Wta, bool]:
         entries.append((((d,) * n, sym, d), random_weight(rng, k)))
     keys = ((ws, sym) for sym, n in a.alphabet._arity.items()
             for ws in itertools.product(a.states, repeat=n))
-    free = next((key for key in itertools.islice(keys, 10_000) if key not in a._succ), None)
+    free = next((key for key in itertools.islice(keys, 10_000) if not targets(a, *key)), None)
     if free is not None:
         entries.append(((*free, d), random_weight(rng, k)))
     rng.shuffle(entries)

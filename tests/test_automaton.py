@@ -577,14 +577,18 @@ def test_is_total_matches_enumeration_on_corpus():
 
 
 def test_step_map_is_the_first_entry_of_each_key():
+    # the step map is keyed by symbol, every symbol of the alphabet, then
+    # by child states
     second_first = 0  # keys whose step is not their last entry
     for b in _corpus_variants(610):
         keys = [(ws, sym) for ws, sym, _ in b.delta]
-        assert b._succ.keys() == set(keys)
-        for key, step in b._succ.items():
-            entries = targets(b, *key)
-            assert step == entries[0]
-            second_first += step != entries[-1]
+        assert list(b._succ) == list(b.alphabet.symbols())
+        assert {(ws, sym) for sym, steps in b._succ.items() for ws in steps} == set(keys)
+        for sym, steps in b._succ.items():
+            for ws, step in steps.items():
+                entries = targets(b, ws, sym)
+                assert step == entries[0]
+                second_first += step != entries[-1]
         assert b.budet == (len(set(keys)) == len(keys))
     assert second_first > 20
 
@@ -1138,22 +1142,25 @@ def _walked(monkeypatch):
     return walked
 
 
-class _CountingSucc(dict):
-    """A `Wta._succ` that counts the keys looked up with ``get``."""
+class _CountingSteps(dict):
+    """One symbol's map of `Wta._succ` that counts the (child states,
+    symbol) keys looked up with ``get`` in ``looked_up``."""
 
-    def __init__(self, succ):
-        super().__init__(succ)
-        self.looked_up = collections.Counter()
+    def __init__(self, steps, sym, looked_up):
+        super().__init__(steps)
+        self.sym, self.looked_up = sym, looked_up
 
-    def get(self, key, default=None):
-        self.looked_up[key] += 1
-        return super().get(key, default)
+    def get(self, ws, default=None):
+        self.looked_up[(ws, self.sym)] += 1
+        return super().get(ws, default)
 
 
 def _counting_succ(a):
-    succ = _CountingSucc(a._succ)
+    """Count the step lookups of ``a`` from now on, in the Counter returned."""
+    looked_up = collections.Counter()
+    succ = {sym: _CountingSteps(steps, sym, looked_up) for sym, steps in a._succ.items()}
     object.__setattr__(a, "_succ", succ)
-    return succ
+    return looked_up
 
 
 def test_witness_checks_validate_each_node_once(monkeypatch):
@@ -1164,11 +1171,11 @@ def test_witness_checks_validate_each_node_once(monkeypatch):
     for n in (100, 400):
         walked.clear()
         a = chain(random.Random(1502), sf.RATIONAL, n)
-        succ = _counting_succ(a)
+        looked_up = _counting_succ(a)
         assert minimality(a) == (True, True, n)
         assert sum(map(len, walked)) <= 2 * n
         keys = automaton._derivation(a, automaton._least_keys).values()
-        assert len(keys) == n and succ.looked_up == collections.Counter(keys)
+        assert len(keys) == n and looked_up == collections.Counter(keys)
 
 
 def test_bad_node_over_or_beside_a_memo_root_is_refused(even_odd):

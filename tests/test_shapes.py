@@ -11,7 +11,9 @@ expression), the collector and memory.
 The input of each size is built before the hook is set, so only the
 phase is counted: `parse_wta` gets the text, `minimize` and `equivalent`
 automata freshly parsed from their `format_wta` text, so no derivation is
-warm, and the spine row an automaton and a tree text to parse and run.
+warm, and the tree rows a fresh automaton, so no parse is remembered, and
+a tree text to parse and run.  A balanced tree's size is its height: at
+height h + 2 it has 4x the nodes of height h.
 """
 
 import random
@@ -19,7 +21,7 @@ import sys
 
 import pytest
 
-from budwta import RATIONAL, format_wta, h_det, parse_tree, parse_wta
+from budwta import RATIONAL, format_wta, h_det, parse_tree, parse_wta, state_of
 from budwta.minimize import equivalent, minimize
 from corpus import sparse_binary
 
@@ -30,9 +32,23 @@ SPINE_WTA = (
     "final p @ 1\nfinal q @ 3\n"
 )
 
+# a total two-state automaton over f/2 and a/0
+BALANCED_WTA = (
+    "semifield rational\nrank a 0\nrank f 2\ntrans a() -> p @ 2/3\n"
+    "trans f(p,p) -> q @ 5/7\ntrans f(p,q) -> p @ 1\ntrans f(q,p) -> q @ 1\n"
+    "trans f(q,q) -> p @ 2/3\nfinal p @ 1\nfinal q @ 3\n"
+)
+
 
 def _sparse_binary(n):
     return format_wta(sparse_binary(random.Random(1), RATIONAL, n))
+
+
+def _balanced(height):
+    text = "a"
+    for _ in range(height):
+        text = f"f({text},{text})"
+    return parse_wta(BALANCED_WTA), text
 
 
 # family -> the input of size n
@@ -41,6 +57,7 @@ FAMILIES = {
     # every trans line in another spelling, read one by one
     "respelled sparse binary": lambda n: _sparse_binary(n).replace(" -> ", "  ->  "),
     "rational spine": lambda n: (parse_wta(SPINE_WTA), "g(" * n + "a" + ")" * n),
+    "balanced": _balanced,
 }
 
 
@@ -53,6 +70,11 @@ def _parse_and_run(pair):
     return h_det(a, parse_tree(text, a.alphabet))
 
 
+def _parse_and_state(pair):
+    a, text = pair
+    return state_of(a, parse_tree(text, a.alphabet))
+
+
 def _as_is(x):
     return x
 
@@ -63,6 +85,8 @@ PHASES = {
     "minimize": (parse_wta, minimize),
     "equiv against the minimum": (_against_the_minimum, lambda pair: equivalent(*pair)),
     "parse_tree + h_det": (_as_is, _parse_and_run),
+    "parse_tree + state_of": (_as_is, _parse_and_state),
+    "parse_tree": (_as_is, lambda pair: parse_tree(pair[1], pair[0].alphabet)),
 }
 
 # (phase, family, n, 4n, the largest ratio of the two call counts)
@@ -72,6 +96,8 @@ ROWS = [
     ("minimize", "sparse binary", 250, 1000, 4.6),
     ("equiv against the minimum", "sparse binary", 250, 1000, 4.6),
     ("parse_tree + h_det", "rational spine", 2500, 10000, 4.6),
+    ("parse_tree + state_of", "balanced", 9, 11, 4.6),
+    ("parse_tree", "rational spine", 2500, 10000, 4.6),
 ]
 
 

@@ -3,7 +3,8 @@
 # console script on README.md's counter.wta, the file respelled or with a
 # duplicated line (a canonical copy after a respelled line among them), one
 # final line respelled, commented, duplicated or naming the state z, its
-# tree texts spaced apart or broken, on a tropical file, and on wide-symbol
+# tree texts spaced apart or broken, abbreviated options, which exit 2, on a
+# tropical file, and on wide-symbol
 # files, the largest one-state f/10 oracle under
 # the cap among them, a 2000-state sparse binary file, a 1600-state unary
 # chain, a file of unused leaves, a depth-10000 oracle query, an oracle
@@ -112,6 +113,17 @@ test "$out" = "not congruent"
 code=0; out=$(budwta congruent counter.wta --mono 1.alpha --mono '2/3.gamma(alpha)' --oracle-depth 0) || code=$?
 test "$code" -eq 1
 test "$out" = "not congruent"
+# only the documented option spellings are read: argparse would take --mon
+# for --mono, whose value main attaches only as spelled, or --oracle for
+# --oracle-depth, and reads such values differently from version to version
+code=0; out=$(budwta congruent counter.wta --mono -1.alpha --mono 1.alpha) || code=$?
+test "$code" -eq 1
+test "$out" = "not congruent"
+for abbreviated in "--mon -1.alpha --mono 1.alpha" "--mono 1.alpha --mono 1.alpha --oracle 1"; do
+  code=0; out=$(budwta congruent counter.wta $abbreviated 2>/dev/null) || code=$?
+  test "$code" -eq 2
+  test -z "$out"
+done
 # zero monomials, spelt apart, are congruent to each other and to no other
 test "$(budwta congruent counter.wta --mono 0/5.alpha --mono '-0.gamma(gamma(alpha))' --oracle-depth 3)" = "congruent"
 code=0; out=$(budwta congruent counter.wta --mono 0.alpha --mono 1.alpha --oracle-depth 3) || code=$?

@@ -239,6 +239,7 @@ def _run(a: Wta, t: Tree, weighed: bool = True) -> Union[DetValue, str]:
     step is a state step, as `state_of` takes it: the weighted run keeps
     the (target, weight) step of each node and multiplies no weight on the
     way up, and when the root has a state, `_fold` gives its weight.
+    The one-step path stays beside the walk by its ablation in BENCH_45.json.
     """
     memo = a._runs if weighed else a._states
     v = memo.pop(t, _MISS)
@@ -462,7 +463,8 @@ def _live(a: Wta) -> FrozenSet[str]:
     zero.  Backward, a search from the realized final states over ``into``
     takes only entries whose children are all realized, and reaches their
     children.  O(|delta| * k).  The live states are those of `slim` that
-    its `dead_states` leaves out; a zero language has none.
+    its `dead_states` leaves out; a zero language has none.  It stays beside
+    them by its ablation in BENCH_45.json.
     """
     entries, into, uses = _derivation(a, _inverse)
     todo = [q for ws, _, q in a.delta if not ws]
@@ -632,7 +634,8 @@ def parse_wta(text: str) -> Wta:
     `_build`, makes the automaton of every valid text; if it refuses the
     text, `_first_error` goes over the same numbered lines in order and
     raises the first error, with its line, as the only one: no other
-    exception is chained to it.
+    exception is chained to it.  The `_FINAL_LINES` split stays by its
+    ablation in BENCH_45.json.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")

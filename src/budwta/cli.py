@@ -159,33 +159,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="budwta",
         description="weighted tree automata over commutative semifields",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="load a .wta file and report basic facts")
+    sp = sub.add_parser(
+        "validate", help="load a .wta file and report basic facts", allow_abbrev=False
+    )
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("eval", help="weight assigned to a tree")
+    sp = sub.add_parser("eval", help="weight assigned to a tree", allow_abbrev=False)
     sp.add_argument("file")
     sp.add_argument("--tree", required=True)
     sp.set_defaults(func=_cmd_eval)
 
-    sp = sub.add_parser("state", help="state reached by a tree")
+    sp = sub.add_parser("state", help="state reached by a tree", allow_abbrev=False)
     sp.add_argument("file")
     sp.add_argument("--tree", required=True)
     sp.set_defaults(func=_cmd_state)
 
-    sp = sub.add_parser("check", help="determinism, totality, slimness, minimality")
+    sp = sub.add_parser(
+        "check", help="determinism, totality, slimness, minimality", allow_abbrev=False
+    )
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_check)
 
-    sp = sub.add_parser("minimize", help="write the minimal equivalent automaton")
+    sp = sub.add_parser(
+        "minimize", help="write the minimal equivalent automaton", allow_abbrev=False
+    )
     sp.add_argument("file")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=_cmd_minimize)
 
-    sp = sub.add_parser("congruent", help="decide syntactic congruence of monomials")
+    sp = sub.add_parser(
+        "congruent", help="decide syntactic congruence of monomials", allow_abbrev=False
+    )
     sp.add_argument("file")
     sp.add_argument(
         "--mono",
@@ -197,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle-depth", default=None)
     sp.set_defaults(func=_cmd_congruent)
 
-    sp = sub.add_parser("equiv", help="exact equivalence of two automata")
+    sp = sub.add_parser("equiv", help="exact equivalence of two automata", allow_abbrev=False)
     sp.add_argument("file1")
     sp.add_argument("file2")
     sp.set_defaults(func=_cmd_equiv)
@@ -210,7 +219,8 @@ _PARSER = _build_parser()  # parse_args keeps no state between calls
 
 def main(argv: Optional[List[str]] = None) -> int:
     # argparse takes a value such as -1.a for an option, and reads -- apart
-    # from version to version: attach each --tree and --mono value, refuse --
+    # from version to version: attach each --tree and --mono value, refuse --;
+    # the parsers take no abbreviation, so these are the only spellings
     words = iter(sys.argv[1:] if argv is None else argv)
     argv = []
     for w in words:

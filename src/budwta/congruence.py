@@ -179,7 +179,7 @@ def _monomial_run(a: Wta, m: Monomial) -> DetValue:
         raise SemifieldError(f"monomial weight {m.weight!r} is not in the {k} semifield")
     if eq(m.weight, k.zero):
         return None
-    return automaton._run(a, m.tree) if a.budet else automaton.h_det(a, m.tree)
+    return automaton.h_det(a, m.tree)
 
 
 def class_of(qt: SyntacticQuotient | BoundedContextOracle, m: Monomial) -> ClassRep:
@@ -239,8 +239,7 @@ def context_tables(
     contexts, so its table is the table of c' followed by one elementary
     step: the side trees' weights are multiplied together, then delta is
     applied once per state.  That is O(|Q| + k) per context.  When a side
-    tree has no run, or the hole child's table has none at any state, the
-    table is all None, built with no step per state.
+    tree has no run, the table is all None, built with no step per state.
 
     The enumeration shares its side tree objects between contexts, and
     `automaton.h_det` runs each distinct one once per call.  Only a
@@ -291,8 +290,6 @@ def _step_table(
             return (None,) * len(a.states)
         ws.append(v[0])
         side.append(v[1])
-    if not any(hole_table):
-        return hole_table
     times = a.kind.times
     steps = a._succ[c.symbol]
     factor = reduce(times, side) if side else None  # None: no side tree, nothing to multiply
@@ -373,14 +370,10 @@ class BoundedContextOracle:
         # final weights are copied out of their mapping proxy, whose get
         # costs more than a dict's.
         times, final = k.times, dict(a.final)
-        zeros = (0,) * n
         codes: Dict[tuple, int] = {parts(k.zero): 0}  # parts of a value -> its code
         values: List[Value] = [k.zero]  # code -> value
         rows: Dict[Tuple[int, ...], None] = {}  # the distinct rows, in order
         for _c, table in context_tables(a, h, sigma):  # h < ctx_height if the counts stopped
-            if not any(table):
-                rows[zeros] = None
-                continue
             row = []
             for v in table:
                 f = None if v is None else final.get(v[0])

@@ -529,6 +529,29 @@ def test_mono_followed_by_double_dash_exits_2(wta_file, capsys):
     assert capsys.readouterr().err == "error: '--' is neither a tree nor a monomial\n"
 
 
+def test_abbreviated_options_exit_2(wta_file, capsys, tmp_path):
+    # main attaches a value to --tree and --mono as spelled; a prefix that
+    # argparse would take for one of them, or for another option, is refused
+    path = wta_file(GAMMA3)
+    assert main(["congruent", path, "--mono", "-1.alpha", "--mono", "1.alpha"]) == 1
+    assert capsys.readouterr().out == "not congruent\n"
+    out_path = str(tmp_path / "out.wta")
+    for argv, error in (
+        (["congruent", path, "--mon", "-1.alpha", "--mono", "1.alpha"],
+         "unrecognized arguments: --mon -1.alpha"),
+        (["congruent", path, "--mono", "1.alpha", "--mono", "1.alpha", "--oracle", "1"],
+         "unrecognized arguments: --oracle 1"),
+        (["eval", path, "--tre", "alpha"], "the following arguments are required: --tree"),
+        (["minimize", path, "--out", out_path], f"unrecognized arguments: --out {out_path}"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: {error}\n")
+    assert not os.path.exists(out_path)
+
+
 def test_tree_error_text_is_bounded(wta_file, capsys):
     path = wta_file(EVEN_ODD)
     for tree in ("sigma(" * 10**5, "alpha " + "b" * 10**5, "x" * 10**5 + "("):

@@ -13,7 +13,9 @@ phase is counted: `parse_wta` gets the text, `minimize` and `equivalent`
 automata freshly parsed from their `format_wta` text, so no derivation is
 warm, and the tree rows a fresh automaton, so no parse is remembered, and
 a tree text to parse and run.  A balanced tree's size is its height: at
-height h + 2 it has 4x the nodes of height h.
+height h + 2 it has 4x the nodes of height h.  The oracle row's size is
+its depth: over g/1 and a/0 each height adds one context, a table of one
+step per state from its hole child's.
 """
 
 import random
@@ -21,9 +23,10 @@ import sys
 
 import pytest
 
-from budwta import RATIONAL, format_wta, h_det, parse_tree, parse_wta, state_of
+from budwta import RATIONAL, format_wta, h_det, parse_tree, parse_wta, slim, state_of
+from budwta.congruence import BoundedContextOracle
 from budwta.minimize import equivalent, minimize
-from corpus import sparse_binary
+from corpus import sparse_binary, unary_chain
 
 # a total two-state automaton over g/1 and a/0 with two distinct weights
 SPINE_WTA = (
@@ -58,6 +61,8 @@ FAMILIES = {
     "respelled sparse binary": lambda n: _sparse_binary(n).replace(" -> ", "  ->  "),
     "rational spine": lambda n: (parse_wta(SPINE_WTA), "g(" * n + "a" + ")" * n),
     "balanced": _balanced,
+    "slimmed unary chain 20":
+        lambda depth: (slim(unary_chain(random.Random(1), RATIONAL, 20)), depth),
 }
 
 
@@ -87,6 +92,7 @@ PHASES = {
     "parse_tree + h_det": (_as_is, _parse_and_run),
     "parse_tree + state_of": (_as_is, _parse_and_state),
     "parse_tree": (_as_is, lambda pair: parse_tree(pair[1], pair[0].alphabet)),
+    "BoundedContextOracle": (_as_is, lambda pair: BoundedContextOracle(*pair)),
 }
 
 # (phase, family, n, 4n, the largest ratio of the two call counts)
@@ -98,6 +104,7 @@ ROWS = [
     ("parse_tree + h_det", "rational spine", 2500, 10000, 4.6),
     ("parse_tree + state_of", "balanced", 9, 11, 4.6),
     ("parse_tree", "rational spine", 2500, 10000, 4.6),
+    ("BoundedContextOracle", "slimmed unary chain 20", 250, 1000, 4.6),
 ]
 
 
